@@ -39,18 +39,6 @@
 // identically to the plain scaling row at the same N — the disabled-path
 // witness at bench scale, asserted in-process before the JSON is written.
 //
-// An intra_run section measures the *intra-run* parallel dimension: one
-// full engine run per fig9 system at sim worker-thread counts 1, 2 and
-// hardware concurrency (engine/slot_shard_executor.h — the sharded
-// epoch/slot pipeline inside a single simulation, as opposed to the sweep
-// section's across-runs pool). Reps are interleaved across thread counts
-// and the median wall time reported. Every row carries the run's result
-// fingerprint: threads=k must reproduce threads=1 bit for bit, and
-// check_perf.py gates that equality inside the fresh file as well as
-// against the committed baseline. On a 1-core host the speedup numbers are
-// meaningless (and say so via skipped_reason) but the threads=2 rows still
-// run — they are the sharding determinism witness, not a timing claim.
-//
 // A third section records the *scaling* dimension: events/sec for every
 // fig9 system at N in {16, 64, 128, 256} — plus an oblivious-only tail at
 // N = 512 (the all-to-all VLB data plane is the densest per-slot walk, so
@@ -72,13 +60,6 @@
 //   NEG_PERF_CONTROL_TORS  N list for the control_loss section
 //                      (default "16")
 //   NEG_PERF_DATA_TORS  N list for the data_loss section (default "16")
-//   NEG_PERF_INTRA_TORS  N for the intra_run section (default 64)
-//   NEG_PERF_SIM_THREADS  comma-separated sim worker-thread counts for the
-//                      intra_run section (default "1,2,<hardware
-//                      concurrency>"; the threads=2 rows always run — on a
-//                      1-core host their timing is meaningless, flagged by
-//                      skipped_reason, but their fingerprints are the
-//                      sharding bit-identity witness)
 //   NEG_PERF_SWEEP_TORS  N for the sweep grid (default 64)
 //   NEG_PERF_THREADS   comma-separated thread counts for the sweep section
 //                      (default "1,2,<hardware concurrency>"; on a 1-core
@@ -117,7 +98,6 @@ struct PerfRun {
   std::uint64_t deliveries;
   std::uint64_t delivery_dispatches;
   std::uint64_t result_fingerprint;
-  std::uint64_t sharded_slots{0};
   std::size_t flows;
   std::size_t completed;
 
@@ -317,12 +297,9 @@ std::uint64_t result_fingerprint(Runner& runner, const RunResult& r) {
 
 PerfRun measure_engine(const char* name, TopologyKind topo,
                        SchedulerKind sched, int n, double load,
-                       Nanos duration, int sim_threads = 0) {
+                       Nanos duration) {
   NetworkConfig cfg = paper_config(topo, sched);
   cfg.num_tors = n;
-  // 0 defers to NEG_SIM_THREADS, so a `run_benches.sh --sim-threads k`
-  // sweep pushes every fingerprinted section through the sharded pipeline.
-  cfg.sim_threads = sim_threads;
   Runner runner(cfg);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), load, Rng(9));
@@ -344,54 +321,9 @@ PerfRun measure_engine(const char* name, TopologyKind topo,
   out.deliveries = runner.fabric().deliveries();
   out.delivery_dispatches = runner.fabric().delivery_dispatches();
   out.result_fingerprint = result_fingerprint(runner, r);
-  out.sharded_slots = runner.fabric().sharded_slots();
   out.flows = flows.size();
   out.completed = r.completed;
   return out;
-}
-
-/// One engine run of the intra_run section: a PerfRun (with its median
-/// wall time over interleaved reps) at one sim worker-thread count. The
-/// label ("1t", "2t", ...) keys the row for check_perf.py's baseline
-/// matching, like the control/data-loss sub-configuration labels.
-struct IntraRun {
-  PerfRun run;
-  int threads;
-  std::string label;
-  double speedup_vs_1t;
-};
-
-/// Why the intra_run speedup numbers are not a timing claim; empty when
-/// the host can actually run shards concurrently. The rows run either way
-/// — their fingerprints are the sharding determinism witness.
-std::string intra_skipped_reason() {
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  if (hw == 1 && std::getenv("NEG_PERF_SIM_THREADS") == nullptr) {
-    return "hardware_concurrency == 1: multi-thread rows ran only as the "
-           "sharding bit-identity witness; their events/sec is not a "
-           "speedup measurement";
-  }
-  return "";
-}
-
-/// Sim worker-thread counts for the intra_run section: always 1 (the
-/// serial reference) and 2 (the determinism witness), plus hardware
-/// concurrency when it adds a distinct count.
-std::vector<int> intra_thread_counts() {
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  std::vector<int> counts = parse_int_list(
-      "NEG_PERF_SIM_THREADS", "1,2," + std::to_string(hw), 1);
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  if (counts.empty() || counts.front() != 1) {
-    counts.insert(counts.begin(), 1);  // the bit-identity reference
-  }
-  return counts;
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
 /// One fig9 system under a mid-run ToR-group storm: events/sec on the
@@ -620,8 +552,6 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
                 const std::vector<StormRun>& storms,
                 const std::vector<ControlLossRun>& control,
                 const std::vector<DataLossRun>& data_loss,
-                const std::vector<IntraRun>& intra,
-                const std::string& intra_skipped,
                 const std::vector<SweepPerf>& sweeps, int sweep_tors,
                 bool deterministic, const std::string& skipped_reason) {
   std::FILE* f = std::fopen(path, "w");
@@ -773,36 +703,6 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
                  i + 1 < data_loss.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // Intra-run: the sharded epoch/slot pipeline at 1..k sim worker threads
-  // (one simulation, sharded inside each slot — not the sweep's pool of
-  // independent runs). Fingerprint-gated per row like scaling, and
-  // check_perf.py additionally requires the threads=1 and threads=k
-  // fingerprints of one system to be equal inside this very file — the
-  // sharding determinism witness.
-  std::fprintf(f, "  \"intra_run\": [\n");
-  for (std::size_t i = 0; i < intra.size(); ++i) {
-    const IntraRun& x = intra[i];
-    const PerfRun& r = x.run;
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"num_tors\": %d, "
-                 "\"label\": \"%s\", \"threads\": %d, \"sim_ns\": %lld, "
-                 "\"events\": %llu, \"sharded_slots\": %llu, "
-                 "\"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
-                 "\"speedup_vs_1t\": %.3f, "
-                 "\"fingerprint\": \"%016llx\"}%s\n",
-                 r.name.c_str(), r.num_tors, x.label.c_str(), x.threads,
-                 static_cast<long long>(r.sim_ns),
-                 static_cast<unsigned long long>(r.events),
-                 static_cast<unsigned long long>(r.sharded_slots),
-                 r.wall_seconds, r.events_per_sec(), x.speedup_vs_1t,
-                 static_cast<unsigned long long>(r.result_fingerprint),
-                 i + 1 < intra.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  if (!intra_skipped.empty()) {
-    std::fprintf(f, "  \"intra_run_skipped_reason\": \"%s\",\n",
-                 intra_skipped.c_str());
-  }
   const double base_wall = sweeps.empty() ? 0.0 : sweeps.front().wall_seconds;
   std::fprintf(f, "  \"sweep\": {\"grid\": \"fig9\", \"num_tors\": %d, "
                "\"deterministic\": %s, ",
@@ -1034,73 +934,6 @@ int main() {
   std::printf("disabled-path witness (lossless rows == scaling rows): %s\n",
               disabled_path_ok ? "PASS" : "FAIL");
 
-  // --- Intra-run dimension: the sharded slot pipeline vs sim threads. ---
-  print_header("Intra-run sharding: events/sec vs sim worker threads");
-  const int intra_tors = [] {
-    const char* env = std::getenv("NEG_PERF_INTRA_TORS");
-    const int n = env != nullptr ? std::atoi(env) : 0;
-    return n >= 2 ? n : 64;
-  }();
-  const std::vector<int> intra_threads = intra_thread_counts();
-  const std::string intra_skipped = intra_skipped_reason();
-  constexpr int kIntraReps = 3;
-  std::vector<IntraRun> intra;
-  bool intra_deterministic = true;
-  ConsoleTable intra_table({"system", "N", "threads", "events", "wall s",
-                           "events/s", "speedup", "sharded slots",
-                           "fingerprint"});
-  for (const auto& sys : systems) {
-    std::vector<PerfRun> rows(intra_threads.size());
-    std::vector<std::vector<double>> walls(intra_threads.size());
-    for (int rep = 0; rep < kIntraReps; ++rep) {
-      // Interleave reps across thread counts so cache and frequency drift
-      // hit every count equally instead of biasing the later rows.
-      for (std::size_t i = 0; i < intra_threads.size(); ++i) {
-        PerfRun r = measure_engine(sys.name, sys.topo, sys.sched, intra_tors,
-                                   load, duration, intra_threads[i]);
-        walls[i].push_back(r.wall_seconds);
-        if (rep == 0) {
-          rows[i] = r;
-        } else if (r.result_fingerprint != rows[i].result_fingerprint) {
-          intra_deterministic = false;  // same config, different output
-        }
-      }
-    }
-    for (std::size_t i = 0; i < intra_threads.size(); ++i) {
-      rows[i].wall_seconds = median(walls[i]);
-    }
-    for (std::size_t i = 0; i < intra_threads.size(); ++i) {
-      const PerfRun& r = rows[i];
-      if (r.result_fingerprint != rows[0].result_fingerprint) {
-        intra_deterministic = false;  // threads=k diverged from threads=1
-      }
-      IntraRun x;
-      x.run = r;
-      x.threads = intra_threads[i];
-      x.label = std::to_string(intra_threads[i]) + "t";
-      x.speedup_vs_1t =
-          r.wall_seconds > 0 ? rows[0].wall_seconds / r.wall_seconds : 0.0;
-      char fp_hex[32];
-      std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                    static_cast<unsigned long long>(r.result_fingerprint));
-      intra_table.add_row({r.name, std::to_string(r.num_tors),
-                           std::to_string(x.threads),
-                           std::to_string(r.events), fmt(r.wall_seconds, 3),
-                           fmt(r.events_per_sec(), 0),
-                           fmt(x.speedup_vs_1t, 2),
-                           std::to_string(r.sharded_slots), fp_hex});
-      intra.push_back(std::move(x));
-    }
-  }
-  intra_table.print();
-  if (!intra_skipped.empty()) {
-    std::printf("intra-run speedups not meaningful: %s\n",
-                intra_skipped.c_str());
-  }
-  std::printf("intra-run determinism (threads=k bit-identical to "
-              "threads=1): %s\n",
-              intra_deterministic ? "PASS" : "FAIL");
-
   // --- Sweep dimension: the fig9 grid across worker-thread counts. ---
   const int sweep_tors = [] {
     const char* env = std::getenv("NEG_PERF_SWEEP_TORS");
@@ -1146,8 +979,8 @@ int main() {
               deterministic ? "PASS" : "FAIL");
 
   if (const char* path = std::getenv("NEG_PERF_JSON")) {
-    write_json(path, runs, scaling, storms, control, data_loss, intra,
-               intra_skipped, sweeps, sweep_tors, deterministic, skipped);
+    write_json(path, runs, scaling, storms, control, data_loss, sweeps,
+               sweep_tors, deterministic, skipped);
   }
-  return deterministic && disabled_path_ok && intra_deterministic ? 0 : 1;
+  return deterministic && disabled_path_ok ? 0 : 1;
 }

@@ -11,10 +11,15 @@
 //          [--csv out.csv]
 //
 // Prints a one-line result; with --csv, appends a machine-readable row.
+// A malformed value or an invalid configuration exits 2 with a "negsim:"
+// message naming the flag or the config field.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "engine/runner.h"
@@ -25,11 +30,45 @@ using namespace negotiator;
 
 namespace {
 
-[[noreturn]] void usage(const char* message) {
+[[noreturn]] void usage(const std::string& message) {
   std::fprintf(stderr, "negsim: %s\n(see the header of examples/negsim.cpp "
                        "for the full flag list)\n",
-               message);
+               message.c_str());
   std::exit(2);
+}
+
+/// Whole-string base-10 integer; anything else (empty, trailing garbage,
+/// out of range) is a usage error naming `flag`.
+long long parse_int(const std::string& flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    usage(flag + ": expected an integer, got '" + text + "'");
+  }
+  return v;
+}
+
+/// parse_int bounded to an int.
+int parse_int32(const std::string& flag, const char* text) {
+  const long long v = parse_int(flag, text);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    usage(flag + ": out of range: '" + text + "'");
+  }
+  return static_cast<int>(v);
+}
+
+/// Whole-string finite, strictly positive number.
+double parse_positive(const std::string& flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v <= 0) {
+    usage(flag + ": expected a finite positive number, got '" + text + "'");
+  }
+  return v;
 }
 
 SchedulerKind parse_scheduler(const std::string& name) {
@@ -56,7 +95,9 @@ SizeDistribution parse_workload(const std::string& name) {
   if (name == "web-search") return SizeDistribution::web_search();
   if (name == "google") return SizeDistribution::google();
   if (name.rfind("fixed:", 0) == 0) {
-    return SizeDistribution::fixed(std::atoll(name.c_str() + 6));
+    const long long bytes = parse_int("--workload fixed", name.c_str() + 6);
+    if (bytes <= 0) usage("--workload fixed: size must be positive");
+    return SizeDistribution::fixed(bytes);
   }
   usage("unknown workload");
 }
@@ -73,7 +114,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+      if (i + 1 >= argc) usage("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--topology") {
@@ -90,19 +131,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--workload") {
       workload = value();
     } else if (arg == "--load") {
-      load = std::atof(value());
+      load = parse_positive(arg, value());
     } else if (arg == "--duration-ms") {
-      duration_ms = std::atof(value());
+      duration_ms = parse_positive(arg, value());
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      const long long seed = parse_int(arg, value());
+      if (seed < 0) usage("--seed: must be non-negative");
+      cfg.seed = static_cast<std::uint64_t>(seed);
     } else if (arg == "--tors") {
-      cfg.num_tors = std::atoi(value());
+      cfg.num_tors = parse_int32(arg, value());
     } else if (arg == "--ports") {
-      cfg.ports_per_tor = std::atoi(value());
+      cfg.ports_per_tor = parse_int32(arg, value());
     } else if (arg == "--speedup") {
-      cfg.speedup = std::atof(value());
+      cfg.speedup = parse_positive(arg, value());
     } else if (arg == "--iterations") {
-      cfg.variant.iterations = std::atoi(value());
+      cfg.variant.iterations = parse_int32(arg, value());
     } else if (arg == "--no-piggyback") {
       cfg.piggyback = false;
     } else if (arg == "--no-pq") {
@@ -110,11 +153,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--csv") {
       csv_path = value();
     } else {
-      usage(("unknown flag " + arg).c_str());
+      usage("unknown flag " + arg);
     }
   }
-  if (load <= 0 || duration_ms <= 0) usage("load/duration must be positive");
-  cfg.validate();
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 
   const auto sizes = parse_workload(workload);
   const auto duration = static_cast<Nanos>(duration_ms * kMilli);

@@ -218,14 +218,7 @@ struct NetworkConfig {
   ControlFaultConfig control_fault;
   DataFaultConfig data_fault;
 
-  /// Intra-run worker threads for the slot/epoch shard executor
-  /// (engine/slot_shard_executor.h). 0 = resolve from the NEG_SIM_THREADS
-  /// environment variable at fabric construction ("hw" = hardware
-  /// concurrency), defaulting to 1. With an effective value of 1 the
-  /// executor is never constructed and every code path is byte-identical
-  /// to the pre-sharding binary; any k >= 2 is bit-identical to 1 by the
-  /// plan/commit contract. Distinct from the sweep engine's
-  /// NEG_BENCH_THREADS, which parallelizes *across* runs.
+  /// Unused: kept only because benchmark/negbench.cpp still assigns it.
   int sim_threads{0};
 
   /// Run the per-epoch MatchingValidator (core/matching_validator.h) on

@@ -19,15 +19,6 @@
 // reset via touched lists), not linear rescans of the request set — the
 // picks are byte-identical to the straightforward implementation (see
 // tests/test_matching_equivalence.cpp).
-//
-// Thread-safety contract: grant() and accept() mutate (a) the owner's ring
-// cursors — grant_ring rows are keyed by dst, accept_ring rows by src, so
-// calls for *distinct owners* touch disjoint rings — and (b) dense scratch
-// arrays. The two-argument overloads use one engine-owned scratch and are
-// single-thread only; the Scratch& overloads let the shard executor
-// (engine/slot_shard_executor.h) run concurrent calls for disjoint owner
-// ranges, each shard passing its own Scratch. Nothing else in the engine
-// is written after construction.
 #pragma once
 
 #include <span>
@@ -47,21 +38,6 @@ class MatchingEngine {
  public:
   MatchingEngine(const FlatTopology& topo, SelectionPolicy policy, Rng& rng);
 
-  /// Reusable per-caller scratch for the dense-index lookups. One engine
-  /// instance owns one (backing the classic overloads); parallel shards
-  /// own one each so concurrent grant()/accept() calls for disjoint owners
-  /// never share mutable state.
-  struct Scratch {
-    /// Dense tor -> work-slot index; entries are -1 outside a call (reset
-    /// via `touched`). Sized lazily by the engine on first use.
-    std::vector<std::int32_t> slot_of_tor;
-    std::vector<TorId> touched;
-    // accept()'s per-tx-port candidate chains.
-    std::vector<std::int32_t> by_port_head;
-    std::vector<std::int32_t> by_port_tail;
-    std::vector<std::int32_t> next_in_port;
-  };
-
   struct GrantResult {
     /// (granted source, grant message) pairs to send back.
     std::vector<std::pair<TorId, GrantMsg>> grants;
@@ -75,11 +51,6 @@ class MatchingEngine {
   GrantResult grant(TorId dst, std::span<const RequestMsg> requests,
                     const std::vector<bool>& rx_eligible,
                     Bytes epoch_capacity);
-  /// Same step with caller-owned scratch (safe to call concurrently for
-  /// distinct `dst` values, one Scratch per caller).
-  GrantResult grant(TorId dst, std::span<const RequestMsg> requests,
-                    const std::vector<bool>& rx_eligible,
-                    Bytes epoch_capacity, Scratch& scratch);
 
   struct AcceptResult {
     std::vector<Match> matches;
@@ -90,10 +61,6 @@ class MatchingEngine {
   /// ACCEPT step at `src`: picks at most one grant per eligible tx port.
   AcceptResult accept(TorId src, std::span<const GrantMsg> grants,
                       const std::vector<bool>& tx_eligible);
-  /// Same step with caller-owned scratch (safe to call concurrently for
-  /// distinct `src` values, one Scratch per caller).
-  AcceptResult accept(TorId src, std::span<const GrantMsg> grants,
-                      const std::vector<bool>& tx_eligible, Scratch& scratch);
 
   SelectionPolicy policy() const { return policy_; }
 
@@ -119,11 +86,14 @@ class MatchingEngine {
   /// for the parallel network (every port eligible).
   std::vector<PortId> rx_group_of_src_;
 
-  /// Ensures the dense tor index is sized (first use of a fresh Scratch).
-  void prepare_scratch(Scratch& scratch) const;
-
-  /// Backs the classic (scratch-less) overloads.
-  Scratch scratch_;
+  // Scratch for the dense-index lookups, sized num_tors; entries are -1
+  // outside a grant()/accept() call (reset via the touched list).
+  std::vector<std::int32_t> slot_of_tor_;
+  std::vector<TorId> touched_;
+  // Scratch for accept()'s per-tx-port candidate chains.
+  std::vector<std::int32_t> by_port_head_;
+  std::vector<std::int32_t> by_port_tail_;
+  std::vector<std::int32_t> next_in_port_;
 };
 
 }  // namespace negotiator

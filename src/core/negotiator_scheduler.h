@@ -28,16 +28,6 @@
 // All sets iterate in ascending ToR order, so the processing order — and
 // therefore the simulation output — is bit-identical to the historical
 // dense scans (tests/test_seed_equivalence.cpp pins this).
-//
-// Thread-safety contract: the scheduler is confined to the fabric's thread
-// except inside compute_accepts/compute_grants when a shard executor is
-// attached. There the owner list is split into contiguous shards; each
-// worker mutates only per-owner state (out_/out_stamp_ rows of its owners,
-// their matching rings, the host plane's per-owner pause row) plus its own
-// ComputeShard staging buffer, and the caller commits the buffers in
-// ascending shard order — reproducing the serial ascending-owner walk
-// bit-for-bit. deliver_pair/stage_pair, the inboxes, and every other
-// method stay single-thread.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/assert.h"
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -59,8 +48,6 @@
 #include "topo/topology.h"
 
 namespace negotiator {
-
-class SlotShardExecutor;
 
 class NegotiatorScheduler {
  public:
@@ -111,64 +98,6 @@ class NegotiatorScheduler {
   /// exchange loss-free and draw-free.
   void set_control_channel(ControlChannel* channel) { control_ = channel; }
 
-  /// Attaches the intra-run shard executor (engine/slot_shard_executor.h).
-  /// Null (default) keeps every stage on the fabric thread; with a
-  /// parallel executor the compute_accepts/compute_grants owner walks run
-  /// sharded under the plan/commit contract. Owned by the fabric.
-  void set_shard_executor(SlotShardExecutor* exec) { shard_exec_ = exec; }
-
-  /// Shard-local staging buffer for the predefined-phase exchange: the
-  /// fabric's sharded slots record each pair's outgoing messages here via
-  /// stage_pair() instead of pushing into the shared inboxes, and the
-  /// commit phase replays the records — in ascending source order — via
-  /// commit_staged(), reproducing deliver_pair's push order exactly.
-  struct StagedMessages {
-    std::vector<std::pair<TorId, RequestMsg>> requests;
-    std::vector<std::pair<TorId, GrantMsg>> grants;
-    std::vector<std::pair<TorId, AcceptMsg>> accepts;
-    bool empty() const {
-      return requests.empty() && grants.empty() && accepts.empty();
-    }
-    void clear() {
-      requests.clear();
-      grants.clear();
-      accepts.clear();
-    }
-  };
-
-  /// deliver_pair's channel-free fast path, with the inbox pushes staged
-  /// into `sink` instead of applied. Read-only on the scheduler (safe from
-  /// shard workers); requires no lossy control channel — the fabric only
-  /// shards slots when control_ is null.
-  void stage_pair(TorId src, TorId dst, bool ok, StagedMessages& sink) const {
-    NEG_ASSERT(control_ == nullptr, "stage_pair requires a loss-free plane");
-    const std::size_t index =
-        static_cast<std::size_t>(src) * topo_.num_tors() + dst;
-    if (out_stamp_[index] != epoch_) return;
-    if (!ok) return;
-    const PairOut& entry = out_[index];
-    if (entry.has_request) {
-      sink.requests.emplace_back(dst, entry.request);
-    }
-    for (const RequestMsg& r : entry.relay_requests) {
-      sink.requests.emplace_back(dst, r);
-    }
-    for (const GrantMsg& g : entry.grants) {
-      sink.grants.emplace_back(dst, g);
-    }
-    if (entry.has_accept) {
-      sink.accepts.emplace_back(dst, entry.accept);
-    }
-  }
-
-  /// Replays one shard's staged records into the inboxes, preserving
-  /// per-class record order. Single-thread (commit phase only).
-  void commit_staged(const StagedMessages& sink) {
-    for (const auto& [dst, r] : sink.requests) inbox_requests_.push(dst, r);
-    for (const auto& [dst, g] : sink.grants) inbox_grants_.push(dst, g);
-    for (const auto& [dst, a] : sink.accepts) inbox_accepts_.push(dst, a);
-  }
-
   /// Matching for this epoch's scheduled phase.
   const std::vector<Match>& matches() const { return matches_; }
 
@@ -206,11 +135,6 @@ class NegotiatorScheduler {
     AcceptMsg accept;
   };
   PairOut& outbox(TorId from, TorId to);
-  /// outbox() with the first-write pair record appended to `pairs` instead
-  /// of the shared out_pairs_ — the shard workers' variant (each shard
-  /// stages its own pair list; the commit concatenates them ascending).
-  PairOut& outbox_into(TorId from, TorId to,
-                       std::vector<std::pair<TorId, TorId>>& pairs);
 
   virtual void compute_accepts(const DemandView& demand,
                                const FaultPlane& faults);
@@ -287,27 +211,6 @@ class NegotiatorScheduler {
   // grants are discarded on classification — see deliver_grant_lossy.
   std::vector<Delayed<RequestMsg>> delayed_requests_;
   std::vector<Delayed<AcceptMsg>> delayed_accepts_;
-
-  /// Intra-run shard executor (null = serial, the default). Owned by the
-  /// fabric; shared with it, but never used re-entrantly — the scheduler
-  /// shards only inside begin_epoch, which the fabric calls from outside
-  /// any sharded slot.
-  SlotShardExecutor* shard_exec_{nullptr};
-  /// Per-shard staging for the sharded owner walks: each worker's matching
-  /// scratch, eligibility scratch, and the effects it must not write to
-  /// shared state directly (matches, first-write pairs, grant/accept
-  /// counts). Committed in ascending shard order.
-  struct ComputeShard {
-    MatchingEngine::Scratch scratch;
-    std::vector<bool> eligible;
-    std::vector<Match> matches;
-    std::vector<std::pair<TorId, TorId>> out_pairs;
-    std::size_t count{0};
-  };
-  std::vector<ComputeShard> compute_shards_;
-  void compute_accepts_sharded(const FaultPlane& faults);
-  void compute_grants_sharded(const DemandView& demand,
-                              const FaultPlane& faults);
 };
 
 /// Builds the scheduler variant requested by `config.scheduler`.

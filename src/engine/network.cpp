@@ -144,22 +144,6 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
     }
   }
 
-  // Intra-run sharding (ROADMAP item 1): resolve the worker count here so
-  // threads == 1 never constructs the executor and every path below runs
-  // the unchanged serial code. Slots shard only on a channel-free fabric —
-  // the lossy control/data planes and the ARQ transport draw from shared
-  // RNG streams in visit order, which a parallel scan cannot reproduce;
-  // such runs keep the executor for the scheduler's RNG-free compute
-  // walks and fall back serial for slots.
-  const int sim_threads =
-      SlotShardExecutor::resolve_threads(config_.sim_threads);
-  if (sim_threads > 1) {
-    shard_exec_ = std::make_unique<SlotShardExecutor>(sim_threads);
-    scheduler_->set_shard_executor(shard_exec_.get());
-    can_shard_slots_ =
-        control_ == nullptr && data_ == nullptr && transport_ == nullptr;
-  }
-
   // rx ports are destination-independent in both topologies (parallel:
   // plane-preserving rx == tx; thin-clos: rx pinned by the source's
   // block), so resolve them through the virtual interface once instead of
@@ -520,62 +504,6 @@ void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
   }
 }
 
-void NegotiatorFabric::plan_predefined_conn(const PredefConn& c,
-                                            SlotShard& shard) {
-  // Healthy, channel-free twin of visit_predefined_conn: per-source queue
-  // mutations happen in place (the shard owns c.src), every cross-source
-  // effect is staged. No retransmit branch (no transport_) and no fate
-  // draw (no data_) — can_shard_slots_ guarantees both.
-  scheduler_->stage_pair(c.src, c.dst, /*ok=*/true, shard.messages);
-  TorSwitch& tor = tors_[static_cast<std::size_t>(c.src)];
-  if (!config_.piggyback || !tor.active_destinations().contains(c.dst)) {
-    return;
-  }
-  if (host_plane_ && pause_advertised_[static_cast<std::size_t>(c.dst)]) {
-    return;  // §3.6.5: withhold data towards a paused receiver
-  }
-  auto pkt = tor.dequeue_packet(c.dst, config_.piggyback_payload_bytes());
-  NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
-  ++shard.piggyback_packets;
-  shard.touched_sources.push_back(c.src);
-  shard.deliveries.push_back(DeliveryRecord{pkt->flow, c.dst, pkt->bytes, 0});
-}
-
-void NegotiatorFabric::run_predefined_slot_sharded(
-    const std::vector<PredefConn>& bucket) {
-  // Buckets are sorted by (src, tx); extending shard boundaries to source
-  // edges keeps each ToR's switch state inside exactly one worker.
-  shard_exec_->partition_by_group(
-      static_cast<int>(bucket.size()), shard_ranges_, [&bucket](int i) {
-        return bucket[static_cast<std::size_t>(i)].src ==
-               bucket[static_cast<std::size_t>(i - 1)].src;
-      });
-  slot_shards_.resize(static_cast<std::size_t>(shard_exec_->shards()));
-  shard_exec_->for_ranges(
-      shard_ranges_, [this, &bucket](int s, SlotShardExecutor::Range range) {
-        SlotShard& shard = slot_shards_[static_cast<std::size_t>(s)];
-        shard.clear();
-        for (int i = range.begin; i < range.end; ++i) {
-          plan_predefined_conn(bucket[static_cast<std::size_t>(i)], shard);
-        }
-      });
-  // Commit in ascending shard order == ascending (src, tx): every append
-  // below lands exactly where the sequential loop would have put it. The
-  // deferred activity syncs are an idempotent recompute from queue state,
-  // and a predefined slot only drains queues, so replaying them here
-  // erases exactly the sources the inline calls would have erased, in the
-  // same ascending order.
-  for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-    SlotShard& shard = slot_shards_[s];
-    scheduler_->commit_staged(shard.messages);
-    piggyback_packets_ += shard.piggyback_packets;
-    delivery_build_.insert(delivery_build_.end(), shard.deliveries.begin(),
-                           shard.deliveries.end());
-    for (const TorId src : shard.touched_sources) sync_source_activity(src);
-  }
-  ++sharded_slots_;
-}
-
 void NegotiatorFabric::run_predefined_slot_dense(int slot) {
   // Unhealthy slot: the fault detector must observe every connection, so
   // resolve the full N×P slot on the fly (this path only runs while links
@@ -639,13 +567,9 @@ void NegotiatorFabric::run_predefined_phase() {
     if (!healthy) {
       run_predefined_slot_dense(slot);
     } else {
-      const auto& bucket = predef_buckets_[static_cast<std::size_t>(slot)];
-      if (can_shard_slots_ && bucket.size() > 1) {
-        run_predefined_slot_sharded(bucket);
-      } else {
-        for (const PredefConn& c : bucket) {
-          visit_predefined_conn(c, /*healthy=*/true);
-        }
+      for (const PredefConn& c :
+           predef_buckets_[static_cast<std::size_t>(slot)]) {
+        visit_predefined_conn(c, /*healthy=*/true);
       }
     }
     // Close the slot: every piggyback delivery staged above shares this
@@ -740,107 +664,6 @@ void NegotiatorFabric::run_fallback_slot() {
   }
 }
 
-void NegotiatorFabric::run_scheduled_slot_sharded() {
-  const Bytes payload = config_.scheduled_payload_bytes();
-  const bool may_drop = !relay_enabled_;
-  // live_matches_ is ascending and sched_matches_ is grouped by source
-  // (sched_src_sorted_), so source-edge boundaries keep each ToR's state
-  // inside exactly one worker.
-  shard_exec_->partition_by_group(
-      static_cast<int>(live_matches_.size()), shard_ranges_, [this](int i) {
-        const auto& prev = sched_matches_[static_cast<std::size_t>(
-            live_matches_[static_cast<std::size_t>(i - 1)])];
-        const auto& cur = sched_matches_[static_cast<std::size_t>(
-            live_matches_[static_cast<std::size_t>(i)])];
-        return cur.m.src == prev.m.src;
-      });
-  slot_shards_.resize(static_cast<std::size_t>(shard_exec_->shards()));
-  shard_exec_->for_ranges(shard_ranges_, [this, payload, may_drop](
-                                             int s,
-                                             SlotShardExecutor::Range range) {
-    // Healthy, channel-free twin of the serial walk below: no per-link
-    // health reads, no retransmit branch, no channel fate draws.
-    SlotShard& shard = slot_shards_[static_cast<std::size_t>(s)];
-    shard.clear();
-    for (int r = range.begin; r < range.end; ++r) {
-      const std::int32_t index = live_matches_[static_cast<std::size_t>(r)];
-      ActiveMatch& a = sched_matches_[static_cast<std::size_t>(index)];
-      const Match& m = a.m;
-      TorSwitch& tor = tors_[static_cast<std::size_t>(m.src)];
-      if (tor.active_destinations().contains(m.dst)) {
-        auto pkt = tor.dequeue_packet(m.dst, payload);
-        NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
-        ++shard.match_slots_used;
-        shard.touched_sources.push_back(m.src);
-        shard.deliveries.push_back(
-            DeliveryRecord{pkt->flow, m.dst, pkt->bytes, 0});
-        shard.keep.push_back(index);
-        continue;
-      }
-      if (may_drop) {
-        // The dropped chain is keyed by m.src, so it is shard-owned; the
-        // per-source push order matches the serial walk exactly.
-        auto& stamp = dropped_stamp_[static_cast<std::size_t>(m.src)];
-        auto& head = dropped_heads_[static_cast<std::size_t>(m.src)];
-        if (stamp != epoch_) {
-          stamp = epoch_;
-          head = -1;
-        }
-        dropped_next_[static_cast<std::size_t>(index)] = head;
-        head = index;
-        continue;
-      }
-      {
-        RelayQueueSet& parked = relay_[static_cast<std::size_t>(m.src)];
-        if (parked.bytes_for(m.dst) > 0) {
-          RelayChunk chunk;
-          const std::size_t got =
-              parked.dequeue_span(m.dst, payload, 1, &chunk);
-          NEG_ASSERT(got == 1, "pending relay yielded no chunk");
-          shard.touched_relays.push_back(m.src);
-          shard.deliveries.push_back(
-              DeliveryRecord{chunk.flow, m.dst, chunk.bytes, chunk.seq});
-          shard.keep.push_back(index);
-          continue;
-        }
-      }
-      if (m.relay && a.relay_remaining > 0) {
-        const Bytes cap = std::min(payload, a.relay_remaining);
-        if (auto pkt = tor.dequeue_elephant_packet(m.relay_final_dst, cap)) {
-          a.relay_remaining -= pkt->bytes;
-          shard.touched_sources.push_back(m.src);
-          shard.train_chunks.push_back(RelayTrainChunk{
-              m.dst, m.relay_final_dst, pkt->flow, pkt->bytes, 0});
-        }
-      }
-      shard.keep.push_back(index);
-    }
-  });
-  // Commit ascending: the rebuilt live list, the delivery span, the train
-  // first-touch order and the activity syncs land exactly as the serial
-  // walk would emit them (syncs are idempotent recomputes and scheduled
-  // slots only drain queues, so deferring them preserves the final sets
-  // and their erase order).
-  live_matches_.clear();
-  for (std::size_t s = 0; s < shard_ranges_.size(); ++s) {
-    SlotShard& shard = slot_shards_[s];
-    match_slots_used_ += shard.match_slots_used;
-    live_matches_.insert(live_matches_.end(), shard.keep.begin(),
-                         shard.keep.end());
-    delivery_build_.insert(delivery_build_.end(), shard.deliveries.begin(),
-                           shard.deliveries.end());
-    for (const RelayTrainChunk& chunk : shard.train_chunks) {
-      auto& train =
-          train_build_[static_cast<std::size_t>(chunk.intermediate)];
-      if (train.empty()) train_touched_.push_back(chunk.intermediate);
-      train.push_back(chunk);
-    }
-    for (const TorId src : shard.touched_sources) sync_source_activity(src);
-    for (const TorId t : shard.touched_relays) sync_relay_activity(t);
-  }
-  ++sharded_slots_;
-}
-
 void NegotiatorFabric::run_scheduled_phase() {
   const Bytes payload = config_.scheduled_payload_bytes();
   const Nanos prop = config_.propagation_delay_ns;
@@ -863,22 +686,6 @@ void NegotiatorFabric::run_scheduled_phase() {
   for (std::size_t i = 0; i < live_matches_.size(); ++i) {
     live_matches_[i] = static_cast<std::int32_t>(i);
   }
-  // Scheduled-slot sharding needs the walk grouped by source, so that
-  // source-edge shard boundaries keep each ToR's switch, relay queues and
-  // dropped chain inside one worker. live_matches_ stays ascending by
-  // construction (the arrival hook reinserts in order), so the property
-  // holds for the whole phase iff the scheduler emitted its matches in
-  // non-descending src order — checked per epoch, and variant schedulers
-  // that interleave sources simply force the serial walk.
-  sched_src_sorted_ = can_shard_slots_;
-  if (sched_src_sorted_) {
-    for (std::size_t i = 1; i < sched_matches_.size(); ++i) {
-      if (sched_matches_[i].m.src < sched_matches_[i - 1].m.src) {
-        sched_src_sorted_ = false;
-        break;
-      }
-    }
-  }
   dropped_next_.assign(sched_matches_.size(), -1);
   // Relay matches (and relay-enabled fabrics generally) are never dropped:
   // parked second-hop data refills without a flow arrival, so the
@@ -894,14 +701,6 @@ void NegotiatorFabric::run_scheduled_phase() {
     sim_.advance_to(timing_.scheduled_slot_start(epoch_, slot));
     const Nanos arrival = timing_.scheduled_slot_end(epoch_, slot) + prop;
     const bool healthy = links_.all_up();
-    if (healthy && sched_src_sorted_ && live_matches_.size() > 1) {
-      // can_shard_slots_ is folded into sched_src_sorted_; fallback
-      // requires a control channel, which can_shard_slots_ excludes.
-      run_scheduled_slot_sharded();
-      flush_deliveries(arrival);
-      ship_relay_trains(arrival);
-      continue;
-    }
     std::size_t keep = 0;
     for (std::size_t r = 0; r < live_matches_.size(); ++r) {
       const std::int32_t index = live_matches_[r];
@@ -1022,20 +821,16 @@ void NegotiatorFabric::run_scheduled_phase() {
     // delivered bytes before relay receptions, matching the per-packet
     // order the span replaces), then one train event per intermediate.
     flush_deliveries(arrival);
-    ship_relay_trains(arrival);
+    for (const TorId inter : train_touched_) {
+      auto& train = train_build_[static_cast<std::size_t>(inter)];
+      goodput_.record_relay_train(inter, train.data(), train.size(), arrival);
+      sim_.events().schedule_relay_train(
+          arrival, train.data(), static_cast<std::uint32_t>(train.size()));
+      train.clear();
+    }
+    train_touched_.clear();
   }
   in_scheduled_phase_ = false;
-}
-
-void NegotiatorFabric::ship_relay_trains(Nanos arrival) {
-  for (const TorId inter : train_touched_) {
-    auto& train = train_build_[static_cast<std::size_t>(inter)];
-    goodput_.record_relay_train(inter, train.data(), train.size(), arrival);
-    sim_.events().schedule_relay_train(
-        arrival, train.data(), static_cast<std::uint32_t>(train.size()));
-    train.clear();
-  }
-  train_touched_.clear();
 }
 
 Bytes NegotiatorFabric::total_backlog() const {
@@ -1089,7 +884,6 @@ Bytes NegotiatorFabric::relay_queue_total(TorId tor) const {
 
 const ActiveSet& NegotiatorFabric::relay_active_destinations(
     TorId tor) const {
-  // Const magic static: concurrent first calls from shard workers are safe.
   static const ActiveSet kEmpty;
   if (!relay_enabled_) return kEmpty;
   return relay_[static_cast<std::size_t>(tor)].active_destinations();

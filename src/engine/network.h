@@ -18,7 +18,6 @@
 #include "core/matching_validator.h"
 #include "core/negotiator_scheduler.h"
 #include "engine/conservation_auditor.h"
-#include "engine/slot_shard_executor.h"
 #include "sim/simulation.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
@@ -110,19 +109,6 @@ class FabricSim {
   /// side.
   virtual std::uint64_t delivery_dispatches() const { return 0; }
 
-  /// Effective intra-run worker-thread count (engine/slot_shard_executor.h)
-  /// this fabric runs with — 1 when the shard executor is off, so BENCH
-  /// rows and chaos JSON can self-describe their execution mode. Output is
-  /// bit-identical across values by contract; this only reports how it was
-  /// computed.
-  virtual int sim_threads() const { return 1; }
-
-  /// Slots executed through the sharded plan/commit path so far (0 when
-  /// sim_threads() == 1, and for slots that took a serial fallback — lossy
-  /// channels, unhealthy links). Lets tests assert the parallel path
-  /// actually engaged rather than silently falling back everywhere.
-  virtual std::uint64_t sharded_slots() const { return 0; }
-
   /// Per-epoch accepts/grants ratio (Fig. 14); empty for the oblivious
   /// fabric, which has no matching step.
   virtual std::vector<double> match_ratio_series() const { return {}; }
@@ -197,10 +183,6 @@ class NegotiatorFabric final : public FabricSim,
   std::uint64_t delivery_dispatches() const override {
     return delivery_dispatches_;
   }
-  int sim_threads() const override {
-    return shard_exec_ ? shard_exec_->threads() : 1;
-  }
-  std::uint64_t sharded_slots() const override { return sharded_slots_; }
   void schedule_link_event(Nanos when, TorId tor, PortId port,
                            LinkDirection dir, bool fail) override;
   void schedule_control_brownout(Nanos start, Nanos end,
@@ -391,68 +373,6 @@ class NegotiatorFabric final : public FabricSim,
   /// Visits one resolved connection (shared by sparse and dense paths).
   /// Deliveries are staged; the slot's close flushes them as one span.
   void visit_predefined_conn(const PredefConn& c, bool healthy);
-
-  // --- Intra-run sharding (engine/slot_shard_executor.h) ---
-  //
-  // With a parallel shard executor attached, eligible slots run as a
-  // parallel *plan* over contiguous source ranges plus a serial *commit*
-  // in ascending shard order, bit-identical to the serial walk. A slot is
-  // eligible only when it is healthy (all links up, fault plane quiescent
-  // via the existing `healthy` flag) and the fabric carries no RNG-drawing
-  // hot-path subsystem (can_shard_slots_: no control/data channel, no ARQ
-  // transport) — everything else falls back to the unchanged serial code.
-  //
-  // Worker-side writes are confined to per-source state the shard owns
-  // (its ToR switches, relay queues, dropped chains, relay_remaining) plus
-  // the shard's SlotShard staging buffer; active_sources_/relay_active_
-  // syncs, delivery records, inbox messages, train chunks and counters are
-  // staged and committed serially.
-
-  /// Per-shard effect buffer (plan-phase output).
-  struct SlotShard {
-    NegotiatorScheduler::StagedMessages messages;  // predefined phase only
-    std::vector<DeliveryRecord> deliveries;
-    std::vector<TorId> touched_sources;  // sync_source_activity at commit
-    std::vector<TorId> touched_relays;   // sync_relay_activity at commit
-    std::vector<RelayTrainChunk> train_chunks;  // first-hop relay staging
-    std::vector<std::int32_t> keep;             // live-match compaction
-    std::int64_t piggyback_packets{0};
-    std::int64_t match_slots_used{0};
-    void clear() {
-      messages.clear();
-      deliveries.clear();
-      touched_sources.clear();
-      touched_relays.clear();
-      train_chunks.clear();
-      keep.clear();
-      piggyback_packets = 0;
-      match_slots_used = 0;
-    }
-  };
-
-  /// Worker-side twin of visit_predefined_conn's healthy path: cross-shard
-  /// effects go to `shard` instead of shared state.
-  void plan_predefined_conn(const PredefConn& c, SlotShard& shard);
-  /// One healthy predefined slot, sharded over its bucket.
-  void run_predefined_slot_sharded(const std::vector<PredefConn>& bucket);
-  /// One healthy scheduled slot, sharded over the live-match list.
-  void run_scheduled_slot_sharded();
-  /// Closes a scheduled slot's relay-train staging: one goodput record and
-  /// one train event per touched intermediate, then clears the staging.
-  void ship_relay_trains(Nanos arrival);
-
-  std::unique_ptr<SlotShardExecutor> shard_exec_;  // null = serial build
-  /// No RNG-drawing subsystem on the slot hot path (set once at
-  /// construction): sharded slots require it.
-  bool can_shard_slots_{false};
-  /// This epoch's sched_matches_ are grouped by ascending source — the
-  /// precondition for sharding scheduled slots (live_matches_ index order
-  /// then equals source order). Recomputed every epoch; variant schedulers
-  /// may emit ungrouped matches, which simply forces the serial path.
-  bool sched_src_sorted_{false};
-  std::vector<SlotShard> slot_shards_;
-  std::vector<SlotShardExecutor::Range> shard_ranges_;
-  std::uint64_t sharded_slots_{0};
 
   std::vector<std::vector<PredefConn>> predef_buckets_;  // one per slot
   std::vector<std::int64_t> predef_gather_stamp_;  // [src*N+dst] -> epoch

@@ -5,13 +5,6 @@
 // with flat per-(destination, level) index/byte/HoL arrays, so the fabric's
 // per-destination sweeps (pending bytes, HoL ages, level picks) are
 // contiguous loads.
-//
-// Thread-safety contract: not internally synchronized. Each instance is
-// owned by one source ToR; during a sharded slot plan
-// (engine/slot_shard_executor.h) a shard mutates only the switches of
-// sources inside its range — partitions are group-aligned so no two
-// shards ever touch the same instance, and nothing here is read
-// cross-source mid-slot.
 #pragma once
 
 #include <cstddef>

@@ -124,12 +124,6 @@ struct SweepTotals {
   std::int64_t spurious_retx{0};
   std::int64_t rto_fires{0};
   std::int64_t conservation_checks{0};
-  /// Intra-run sharding self-description: the effective worker-thread
-  /// count the fabrics ran with and how many slots actually took the
-  /// sharded path (0 under NEG_SIM_THREADS=1 — lossy/chaos configs also
-  /// fall back serially whenever a channel draws RNG in visit order).
-  int sim_threads{1};
-  std::int64_t sharded_slots{0};
 };
 SweepTotals g_totals;
 
@@ -379,8 +373,6 @@ struct ChaosOutcome {
   Bytes backlog{0};
   std::uint64_t events{0};
   std::int64_t conservation_checks{0};
-  int sim_threads{1};
-  std::uint64_t sharded_slots{0};
   ResilienceRecorder rec;
 
   explicit ChaosOutcome(const NetworkConfig& cfg)
@@ -441,8 +433,6 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   out.completed = fab.fct().completed();
   out.backlog = fab.total_backlog();
   out.events = fab.events_executed();
-  out.sim_threads = fab.sim_threads();
-  out.sharded_slots = fab.sharded_slots();
 
   // Invariant 1: byte conservation — everything injected was delivered.
   EXPECT_EQ(out.backlog, 0)
@@ -510,9 +500,6 @@ void accumulate(const ChaosOutcome& out) {
   g_totals.spurious_retx += out.rec.spurious_retx();
   g_totals.rto_fires += out.rec.rto_fires();
   g_totals.conservation_checks += out.conservation_checks;
-  g_totals.sim_threads = std::max(g_totals.sim_threads, out.sim_threads);
-  g_totals.sharded_slots +=
-      static_cast<std::int64_t>(out.sharded_slots);
 }
 
 /// Writes the aggregate artifact after every sweep has run, so the
@@ -547,9 +534,7 @@ class ChaosJsonEnvironment final : public ::testing::Environment {
         "  \"total_retransmitted_bytes\": %lld,\n"
         "  \"total_spurious_retx\": %lld,\n"
         "  \"total_rto_fires\": %lld,\n"
-        "  \"total_conservation_checks\": %lld,\n"
-        "  \"sim_threads\": %d,\n"
-        "  \"sharded_slots\": %lld\n}\n",
+        "  \"total_conservation_checks\": %lld\n}\n",
         t.scenarios, t.lossy_cases, t.data_loss_cases,
         static_cast<long long>(t.failures),
         static_cast<long long>(t.exclusion_churn),
@@ -571,8 +556,7 @@ class ChaosJsonEnvironment final : public ::testing::Environment {
         static_cast<long long>(t.retransmitted_bytes),
         static_cast<long long>(t.spurious_retx),
         static_cast<long long>(t.rto_fires),
-        static_cast<long long>(t.conservation_checks), t.sim_threads,
-        static_cast<long long>(t.sharded_slots));
+        static_cast<long long>(t.conservation_checks));
     std::fclose(f);
   }
 };

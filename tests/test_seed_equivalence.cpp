@@ -201,18 +201,13 @@ std::uint64_t fnv_mix_double(std::uint64_t h, double v) {
   return fnv_mix(h, bits);
 }
 
-// `sim_threads` feeds NetworkConfig::sim_threads: the default 0 defers to
-// the NEG_SIM_THREADS environment variable, so `NEG_SIM_THREADS=2 ctest`
-// runs every golden below through the sharded slot pipeline — the whole
-// table doubles as the intra-run determinism witness under TSan.
-std::uint64_t run_fingerprint(const Scenario& sc, int sim_threads = 0) {
+std::uint64_t run_fingerprint(const Scenario& sc) {
   NetworkConfig cfg;
   cfg.topology = sc.topo;
   cfg.scheduler = sc.sched;
   cfg.num_tors = sc.num_tors;
   cfg.ports_per_tor = sc.ports;
   cfg.seed = sc.seed;
-  cfg.sim_threads = sim_threads;
   cfg.piggyback = sc.piggyback;
   cfg.rotate_predefined_rule = sc.rotate;
   cfg.host_plane.enabled = sc.host_plane;
@@ -553,113 +548,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n;
     });
-
-// ---- Intra-run sharding (engine/slot_shard_executor.h) -------------------
-//
-// threads = k must be bit-identical to threads = 1 — the whole point of
-// the plan/commit split. The sweep pins every scheduler variant on one
-// topology plus the paths that interact with sharding non-trivially
-// (host-plane pause gating, piggyback off, out-of-order arrivals, a chaos
-// storm's healthy windows between bursts, a lossy control plane and a
-// lossy data plane, both of which must take the serial fallback and still
-// match). Fingerprints are compared against the same seed goldens the
-// serial suite pins, so k-thread runs are transitively byte-identical to
-// the pre-sharding engine.
-
-std::size_t scenario_index(const char* name) {
-  for (std::size_t i = 0; i < std::size(kScenarios); ++i) {
-    if (std::strcmp(kScenarios[i].name, name) == 0) return i;
-  }
-  ADD_FAILURE() << "unknown scenario: " << name;
-  return 0;
-}
-
-const char* const kShardSweep[] = {
-    "negotiator/parallel",
-    "negotiator/thin-clos",
-    "negotiator/parallel/hostplane",
-    "negotiator/parallel/no-piggyback",
-    "negotiator/parallel/incast",
-    "iterative/parallel",
-    "informative-size/parallel",
-    "informative-hol/parallel",
-    "stateful/parallel",
-    "selective-relay/thin-clos",
-    "projector/parallel",
-    "centralized/parallel",
-    "oblivious/thin-clos",
-    "oblivious/parallel",
-    "negotiator/parallel/storm",
-    "oblivious/thin-clos/storm",
-    "negotiator/parallel/lossy",
-    "negotiator/parallel/data-loss",
-};
-
-class ShardedSeedEquivalence
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ShardedSeedEquivalence, FourThreadsMatchesGolden) {
-  const std::size_t i = scenario_index(GetParam());
-  ASSERT_NE(kGoldens[i].fingerprint, 0u);
-  EXPECT_EQ(run_fingerprint(kScenarios[i], /*sim_threads=*/4),
-            kGoldens[i].fingerprint)
-      << kScenarios[i].name
-      << ": sharded run diverged from the serial golden";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ShardSweep, ShardedSeedEquivalence, ::testing::ValuesIn(kShardSweep),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string n = info.param;
-      for (char& c : n) {
-        if (c == '/' || c == '-') c = '_';
-      }
-      return n;
-    });
-
-// The sweep above would pass vacuously if the gates quietly forced every
-// slot serial: assert the sharded path actually engages on loss-free runs
-// of each fabric family, and that it stays disengaged (but harmless) when
-// a lossy channel forces the fallback.
-TEST(ShardedSeedEquivalence, ShardedSlotsEngage) {
-  struct Case {
-    const char* scenario;
-    bool expect_sharded;
-  };
-  const Case cases[] = {
-      {"negotiator/parallel", true},
-      {"selective-relay/thin-clos", true},
-      {"oblivious/thin-clos", true},
-      {"negotiator/parallel/lossy", false},    // control channel -> serial
-      {"negotiator/parallel/data-loss", false},  // data channel -> serial
-  };
-  for (const Case& c : cases) {
-    const Scenario& sc = kScenarios[scenario_index(c.scenario)];
-    NetworkConfig cfg;
-    cfg.topology = sc.topo;
-    cfg.scheduler = sc.sched;
-    cfg.num_tors = sc.num_tors;
-    cfg.ports_per_tor = sc.ports;
-    cfg.seed = sc.seed;
-    cfg.sim_threads = 2;
-    if (sc.control_drop > 0.0) {
-      cfg.control_fault.enabled = true;
-      cfg.control_fault.request_drop = sc.control_drop;
-    }
-    if (sc.data_drop > 0.0) cfg.data_fault.enabled = true;
-    Runner runner(cfg);
-    WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                          cfg.host_rate(), sc.load, Rng(sc.seed));
-    runner.add_flows(gen.generate(0, kDuration));
-    runner.run(kDuration, kDuration / 4);
-    EXPECT_EQ(runner.fabric().sim_threads(), 2) << c.scenario;
-    if (c.expect_sharded) {
-      EXPECT_GT(runner.fabric().sharded_slots(), 0u) << c.scenario;
-    } else {
-      EXPECT_EQ(runner.fabric().sharded_slots(), 0u) << c.scenario;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace negotiator
