@@ -1,10 +1,25 @@
 #include "tor/host_transport.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "stats/resilience_recorder.h"
 
 namespace negotiator {
+namespace {
+
+/// Drops a head-consumed FIFO's consumed prefix once it is at least half
+/// the stored entries: each entry moves at most once per consumption, so
+/// storage tracks the unconsumed tail at amortised O(1).
+template <typename T>
+void compact_consumed(std::vector<T>& items, std::size_t& head) {
+  if (head == 0 || 2 * head < items.size()) return;
+  items.erase(items.begin(),
+              items.begin() + static_cast<std::ptrdiff_t>(head));
+  head = 0;
+}
+
+}  // namespace
 
 HostTransport::HostTransport(const NetworkConfig& config, EventQueue* events)
     : num_tors_(config.num_tors),
@@ -48,13 +63,10 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
     f.rto = base_rto_ns_;
   }
   NEG_ASSERT(f.src == src && f.dst == dst, "flow endpoints changed");
-  const auto idx = static_cast<std::uint32_t>(f.units.size());
+  const auto idx = static_cast<std::uint32_t>(f.end());
   f.units.push_back(Unit{bytes, now, 1, kInFlight, false});
   unresolved_bytes_ += bytes;
-  if (f.inflight_head == f.inflight.size()) {  // drained: recycle storage
-    f.inflight.clear();
-    f.inflight_head = 0;
-  }
+  compact_consumed(f.inflight, f.inflight_head);
   f.inflight.push_back(InflightEntry{idx, now});
   if (!f.timer_armed) arm_timer(f, flow, now + f.rto);
   return idx + 1;
@@ -65,51 +77,51 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
   NEG_ASSERT(seq > 0, "delivery without a sequence number");
   FlowState& f = flow_state(flow);
   const std::uint32_t idx = seq - 1;
-  NEG_ASSERT(idx < f.units.size(), "delivery for an unknown unit");
-  Unit& u = f.units[idx];
+  NEG_ASSERT(idx < f.end(), "delivery for an unknown unit");
+  Unit* u = f.find(idx);
   // An ARQ unit is indivisible: a partial arrival means something split
   // a seq-carrying chunk in transit, which the conservation ledger
   // cannot represent.
-  NEG_ASSERT(bytes == u.bytes, "partial delivery of an ARQ unit");
-  if (u.delivered_rx || u.state == kAbandoned) {
-    // Duplicate (a spurious retransmission's copy) or a copy of a unit
-    // the sender already gave up on: the receiver discards it.
+  NEG_ASSERT(u == nullptr || bytes == u->bytes,
+             "partial delivery of an ARQ unit");
+  if (u == nullptr || u->delivered_rx || u->state == kAbandoned) {
+    // Duplicate (a spurious retransmission's copy, released or not) or a
+    // copy of a unit the sender already gave up on: the receiver
+    // discards it.
     ++spurious_retx_;
     if (recorder_) recorder_->on_spurious_retx();
     return false;
   }
-  u.delivered_rx = true;
+  u->delivered_rx = true;
   unresolved_bytes_ -= bytes;
   delivered_bytes_ += bytes;
-  while (f.cum_rx < f.units.size() && f.units[f.cum_rx].delivered_rx) {
+  while (f.cum_rx < f.end() && f.units[f.cum_rx - f.base].delivered_rx) {
     ++f.cum_rx;
   }
   const Nanos effective = now + prop_delay_ns_;
   NEG_ASSERT(acks_head_ == acks_.size() || acks_.back().effective <= effective,
              "ack effective times must be non-decreasing");
-  if (acks_head_ == acks_.size()) {  // drained: recycle storage
-    acks_.clear();
-    acks_head_ = 0;
-  }
+  compact_consumed(acks_, acks_head_);
   acks_.push_back(Ack{effective, flow, seq, f.cum_rx});
   return true;
 }
 
 bool HostTransport::resolve_ack(FlowState& f, std::uint32_t idx) {
-  Unit& u = f.units[idx];
-  switch (u.state) {
+  Unit* u = f.find(idx);
+  if (u == nullptr) return false;  // released: acked long ago
+  switch (u->state) {
     case kInFlight:
-      u.state = kAcked;
+      u->state = kAcked;
       return true;
     case kRetxPending: {
       // Acked while waiting for a retransmit slot: the FIFO entry stays
       // behind as a stale record (skipped at pop); only counters move.
-      u.state = kAcked;
+      u->state = kAcked;
       const std::size_t pair = pair_index(f.src, f.dst);
       --retx_count_[pair];
       --retx_from_[static_cast<std::size_t>(f.src)];
       --f.pending;
-      retx_backlog_bytes_ -= u.bytes;
+      retx_backlog_bytes_ -= u->bytes;
       return true;
     }
     case kAcked:
@@ -134,29 +146,50 @@ void HostTransport::flush_acks(Nanos now) {
       f.rto = base_rto_ns_;
       f.retries = 0;
     }
+    release_acked(f);
   }
+}
+
+void HostTransport::release_acked(FlowState& f) {
+  const std::size_t acked = f.cum_tx - f.base;
+  if (acked == f.units.size()) {
+    // Fully acked: every in-flight entry names a released unit, so the
+    // flow's storage goes back to the allocator.
+    f.base = f.cum_tx;
+    std::vector<Unit>().swap(f.units);
+    std::vector<InflightEntry>().swap(f.inflight);
+    f.inflight_head = 0;
+    return;
+  }
+  if (2 * acked < f.units.size()) return;
+  f.units.erase(f.units.begin(),
+                f.units.begin() + static_cast<std::ptrdiff_t>(acked));
+  f.base = f.cum_tx;
+  // The released units' in-flight entries are stale for good (a re-sent
+  // unit's sent_at only grows), so consuming them now instead of at the
+  // next timer fire bounds `inflight` whatever the timer cadence.
+  prune_inflight(f);
 }
 
 bool HostTransport::prune_inflight(FlowState& f) {
   while (f.inflight_head < f.inflight.size()) {
     const InflightEntry& e = f.inflight[f.inflight_head];
-    const Unit& u = f.units[e.idx];
-    if (u.state == kInFlight && u.sent_at == e.sent_at) return true;
-    ++f.inflight_head;  // stale: acked, abandoned, or re-sent since
+    const Unit* u = f.find(e.idx);
+    if (u != nullptr && u->state == kInFlight && u->sent_at == e.sent_at) {
+      return true;
+    }
+    ++f.inflight_head;  // stale: acked (or released), abandoned, re-sent
   }
   return false;
 }
 
 void HostTransport::queue_retx(FlowState& f, std::int32_t flow,
                                std::uint32_t idx) {
-  Unit& u = f.units[idx];
+  Unit& u = *f.find(idx);
   u.state = kRetxPending;
   const std::size_t pair = pair_index(f.src, f.dst);
   RetxFifo& fifo = retx_[pair];
-  if (fifo.head == fifo.items.size()) {  // drained: recycle storage
-    fifo.items.clear();
-    fifo.head = 0;
-  }
+  compact_consumed(fifo.items, fifo.head);
   fifo.items.push_back(RetxEntry{flow, idx});
   if (retx_count_[pair]++ == 0 && !pair_listed_[pair]) {
     pair_listed_[pair] = 1;
@@ -244,25 +277,33 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
                "retx count says live entries but the FIFO is drained");
     const RetxEntry e = fifo.items[fifo.head++];
     FlowState& f = flows_[static_cast<std::size_t>(e.flow)];
-    Unit& u = f.units[e.idx];
-    if (u.state != kRetxPending) continue;  // stale: resolved while queued
+    Unit* u = f.find(e.idx);
+    // Stale: resolved (possibly released) while queued.
+    if (u == nullptr || u->state != kRetxPending) continue;
     --retx_count_[pair];
     --retx_from_[static_cast<std::size_t>(src)];
     --f.pending;
-    retx_backlog_bytes_ -= u.bytes;
-    u.state = kInFlight;
-    u.sent_at = now;
-    ++u.attempts;
-    if (f.inflight_head == f.inflight.size()) {
-      f.inflight.clear();
-      f.inflight_head = 0;
-    }
+    retx_backlog_bytes_ -= u->bytes;
+    u->state = kInFlight;
+    u->sent_at = now;
+    ++u->attempts;
+    compact_consumed(f.inflight, f.inflight_head);
     f.inflight.push_back(InflightEntry{e.idx, now});
-    retransmitted_bytes_ += u.bytes;
-    if (recorder_) recorder_->on_retransmit(u.bytes);
+    retransmitted_bytes_ += u->bytes;
+    if (recorder_) recorder_->on_retransmit(u->bytes);
     if (!f.timer_armed) arm_timer(f, e.flow, now + f.rto);
-    return RetxChunk{e.flow, f.dst, u.bytes, e.idx + 1};
+    return RetxChunk{e.flow, f.dst, u->bytes, e.idx + 1};
   }
+}
+
+HostTransport::Footprint HostTransport::footprint() const {
+  Footprint fp{0, 0, acks_.size(), 0};
+  for (const FlowState& f : flows_) {
+    fp.units += f.units.size();
+    fp.inflight += f.inflight.size();
+  }
+  for (const RetxFifo& fifo : retx_) fp.retx += fifo.items.size();
+  return fp;
 }
 
 }  // namespace negotiator

@@ -31,6 +31,17 @@
 // shared pair FIFO, or behind a downed link) — so it backs off and
 // re-queues but does not count toward max_retries.
 //
+// Storage is the live window, not the history. Each flow keeps its unit
+// records from a release point `base` on: once the cumulatively acked
+// prefix [base, cum_tx) is at least half the stored records, flush_acks()
+// drops it (a fully acked flow frees its storage outright). A released
+// unit is acked and delivered, so any later touch of it is a duplicate:
+// a copy is discarded as spurious, an ack resolves nothing, and an
+// in-flight or retransmit entry naming it is stale. The head-consumed
+// FIFOs (acks, in-flight entries, retransmit items) drop their consumed
+// prefix on the same at-least-half rule, so every structure costs
+// amortised O(1) per unit and memory no longer grows with simulated time.
+//
 // Like the data channel, the transport follows the disabled-≡-never-
 // constructed contract: with ARQ off it is never built, every chunk
 // keeps seq 0, and all golden fingerprints are byte-identical.
@@ -152,6 +163,17 @@ class HostTransport {
   std::int64_t max_backoff_reached() const { return max_backoff_reached_; }
   std::int64_t abandoned_units() const { return abandoned_units_; }
 
+  /// Entries the transport currently stores, summed over flows and pairs
+  /// (consumed FIFO prefixes included). Read-only: it pins the memory
+  /// bound, which must track the live window rather than units ever sent.
+  struct Footprint {
+    std::size_t units;     // per-flow unit records
+    std::size_t inflight;  // per-flow in-flight entries
+    std::size_t acks;      // queued acks
+    std::size_t retx;      // retransmit FIFO entries
+  };
+  Footprint footprint() const;
+
  private:
   enum UnitState : std::uint8_t {
     kInFlight,     // transmitted, awaiting ack
@@ -175,18 +197,29 @@ class HostTransport {
     Nanos sent_at;
   };
 
+  /// Per-flow state. Invariant: base <= cum_tx <= cum_rx <= end().
+  /// cum_rx stops at the first abandoned, undelivered unit, so once a
+  /// flow abandons, its window stops sliding and the units from there on
+  /// stay stored (the stall is bounded by what the flow still sends).
   struct FlowState {
     TorId src{kInvalidTor};
     TorId dst{kInvalidTor};
-    std::vector<Unit> units;  // indexed by seq - 1
+    std::vector<Unit> units;  // unit idx (= seq - 1) at units[idx - base]
     std::vector<InflightEntry> inflight;  // sent_at non-decreasing
     std::size_t inflight_head{0};
+    std::uint32_t base{0};    // units [0, base) acked and released
     std::uint32_t cum_rx{0};  // receiver: units [0, cum_rx) delivered
     std::uint32_t cum_tx{0};  // sender: units [0, cum_tx) acked
     std::int32_t pending{0};  // units currently kRetxPending (FIFO-queued)
     Nanos rto{0};
     int retries{0};
     bool timer_armed{false};
+
+    std::size_t end() const { return base + units.size(); }
+    /// The unit's record, or null once released (acked and delivered).
+    Unit* find(std::uint32_t idx) {
+      return idx < base ? nullptr : &units[idx - base];
+    }
   };
 
   struct Ack {
@@ -219,6 +252,8 @@ class HostTransport {
   bool prune_inflight(FlowState& f);
   /// Sender-side ack for one unit; true when it resolved a live unit.
   bool resolve_ack(FlowState& f, std::uint32_t idx);
+  /// Releases the acked prefix once it is at least half the stored units.
+  void release_acked(FlowState& f);
   void queue_retx(FlowState& f, std::int32_t flow, std::uint32_t idx);
   void abandon_flow(FlowState& f);
 

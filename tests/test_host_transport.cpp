@@ -1,10 +1,15 @@
 // Unit contract for the end-host selective-repeat ARQ
 // (tor/host_transport.h): sequence numbering, duplicate suppression,
 // cumulative+selective ack resolution, lazy RTO timers with exponential
-// backoff, retransmit FIFO round-trips, abandonment, and the
-// conservation-ledger bucket moves — plus full-fabric integration runs
-// proving ARQ delivers everything under moderate loss on both fabrics.
+// backoff, retransmit FIFO round-trips, abandonment, the
+// conservation-ledger bucket moves, and the memory bound (released units
+// behave as duplicates; storage tracks the live window over 10^5 units)
+// — plus full-fabric integration runs proving ARQ delivers everything
+// under moderate loss on both fabrics.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -210,6 +215,41 @@ TEST(HostTransport, MaxRetriesAbandonsTheFlow) {
   EXPECT_EQ(t.spurious_retx(), 1);
 }
 
+TEST(HostTransport, LateCopiesAfterAbandonmentStaySpurious) {
+  // Units 1-2 are acked and released; units 3-4 are then abandoned. Late
+  // copies of either kind are discarded and counted spurious. The
+  // receiver's watermark stops at unit 3 (abandoned, never delivered),
+  // so the flow's window stops sliding: later units stay stored.
+  NetworkConfig cfg = arq_config();
+  cfg.data_fault.max_retries = 0;  // the first genuine expiry abandons
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  for (int i = 0; i < 4; ++i) t.on_transmit(0, 1, 2, 100, 0);
+  EXPECT_TRUE(t.on_deliver(0, 1, 100, 10));
+  EXPECT_TRUE(t.on_deliver(0, 2, 100, 10));
+  t.flush_acks(10 + prop);
+  EXPECT_EQ(t.footprint().units, 2u) << "acked half released";
+  EXPECT_FALSE(t.on_timer(0, rto));
+  EXPECT_EQ(t.abandoned_units(), 2);
+  EXPECT_EQ(t.unresolved_bytes(), 0);
+
+  EXPECT_FALSE(t.on_deliver(0, 3, 100, rto + 1)) << "abandoned unit";
+  EXPECT_FALSE(t.on_deliver(0, 1, 100, rto + 1)) << "released unit";
+  EXPECT_EQ(t.spurious_retx(), 2);
+  EXPECT_EQ(t.delivered_bytes(), 200);
+  EXPECT_EQ(t.abandoned_bytes(), 200);
+
+  // The stall: a unit sent after abandonment is delivered and acked, but
+  // the watermark cannot pass unit 3, so nothing more is released.
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 100, rto + 2), 5u);
+  EXPECT_TRUE(t.on_deliver(0, 5, 100, rto + 3));
+  t.flush_acks(rto + 3 + prop);
+  EXPECT_EQ(t.footprint().units, 3u);
+  EXPECT_EQ(t.unresolved_bytes(), 0);
+}
+
 TEST(HostTransport, StarvedRetransmissionsDoNotCountTowardAbandonment) {
   // A flow whose queued retransmissions the fabric has not yet served
   // (starved behind another flow's debt on the shared pair FIFO) must
@@ -252,18 +292,25 @@ TEST(HostTransport, LateArrivalCancelsAQueuedRetransmission) {
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
   HostTransport t(cfg, &q);
-  // Two pairs with pending retransmissions.
-  t.on_transmit(0, 0, 1, 100, 0);
+  // Two pairs with pending retransmissions; flow 0 queues four units.
+  for (int i = 0; i < 4; ++i) t.on_transmit(0, 0, 1, 100, 0);
   t.on_transmit(1, 2, 3, 200, 0);
   EXPECT_TRUE(t.on_timer(0, rto));
   EXPECT_TRUE(t.on_timer(1, rto));
-  EXPECT_EQ(t.retx_backlog_bytes(), 300);
-  // Flow 0's original copy arrives late; the ack cancels its queued
-  // retransmission (the FIFO entry goes stale in place).
-  EXPECT_TRUE(t.on_deliver(0, 1, 100, rto + 1));
+  EXPECT_EQ(t.retx_backlog_bytes(), 600);
+  // Flow 0's original copies of units 1-3 arrive late; the acks cancel
+  // their queued retransmissions (the FIFO entries go stale in place)
+  // and, covering at least half the flow's stored units, release them.
+  for (std::uint32_t seq = 1; seq <= 3; ++seq) {
+    EXPECT_TRUE(t.on_deliver(0, seq, 100, rto + 1));
+  }
   t.flush_acks(rto + 1 + prop);
+  EXPECT_EQ(t.retx_backlog_bytes(), 300);
+  EXPECT_EQ(t.footprint().units, 2u) << "flow 0 keeps only unit 4";
+  // The pop skips the released units' stale entries.
+  ASSERT_TRUE(t.has_retx(0, 1));
+  EXPECT_EQ(t.take_retx(0, 1, rto + 2).seq, 4u);
   EXPECT_FALSE(t.has_retx(0, 1));
-  EXPECT_EQ(t.retx_backlog_bytes(), 200);
   // The pair gather visits only the live pair and compacts the rest out.
   int visited = 0;
   t.for_each_retx_pair([&](TorId s, TorId d) {
@@ -272,6 +319,76 @@ TEST(HostTransport, LateArrivalCancelsAQueuedRetransmission) {
     EXPECT_EQ(d, 3);
   });
   EXPECT_EQ(visited, 1);
+}
+
+TEST(HostTransport, CopyOfAReleasedUnitIsDiscardedAsSpurious) {
+  NetworkConfig cfg = arq_config();
+  const Nanos prop = cfg.propagation_delay_ns;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
+  t.set_recorder(&rec);
+  for (int i = 0; i < 8; ++i) t.on_transmit(0, 1, 2, 100, 0);
+  for (std::uint32_t seq = 1; seq <= 4; ++seq) {
+    EXPECT_TRUE(t.on_deliver(0, seq, 100, 10));
+  }
+  t.flush_acks(10 + prop);
+  EXPECT_EQ(t.footprint().units, 4u) << "the acked half is released";
+
+  // A spurious retransmission's copy of released unit 2 straggles in.
+  EXPECT_FALSE(t.on_deliver(0, 2, 100, 20));
+  EXPECT_EQ(t.spurious_retx(), 1);
+  EXPECT_EQ(rec.spurious_retx(), 1);
+  EXPECT_EQ(t.delivered_bytes(), 400);
+  EXPECT_EQ(t.unresolved_bytes(), 400);
+
+  // Stored units still deliver normally; a fully acked flow frees its
+  // unit and in-flight storage, and a copy of any unit is then spurious.
+  for (std::uint32_t seq = 5; seq <= 8; ++seq) {
+    EXPECT_TRUE(t.on_deliver(0, seq, 100, 30));
+  }
+  t.flush_acks(30 + prop);
+  EXPECT_EQ(t.footprint().units, 0u);
+  EXPECT_EQ(t.footprint().inflight, 0u);
+  EXPECT_FALSE(t.on_deliver(0, 8, 100, 40));
+  EXPECT_EQ(t.spurious_retx(), 2);
+  EXPECT_EQ(t.delivered_bytes(), 800);
+  EXPECT_EQ(t.unresolved_bytes(), 0);
+}
+
+TEST(HostTransport, StorageTracksTheLiveWindowNotTheUnitsEverSent) {
+  // One flow streams 2^17 units without its window ever draining: each
+  // step sends a unit, delivers the one sent kLag steps earlier and
+  // flushes the acks that matured. Every structure must stay within a
+  // small constant of the live window (~kLag + the ack delay in steps).
+  NetworkConfig cfg = arq_config();
+  const Nanos prop = cfg.propagation_delay_ns;
+  const Nanos step = prop / 4;
+  constexpr std::uint32_t kUnits = 1u << 17;
+  constexpr std::uint32_t kLag = 8;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  HostTransport::Footprint peak{0, 0, 0, 0};
+  for (std::uint32_t i = 0; i < kUnits + kLag; ++i) {
+    const Nanos now = static_cast<Nanos>(i) * step;
+    if (i < kUnits) t.on_transmit(0, 1, 2, 100, now);
+    if (i >= kLag) {
+      EXPECT_TRUE(t.on_deliver(0, i - kLag + 1, 100, now));
+    }
+    t.flush_acks(now);
+    const HostTransport::Footprint fp = t.footprint();
+    peak.units = std::max(peak.units, fp.units);
+    peak.inflight = std::max(peak.inflight, fp.inflight);
+    peak.acks = std::max(peak.acks, fp.acks);
+    peak.retx = std::max(peak.retx, fp.retx);
+  }
+  constexpr std::size_t kBound = 4 * (kLag + 4 + 1);
+  EXPECT_LE(peak.units, kBound);
+  EXPECT_LE(peak.inflight, kBound);
+  EXPECT_LE(peak.acks, kBound);
+  EXPECT_EQ(peak.retx, 0u);
+  EXPECT_EQ(t.delivered_bytes(), Bytes{100} * kUnits);
+  EXPECT_EQ(t.spurious_retx(), 0);
 }
 
 TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
