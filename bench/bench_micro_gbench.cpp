@@ -66,11 +66,11 @@ void BM_AcceptStep(benchmark::State& state) {
 BENCHMARK(BM_AcceptStep);
 
 void BM_DestQueuePacketCycle(benchmark::State& state) {
-  DestQueue q(3);
+  DestQueueSet q(1, 3);
   PiasConfig pias;
   for (auto _ : state) {
-    q.enqueue_flow(1, 10'000, 0, pias);
-    while (auto p = q.dequeue_packet(1'115)) {
+    q.enqueue_flow(0, 1, 10'000, 0, pias);
+    while (auto p = q.dequeue_packet(0, 1'115)) {
       benchmark::DoNotOptimize(p->bytes);
     }
   }

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "engine/failure_injector.h"
+#include "engine/fault_scenario.h"
 #include "engine/runner.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -52,11 +52,13 @@ int main(int argc, char** argv) {
   const Nanos fail_at = end / 3;
   const Nanos repair_at = 2 * end / 3;
   Rng rng(11);
-  const auto failed = inject_random_failures(
-      runner.fabric(), fail_pct / 100.0, fail_at, repair_at, rng);
+  const ScenarioTimeline timeline =
+      FaultScenario()
+          .uniform_burst({fail_pct / 100.0, fail_at, repair_at})
+          .install(runner.fabric(), rng);
   std::printf("drill: %zu of %d directed fibres fail at %.1f ms, repaired "
               "at %.1f ms\n\n",
-              failed.size(), runner.fabric().links().total_links(),
+              timeline.failure_count(), runner.fabric().links().total_links(),
               fail_at / 1e6, repair_at / 1e6);
 
   runner.fabric().goodput().set_measure_interval(0, end);

@@ -65,8 +65,9 @@ void NetworkConfig::validate() const {
   if (topology == TopologyKind::kThinClos && num_tors % ports_per_tor != 0) {
     fail("thin-clos requires num_tors divisible by ports_per_tor");
   }
-  if (host_aggregate_gbps <= 0) fail("host_aggregate_gbps must be positive");
-  if (speedup <= 0) fail("speedup must be positive");
+  // Comparisons are written so that NaN fails them.
+  if (!(host_aggregate_gbps > 0)) fail("host_aggregate_gbps must be positive");
+  if (!(speedup > 0)) fail("speedup must be positive");
   if (propagation_delay_ns < 0) fail("propagation delay must be >= 0");
   if (epoch.guardband_ns < 0) fail("guardband must be >= 0");
   if (epoch.predefined_data_ns <= 0) fail("predefined data time must be > 0");
@@ -91,43 +92,40 @@ void NetworkConfig::validate() const {
       (pias.first_threshold <= 0 || pias.second_threshold <= 0)) {
     fail("PIAS thresholds must be positive");
   }
+  auto check_prob = [&](double p, const char* field) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      fail(std::string(field) + " must be in [0, 1]");
+    }
+  };
   if (control_fault.enabled) {
-    auto bad_prob = [](double p) { return p < 0.0 || p > 1.0; };
-    if (bad_prob(control_fault.request_drop) ||
-        bad_prob(control_fault.grant_drop) ||
-        bad_prob(control_fault.accept_drop)) {
-      fail("control-fault drop probabilities must be in [0, 1]");
-    }
-    if (bad_prob(control_fault.delay_prob) ||
-        bad_prob(control_fault.duplicate_prob)) {
-      fail("control-fault delay/duplicate probabilities must be in [0, 1]");
-    }
+    check_prob(control_fault.request_drop, "control_fault.request_drop");
+    check_prob(control_fault.grant_drop, "control_fault.grant_drop");
+    check_prob(control_fault.accept_drop, "control_fault.accept_drop");
+    check_prob(control_fault.delay_prob, "control_fault.delay_prob");
+    check_prob(control_fault.duplicate_prob, "control_fault.duplicate_prob");
     if (control_fault.max_delay_epochs < 1) {
-      fail("control-fault max_delay_epochs must be >= 1");
+      fail("control_fault.max_delay_epochs must be >= 1");
     }
     if (control_fault.fallback && scheduler == SchedulerKind::kOblivious) {
-      fail("control-fault fallback needs a negotiator-family scheduler");
+      fail("control_fault.fallback needs a negotiator-family scheduler");
     }
   }
   if (data_fault.enabled) {
-    auto bad_prob = [](double p) { return p < 0.0 || p > 1.0; };
-    if (bad_prob(data_fault.first_hop_drop) ||
-        bad_prob(data_fault.relay_drop) ||
-        bad_prob(data_fault.second_hop_drop) ||
-        bad_prob(data_fault.corrupt_prob)) {
-      fail("data-fault probabilities must be in [0, 1]");
+    check_prob(data_fault.first_hop_drop, "data_fault.first_hop_drop");
+    check_prob(data_fault.relay_drop, "data_fault.relay_drop");
+    check_prob(data_fault.second_hop_drop, "data_fault.second_hop_drop");
+    check_prob(data_fault.corrupt_prob, "data_fault.corrupt_prob");
+    if (!(data_fault.rto_epochs > 0.0)) {
+      fail("data_fault.rto_epochs must be > 0");
     }
-    if (data_fault.rto_epochs <= 0.0) {
-      fail("data-fault rto_epochs must be > 0");
+    if (!(data_fault.rto_backoff >= 1.0)) {
+      fail("data_fault.rto_backoff must be >= 1");
     }
-    if (data_fault.rto_backoff < 1.0) {
-      fail("data-fault rto_backoff must be >= 1");
-    }
-    if (data_fault.rto_cap_epochs < data_fault.rto_epochs) {
-      fail("data-fault rto_cap_epochs must be >= rto_epochs");
+    if (!(data_fault.rto_cap_epochs >= data_fault.rto_epochs)) {
+      fail("data_fault.rto_cap_epochs must be >= rto_epochs");
     }
     if (data_fault.max_retries < 1) {
-      fail("data-fault max_retries must be >= 1");
+      fail("data_fault.max_retries must be >= 1");
     }
   }
 }

@@ -88,7 +88,6 @@ class ControlChannel {
   std::int64_t classified() const { return classified_; }
   /// Drop floor in force for the current epoch (0 outside brownouts).
   double brownout_floor() const { return brownout_floor_; }
-  bool fallback_enabled() const { return config_.fallback; }
 
  private:
   struct Brownout {

@@ -86,7 +86,6 @@ class DataChannel {
   Bytes corrupted_bytes() const { return corrupted_bytes_; }
   /// Drop floor in force for the current epoch (0 outside loss windows).
   double loss_floor() const { return loss_floor_; }
-  bool arq_enabled() const { return config_.arq; }
 
  private:
   struct LossWindow {

@@ -18,10 +18,6 @@ Bytes& StatefulScheduler::matrix(TorId dst, TorId src) {
   return matrix_[static_cast<std::size_t>(dst) * topo_.num_tors() + src];
 }
 
-Bytes StatefulScheduler::matrix_entry(TorId dst, TorId src) const {
-  return matrix_[static_cast<std::size_t>(dst) * topo_.num_tors() + src];
-}
-
 void StatefulScheduler::sample_requests(const DemandView& demand,
                                         const FaultPlane& /*faults*/) {
   const Bytes threshold = request_threshold_bytes();

@@ -37,9 +37,8 @@ namespace negotiator {
 
 /// One-shot uniform random link failures: `fraction` of all directed
 /// links (chosen uniformly without replacement) fail at `fail_at` and
-/// repair at `repair_at` (kNeverNs = never). Exactly the legacy
-/// inject_random_failures model — the shim in engine/failure_injector.h
-/// delegates here and stays byte-identical.
+/// repair at `repair_at` (kNeverNs = never). The classic Fig. 10 drill;
+/// the victims are the timeline's `fail` link events.
 struct UniformBurstSpec {
   double fraction{0.05};
   Nanos fail_at{0};
@@ -195,7 +194,6 @@ class FaultScenario {
   FaultScenario& data_loss(const DataLossSpec& spec);
 
   bool empty() const { return specs_.empty(); }
-  std::size_t spec_count() const { return specs_.size(); }
 
   /// Expands every spec against `fabric`'s geometry, scheduling all link
   /// toggles through fabric.schedule_link_event, and returns the full

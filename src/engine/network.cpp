@@ -213,15 +213,6 @@ void NegotiatorFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
   }
 }
 
-void NegotiatorFabric::on_relay_handoff(const RelayHandoffEvent& e,
-                                        Nanos now) {
-  NEG_ASSERT(relay_enabled_, "relay handoff without selective relay");
-  relay_[static_cast<std::size_t>(e.intermediate)].enqueue(e.final_dst,
-                                                           e.flow, e.bytes,
-                                                           now);
-  relay_active_.insert(e.intermediate);
-}
-
 void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
                                       const RelayTrainChunk* chunks,
                                       Nanos now) {

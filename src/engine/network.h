@@ -241,7 +241,6 @@ class NegotiatorFabric final : public FabricSim,
   // EventSink: typed events scheduled on the simulation clock.
   void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override;
   void on_link_toggle(const LinkToggleEvent& e, Nanos now) override;
-  void on_relay_handoff(const RelayHandoffEvent& e, Nanos now) override;
   void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
                       Nanos now) override;
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;

@@ -100,14 +100,6 @@ void ObliviousFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
   }
 }
 
-void ObliviousFabric::on_relay_handoff(const RelayHandoffEvent& e,
-                                       Nanos now) {
-  relay_[static_cast<std::size_t>(e.intermediate)].enqueue(e.final_dst,
-                                                           e.flow, e.bytes,
-                                                           now);
-  busy_.insert(e.intermediate);
-}
-
 void ObliviousFabric::on_relay_train(const RelayTrainEvent& e,
                                      const RelayTrainChunk* chunks,
                                      Nanos now) {

@@ -125,30 +125,30 @@ void EventQueue::Calendar::clear() {
 
 // -------------------------------------------------------------- event queue
 
-void EventQueue::push_heap_entry(Entry&& e) {
-  heap_.push_back(std::move(e));
+void EventQueue::push_heap_item(const Item& item) {
+  heap_.push_back(item);
   std::push_heap(
       heap_.begin(), heap_.end(),
-      [](const Entry& a, const Entry& b) { return heap_later(a, b); });
+      [](const Item& a, const Item& b) { return heap_later(a, b); });
 }
 
-EventQueue::Entry EventQueue::pop_heap_entry() {
+EventQueue::Item EventQueue::pop_heap_item() {
   std::pop_heap(
       heap_.begin(), heap_.end(),
-      [](const Entry& a, const Entry& b) { return heap_later(a, b); });
-  Entry e = std::move(heap_.back());
+      [](const Item& a, const Item& b) { return heap_later(a, b); });
+  const Item item = heap_.back();
   heap_.pop_back();
-  return e;
+  return item;
 }
 
-void EventQueue::schedule(Nanos when, Callback cb) {
+void EventQueue::push_calendar_or_heap(Nanos when, Kind kind,
+                                       const Payload& payload) {
   NEG_ASSERT(when >= 0, "event time must be non-negative");
-  Entry e;
-  e.when = when;
-  e.seq = next_seq_++;
-  e.kind = Kind::kCallback;
-  e.cb = std::move(cb);
-  push_heap_entry(std::move(e));
+  if (calendar_.accepts(when)) {
+    calendar_.push(when, next_seq_++, kind, payload);
+  } else {
+    push_heap_item(Item{when, next_seq_++, kind, payload});
+  }
 }
 
 void EventQueue::schedule_flow_arrival(Nanos when, std::int32_t flow_index) {
@@ -157,66 +157,23 @@ void EventQueue::schedule_flow_arrival(Nanos when, std::int32_t flow_index) {
   payload.flow = FlowArrivalEvent{flow_index};
   if (arrivals_.accepts(when)) {
     arrivals_.append(when, next_seq_++, Kind::kFlowArrival, payload);
-    return;
+  } else {
+    push_heap_item(Item{when, next_seq_++, Kind::kFlowArrival, payload});
   }
-  // Out-of-order arrival: fall back to a heap entry. Ordering is unchanged
-  // because pops merge every tier by (when, seq).
-  Entry e;
-  e.when = when;
-  e.seq = next_seq_++;
-  e.kind = Kind::kFlowArrival;
-  e.payload = payload;
-  push_heap_entry(std::move(e));
 }
 
 void EventQueue::schedule_link_toggle(Nanos when, const LinkToggleEvent& ev) {
   NEG_ASSERT(when >= 0, "event time must be non-negative");
-  Entry e;
-  e.when = when;
-  e.seq = next_seq_++;
-  e.kind = Kind::kLinkToggle;
-  e.payload.link = ev;
-  push_heap_entry(std::move(e));
-}
-
-void EventQueue::schedule_relay_handoff(Nanos when,
-                                        const RelayHandoffEvent& ev) {
-  NEG_ASSERT(when >= 0, "event time must be non-negative");
   Payload payload;
-  payload.relay = ev;
-  if (calendar_.accepts(when)) {
-    calendar_.push(when, next_seq_++, Kind::kRelayHandoff, payload);
-    return;
-  }
-  // Beyond the calendar horizon (or behind its cursor): fall back to a
-  // heap entry. Ordering is unchanged — pops merge all tiers by
-  // (when, seq).
-  Entry e;
-  e.when = when;
-  e.seq = next_seq_++;
-  e.kind = Kind::kRelayHandoff;
-  e.payload = payload;
-  push_heap_entry(std::move(e));
+  payload.link = ev;
+  push_heap_item(Item{when, next_seq_++, Kind::kLinkToggle, payload});
 }
 
 void EventQueue::schedule_transport_timer(Nanos when,
                                           const TransportTimerEvent& ev) {
-  NEG_ASSERT(when >= 0, "event time must be non-negative");
   Payload payload;
   payload.timer = ev;
-  if (calendar_.accepts(when)) {
-    calendar_.push(when, next_seq_++, Kind::kTransportTimer, payload);
-    return;
-  }
-  // Beyond the calendar horizon (backoff pushes RTO deadlines far out) or
-  // behind its cursor: fall back to a heap entry. Ordering is unchanged —
-  // pops merge all tiers by (when, seq).
-  Entry e;
-  e.when = when;
-  e.seq = next_seq_++;
-  e.kind = Kind::kTransportTimer;
-  e.payload = payload;
-  push_heap_entry(std::move(e));
+  push_calendar_or_heap(when, Kind::kTransportTimer, payload);
 }
 
 void EventQueue::grow_arena() {
@@ -250,19 +207,9 @@ void EventQueue::commit_train(Nanos when) {
 
 void EventQueue::schedule_train_span(Nanos when, std::uint64_t offset,
                                      std::uint32_t count) {
-  NEG_ASSERT(when >= 0, "event time must be non-negative");
   Payload payload;
   payload.train = RelayTrainEvent{offset, count};
-  if (calendar_.accepts(when)) {
-    calendar_.push(when, next_seq_++, Kind::kRelayTrain, payload);
-    return;
-  }
-  Entry e;
-  e.when = when;
-  e.seq = next_seq_++;
-  e.kind = Kind::kRelayTrain;
-  e.payload = payload;
-  push_heap_entry(std::move(e));
+  push_calendar_or_heap(when, Kind::kRelayTrain, payload);
 }
 
 Nanos EventQueue::next_time() const {
@@ -274,48 +221,16 @@ Nanos EventQueue::next_time() const {
   return best;
 }
 
-void EventQueue::dispatch(const Entry& e) {
-  switch (e.kind) {
-    case Kind::kCallback:
-      ++executed_;
-      e.cb(e.when);
-      break;
-    case Kind::kFlowArrival:
-      ++executed_;
-      NEG_ASSERT(sink_ != nullptr, "typed event without a sink");
-      sink_->on_flow_arrival(e.payload.flow, e.when);
-      break;
-    case Kind::kLinkToggle:
-      ++executed_;
-      NEG_ASSERT(sink_ != nullptr, "typed event without a sink");
-      sink_->on_link_toggle(e.payload.link, e.when);
-      break;
-    case Kind::kRelayHandoff:
-      ++executed_;
-      NEG_ASSERT(sink_ != nullptr, "typed event without a sink");
-      sink_->on_relay_handoff(e.payload.relay, e.when);
-      break;
-    case Kind::kRelayTrain:
-      dispatch_train(e.payload.train, e.when);
-      break;
-    case Kind::kTransportTimer:
-      ++executed_;
-      NEG_ASSERT(sink_ != nullptr, "typed event without a sink");
-      sink_->on_transport_timer(e.payload.timer, e.when);
-      break;
-  }
-}
-
-void EventQueue::dispatch_item(const Item& item) {
-  NEG_ASSERT(sink_ != nullptr, "typed event without a sink");
+void EventQueue::dispatch(const Item& item) {
+  NEG_ASSERT(sink_ != nullptr, "event without a sink");
   switch (item.kind) {
     case Kind::kFlowArrival:
       ++executed_;
       sink_->on_flow_arrival(item.payload.flow, item.when);
       break;
-    case Kind::kRelayHandoff:
+    case Kind::kLinkToggle:
       ++executed_;
-      sink_->on_relay_handoff(item.payload.relay, item.when);
+      sink_->on_link_toggle(item.payload.link, item.when);
       break;
     case Kind::kRelayTrain:
       dispatch_train(item.payload.train, item.when);
@@ -324,13 +239,10 @@ void EventQueue::dispatch_item(const Item& item) {
       ++executed_;
       sink_->on_transport_timer(item.payload.timer, item.when);
       break;
-    default:
-      NEG_ASSERT(false, "unexpected item kind in a streamed tier");
   }
 }
 
 void EventQueue::dispatch_train(const RelayTrainEvent& e, Nanos when) {
-  NEG_ASSERT(sink_ != nullptr, "typed event without a sink");
   // One executed count per carried chunk: the train is representation,
   // not behaviour (see executed()).
   executed_ += e.count;
@@ -405,21 +317,17 @@ int EventQueue::earliest_tier(Nanos& when_out) {
 
 void EventQueue::run_tier(int tier) {
   ++dispatched_;
+  // Copy the item out before dispatch: the sink may schedule new events,
+  // which can recycle the tier's storage.
+  const Item item = tier == 1   ? arrivals_.front()
+                    : tier == 2 ? calendar_.front()
+                                : pop_heap_item();
   if (tier == 1) {
-    // Copy out before advancing: the sink may schedule new events, which
-    // can recycle the stream storage when this was the last entry.
-    const Item item = arrivals_.front();
     ++arrivals_.head;
-    dispatch_item(item);
   } else if (tier == 2) {
-    const Item item = calendar_.front();
     calendar_.pop_front();
-    dispatch_item(item);
-  } else {
-    // Entry is moved out before dispatch: the callback may schedule events.
-    const Entry e = pop_heap_entry();
-    dispatch(e);
   }
+  dispatch(item);
 }
 
 void EventQueue::run_next() {

@@ -5,39 +5,32 @@
 // via a monotonically increasing sequence number shared by every schedule_*
 // entry point), which keeps runs reproducible regardless of heap internals.
 //
-// Three storage tiers back that contract without a heap allocation per
-// event; pops merge the tier heads by (timestamp, seq), so observable
-// order is always identical to a single binary heap:
+// Every event is one plain tagged-union record (Item) dispatched to an
+// EventSink — no std::function, no per-event heap allocation. Three
+// storage tiers hold the records; pops merge the tier heads by
+// (timestamp, seq), so observable order is always identical to a single
+// binary heap:
 //
-//  - Typed entries (flow arrival, link toggle, relay handoff) are plain
-//    tagged-union payloads dispatched to an EventSink — no std::function,
-//    no per-event heap traffic. The legacy `Callback` API remains as a thin
-//    compatibility shim for tests and ad-hoc tooling.
-//  - Flow arrivals are almost always scheduled in non-decreasing time order
-//    (workload generators emit sorted traces) and take an append-only
-//    pre-sorted stream consumed by a cursor; an out-of-order arrival
-//    silently falls back to a heap entry.
-//  - Relay handoffs — the periodic per-slot streams that dominate event
-//    volume on the oblivious fabric (millions per run) — land in a
-//    *bucketed calendar tier*: a ring of fixed-width time buckets covering
-//    a bounded horizon ahead of the queue's cursor. The common push is an
-//    append into a recycled bucket and the common pop is a cursor bump —
-//    both O(1), with bounded memory (a plain pre-sorted stream would grow
-//    by every handoff ever scheduled, since it can only recycle storage
-//    when fully drained, which never happens mid-run). A handoff beyond
-//    the horizon or behind the cursor falls back to a heap entry.
-//  - Chunk *trains* collapse a whole slot's relay traffic towards one
-//    intermediate into a single calendar entry: the chunks live as a
-//    contiguous span in a recycled arena and the receiver unpacks them in
-//    one on_relay_train callback. The train is pure representation — it
-//    fires at the same (when, seq) position a per-chunk stream would, and
-//    executed() still advances per chunk — so fixed-seed output is
-//    bit-identical to the per-chunk encoding it replaces.
+//  - Stream: flow arrivals are almost always scheduled in non-decreasing
+//    time order (workload generators emit sorted traces) and take an
+//    append-only pre-sorted stream consumed by a cursor.
+//  - Heap: link toggles, plus any event another tier cannot take (an
+//    out-of-order arrival, a train or timer beyond the calendar horizon).
+//  - Calendar: relay chunk trains and ARQ retransmission timers land in a
+//    ring of fixed-width time buckets covering a bounded horizon ahead of
+//    the queue's cursor. The common push is an append into a recycled
+//    bucket and the common pop is a cursor bump — both O(1), with bounded
+//    memory.
+//
+// A chunk *train* collapses a whole slot's relay traffic into a single
+// calendar entry: the chunks live as a contiguous span in a recycled arena
+// and the receiver unpacks them in one on_relay_train callback. The train
+// fires at the same (when, seq) position a per-chunk stream would, and
+// executed() still advances per chunk.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -56,14 +49,6 @@ struct LinkToggleEvent {
   PortId port;
   LinkDirection dir;
   bool fail;
-};
-
-/// A first-hop relay chunk landing in an intermediate ToR's relay queue.
-struct RelayHandoffEvent {
-  TorId intermediate;
-  TorId final_dst;
-  FlowId flow;
-  Bytes bytes;
 };
 
 /// An ARQ retransmission timer (tor/host_transport.h) expiring for one
@@ -88,17 +73,13 @@ class EventSink {
  public:
   virtual void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) = 0;
   virtual void on_link_toggle(const LinkToggleEvent& e, Nanos now) = 0;
-  virtual void on_relay_handoff(const RelayHandoffEvent& e, Nanos now) = 0;
   /// One batched train of relay chunks (span order == schedule order).
   /// `chunks` points at e.count records valid for the duration of the call.
   virtual void on_relay_train(const RelayTrainEvent& e,
                               const RelayTrainChunk* chunks, Nanos now) = 0;
-  /// ARQ retransmission timer expiry; defaulted no-op so sinks without a
-  /// host transport need not override.
-  virtual void on_transport_timer(const TransportTimerEvent& e, Nanos now) {
-    (void)e;
-    (void)now;
-  }
+  /// ARQ retransmission timer expiry.
+  virtual void on_transport_timer(const TransportTimerEvent& e,
+                                  Nanos now) = 0;
 
  protected:
   ~EventSink() = default;
@@ -106,25 +87,17 @@ class EventSink {
 
 class EventQueue {
  public:
-  using Callback = std::function<void(Nanos now)>;
-
-  /// Registers the receiver of typed events. Must be set before the first
-  /// typed event fires; callback-only usage needs no sink.
+  /// Registers the receiver of events. Must be set before the first event
+  /// fires.
   void set_sink(EventSink* sink) { sink_ = sink; }
 
-  /// Schedules `cb` to run at absolute time `when` (compatibility shim —
-  /// allocates for the closure like any std::function).
-  void schedule(Nanos when, Callback cb);
-
-  /// Typed, allocation-free scheduling. Flow arrivals in non-decreasing
-  /// time order take the pre-sorted stream; relay handoffs within the
-  /// calendar horizon take the bucket ring.
+  /// Allocation-free scheduling. Flow arrivals in non-decreasing time
+  /// order take the pre-sorted stream; link toggles take the heap.
   void schedule_flow_arrival(Nanos when, std::int32_t flow_index);
   void schedule_link_toggle(Nanos when, const LinkToggleEvent& e);
-  void schedule_relay_handoff(Nanos when, const RelayHandoffEvent& e);
-  /// ARQ retransmission timers ride the calendar tier like relay
-  /// handoffs; a timer beyond the horizon (backoff pushes deadlines far
-  /// out) falls back to a heap entry with identical observable order.
+  /// ARQ retransmission timers ride the calendar tier like trains; a
+  /// timer beyond the horizon (backoff pushes deadlines far out) falls
+  /// back to a heap entry with identical observable order.
   void schedule_transport_timer(Nanos when, const TransportTimerEvent& e);
 
   /// Schedules one chunk train: the `count` chunks are copied into the
@@ -187,10 +160,8 @@ class EventQueue {
 
  private:
   enum class Kind : std::uint8_t {
-    kCallback,
     kFlowArrival,
     kLinkToggle,
-    kRelayHandoff,
     kRelayTrain,
     kTransportTimer,
   };
@@ -198,32 +169,24 @@ class EventQueue {
   union Payload {
     FlowArrivalEvent flow;
     LinkToggleEvent link;
-    RelayHandoffEvent relay;
     RelayTrainEvent train;
     TransportTimerEvent timer;
     Payload() : flow{0} {}
   };
 
-  struct Entry {
-    Nanos when;
-    std::uint64_t seq;
-    Kind kind;
-    Payload payload;
-    Callback cb;  // engaged only for kCallback
-
-    /// Heap priority: *lowest* (when, seq) on top under std::push_heap's
-    /// max-heap convention, hence the inverted comparison.
-    friend bool heap_later(const Entry& a, const Entry& b) {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
+  /// The one event record every tier stores.
   struct Item {
     Nanos when;
     std::uint64_t seq;
     Kind kind;
     Payload payload;
+
+    /// Heap priority: *lowest* (when, seq) on top under std::push_heap's
+    /// max-heap convention, hence the inverted comparison.
+    friend bool heap_later(const Item& a, const Item& b) {
+      if (a.when != b.when) return a.when > b.when;
+      return a.seq > b.seq;
+    }
   };
 
   /// The append-only pre-sorted tier: POD entries, cursor consumption.
@@ -297,10 +260,13 @@ class EventQueue {
     void advance_cursor();
   };
 
-  void push_heap_entry(Entry&& e);
-  Entry pop_heap_entry();
-  void dispatch(const Entry& e);
-  void dispatch_item(const Item& item);
+  void push_heap_item(const Item& item);
+  Item pop_heap_item();
+  /// Files an event in the calendar when its time is within the horizon,
+  /// else in the heap. Ordering is unchanged either way — pops merge all
+  /// tiers by (when, seq).
+  void push_calendar_or_heap(Nanos when, Kind kind, const Payload& payload);
+  void dispatch(const Item& item);
   void dispatch_train(const RelayTrainEvent& e, Nanos when);
   /// Schedules an already-arena-resident span as one train event.
   void schedule_train_span(Nanos when, std::uint64_t offset,
@@ -315,9 +281,9 @@ class EventQueue {
   /// Pops and dispatches the head of `tier`.
   void run_tier(int tier);
 
-  std::vector<Entry> heap_;  // binary heap ordered by heap_later
-  Stream arrivals_;          // flow arrivals (pre-sorted workload traces)
-  Calendar calendar_;        // relay handoffs/trains (bucket ring)
+  std::vector<Item> heap_;  // binary heap ordered by heap_later
+  Stream arrivals_;         // flow arrivals (pre-sorted workload traces)
+  Calendar calendar_;       // relay trains and transport timers (ring)
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::uint64_t dispatched_{0};

@@ -1,15 +1,8 @@
 #include "sim/simulation.h"
 
-#include <utility>
-
 #include "common/assert.h"
 
 namespace negotiator {
-
-void Simulation::schedule_in(Nanos delay, EventQueue::Callback cb) {
-  NEG_ASSERT(delay >= 0, "cannot schedule into the past");
-  events_.schedule(now_ + delay, std::move(cb));
-}
 
 void Simulation::advance_to(Nanos t) {
   NEG_ASSERT(t >= now_, "time must be monotonic");

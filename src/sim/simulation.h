@@ -17,9 +17,6 @@ class Simulation {
   /// Registers the receiver of typed events (see EventSink).
   void set_sink(EventSink* sink) { events_.set_sink(sink); }
 
-  /// Schedules `cb` to run `delay` ns from now.
-  void schedule_in(Nanos delay, EventQueue::Callback cb);
-
   /// Advances the clock to `t`, firing everything due on the way.
   /// Time never moves backwards.
   void advance_to(Nanos t);

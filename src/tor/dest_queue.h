@@ -37,7 +37,7 @@ struct QueuedPacket {
 
 /// A set of per-destination priority FIFOs sharing one segment arena.
 /// Queue index is the destination; a ToR owns one set spanning all of its
-/// N-1 peers (a standalone DestQueue is a 1-queue set).
+/// N-1 peers.
 class DestQueueSet {
  public:
   DestQueueSet(int num_queues, int levels);
@@ -242,50 +242,6 @@ class DestQueueSet {
   // Flat per-queue arrays:
   std::vector<Bytes> queue_bytes_;
   std::vector<std::uint32_t> level_mask_;  // bit l set <=> level l non-empty
-};
-
-/// One destination's queue, standalone — the single-queue view of a
-/// DestQueueSet. Kept as the unit-testable reference shape; TorSwitch uses
-/// the set directly so all destinations share one arena.
-class DestQueue {
- public:
-  explicit DestQueue(int levels = 1) : set_(1, levels) {}
-
-  void enqueue_flow(FlowId flow, Bytes size, Nanos now,
-                    const PiasConfig& pias) {
-    set_.enqueue_flow(0, flow, size, now, pias);
-  }
-  void enqueue_bytes(FlowId flow, Bytes bytes, Nanos now, int level) {
-    set_.enqueue_bytes(0, flow, bytes, now, level);
-  }
-  void requeue_front(const QueuedPacket& packet) {
-    set_.requeue_front(0, packet);
-  }
-  std::optional<QueuedPacket> dequeue_packet(Bytes max_payload) {
-    return set_.dequeue_packet(0, max_payload);
-  }
-  std::optional<QueuedPacket> dequeue_packet_at_least(Bytes max_payload,
-                                                      int min_level) {
-    return set_.dequeue_packet_at_least(0, max_payload, min_level);
-  }
-  std::size_t dequeue_span(Bytes max_payload, std::size_t max_packets,
-                           QueuedPacket* out) {
-    return set_.dequeue_span(0, max_payload, max_packets, out);
-  }
-
-  bool empty() const { return set_.empty(0); }
-  Bytes total_bytes() const { return set_.total_bytes(0); }
-  Bytes bytes_at_level(int level) const { return set_.bytes_at_level(0, level); }
-  int levels() const { return set_.levels(); }
-  Nanos hol_enqueue_time(int level) const {
-    return set_.hol_enqueue_time(0, level);
-  }
-  Nanos weighted_hol_delay(Nanos now, double alpha) const {
-    return set_.weighted_hol_delay(0, now, alpha);
-  }
-
- private:
-  DestQueueSet set_;
 };
 
 }  // namespace negotiator

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace negotiator {
 namespace {
@@ -80,6 +84,48 @@ TEST(Config, RejectsIterativeWithoutIterations) {
   c.scheduler = SchedulerKind::kNegotiatorIterative;
   c.variant.iterations = 0;
   EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+// Every floating-point knob must reject NaN (a plain `p < 0 || p > 1`
+// range check lets it through), and the message must name the field.
+TEST(Config, RejectsNaNInEveryFloatingPointField) {
+  auto fields = [](NetworkConfig& c) {
+    ControlFaultConfig& cf = c.control_fault;
+    DataFaultConfig& df = c.data_fault;
+    return std::vector<std::pair<std::string, double*>>{
+        {"host_aggregate_gbps", &c.host_aggregate_gbps},
+        {"speedup", &c.speedup},
+        {"request_drop", &cf.request_drop},
+        {"grant_drop", &cf.grant_drop},
+        {"accept_drop", &cf.accept_drop},
+        {"delay_prob", &cf.delay_prob},
+        {"duplicate_prob", &cf.duplicate_prob},
+        {"first_hop_drop", &df.first_hop_drop},
+        {"relay_drop", &df.relay_drop},
+        {"second_hop_drop", &df.second_hop_drop},
+        {"corrupt_prob", &df.corrupt_prob},
+        {"rto_epochs", &df.rto_epochs},
+        {"rto_backoff", &df.rto_backoff},
+        {"rto_cap_epochs", &df.rto_cap_epochs},
+    };
+  };
+  NetworkConfig base;
+  base.control_fault.enabled = true;
+  base.data_fault.enabled = true;
+  ASSERT_NO_THROW(base.validate());
+  const std::size_t n = fields(base).size();
+  for (std::size_t i = 0; i < n; ++i) {
+    NetworkConfig c = base;
+    const auto [field, value] = fields(c)[i];
+    *value = std::numeric_limits<double>::quiet_NaN();
+    try {
+      c.validate();
+      ADD_FAILURE() << field << " = NaN was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << field << ": " << e.what();
+    }
+  }
 }
 
 TEST(Config, SummaryMentionsKeyParameters) {

@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,26 +15,26 @@ namespace {
 PiasConfig pias3() { return PiasConfig{}; }
 
 TEST(DestQueue, StartsEmpty) {
-  DestQueue q(3);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.total_bytes(), 0);
-  EXPECT_FALSE(q.dequeue_packet(1'000).has_value());
+  DestQueueSet q(1, 3);
+  EXPECT_TRUE(q.empty(0));
+  EXPECT_EQ(q.total_bytes(0), 0);
+  EXPECT_FALSE(q.dequeue_packet(0, 1'000).has_value());
 }
 
 TEST(DestQueue, EnqueueFlowSplitsAcrossLevels) {
-  DestQueue q(3);
-  q.enqueue_flow(7, 50'000, 100, pias3());
-  EXPECT_EQ(q.total_bytes(), 50'000);
-  EXPECT_EQ(q.bytes_at_level(0), 1'000);
-  EXPECT_EQ(q.bytes_at_level(1), 9'000);
-  EXPECT_EQ(q.bytes_at_level(2), 40'000);
+  DestQueueSet q(1, 3);
+  q.enqueue_flow(0, 7, 50'000, 100, pias3());
+  EXPECT_EQ(q.total_bytes(0), 50'000);
+  EXPECT_EQ(q.bytes_at_level(0, 0), 1'000);
+  EXPECT_EQ(q.bytes_at_level(0, 1), 9'000);
+  EXPECT_EQ(q.bytes_at_level(0, 2), 40'000);
 }
 
 TEST(DestQueue, DequeueHighestPriorityFirst) {
-  DestQueue q(3);
-  q.enqueue_bytes(1, 500, 0, 2);   // elephant data first in time
-  q.enqueue_bytes(2, 300, 10, 0);  // mice data later
-  const auto pkt = q.dequeue_packet(1'000);
+  DestQueueSet q(1, 3);
+  q.enqueue_bytes(0, 1, 500, 0, 2);   // elephant data first in time
+  q.enqueue_bytes(0, 2, 300, 10, 0);  // mice data later
+  const auto pkt = q.dequeue_packet(0, 1'000);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ(pkt->flow, 2) << "level 0 must be served before level 2";
   EXPECT_EQ(pkt->bytes, 300);
@@ -41,81 +42,83 @@ TEST(DestQueue, DequeueHighestPriorityFirst) {
 }
 
 TEST(DestQueue, PacketRespectsMaxPayload) {
-  DestQueue q(1);
-  q.enqueue_bytes(3, 5'000, 0, 0);
-  const auto pkt = q.dequeue_packet(1'115);
+  DestQueueSet q(1, 1);
+  q.enqueue_bytes(0, 3, 5'000, 0, 0);
+  const auto pkt = q.dequeue_packet(0, 1'115);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ(pkt->bytes, 1'115);
-  EXPECT_EQ(q.total_bytes(), 3'885);
+  EXPECT_EQ(q.total_bytes(0), 3'885);
 }
 
 TEST(DestQueue, PacketNeverMixesFlows) {
-  DestQueue q(1);
-  q.enqueue_bytes(1, 100, 0, 0);
-  q.enqueue_bytes(2, 100, 1, 0);
-  const auto pkt = q.dequeue_packet(1'000);
+  DestQueueSet q(1, 1);
+  q.enqueue_bytes(0, 1, 100, 0, 0);
+  q.enqueue_bytes(0, 2, 100, 1, 0);
+  const auto pkt = q.dequeue_packet(0, 1'000);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ(pkt->flow, 1);
   EXPECT_EQ(pkt->bytes, 100) << "only the head flow's bytes in one packet";
 }
 
 TEST(DestQueue, FifoWithinLevel) {
-  DestQueue q(1);
-  q.enqueue_bytes(1, 100, 0, 0);
-  q.enqueue_bytes(2, 100, 1, 0);
-  q.enqueue_bytes(3, 100, 2, 0);
-  EXPECT_EQ(q.dequeue_packet(1'000)->flow, 1);
-  EXPECT_EQ(q.dequeue_packet(1'000)->flow, 2);
-  EXPECT_EQ(q.dequeue_packet(1'000)->flow, 3);
+  DestQueueSet q(1, 1);
+  q.enqueue_bytes(0, 1, 100, 0, 0);
+  q.enqueue_bytes(0, 2, 100, 1, 0);
+  q.enqueue_bytes(0, 3, 100, 2, 0);
+  EXPECT_EQ(q.dequeue_packet(0, 1'000)->flow, 1);
+  EXPECT_EQ(q.dequeue_packet(0, 1'000)->flow, 2);
+  EXPECT_EQ(q.dequeue_packet(0, 1'000)->flow, 3);
 }
 
 TEST(DestQueue, RequeueFrontRestoresHead) {
-  DestQueue q(1);
-  q.enqueue_bytes(1, 1'000, 0, 0);
-  auto pkt = q.dequeue_packet(400);
+  DestQueueSet q(1, 1);
+  q.enqueue_bytes(0, 1, 1'000, 0, 0);
+  auto pkt = q.dequeue_packet(0, 400);
   ASSERT_TRUE(pkt.has_value());
-  q.requeue_front(*pkt);
-  EXPECT_EQ(q.total_bytes(), 1'000);
-  const auto again = q.dequeue_packet(1'000);
+  q.requeue_front(0, *pkt);
+  EXPECT_EQ(q.total_bytes(0), 1'000);
+  const auto again = q.dequeue_packet(0, 1'000);
   EXPECT_EQ(again->flow, 1);
   EXPECT_EQ(again->bytes, 1'000) << "requeued bytes merge with the head";
 }
 
 TEST(DestQueue, DequeueAtLeastSkipsHighLevels) {
-  DestQueue q(3);
-  q.enqueue_flow(9, 50'000, 0, pias3());
-  const auto pkt = q.dequeue_packet_at_least(1'000, 2);
+  DestQueueSet q(1, 3);
+  q.enqueue_flow(0, 9, 50'000, 0, pias3());
+  const auto pkt = q.dequeue_packet_at_least(0, 1'000, 2);
   ASSERT_TRUE(pkt.has_value());
   EXPECT_EQ(pkt->level, 2);
-  EXPECT_EQ(q.bytes_at_level(0), 1'000) << "mice data untouched";
+  EXPECT_EQ(q.bytes_at_level(0, 0), 1'000) << "mice data untouched";
 }
 
 TEST(DestQueue, HolEnqueueTimeTracksHead) {
-  DestQueue q(3);
-  EXPECT_EQ(q.hol_enqueue_time(0), kNeverNs);
-  q.enqueue_bytes(1, 100, 42, 0);
-  q.enqueue_bytes(2, 100, 50, 0);
-  EXPECT_EQ(q.hol_enqueue_time(0), 42);
-  (void)q.dequeue_packet(100);
-  EXPECT_EQ(q.hol_enqueue_time(0), 50);
+  DestQueueSet q(1, 3);
+  EXPECT_EQ(q.hol_enqueue_time(0, 0), kNeverNs);
+  q.enqueue_bytes(0, 1, 100, 42, 0);
+  q.enqueue_bytes(0, 2, 100, 50, 0);
+  EXPECT_EQ(q.hol_enqueue_time(0, 0), 42);
+  (void)q.dequeue_packet(0, 100);
+  EXPECT_EQ(q.hol_enqueue_time(0, 0), 50);
 }
 
 TEST(DestQueue, WeightedHolDelayFormula) {
   // HoL = (1-a)(q0+q1)/2 + a*q2 (A.2.3).
-  DestQueue q(3);
-  q.enqueue_bytes(1, 100, 0, 0);     // waited 100 at now=100
-  q.enqueue_bytes(2, 100, 60, 1);    // waited 40
-  q.enqueue_bytes(3, 100, 20, 2);    // waited 80
+  DestQueueSet q(1, 3);
+  q.enqueue_bytes(0, 1, 100, 0, 0);   // waited 100 at now=100
+  q.enqueue_bytes(0, 2, 100, 60, 1);  // waited 40
+  q.enqueue_bytes(0, 3, 100, 20, 2);  // waited 80
   const double a = 0.001;
   const double expect = (1 - a) * (100 + 40) / 2.0 + a * 80;
-  EXPECT_NEAR(static_cast<double>(q.weighted_hol_delay(100, a)), expect, 1.0);
+  EXPECT_NEAR(static_cast<double>(q.weighted_hol_delay(0, 100, a)), expect,
+              1.0);
 }
 
 TEST(DestQueue, WeightedHolDelayEmptyLevelsCountZero) {
-  DestQueue q(3);
-  q.enqueue_bytes(1, 100, 0, 2);
+  DestQueueSet q(1, 3);
+  q.enqueue_bytes(0, 1, 100, 0, 2);
   const double a = 0.5;
-  EXPECT_NEAR(static_cast<double>(q.weighted_hol_delay(200, a)), a * 200, 1.0);
+  EXPECT_NEAR(static_cast<double>(q.weighted_hol_delay(0, 200, a)), a * 200,
+              1.0);
 }
 
 // --- Arena-vs-deque property check ---------------------------------------
@@ -211,33 +214,49 @@ void expect_same_packet(const std::optional<QueuedPacket>& got,
   EXPECT_EQ(got->enqueued_at, want->enqueued_at) << "step " << step;
 }
 
-void expect_same_state(const DestQueue& impl, const RefDestQueue& ref,
-                       int levels, std::size_t step) {
-  ASSERT_EQ(impl.total_bytes(), ref.total_bytes()) << "step " << step;
-  for (int l = 0; l < levels; ++l) {
-    ASSERT_EQ(impl.bytes_at_level(l), ref.bytes_at_level(l))
-        << "step " << step << " level " << l;
-    ASSERT_EQ(impl.hol_enqueue_time(l), ref.hol_enqueue_time(l))
-        << "step " << step << " level " << l;
+void expect_same_state(const DestQueueSet& impl,
+                       const std::vector<RefDestQueue>& ref, int levels,
+                       std::size_t step) {
+  for (int q = 0; q < impl.num_queues(); ++q) {
+    const RefDestQueue& r = ref[static_cast<std::size_t>(q)];
+    ASSERT_EQ(impl.empty(q), r.total_bytes() == 0)
+        << "step " << step << " queue " << q;
+    ASSERT_EQ(impl.total_bytes(q), r.total_bytes())
+        << "step " << step << " queue " << q;
+    for (int l = 0; l < levels; ++l) {
+      ASSERT_EQ(impl.bytes_at_level(q, l), r.bytes_at_level(l))
+          << "step " << step << " queue " << q << " level " << l;
+      ASSERT_EQ(impl.hol_enqueue_time(q, l), r.hol_enqueue_time(l))
+          << "step " << step << " queue " << q << " level " << l;
+    }
   }
 }
 
 TEST(DestQueueProperty, ArenaMatchesDequeReference) {
+  // Every step works on a randomly picked queue of a multi-queue set, so
+  // segments freed by one queue's dequeues are recycled through the shared
+  // free list into other queues' enqueues. Each queue is checked against
+  // its own reference.
+  const int queues = 5;
   const int levels = 3;
   const PiasConfig pias = pias3();
-  DestQueue impl(levels);
-  RefDestQueue ref(levels);
+  DestQueueSet impl(queues, levels);
+  std::vector<RefDestQueue> refs(static_cast<std::size_t>(queues),
+                                 RefDestQueue(levels));
   Rng rng(20260808);
   Nanos now = 0;
-  std::vector<QueuedPacket> dequeued;  // candidates for requeue_front
+  // Candidates for requeue_front, each with the queue it came from.
+  std::vector<std::pair<int, QueuedPacket>> dequeued;
   for (std::size_t step = 0; step < 20'000; ++step) {
     now += rng.next_below(50);
+    const int q = static_cast<int>(rng.next_below(queues));
+    RefDestQueue& ref = refs[static_cast<std::size_t>(q)];
     switch (rng.next_below(10)) {
       case 0:
       case 1: {  // whole flow, PIAS-split across levels
         const FlowId flow = static_cast<FlowId>(rng.next_below(64));
         const Bytes size = 1 + rng.next_below(60'000);
-        impl.enqueue_flow(flow, size, now, pias);
+        impl.enqueue_flow(q, flow, size, now, pias);
         ref.enqueue_flow(flow, size, now, pias);
         break;
       }
@@ -245,7 +264,7 @@ TEST(DestQueueProperty, ArenaMatchesDequeReference) {
         const FlowId flow = static_cast<FlowId>(rng.next_below(64));
         const Bytes bytes = 1 + rng.next_below(5'000);
         const int level = static_cast<int>(rng.next_below(levels));
-        impl.enqueue_bytes(flow, bytes, now, level);
+        impl.enqueue_bytes(q, flow, bytes, now, level);
         ref.enqueue_bytes(flow, bytes, now, level);
         break;
       }
@@ -253,19 +272,19 @@ TEST(DestQueueProperty, ArenaMatchesDequeReference) {
         if (dequeued.empty()) break;
         const std::size_t pick = static_cast<std::size_t>(
             rng.next_below(static_cast<std::int64_t>(dequeued.size())));
-        const QueuedPacket p = dequeued[pick];
+        const auto [from, p] = dequeued[pick];
         dequeued.erase(dequeued.begin() + static_cast<std::ptrdiff_t>(pick));
-        impl.requeue_front(p);
-        ref.requeue_front(p);
+        impl.requeue_front(from, p);
+        refs[static_cast<std::size_t>(from)].requeue_front(p);
         break;
       }
       case 4: {  // selective-relay pull: only levels >= min_level
         const Bytes payload = 1 + rng.next_below(2'000);
         const int min_level = static_cast<int>(rng.next_below(levels));
-        const auto got = impl.dequeue_packet_at_least(payload, min_level);
+        const auto got = impl.dequeue_packet_at_least(q, payload, min_level);
         const auto want = ref.dequeue_packet_at_least(payload, min_level);
         expect_same_packet(got, want, step);
-        if (got) dequeued.push_back(*got);
+        if (got) dequeued.emplace_back(q, *got);
         break;
       }
       case 5: {  // bulk drain vs the same number of sequential ref dequeues
@@ -274,11 +293,11 @@ TEST(DestQueueProperty, ArenaMatchesDequeReference) {
             1 + static_cast<std::size_t>(rng.next_below(8));
         std::vector<QueuedPacket> span(max_packets);
         const std::size_t n =
-            impl.dequeue_span(payload, max_packets, span.data());
+            impl.dequeue_span(q, payload, max_packets, span.data());
         for (std::size_t i = 0; i < n; ++i) {
           const auto want = ref.dequeue_packet_at_least(payload, 0);
           expect_same_packet(span[i], want, step);
-          dequeued.push_back(span[i]);
+          dequeued.emplace_back(q, span[i]);
         }
         ASSERT_FALSE(n < max_packets &&
                      ref.dequeue_packet_at_least(payload, 0).has_value())
@@ -287,15 +306,15 @@ TEST(DestQueueProperty, ArenaMatchesDequeReference) {
       }
       default: {  // plain dequeue (most common op in the fabric)
         const Bytes payload = 1 + rng.next_below(2'000);
-        const auto got = impl.dequeue_packet(payload);
+        const auto got = impl.dequeue_packet(q, payload);
         const auto want = ref.dequeue_packet_at_least(payload, 0);
         expect_same_packet(got, want, step);
-        if (got) dequeued.push_back(*got);
+        if (got) dequeued.emplace_back(q, *got);
         break;
       }
     }
     if (dequeued.size() > 32) dequeued.erase(dequeued.begin());
-    expect_same_state(impl, ref, levels, step);
+    expect_same_state(impl, refs, levels, step);
   }
 }
 
@@ -355,15 +374,15 @@ TEST(DestQueueSet, MinLevelMaskSkipsEmptyLevels) {
 }
 
 TEST(DestQueue, TotalConservedAcrossOperations) {
-  DestQueue q(3);
+  DestQueueSet q(1, 3);
   Bytes expected = 0;
   for (int i = 0; i < 50; ++i) {
-    q.enqueue_flow(i, 2'500 * (i + 1) % 30'000 + 1, i, pias3());
+    q.enqueue_flow(0, i, 2'500 * (i + 1) % 30'000 + 1, i, pias3());
     expected += 2'500 * (i + 1) % 30'000 + 1;
   }
-  while (auto pkt = q.dequeue_packet(1'115)) expected -= pkt->bytes;
+  while (auto pkt = q.dequeue_packet(0, 1'115)) expected -= pkt->bytes;
   EXPECT_EQ(expected, 0);
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.empty(0));
 }
 
 }  // namespace

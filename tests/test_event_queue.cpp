@@ -13,12 +13,12 @@
 namespace negotiator {
 namespace {
 
-/// Records every typed event as (tag, when) so tests can assert the exact
+/// Records every event as (tag, when) so tests can assert the exact
 /// global firing order across the queue's tiers.
 class RecordingSink : public EventSink {
  public:
   struct Fired {
-    char kind;  // 'f'low, 'l'ink, 'r'elay
+    char kind;  // 'f'low, 'l'ink, 't'rain chunk, 'x' transport timer
     std::int64_t tag;
     Nanos when;
   };
@@ -28,9 +28,6 @@ class RecordingSink : public EventSink {
   }
   void on_link_toggle(const LinkToggleEvent& e, Nanos now) override {
     fired.push_back(Fired{'l', e.tor, now});
-  }
-  void on_relay_handoff(const RelayHandoffEvent& e, Nanos now) override {
-    fired.push_back(Fired{'r', e.flow, now});
   }
   void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
                       Nanos now) override {
@@ -49,6 +46,23 @@ class RecordingSink : public EventSink {
   std::vector<std::uint32_t> train_sizes;
 };
 
+/// A link toggle tagged `tag` (the heap tier; the tag rides in `tor`).
+LinkToggleEvent toggle(std::int64_t tag) {
+  return LinkToggleEvent{static_cast<TorId>(tag), 0, LinkDirection::kEgress,
+                         true};
+}
+
+/// A transport timer tagged `tag` (the calendar tier).
+TransportTimerEvent timer(std::int64_t tag) {
+  return TransportTimerEvent{static_cast<std::int32_t>(tag)};
+}
+
+std::vector<std::int64_t> tags(const RecordingSink& sink) {
+  std::vector<std::int64_t> out;
+  for (const auto& f : sink.fired) out.push_back(f.tag);
+  return out;
+}
+
 TEST(EventQueue, EmptyByDefault) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -57,108 +71,116 @@ TEST(EventQueue, EmptyByDefault) {
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(30, [&](Nanos) { order.push_back(3); });
-  q.schedule(10, [&](Nanos) { order.push_back(1); });
-  q.schedule(20, [&](Nanos) { order.push_back(2); });
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.schedule_link_toggle(30, toggle(3));
+  q.schedule_link_toggle(10, toggle(1));
+  q.schedule_link_toggle(20, toggle(2));
   q.run_until(100);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, FifoTieBreakAtSameTimestamp) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(5, [&order, i](Nanos) { order.push_back(i); });
-  }
+  RecordingSink sink;
+  q.set_sink(&sink);
+  for (int i = 0; i < 10; ++i) q.schedule_link_toggle(5, toggle(i));
   q.run_until(5);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(tags(sink),
+            (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(EventQueue, RunUntilIsInclusive) {
   EventQueue q;
-  int fired = 0;
-  q.schedule(10, [&](Nanos) { ++fired; });
-  q.schedule(11, [&](Nanos) { ++fired; });
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.schedule_link_toggle(10, toggle(1));
+  q.schedule_link_toggle(11, toggle(2));
   q.run_until(10);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sink.fired.size(), 1u);
   EXPECT_EQ(q.next_time(), 11);
 }
 
-TEST(EventQueue, CallbackReceivesItsTimestamp) {
+TEST(EventQueue, EventReceivesItsTimestamp) {
   EventQueue q;
-  Nanos seen = -1;
-  q.schedule(77, [&](Nanos t) { seen = t; });
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.schedule_link_toggle(77, toggle(1));
   q.run_next();
-  EXPECT_EQ(seen, 77);
+  ASSERT_EQ(sink.fired.size(), 1u);
+  EXPECT_EQ(sink.fired[0].when, 77);
 }
 
-TEST(EventQueue, CallbackMayScheduleMoreEvents) {
+TEST(EventQueue, SinkMayScheduleMoreEvents) {
+  // Each flow arrival schedules a link toggle one tick later from inside
+  // its own dispatch; the toggles schedule nothing further.
+  class ChainingSink : public RecordingSink {
+   public:
+    explicit ChainingSink(EventQueue& q) : q_(q) {}
+    void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override {
+      RecordingSink::on_flow_arrival(e, now);
+      q_.schedule_link_toggle(now + 1, toggle(e.flow_index + 100));
+    }
+
+   private:
+    EventQueue& q_;
+  };
   EventQueue q;
-  std::vector<Nanos> fired;
-  q.schedule(1, [&](Nanos t) {
-    fired.push_back(t);
-    q.schedule(t + 1, [&](Nanos t2) { fired.push_back(t2); });
-  });
+  ChainingSink sink(q);
+  q.set_sink(&sink);
+  q.schedule_flow_arrival(1, 1);
+  q.schedule_flow_arrival(1, 2);
   q.run_until(10);
-  EXPECT_EQ(fired, (std::vector<Nanos>{1, 2}));
+  ASSERT_EQ(sink.fired.size(), 4u);
+  EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{1, 2, 101, 102}));
+  EXPECT_EQ(sink.fired[2].when, 2);
+  EXPECT_EQ(sink.fired[3].when, 2);
 }
 
 TEST(EventQueue, ClearDropsEverything) {
   EventQueue q;
-  int fired = 0;
-  q.schedule(1, [&](Nanos) { ++fired; });
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.schedule_flow_arrival(1, 1);
+  q.schedule_link_toggle(1, toggle(2));
+  q.schedule_transport_timer(1, timer(3));
   q.clear();
   q.run_until(100);
-  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(sink.fired.empty());
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, TypedEventsCarryTheirPayloads) {
+TEST(EventQueue, EventsCarryTheirPayloads) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
   q.schedule_flow_arrival(10, 7);
   q.schedule_link_toggle(20, LinkToggleEvent{3, 1, LinkDirection::kEgress,
                                              true});
-  q.schedule_relay_handoff(30, RelayHandoffEvent{5, 6, 42, 1'000});
+  q.schedule_transport_timer(30, TransportTimerEvent{42});
   q.run_until(100);
   ASSERT_EQ(sink.fired.size(), 3u);
   EXPECT_EQ(sink.fired[0].kind, 'f');
   EXPECT_EQ(sink.fired[0].tag, 7);
   EXPECT_EQ(sink.fired[1].kind, 'l');
   EXPECT_EQ(sink.fired[1].tag, 3);
-  EXPECT_EQ(sink.fired[2].kind, 'r');
+  EXPECT_EQ(sink.fired[2].kind, 'x');
   EXPECT_EQ(sink.fired[2].tag, 42);
 }
 
-TEST(EventQueue, TypedAndCallbackEventsShareTheFifoTieBreak) {
+TEST(EventQueue, EveryTierSharesTheFifoTieBreak) {
   // Ties at the same timestamp fire in schedule order no matter which tier
-  // (arrival stream, handoff stream, heap) carries the event.
+  // (arrival stream, heap, calendar) carries the event.
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  std::vector<std::int64_t> order;
   q.schedule_flow_arrival(5, 100);
-  q.schedule(5, [&](Nanos) { order.push_back(101); });
-  q.schedule_relay_handoff(5, RelayHandoffEvent{0, 1, 102, 10});
+  q.schedule_link_toggle(5, toggle(101));
+  q.schedule_transport_timer(5, timer(102));
   q.schedule_flow_arrival(5, 103);
-  q.schedule_link_toggle(5, LinkToggleEvent{104, 0, LinkDirection::kIngress,
-                                            false});
-  // Interleave the sink records and the callback into one sequence.
-  std::vector<std::int64_t> got;
-  std::size_t sink_read = 0;
-  while (!q.empty()) {
-    const std::size_t before = sink.fired.size();
-    const std::size_t cb_before = order.size();
-    q.run_next();
-    if (sink.fired.size() > before) {
-      got.push_back(sink.fired[sink_read++].tag);
-    } else if (order.size() > cb_before) {
-      got.push_back(order.back());
-    }
-  }
-  EXPECT_EQ(got, (std::vector<std::int64_t>{100, 101, 102, 103, 104}));
+  q.schedule_link_toggle(5, toggle(104));
+  q.run_until(5);
+  EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{100, 101, 102, 103, 104}));
 }
 
 TEST(EventQueue, OutOfOrderArrivalsFallBackWithoutReordering) {
@@ -180,30 +202,37 @@ TEST(EventQueue, OutOfOrderArrivalsFallBackWithoutReordering) {
 }
 
 TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
-  // Property: however events are scheduled — pre-run or from inside a
-  // running event, typed or callback, tied or not — the firing order is
-  // exactly the (timestamp, schedule order) sort. The reference order is
-  // tracked with a monotonically increasing schedule counter.
+  // Property: however events are scheduled — pre-run or between running
+  // events, on any tier, tied or not — the firing order is exactly the
+  // (timestamp, schedule order) sort. The reference order is tracked with
+  // a monotonically increasing schedule counter. The mix covers the
+  // arrival stream (and its out-of-order heap fallback), heap-only link
+  // toggles, calendar timers, and timers past the calendar horizon.
+  constexpr Nanos kHorizon =
+      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
   Rng rng(2024);
   for (int round = 0; round < 20; ++round) {
     EventQueue q;
     RecordingSink sink;
     q.set_sink(&sink);
     std::vector<std::pair<Nanos, std::int64_t>> expected;  // (when, sched#)
-    std::vector<std::int64_t> cb_fired;
     std::int64_t sched = 0;
 
     auto schedule_one = [&](Nanos when) {
       const std::int64_t id = sched++;
-      switch (rng.next_below(3)) {
+      switch (rng.next_below(4)) {
         case 0:
           q.schedule_flow_arrival(when, static_cast<std::int32_t>(id));
           break;
         case 1:
-          q.schedule_relay_handoff(when, RelayHandoffEvent{0, 1, id, 1});
+          q.schedule_transport_timer(when, timer(id));
+          break;
+        case 2:
+          q.schedule_link_toggle(when, toggle(id));
           break;
         default:
-          q.schedule(when, [&cb_fired, id](Nanos) { cb_fired.push_back(id); });
+          when += kHorizon;  // beyond the calendar horizon: heap fallback
+          q.schedule_transport_timer(when, timer(id));
           break;
       }
       expected.emplace_back(when, id);
@@ -221,19 +250,10 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
     }
 
     // During-run: every 7th event schedules 0-2 future events.
-    std::vector<std::int64_t> got;
     std::int64_t processed = 0;
     while (!q.empty()) {
       const Nanos now = q.next_time();
-      const std::size_t sink_before = sink.fired.size();
-      const std::size_t cb_before = cb_fired.size();
       q.run_next();
-      if (sink.fired.size() > sink_before) {
-        got.push_back(sink.fired.back().tag);
-      } else {
-        ASSERT_GT(cb_fired.size(), cb_before);
-        got.push_back(cb_fired.back());
-      }
       if (++processed % 7 == 0) {
         const std::int64_t extra = rng.next_below(3);
         for (std::int64_t e = 0; e < extra; ++e) {
@@ -247,16 +267,16 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
-    ASSERT_EQ(got.size(), expected.size()) << "round " << round;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i], expected[i].second)
+    ASSERT_EQ(sink.fired.size(), expected.size()) << "round " << round;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(sink.fired[i].tag, expected[i].second)
           << "round " << round << " position " << i;
     }
   }
 }
 
-TEST(EventQueue, CalendarPropertyRandomizedHandoffsMatchHeapOrder) {
-  // Property: relay handoffs — whatever mix of in-bucket ties, bucket
+TEST(EventQueue, CalendarPropertyRandomizedTimersMatchHeapOrder) {
+  // Property: calendar-tier timers — whatever mix of in-bucket ties, bucket
   // boundaries, horizon overflows (heap fallback) and ring wraparound the
   // schedule produces — fire in exactly (timestamp, schedule order), i.e.
   // indistinguishable from a single binary heap. Spans are drawn around
@@ -273,7 +293,7 @@ TEST(EventQueue, CalendarPropertyRandomizedHandoffsMatchHeapOrder) {
     Nanos now = 0;
 
     auto schedule_one = [&](Nanos when) {
-      q.schedule_relay_handoff(when, RelayHandoffEvent{0, 1, sched, 1});
+      q.schedule_transport_timer(when, timer(sched));
       expected.emplace_back(when, sched);
       ++sched;
     };
@@ -316,17 +336,17 @@ TEST(EventQueue, CalendarPropertyRandomizedHandoffsMatchHeapOrder) {
 }
 
 TEST(EventQueue, CalendarPushBehindCursorStillFiresInOrder) {
-  // After the calendar cursor has moved forward, a handoff scheduled
+  // After the calendar cursor has moved forward, a timer scheduled
   // behind it falls back to the heap and still fires before everything
   // later — exactly like a pure heap would surface it.
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_relay_handoff(10'000, RelayHandoffEvent{0, 1, 1, 1});
-  q.schedule_relay_handoff(20'000, RelayHandoffEvent{0, 1, 2, 1});
+  q.schedule_transport_timer(10'000, timer(1));
+  q.schedule_transport_timer(20'000, timer(2));
   q.run_until(10'000);  // cursor now sits at the 20'000 entry's bucket
-  q.schedule_relay_handoff(15'000, RelayHandoffEvent{0, 1, 3, 1});
-  q.schedule_relay_handoff(12'000, RelayHandoffEvent{0, 1, 4, 1});
+  q.schedule_transport_timer(15'000, timer(3));
+  q.schedule_transport_timer(12'000, timer(4));
   q.run_until(30'000);
   ASSERT_EQ(sink.fired.size(), 4u);
   EXPECT_EQ(sink.fired[0].tag, 1);
@@ -336,7 +356,7 @@ TEST(EventQueue, CalendarPushBehindCursorStillFiresInOrder) {
 }
 
 TEST(EventQueue, CalendarRecyclesBucketsAcrossManyHorizons) {
-  // A long periodic handoff stream (the oblivious fabric's shape) must
+  // A long periodic timer stream (a steady retransmit shape) must
   // reuse ring storage: schedule/pop far more events than the ring holds,
   // sweeping many full horizons, and verify count and order.
   constexpr Nanos kHorizon =
@@ -351,7 +371,7 @@ TEST(EventQueue, CalendarRecyclesBucketsAcrossManyHorizons) {
   for (int slot = 0; slot < kSlots; ++slot) {
     const Nanos when = now + 2'000;  // "propagation delay" ahead
     for (int k = 0; k < 3; ++k) {
-      q.schedule_relay_handoff(when, RelayHandoffEvent{0, 1, id++, 1});
+      q.schedule_transport_timer(when, timer(id++));
     }
     now += slot_ns;
     q.run_until(now);
@@ -412,7 +432,7 @@ TEST(EventQueue, TrainsInterleaveWithOtherTiersByScheduleOrder) {
   q.append_train_chunk(RelayTrainChunk{0, 1, 101, 1});
   q.append_train_chunk(RelayTrainChunk{0, 2, 102, 1});
   q.commit_train(5);
-  q.schedule_relay_handoff(5, RelayHandoffEvent{0, 1, 103, 10});
+  q.schedule_transport_timer(5, timer(103));
   q.run_until(5);
   ASSERT_EQ(sink.fired.size(), 4u);
   EXPECT_EQ(sink.fired[0].tag, 100);
@@ -428,10 +448,10 @@ TEST(EventQueue, TrainBeyondHorizonFallsBackToHeap) {
   RecordingSink sink;
   q.set_sink(&sink);
   // Pin the calendar window near t=0, then commit a train far beyond it.
-  q.schedule_relay_handoff(10, RelayHandoffEvent{0, 1, 1, 1});
+  q.schedule_transport_timer(10, timer(1));
   q.append_train_chunk(RelayTrainChunk{0, 1, 2, 1});
   q.commit_train(10 + 2 * kHorizon);
-  q.schedule_relay_handoff(20, RelayHandoffEvent{0, 1, 3, 1});
+  q.schedule_transport_timer(20, timer(3));
   q.run_until(kNeverNs - 1);
   ASSERT_EQ(sink.fired.size(), 3u);
   EXPECT_EQ(sink.fired[0].tag, 1);
@@ -441,14 +461,14 @@ TEST(EventQueue, TrainBeyondHorizonFallsBackToHeap) {
 }
 
 TEST(EventQueue, TransportTimersCarryTheirPayloadAndInterleave) {
-  // Retransmit timers ride the calendar like handoffs and share the global
+  // Retransmit timers ride the calendar like trains and share the global
   // (timestamp, schedule order) tie-break with every other tier.
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
   q.schedule_flow_arrival(5, 100);
   q.schedule_transport_timer(5, TransportTimerEvent{101});
-  q.schedule_relay_handoff(5, RelayHandoffEvent{0, 1, 102, 10});
+  q.schedule_link_toggle(5, toggle(102));
   q.schedule_transport_timer(3, TransportTimerEvent{103});
   q.run_until(10);
   ASSERT_EQ(sink.fired.size(), 4u);
@@ -458,12 +478,13 @@ TEST(EventQueue, TransportTimersCarryTheirPayloadAndInterleave) {
   EXPECT_EQ(sink.fired[1].tag, 100);
   EXPECT_EQ(sink.fired[2].kind, 'x');
   EXPECT_EQ(sink.fired[2].tag, 101);
+  EXPECT_EQ(sink.fired[3].kind, 'l');
   EXPECT_EQ(sink.fired[3].tag, 102);
 }
 
 TEST(EventQueue, TransportTimerBeyondHorizonFallsBackToHeap) {
   // A backed-off RTO can land past the 1024-bucket calendar window. The
-  // handoff to the heap must preserve the exact global order: in-window
+  // fallback to the heap must preserve the exact global order: in-window
   // timers ride the calendar, the far one surfaces from the heap at its
   // timestamp, and a timer at the horizon boundary still fires in place.
   constexpr Nanos kHorizon =
@@ -492,7 +513,7 @@ TEST(EventQueue, TransportTimerBeyondHorizonFallsBackToHeap) {
   EXPECT_EQ(sink.fired[5].tag, 6);
 }
 
-TEST(EventQueue, TransportTimerHorizonHandoffIsDeterministic) {
+TEST(EventQueue, TransportTimerHorizonFallbackIsDeterministic) {
   // Property at the calendar/heap boundary: a randomized mix of timers
   // straddling the horizon — re-armed from inside firing events, exactly
   // the lazy re-arm shape HostTransport produces — fires in the exact
@@ -654,8 +675,8 @@ TEST(EventQueue, ExecutedCounterCountsEveryTier) {
   RecordingSink sink;
   q.set_sink(&sink);
   q.schedule_flow_arrival(1, 1);
-  q.schedule_relay_handoff(2, RelayHandoffEvent{0, 1, 2, 1});
-  q.schedule(3, [](Nanos) {});
+  q.schedule_transport_timer(2, timer(2));
+  q.schedule_link_toggle(3, toggle(3));
   EXPECT_EQ(q.executed(), 0u);
   q.run_until(10);
   EXPECT_EQ(q.executed(), 3u);
@@ -663,23 +684,31 @@ TEST(EventQueue, ExecutedCounterCountsEveryTier) {
 
 TEST(Simulation, AdvancesClockAndFiresEvents) {
   Simulation sim;
+  RecordingSink sink;
+  sim.set_sink(&sink);
   EXPECT_EQ(sim.now(), 0);
-  int fired = 0;
-  sim.schedule_in(50, [&](Nanos) { ++fired; });
+  sim.events().schedule_link_toggle(50, toggle(1));
   sim.advance_to(49);
-  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(sink.fired.empty());
   sim.advance_to(50);
-  EXPECT_EQ(fired, 1);
+  ASSERT_EQ(sink.fired.size(), 1u);
   EXPECT_EQ(sim.now(), 50);
 }
 
-TEST(Simulation, ScheduleInIsRelative) {
+TEST(Simulation, EventsFireAtTheirTimestampNotTheAdvanceTarget) {
   Simulation sim;
+  RecordingSink sink;
+  sim.set_sink(&sink);
   sim.advance_to(100);
-  Nanos seen = -1;
-  sim.schedule_in(5, [&](Nanos t) { seen = t; });
-  sim.advance_to(105);
-  EXPECT_EQ(seen, 105);
+  sim.events().schedule_flow_arrival(105, 1);
+  sim.events().schedule_transport_timer(103, timer(2));
+  sim.advance_to(200);
+  ASSERT_EQ(sink.fired.size(), 2u);
+  EXPECT_EQ(sink.fired[0].tag, 2);
+  EXPECT_EQ(sink.fired[0].when, 103);
+  EXPECT_EQ(sink.fired[1].tag, 1);
+  EXPECT_EQ(sink.fired[1].when, 105);
+  EXPECT_EQ(sim.now(), 200);
 }
 
 }  // namespace

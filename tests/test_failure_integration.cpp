@@ -2,7 +2,7 @@
 // bandwidth degradation and recovery on the live fabric.
 #include <gtest/gtest.h>
 
-#include "engine/failure_injector.h"
+#include "engine/fault_scenario.h"
 #include "engine/runner.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -41,21 +41,24 @@ double delivered_in(const GoodputMeter& g, int num_tors, std::size_t a,
   return bytes;
 }
 
-TEST(FailureInjector, FractionOfLinksFailed) {
+TEST(UniformBurstFailure, FractionOfLinksFailed) {
   auto fab = make_fabric(cfg16());
   Rng rng(1);
-  const auto failed =
-      inject_random_failures(*fab, 0.1, 1'000, kNeverNs, rng);
-  EXPECT_EQ(failed.size(), static_cast<std::size_t>(0.1 * 2 * 16 * 4 + 0.5));
+  const std::size_t failed =
+      FaultScenario()
+          .uniform_burst({0.1, 1'000, kNeverNs})
+          .install(*fab, rng)
+          .failure_count();
+  EXPECT_EQ(failed, static_cast<std::size_t>(0.1 * 2 * 16 * 4 + 0.5));
   EXPECT_EQ(fab->links().failed_count(), 0) << "not before the event fires";
   fab->run_until(2'000);
-  EXPECT_EQ(fab->links().failed_count(), static_cast<int>(failed.size()));
+  EXPECT_EQ(fab->links().failed_count(), static_cast<int>(failed));
 }
 
-TEST(FailureInjector, RepairRestoresAllLinks) {
+TEST(UniformBurstFailure, RepairRestoresAllLinks) {
   auto fab = make_fabric(cfg16());
   Rng rng(2);
-  inject_random_failures(*fab, 0.2, 1'000, 50'000, rng);
+  FaultScenario().uniform_burst({0.2, 1'000, 50'000}).install(*fab, rng);
   fab->run_until(10'000);
   EXPECT_GT(fab->links().failed_count(), 0);
   fab->run_until(60'000);
@@ -114,7 +117,9 @@ TEST(Failure, BandwidthDropsUnderFailuresAndRecovers) {
     }
   }
   Rng rng(5);
-  inject_random_failures(runner.fabric(), 0.20, 1'500'000, 3'000'000, rng);
+  FaultScenario()
+      .uniform_burst({0.20, 1'500'000, 3'000'000})
+      .install(runner.fabric(), rng);
   const Nanos dur = 5'000'000;
   runner.fabric().goodput().set_measure_interval(0, dur);
   runner.fabric().run_until(dur);
@@ -215,7 +220,9 @@ TEST(Failure, ObliviousTrainsUnderFailuresConserveEveryChunk) {
     }
   }
   Rng rng(11);
-  inject_random_failures(*fab, 0.15, 200'000, 2'000'000, rng);
+  FaultScenario()
+      .uniform_burst({0.15, 200'000, 2'000'000})
+      .install(*fab, rng);
   fab->run_until(4'000'000);
   Bytes delivered = 0;
   for (const FctSample& s : fab->fct().samples()) delivered += s.size;

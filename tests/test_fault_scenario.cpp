@@ -1,8 +1,8 @@
 // Unit tests for the deterministic fault-scenario engine
-// (engine/fault_scenario.h): shim equivalence with the legacy injector,
-// zonal storm membership, flap renewal well-formedness, churn workload
-// rewriting, the resilience recorder, and the horizon-edge regressions for
-// repairs landing after the end of the simulation.
+// (engine/fault_scenario.h): uniform-burst equivalence with the legacy
+// injector, zonal storm membership, flap renewal well-formedness, churn
+// workload rewriting, the resilience recorder, and the horizon-edge
+// regressions for repairs landing after the end of the simulation.
 #include "engine/fault_scenario.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <set>
 #include <tuple>
 
-#include "engine/failure_injector.h"
 #include "engine/runner.h"
 #include "stats/resilience_recorder.h"
 #include "workload/generator.h"
@@ -33,10 +32,18 @@ using LinkKey = std::tuple<TorId, PortId, LinkDirection>;
 
 LinkKey key(const ScenarioEvent& e) { return {e.tor, e.port, e.dir}; }
 
-// --- Shim equivalence -----------------------------------------------------
+/// Installs a one-spec uniform burst on `fabric`: the Fig. 10 drill.
+ScenarioTimeline uniform_burst(FabricSim& fabric, double fraction,
+                               Nanos fail_at, Nanos repair_at, Rng& rng) {
+  return FaultScenario()
+      .uniform_burst({fraction, fail_at, repair_at})
+      .install(fabric, rng);
+}
+
+// --- Uniform-burst equivalence --------------------------------------------
 
 // Reference copy of the pre-scenario-engine injector's victim selection:
-// the shim must reproduce this draw-for-draw.
+// a uniform burst must reproduce this draw-for-draw.
 std::vector<LinkKey> legacy_victims(int n, int ports, double fraction,
                                     Rng& rng) {
   std::vector<LinkKey> all;
@@ -57,18 +64,23 @@ std::vector<LinkKey> legacy_victims(int n, int ports, double fraction,
   return all;
 }
 
-TEST(FaultScenarioShim, InjectorMatchesLegacySelectionDrawForDraw) {
+TEST(UniformBurst, MatchesLegacyInjectorSelectionDrawForDraw) {
   for (const std::uint64_t seed : {1ull, 7ull, 99ull, 12345ull}) {
     for (const double fraction : {0.05, 0.2, 0.5}) {
       Rng ref_rng(seed);
       const auto expected = legacy_victims(16, 4, fraction, ref_rng);
       auto fab = make_fabric(cfg16());
       Rng rng(seed);
-      const auto got =
-          inject_random_failures(*fab, fraction, 1'000, 50'000, rng);
+      const ScenarioTimeline tl =
+          uniform_burst(*fab, fraction, 1'000, 50'000, rng);
+      std::vector<LinkKey> got;
+      for (const ScenarioEvent& e : tl.link_events) {
+        if (e.fail) got.push_back(key(e));
+      }
       ASSERT_EQ(got.size(), expected.size());
+      ASSERT_EQ(tl.failure_count(), expected.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(LinkKey(got[i].tor, got[i].port, got[i].dir), expected[i])
+        EXPECT_EQ(got[i], expected[i])
             << "victim " << i << " diverged at seed " << seed;
       }
       // And the Rng must be left in the same state as the legacy code
@@ -78,7 +90,7 @@ TEST(FaultScenarioShim, InjectorMatchesLegacySelectionDrawForDraw) {
   }
 }
 
-TEST(FaultScenarioShim, UniformBurstTimelineSchedulesFailThenRepairPerVictim) {
+TEST(UniformBurst, UniformBurstTimelineSchedulesFailThenRepairPerVictim) {
   auto fab = make_fabric(cfg16());
   Rng rng(3);
   FaultScenario fs;
@@ -96,7 +108,7 @@ TEST(FaultScenarioShim, UniformBurstTimelineSchedulesFailThenRepairPerVictim) {
   EXPECT_EQ(tl.last_transition, 40'000);
 }
 
-TEST(FaultScenarioShim, NeverRepairedBurstMarksTimeline) {
+TEST(UniformBurst, NeverRepairedBurstMarksTimeline) {
   auto fab = make_fabric(cfg16());
   Rng rng(4);
   FaultScenario fs;
@@ -384,11 +396,12 @@ TEST(FaultScenarioHorizon, FailWithoutRepairKeepsCountsStable) {
   runner.add_flows(gen.generate(0, 400'000));
   Rng rng(22);
   const auto victims =
-      inject_random_failures(runner.fabric(), 0.1, 50'000, kNeverNs, rng);
+      uniform_burst(runner.fabric(), 0.1, 50'000, kNeverNs, rng)
+          .failure_count();
   runner.fabric().run_until(1'000'000);
   const int failed = runner.fabric().links().failed_count();
   const int excluded = runner.fabric().excluded_ports();
-  EXPECT_EQ(failed, static_cast<int>(victims.size()));
+  EXPECT_EQ(failed, static_cast<int>(victims));
   EXPECT_GT(excluded, 0) << "standing failures must be detected";
   // Running further epochs (all quiescent) must not skew either count —
   // no double-exclusion, no phantom recovery.
@@ -408,8 +421,7 @@ TEST(FaultScenarioHorizon, RepairAfterSimEndIsInertUntilReached) {
   runner.add_flows(gen.generate(0, horizon));
   Rng rng(24);
   // Repair lands well after the nominal end of the run.
-  inject_random_failures(runner.fabric(), 0.1, 50'000, horizon + 500'000,
-                         rng);
+  uniform_burst(runner.fabric(), 0.1, 50'000, horizon + 500'000, rng);
   runner.fabric().run_until(horizon);
   EXPECT_GT(runner.fabric().links().failed_count(), 0);
   const int excluded_at_end = runner.fabric().excluded_ports();
@@ -490,12 +502,13 @@ TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
                         cfg.host_rate(), 0.7, Rng(31));
   runner.add_flows(gen.generate(0, 2'000'000));
   Rng rng(32);
-  const auto victims = inject_random_failures(runner.fabric(), 0.1, 200'000,
-                                              1'200'000, rng);
+  const auto victims =
+      uniform_burst(runner.fabric(), 0.1, 200'000, 1'200'000, rng)
+          .failure_count();
   runner.fabric().run_until(2'000'000);
   runner.fabric().run_until(2'000'000 + 1'000 * cfg.epoch_length_ns());
-  EXPECT_EQ(rec.failures(), static_cast<std::int64_t>(victims.size()));
-  EXPECT_EQ(rec.repairs(), static_cast<std::int64_t>(victims.size()));
+  EXPECT_EQ(rec.failures(), static_cast<std::int64_t>(victims));
+  EXPECT_EQ(rec.repairs(), static_cast<std::int64_t>(victims));
   EXPECT_GT(rec.exclusions(), 0) << "a 1 ms outage must be detected";
   EXPECT_EQ(rec.exclusions(), rec.inclusions())
       << "every exclusion recovered after repair";
@@ -528,7 +541,7 @@ TEST(ResilienceRecorder, NullRecorderKeepsOutputIdentical) {
                           cfg.host_rate(), 0.6, Rng(41));
     runner.add_flows(gen.generate(0, 500'000));
     Rng rng(42);
-    inject_random_failures(runner.fabric(), 0.15, 50'000, 300'000, rng);
+    uniform_burst(runner.fabric(), 0.15, 50'000, 300'000, rng);
     runner.fabric().run_until(800'000);
     return std::tuple(runner.fabric().fct().completed(),
                       runner.fabric().total_backlog(),
