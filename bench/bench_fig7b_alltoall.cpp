@@ -100,6 +100,7 @@ int main() {
       "oblivious scheme capped far below by relayed traffic. Our sustained "
       "column shows the speedup effect; the full-transmission average "
       "includes the straggler tail. Note our baseline is work-conserving "
-      "and so stronger than the paper's (see EXPERIMENTS.md).\n");
+      "and so stronger than the paper's (see README.md, \"Deviations from "
+      "the paper\").\n");
   return 0;
 }

@@ -6,7 +6,7 @@
 // below the baseline's at all loads (with PQ); its goodput tracks the load
 // and beats the baseline at heavy loads. Note: our baseline spreads
 // work-conservingly, which makes it somewhat stronger on goodput than the
-// paper's — see EXPERIMENTS.md.
+// paper's — see README.md, "Deviations from the paper".
 #include "bench_common.h"
 #include "stats/table.h"
 

@@ -9,54 +9,24 @@
 
 namespace negotiator {
 
-// ---------------------------------------------------------------- FlowTable
+// ---------------------------------------------------------------- FabricSim
 
-int FlowTable::add(const Flow& flow) {
-  NEG_ASSERT(flow.size > 0, "flow must carry data");
-  NEG_ASSERT(flow.src != flow.dst, "self flows not modelled");
-  states_.push_back(State{flow, 0, false});
-  return static_cast<int>(states_.size()) - 1;
-}
-
-const Flow& FlowTable::flow(int index) const {
-  return states_[static_cast<std::size_t>(index)].flow;
-}
-
-bool FlowTable::done(int index) const {
-  return states_[static_cast<std::size_t>(index)].done;
-}
-
-void FlowTable::credit(int index, Bytes bytes, Nanos arrival,
-                       FctRecorder& fct) {
-  State& s = states_[static_cast<std::size_t>(index)];
-  NEG_ASSERT(!s.done, "delivery to a completed flow");
-  s.delivered += bytes;
-  total_delivered_ += bytes;
-  NEG_ASSERT(s.delivered <= s.flow.size, "over-delivery");
-  if (s.delivered == s.flow.size) {
-    s.done = true;
-    fct.record(FctSample{s.flow.id, s.flow.size, s.flow.arrival,
-                         arrival - s.flow.arrival, s.flow.group});
+void FabricSim::add_flows(std::span<const Flow> flows) {
+  const int num_tors = config().num_tors;
+  flow_table_.reserve(flow_table_.size() + flows.size());
+  EventQueue& events = sim_.events();
+  events.reserve_flow_arrivals(flows.size());
+  for (const Flow& f : flows) {
+    NEG_ASSERT(f.arrival >= sim_.now(), "flow arrives in the past");
+    NEG_ASSERT(f.src >= 0 && f.src < num_tors && f.dst >= 0 &&
+                   f.dst < num_tors,
+               "flow endpoints out of range");
+    events.append_flow_arrival(f.arrival, flow_table_.add(f));
   }
-}
-
-void FlowTable::credit_span(const DeliveryRecord* records, std::size_t n,
-                            Nanos arrival, FctRecorder& fct) {
-  completed_scratch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    State& s = states_[static_cast<std::size_t>(records[i].flow)];
-    NEG_ASSERT(!s.done, "delivery to a completed flow");
-    s.delivered += records[i].bytes;
-    total_delivered_ += records[i].bytes;
-    NEG_ASSERT(s.delivered <= s.flow.size, "over-delivery");
-    if (s.delivered == s.flow.size) {
-      s.done = true;
-      completed_scratch_.push_back(
-          FctSample{s.flow.id, s.flow.size, s.flow.arrival,
-                    arrival - s.flow.arrival, s.flow.group});
-    }
-  }
-  fct.record_span(completed_scratch_.data(), completed_scratch_.size());
+  events.commit_flow_arrivals();
+  // Completion-log pages are touched only as flows complete, so room for
+  // every admitted flow costs nothing until used and never reallocates.
+  fct_.reserve(flow_table_.size());
 }
 
 // --------------------------------------------------------- NegotiatorFabric
@@ -235,15 +205,6 @@ void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
       transit_bytes_ -= chunks[k].bytes;  // landed: in-transit -> parked
     }
   }
-}
-
-void NegotiatorFabric::add_flow(const Flow& flow) {
-  NEG_ASSERT(flow.arrival >= sim_.now(), "flow arrives in the past");
-  NEG_ASSERT(flow.src >= 0 && flow.src < config_.num_tors &&
-                 flow.dst >= 0 && flow.dst < config_.num_tors,
-             "flow endpoints out of range");
-  const int index = flow_table_.add(flow);
-  sim_.events().schedule_flow_arrival(flow.arrival, index);
 }
 
 void NegotiatorFabric::schedule_link_event(Nanos when, TorId tor, PortId port,

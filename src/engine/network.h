@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/config.h"
@@ -18,6 +19,7 @@
 #include "core/matching_validator.h"
 #include "core/negotiator_scheduler.h"
 #include "engine/conservation_auditor.h"
+#include "engine/flow_table.h"
 #include "sim/simulation.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
@@ -34,52 +36,25 @@ namespace negotiator {
 
 class ResilienceRecorder;  // stats/resilience_recorder.h
 
-/// Tracks per-flow delivery progress and closes FCT samples.
-class FlowTable {
- public:
-  /// Registers a flow, returning its dense internal index.
-  int add(const Flow& flow);
-  const Flow& flow(int index) const;
-  /// Credits `bytes` arriving at the destination at `arrival`; records the
-  /// FCT sample when the flow completes.
-  void credit(int index, Bytes bytes, Nanos arrival, FctRecorder& fct);
-  /// Credits a slot's coalesced delivery span in record order — identical
-  /// per-record arithmetic to n credit() calls (a flow may appear several
-  /// times in one span), but flows completed by the span land in `fct` as
-  /// one bulk append instead of one round trip per packet.
-  void credit_span(const DeliveryRecord* records, std::size_t n,
-                   Nanos arrival, FctRecorder& fct);
-  std::size_t size() const { return states_.size(); }
-  bool done(int index) const;
-  /// Total bytes credited across every flow (conservation ledger).
-  Bytes total_delivered() const { return total_delivered_; }
-
- private:
-  struct State {
-    Flow flow;
-    Bytes delivered{0};
-    bool done{false};
-  };
-  std::vector<State> states_;
-  std::vector<FctSample> completed_scratch_;  // per-span staging
-  Bytes total_delivered_{0};
-};
-
 class FabricSim {
  public:
   virtual ~FabricSim() = default;
 
-  /// Registers a flow arriving at `flow.arrival` (>= now).
-  virtual void add_flow(const Flow& flow) = 0;
-  void add_flows(const std::vector<Flow>& flows) {
-    for (const Flow& f : flows) add_flow(f);
-  }
+  /// The single admission path for both fabrics. Checks every flow, adds
+  /// them to the FlowTable in input order (so a flow's table index is its
+  /// input position past the flows admitted before), then hands their
+  /// arrivals to the event queue as one batch sorted stably by arrival
+  /// time. Arrivals fire in (time, admission order), exactly as if each
+  /// flow had been admitted alone. Every `arrival` must be >= now().
+  void add_flows(std::span<const Flow> flows);
+  /// A batch of one.
+  void add_flow(const Flow& flow) { add_flows({&flow, 1}); }
 
   /// Advances simulated time to `t` (whole epochs/slots are processed).
   virtual void run_until(Nanos t) = 0;
-  virtual Nanos now() const = 0;
+  Nanos now() const { return sim_.now(); }
 
-  virtual FctRecorder& fct() = 0;
+  FctRecorder& fct() { return fct_; }
   virtual GoodputMeter& goodput() = 0;
   virtual LinkState& links() = 0;
   virtual const NetworkConfig& config() const = 0;
@@ -90,13 +65,13 @@ class FabricSim {
   /// Logical (per-chunk) events executed by the simulation clock so far
   /// (perf accounting for bench_perf_engine; representation-independent,
   /// so it survives event-batching refactors).
-  virtual std::uint64_t events_executed() const = 0;
+  std::uint64_t events_executed() const { return sim_.events().executed(); }
 
   /// Physical queue pops behind events_executed(): one batched chunk
   /// train counts once here but per chunk above, so executed/dispatched
   /// is the data plane's mean batching factor.
-  virtual std::uint64_t events_dispatched() const {
-    return events_executed();
+  std::uint64_t events_dispatched() const {
+    return sim_.events().dispatched();
   }
 
   /// Final-destination packet deliveries that rode a coalesced per-slot
@@ -150,6 +125,10 @@ class FabricSim {
   ResilienceRecorder* resilience() const { return resilience_; }
 
  protected:
+  Simulation sim_;
+  /// The only per-flow store; fct_ logs completions against it.
+  FlowTable flow_table_;
+  FctRecorder fct_{flow_table_};
   ResilienceRecorder* resilience_{nullptr};
 };
 
@@ -162,20 +141,11 @@ class NegotiatorFabric final : public FabricSim,
   explicit NegotiatorFabric(const NetworkConfig& config,
                             Nanos stats_window_ns = 0);
 
-  void add_flow(const Flow& flow) override;
   void run_until(Nanos t) override;
-  Nanos now() const override { return sim_.now(); }
-  FctRecorder& fct() override { return fct_; }
   GoodputMeter& goodput() override { return goodput_; }
   LinkState& links() override { return links_; }
   const NetworkConfig& config() const override { return config_; }
   Bytes total_backlog() const override;
-  std::uint64_t events_executed() const override {
-    return sim_.events().executed();
-  }
-  std::uint64_t events_dispatched() const override {
-    return sim_.events().dispatched();
-  }
   std::vector<double> match_ratio_series() const override {
     return ratio_series_;
   }
@@ -307,12 +277,9 @@ class NegotiatorFabric final : public FabricSim,
   std::unique_ptr<FlatTopology> topo_;
   PredefinedSchedule schedule_;
   EpochTiming timing_;
-  Simulation sim_;
   std::vector<TorSwitch> tors_;
   std::vector<RelayQueueSet> relay_;  // selective-relay variant only
   bool relay_enabled_;
-  FlowTable flow_table_;
-  FctRecorder fct_;
   GoodputMeter goodput_;
   LinkState links_;
   FaultPlane faults_;

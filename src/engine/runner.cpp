@@ -31,24 +31,28 @@ RunResult Runner::run(Nanos duration, Nanos measure_from) {
 Nanos Runner::finish_time_of_group(int group, std::size_t count,
                                    Nanos deadline) {
   const Nanos step = config().epoch_length_ns();
-  Nanos t = fabric_->now();
-  auto group_done = [&]() -> std::size_t {
-    std::size_t done = 0;
-    for (const FctSample& s : fabric_->fct().samples()) {
-      if (s.group == group) ++done;
+  // The completion log is append-only: a cursor visits each completion
+  // once, however many epochs the wait takes.
+  const FctRecorder::Samples samples = fabric_->fct().samples();
+  std::size_t cursor = 0;
+  std::size_t done = 0;
+  Nanos finish = 0;
+  auto scan = [&] {
+    for (; cursor < samples.size(); ++cursor) {
+      const FctSample s = samples[cursor];
+      if (s.group != group) continue;
+      ++done;
+      finish = std::max(finish, s.arrival + s.fct);
     }
-    return done;
   };
-  while (t < deadline && group_done() < count) {
+  scan();
+  Nanos t = fabric_->now();
+  while (t < deadline && done < count) {
     t += step;
     fabric_->run_until(t);
+    scan();
   }
-  if (group_done() < count) return kNeverNs;
-  Nanos finish = 0;
-  for (const FctSample& s : fabric_->fct().samples()) {
-    if (s.group == group) finish = std::max(finish, s.arrival + s.fct);
-  }
-  return finish;
+  return done < count ? kNeverNs : finish;
 }
 
 NetworkConfig with_reconfiguration_delay(NetworkConfig config,

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "common/config.h"
 #include "engine/network.h"
@@ -28,9 +28,7 @@ class Runner {
   FabricSim& fabric() { return *fabric_; }
   const NetworkConfig& config() const { return fabric_->config(); }
 
-  void add_flows(const std::vector<Flow>& flows) {
-    fabric_->add_flows(flows);
-  }
+  void add_flows(std::span<const Flow> flows) { fabric_->add_flows(flows); }
 
   /// Runs until `duration`; metrics cover [measure_from, duration).
   RunResult run(Nanos duration, Nanos measure_from = 0);

@@ -74,12 +74,6 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
   }
 }
 
-void ObliviousFabric::add_flow(const Flow& flow) {
-  NEG_ASSERT(flow.arrival >= sim_.now(), "flow arrives in the past");
-  const int index = flow_table_.add(flow);
-  sim_.events().schedule_flow_arrival(flow.arrival, index);
-}
-
 void ObliviousFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   const Flow& f = flow_table_.flow(e.flow_index);
   Flow queued = f;

@@ -33,20 +33,11 @@ class ObliviousFabric final : public FabricSim, private EventSink {
   explicit ObliviousFabric(const NetworkConfig& config,
                            Nanos stats_window_ns = 0);
 
-  void add_flow(const Flow& flow) override;
   void run_until(Nanos t) override;
-  Nanos now() const override { return sim_.now(); }
-  FctRecorder& fct() override { return fct_; }
   GoodputMeter& goodput() override { return goodput_; }
   LinkState& links() override { return links_; }
   const NetworkConfig& config() const override { return config_; }
   Bytes total_backlog() const override;
-  std::uint64_t events_executed() const override {
-    return sim_.events().executed();
-  }
-  std::uint64_t events_dispatched() const override {
-    return sim_.events().dispatched();
-  }
   std::uint64_t deliveries() const override { return deliveries_; }
   std::uint64_t delivery_dispatches() const override {
     return delivery_dispatches_;
@@ -131,11 +122,8 @@ class ObliviousFabric final : public FabricSim, private EventSink {
   NetworkConfig config_;
   std::unique_ptr<FlatTopology> topo_;
   RotorSchedule rotor_;
-  Simulation sim_;
   std::vector<TorSwitch> tors_;
   std::vector<RelayQueueSet> relay_;
-  FlowTable flow_table_;
-  FctRecorder fct_;
   GoodputMeter goodput_;
   LinkState links_;
   std::int64_t next_slot_{0};

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "common/reserve.h"
 
 namespace negotiator {
 
@@ -151,15 +152,46 @@ void EventQueue::push_calendar_or_heap(Nanos when, Kind kind,
   }
 }
 
-void EventQueue::schedule_flow_arrival(Nanos when, std::int32_t flow_index) {
+void EventQueue::reserve_flow_arrivals(std::size_t n) {
+  arrivals_.recycle();
+  reserve_total(arrivals_.items, arrivals_.items.size() + n);
+}
+
+void EventQueue::append_flow_arrival(Nanos when, std::int32_t flow_index) {
   NEG_ASSERT(when >= 0, "event time must be non-negative");
-  Payload payload;
-  payload.flow = FlowArrivalEvent{flow_index};
-  if (arrivals_.accepts(when)) {
-    arrivals_.append(when, next_seq_++, Kind::kFlowArrival, payload);
-  } else {
-    push_heap_item(Item{when, next_seq_++, Kind::kFlowArrival, payload});
+  arrivals_.recycle();
+  arrivals_.items.push_back(Arrival{when, next_seq_++, flow_index});
+}
+
+void EventQueue::commit_flow_arrivals() { arrivals_.commit(); }
+
+void EventQueue::Stream::commit() {
+  // Seqs rise in append order, so ordering by time alone with stable
+  // algorithms keeps every tie in seq order: the result is sorted by
+  // (when, seq), exactly the order single pushes would pop in.
+  const auto earlier = [](const Arrival& a, const Arrival& b) {
+    return a.when < b.when;
+  };
+  const auto first = items.begin() + static_cast<std::ptrdiff_t>(head);
+  auto merged = items.begin() + static_cast<std::ptrdiff_t>(sorted_end);
+  // A few sorted runs (a concatenated trace, a later add_flows call) merge
+  // into the pending arrivals one run at a time, each merge buffering only
+  // the smaller side; a batch of many runs is stably sorted first. An
+  // already-sorted batch appended after the pending tail moves nothing.
+  std::size_t runs = 0;
+  for (auto it = merged; it != items.end() && runs <= kMaxMergedRuns;
+       it = std::is_sorted_until(it, items.end(), earlier)) {
+    ++runs;
   }
+  if (runs > kMaxMergedRuns) std::stable_sort(merged, items.end(), earlier);
+  while (merged != items.end()) {
+    const auto run_end = std::is_sorted_until(merged, items.end(), earlier);
+    if (merged != first && earlier(*merged, merged[-1])) {
+      std::inplace_merge(first, merged, run_end, earlier);
+    }
+    merged = run_end;
+  }
+  sorted_end = items.size();
 }
 
 void EventQueue::schedule_link_toggle(Nanos when, const LinkToggleEvent& ev) {
@@ -224,10 +256,6 @@ Nanos EventQueue::next_time() const {
 void EventQueue::dispatch(const Item& item) {
   NEG_ASSERT(sink_ != nullptr, "event without a sink");
   switch (item.kind) {
-    case Kind::kFlowArrival:
-      ++executed_;
-      sink_->on_flow_arrival(item.payload.flow, item.when);
-      break;
     case Kind::kLinkToggle:
       ++executed_;
       sink_->on_link_toggle(item.payload.link, item.when);
@@ -294,7 +322,7 @@ int EventQueue::earliest_tier(Nanos& when_out) {
     tier = 0;
   }
   if (!arrivals_.drained()) {
-    const Item& it = arrivals_.front();
+    const Arrival& it = arrivals_.front();
     if (tier < 0 || it.when < best_when ||
         (it.when == best_when && it.seq < best_seq)) {
       best_when = it.when;
@@ -317,16 +345,18 @@ int EventQueue::earliest_tier(Nanos& when_out) {
 
 void EventQueue::run_tier(int tier) {
   ++dispatched_;
-  // Copy the item out before dispatch: the sink may schedule new events,
+  // Copy the entry out before dispatch: the sink may schedule new events,
   // which can recycle the tier's storage.
-  const Item item = tier == 1   ? arrivals_.front()
-                    : tier == 2 ? calendar_.front()
-                                : pop_heap_item();
   if (tier == 1) {
+    const Arrival a = arrivals_.front();
     ++arrivals_.head;
-  } else if (tier == 2) {
-    calendar_.pop_front();
+    ++executed_;
+    NEG_ASSERT(sink_ != nullptr, "event without a sink");
+    sink_->on_flow_arrival(FlowArrivalEvent{a.flow_index}, a.when);
+    return;
   }
+  const Item item = tier == 2 ? calendar_.front() : pop_heap_item();
+  if (tier == 2) calendar_.pop_front();
   dispatch(item);
 }
 

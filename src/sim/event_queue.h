@@ -5,17 +5,19 @@
 // via a monotonically increasing sequence number shared by every schedule_*
 // entry point), which keeps runs reproducible regardless of heap internals.
 //
-// Every event is one plain tagged-union record (Item) dispatched to an
-// EventSink — no std::function, no per-event heap allocation. Three
-// storage tiers hold the records; pops merge the tier heads by
-// (timestamp, seq), so observable order is always identical to a single
-// binary heap:
+// Every event is a plain record dispatched to an EventSink — no
+// std::function, no per-event heap allocation. Three storage tiers hold
+// the records; pops merge the tier heads by (timestamp, seq), so
+// observable order is always identical to a single binary heap:
 //
-//  - Stream: flow arrivals are almost always scheduled in non-decreasing
-//    time order (workload generators emit sorted traces) and take an
-//    append-only pre-sorted stream consumed by a cursor.
-//  - Heap: link toggles, plus any event another tier cannot take (an
-//    out-of-order arrival, a train or timer beyond the calendar horizon).
+//  - Stream: every flow arrival, as a compact (when, seq, flow) entry in
+//    one sorted array consumed by a cursor. Arrivals are admitted in
+//    batches, each merged into the pending arrivals stably by time (an
+//    already-sorted batch behind the tail moves nothing), so a
+//    concatenated or multi-call trace stays out of the heap.
+//  - Heap: link toggles, plus any train or timer beyond the calendar
+//    horizon. Heap and calendar entries share one tagged-union record
+//    (Item).
 //  - Calendar: relay chunk trains and ARQ retransmission timers land in a
 //    ring of fixed-width time buckets covering a bounded horizon ahead of
 //    the queue's cursor. The common push is an append into a recycled
@@ -91,9 +93,24 @@ class EventQueue {
   /// fires.
   void set_sink(EventSink* sink) { sink_ = sink; }
 
-  /// Allocation-free scheduling. Flow arrivals in non-decreasing time
-  /// order take the pre-sorted stream; link toggles take the heap.
-  void schedule_flow_arrival(Nanos when, std::int32_t flow_index);
+  /// Batch admission of flow arrivals, mirroring the train assembly
+  /// below: append_flow_arrival() stages arrivals in schedule order (each
+  /// takes the next seq) and commit_flow_arrivals() files everything
+  /// appended since the last commit — sorted stably by time, then merged
+  /// into the pending arrivals. Staged arrivals are invisible until the
+  /// commit. Pops stay in (when, seq) order, exactly as if each arrival
+  /// had been scheduled on its own.
+  void append_flow_arrival(Nanos when, std::int32_t flow_index);
+  void commit_flow_arrivals();
+  /// Makes room for `n` more arrivals ahead of a batch (see
+  /// reserve_total).
+  void reserve_flow_arrivals(std::size_t n);
+  /// One arrival: a batch of one.
+  void schedule_flow_arrival(Nanos when, std::int32_t flow_index) {
+    append_flow_arrival(when, flow_index);
+    commit_flow_arrivals();
+  }
+  /// Link toggles take the heap.
   void schedule_link_toggle(Nanos when, const LinkToggleEvent& e);
   /// ARQ retransmission timers ride the calendar tier like trains; a
   /// timer beyond the horizon (backoff pushes deadlines far out) falls
@@ -152,6 +169,10 @@ class EventQueue {
   /// is the mean batching factor.
   std::uint64_t dispatched() const { return dispatched_; }
 
+  /// Entries in the heap tier (exposed for the admission tests: flow
+  /// arrivals never land there).
+  std::size_t heap_size() const { return heap_.size(); }
+
   /// Calendar-tier geometry (exposed for the property tests): entries more
   /// than `kCalendarBucketNs * kCalendarBuckets` ns ahead of the calendar
   /// cursor fall back to the heap.
@@ -160,21 +181,19 @@ class EventQueue {
 
  private:
   enum class Kind : std::uint8_t {
-    kFlowArrival,
     kLinkToggle,
     kRelayTrain,
     kTransportTimer,
   };
 
   union Payload {
-    FlowArrivalEvent flow;
     LinkToggleEvent link;
     RelayTrainEvent train;
     TransportTimerEvent timer;
-    Payload() : flow{0} {}
+    Payload() : timer{0} {}
   };
 
-  /// The one event record every tier stores.
+  /// The event record of the heap and calendar tiers.
   struct Item {
     Nanos when;
     std::uint64_t seq;
@@ -189,30 +208,38 @@ class EventQueue {
     }
   };
 
-  /// The append-only pre-sorted tier: POD entries, cursor consumption.
-  struct Stream {
-    std::vector<Item> items;
-    std::size_t head{0};
+  /// One pending flow arrival in the stream tier.
+  struct Arrival {
+    Nanos when;
+    std::uint64_t seq;
+    std::int32_t flow_index;
+  };
 
-    bool drained() const { return head == items.size(); }
-    std::size_t pending() const { return items.size() - head; }
-    const Item& front() const { return items[head]; }
-    /// True when `when` keeps the tier sorted if appended (a drained tier
-    /// recycles its storage, so it accepts anything).
-    bool accepts(Nanos when) const {
-      return drained() || when >= items.back().when;
-    }
-    void append(Nanos when, std::uint64_t seq, Kind kind,
-                const Payload& payload) {
-      if (drained()) {  // fully consumed: recycle the storage
-        items.clear();
-        head = 0;
-      }
-      items.push_back(Item{when, seq, kind, payload});
+  /// The flow-arrival tier: one array sorted by (when, seq) over
+  /// [head, sorted_end), consumed through the head cursor; entries past
+  /// sorted_end are staged by append_flow_arrival and not yet committed.
+  struct Stream {
+    std::vector<Arrival> items;
+    std::size_t head{0};
+    std::size_t sorted_end{0};
+
+    bool drained() const { return head == sorted_end; }
+    std::size_t pending() const { return sorted_end - head; }
+    const Arrival& front() const { return items[head]; }
+    /// Merges the staged entries into the pending ones, stably by time.
+    void commit();
+    /// Staged batches with more sorted runs than this are sorted before
+    /// merging.
+    static constexpr std::size_t kMaxMergedRuns = 8;
+    /// Fully consumed with nothing staged: reuse the storage from the
+    /// start.
+    void recycle() {
+      if (head == items.size()) clear();
     }
     void clear() {
       items.clear();
       head = 0;
+      sorted_end = 0;
     }
   };
 
@@ -282,7 +309,7 @@ class EventQueue {
   void run_tier(int tier);
 
   std::vector<Item> heap_;  // binary heap ordered by heap_later
-  Stream arrivals_;         // flow arrivals (pre-sorted workload traces)
+  Stream arrivals_;         // flow arrivals, sorted at admission
   Calendar calendar_;       // relay trains and transport timers (ring)
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
@@ -306,6 +333,10 @@ class EventQueue {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> arena_deferred_;
   std::vector<RelayTrainChunk> train_scratch_;  // dispatch-time span copy
   EventSink* sink_{nullptr};
+
+ public:
+  /// Bytes stored per pending flow arrival (pinned by the footprint test).
+  static constexpr std::size_t kBytesPerArrival = sizeof(Arrival);
 };
 
 }  // namespace negotiator

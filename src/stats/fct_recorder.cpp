@@ -2,40 +2,48 @@
 
 #include <algorithm>
 
+#include "common/reserve.h"
+#include "engine/flow_table.h"
 #include "stats/percentile.h"
 
 namespace negotiator {
 
-void FctRecorder::record(const FctSample& sample) {
-  samples_.push_back(sample);
+void FctRecorder::reserve(std::size_t total) { reserve_total(log_, total); }
+
+FctSample FctRecorder::sample(std::size_t i) const {
+  const Completion& c = log_[i];
+  const Flow& f = table_->flow(c.flow);
+  return FctSample{f.id, f.size, f.arrival, c.fct, f.group};
 }
 
-std::vector<double> FctRecorder::mice_fcts(int group) const {
+std::vector<double> FctRecorder::measured_fcts(bool mice_only,
+                                               int group) const {
   std::vector<double> out;
-  for (const FctSample& s : samples_) {
-    if (s.arrival < measure_from_) continue;
-    if (s.size >= kMiceFlowBytes) continue;
-    if (group >= 0 && s.group != group) continue;
-    out.push_back(static_cast<double>(s.fct));
+  for (const Completion& c : log_) {
+    const Flow& f = table_->flow(c.flow);
+    if (f.arrival < measure_from_) continue;
+    if (mice_only && f.size >= kMiceFlowBytes) continue;
+    if (group >= 0 && f.group != group) continue;
+    out.push_back(static_cast<double>(c.fct));
   }
   return out;
 }
 
+std::vector<double> FctRecorder::mice_fcts(int group) const {
+  return measured_fcts(/*mice_only=*/true, group);
+}
+
 FctSummary FctRecorder::summarize(bool mice_only, int group) const {
-  std::vector<double> fcts;
-  for (const FctSample& s : samples_) {
-    if (s.arrival < measure_from_) continue;
-    if (mice_only && s.size >= kMiceFlowBytes) continue;
-    if (group >= 0 && s.group != group) continue;
-    fcts.push_back(static_cast<double>(s.fct));
-  }
+  std::vector<double> fcts = measured_fcts(mice_only, group);
   FctSummary out;
   out.count = fcts.size();
   if (fcts.empty()) return out;
+  // Mean and max read the buffer in completion order; the percentiles
+  // then select in place, reordering it.
   out.mean_ns = mean(fcts);
-  out.p50_ns = percentile(fcts, 50.0);
-  out.p99_ns = percentile(fcts, 99.0);
   out.max_ns = *std::max_element(fcts.begin(), fcts.end());
+  out.p50_ns = select_percentile(fcts, 50.0);
+  out.p99_ns = select_percentile(fcts, 99.0);
   return out;
 }
 

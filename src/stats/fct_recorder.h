@@ -1,12 +1,16 @@
 // Flow-completion-time bookkeeping, ToR-to-ToR (§4.1).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
 #include "workload/flow.h"
 
 namespace negotiator {
+
+class FlowTable;  // engine/flow_table.h
 
 struct FctSample {
   FlowId flow;
@@ -24,22 +28,29 @@ struct FctSummary {
   double max_ns{0.0};
 };
 
+/// An append-only completion log over a FlowTable: each completion stores
+/// only the flow's table index and its FCT; id, size, arrival and group are
+/// read back through the table.
 class FctRecorder {
  public:
-  void record(const FctSample& sample);
+  /// `table` holds the flows whose completions are logged here; it must
+  /// outlive the recorder.
+  explicit FctRecorder(const FlowTable& table) : table_(&table) {}
 
-  /// Bulk completion path: appends `n` samples in order, exactly as `n`
-  /// record() calls would, with a single reservation. FlowTable::credit_span
-  /// lands a slot's completed flows here in one call.
-  void record_span(const FctSample* samples, std::size_t n) {
-    samples_.insert(samples_.end(), samples, samples + n);
+  /// Logs the completion of table flow `index` after `fct` ns.
+  void record(std::int32_t index, Nanos fct) {
+    log_.push_back(Completion{fct, index});
   }
+  /// Makes room for `total` completions (see reserve_total). Log pages are
+  /// only touched as completions land, so reserving for every admitted
+  /// flow costs no resident memory up front.
+  void reserve(std::size_t total);
 
   /// Only flows with arrival >= `measure_from` are included in summaries;
   /// earlier flows count as warm-up.
   void set_measure_from(Nanos t) { measure_from_ = t; }
 
-  std::size_t completed() const { return samples_.size(); }
+  std::size_t completed() const { return log_.size(); }
 
   /// Summary over mice flows (< kMiceFlowBytes), optionally one group only
   /// (group < 0 means all groups).
@@ -50,13 +61,58 @@ class FctRecorder {
   /// Raw mice FCTs in ns, for CDFs.
   std::vector<double> mice_fcts(int group = -1) const;
 
-  const std::vector<FctSample>& samples() const { return samples_; }
+  /// The completions in completion order, as FctSample values assembled
+  /// from the log and the table. A live view: it sees later completions.
+  class Samples {
+   public:
+    class iterator {
+     public:
+      FctSample operator*() const { return rec_->sample(i_); }
+      iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator==(const iterator&) const = default;
+
+     private:
+      friend class Samples;
+      iterator(const FctRecorder* rec, std::size_t i) : rec_(rec), i_(i) {}
+      const FctRecorder* rec_;
+      std::size_t i_;
+    };
+
+    std::size_t size() const { return rec_->log_.size(); }
+    bool empty() const { return rec_->log_.empty(); }
+    FctSample operator[](std::size_t i) const { return rec_->sample(i); }
+    iterator begin() const { return iterator(rec_, 0); }
+    iterator end() const { return iterator(rec_, size()); }
+
+   private:
+    friend class FctRecorder;
+    explicit Samples(const FctRecorder* rec) : rec_(rec) {}
+    const FctRecorder* rec_;
+  };
+  Samples samples() const { return Samples(this); }
 
  private:
+  struct Completion {
+    Nanos fct;
+    std::int32_t flow;  // FlowTable index
+  };
+
+  FctSample sample(std::size_t i) const;
+  /// FCTs (ns) of the measured completions passing the filters, in
+  /// completion order.
+  std::vector<double> measured_fcts(bool mice_only, int group) const;
   FctSummary summarize(bool mice_only, int group) const;
 
-  std::vector<FctSample> samples_;
+  const FlowTable* table_;
+  std::vector<Completion> log_;
   Nanos measure_from_{0};
+
+ public:
+  /// Bytes logged per completion (pinned by the footprint test).
+  static constexpr std::size_t kBytesPerCompletion = sizeof(Completion);
 };
 
 }  // namespace negotiator

@@ -8,6 +8,10 @@
 namespace negotiator {
 
 double percentile(std::vector<double> values, double p) {
+  return select_percentile(values, p);
+}
+
+double select_percentile(std::vector<double>& values, double p) {
   NEG_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
   if (values.empty()) return 0.0;
   const auto n = values.size();

@@ -1,5 +1,11 @@
 // End-to-end integration tests of the NegotiaToR fabric on small networks.
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <array>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "engine/runner.h"
 #include "workload/all_to_all.h"
@@ -198,14 +204,107 @@ TEST(Engine, RejectsFlowsArrivingInThePast) {
   EXPECT_DEATH(fab->add_flow(one_flow(0, 1, 100, 50)), "past");
 }
 
+/// Every completion a run reports, plus its event count: two runs with
+/// equal outcomes behaved identically.
+struct Outcome {
+  std::vector<std::array<std::int64_t, 5>> samples;
+  std::uint64_t events;
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome outcome(FabricSim& fab) {
+  Outcome out{{}, fab.events_executed()};
+  for (const FctSample& s : fab.fct().samples()) {
+    out.samples.push_back({s.flow, s.size, s.arrival, s.fct, s.group});
+  }
+  return out;
+}
+
+TEST(Admission, BatchingNeverChangesTheRun) {
+  // Property: a trace of k sorted runs (each its own generator trace over
+  // the same window, arrivals rounded to 1 us so equal-time ties are
+  // common) runs identically on both fabrics whether it is admitted in one
+  // add_flows call, one call per run, or flow by flow.
+  const auto sizes = SizeDistribution::google();
+  for (const SchedulerKind kind :
+       {SchedulerKind::kNegotiator, SchedulerKind::kOblivious}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      NetworkConfig cfg = small(TopologyKind::kThinClos);
+      cfg.scheduler = kind;
+      Rng rng(seed);
+      const int k = 2 + static_cast<int>(rng.next_below(4));
+      std::vector<Flow> trace;
+      std::vector<std::size_t> cuts{0};
+      for (int r = 0; r < k; ++r) {
+        WorkloadGenerator gen(sizes, cfg.num_tors, cfg.host_rate(), 0.2,
+                              rng.fork());
+        for (Flow f : gen.generate(0, 100'000,
+                                   static_cast<FlowId>(trace.size()), r)) {
+          f.arrival = f.arrival / 1'000 * 1'000;
+          trace.push_back(f);
+        }
+        cuts.push_back(trace.size());
+      }
+      ASSERT_GT(trace.size(), 20u);
+      const std::span<const Flow> all(trace);
+      auto run = [&](int mode) {
+        auto fab = make_fabric(cfg);
+        if (mode == 0) {
+          fab->add_flows(all);
+        } else if (mode == 1) {
+          for (int r = 0; r < k; ++r) {
+            fab->add_flows(all.subspan(cuts[r], cuts[r + 1] - cuts[r]));
+          }
+        } else {
+          for (const Flow& f : all) fab->add_flow(f);
+        }
+        fab->run_until(3'000'000);
+        EXPECT_EQ(fab->fct().completed(), trace.size());
+        return outcome(*fab);
+      };
+      const Outcome one_call = run(0);
+      EXPECT_EQ(one_call, run(1)) << "seed " << seed;
+      EXPECT_EQ(one_call, run(2)) << "seed " << seed;
+    }
+  }
+}
+
+TEST(Admission, PerFlowFootprintIsPinned) {
+  // Each admitted flow is stored once in the FlowTable and once as a
+  // pending arrival, and the completion log is reserved for it at
+  // admission; nothing else per flow. A re-added per-flow copy breaks
+  // either the record sizes or the measured allocation below.
+  static_assert(FlowTable::kBytesPerFlow <= 48);
+  static_assert(EventQueue::kBytesPerArrival <= 24);
+  static_assert(FctRecorder::kBytesPerCompletion <= 16);
+  constexpr std::size_t kPerFlow = FlowTable::kBytesPerFlow +
+                                   EventQueue::kBytesPerArrival +
+                                   FctRecorder::kBytesPerCompletion;
+  NetworkConfig cfg = small(TopologyKind::kParallel);
+  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                        cfg.host_rate(), 0.5, Rng(3));
+  const std::vector<Flow> flows = gen.generate(0, 2'000'000);
+  ASSERT_GT(flows.size(), 2'000u);
+  auto fab = make_fabric(cfg);
+  auto allocated = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const std::size_t before = allocated();
+  fab->add_flows(flows);
+  const std::size_t grown = allocated() - before;
+  if (grown == 0) GTEST_SKIP() << "allocator does not report to mallinfo2";
+  EXPECT_LE(grown, flows.size() * kPerFlow + 64 * 1024);
+}
+
 TEST(FlowTable, CreditSpanMatchesSequentialCredits) {
   // A slot's coalesced delivery span must advance the table and land
   // completion samples exactly as per-record credit() calls do — including
   // a flow appearing several times in one span and completing mid-span.
   FlowTable bulk;
   FlowTable seq;
-  FctRecorder bulk_fct;
-  FctRecorder seq_fct;
+  FctRecorder bulk_fct(bulk);
+  FctRecorder seq_fct(seq);
   std::vector<int> idx;
   for (int i = 0; i < 4; ++i) {
     const Flow f = one_flow(0, 1 + i % 3, 1'000 * (i + 1), 10 * i, i, i % 2);

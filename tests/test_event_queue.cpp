@@ -183,22 +183,132 @@ TEST(EventQueue, EveryTierSharesTheFifoTieBreak) {
   EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{100, 101, 102, 103, 104}));
 }
 
-TEST(EventQueue, OutOfOrderArrivalsFallBackWithoutReordering) {
+TEST(EventQueue, OutOfOrderArrivalsMergeWithoutReordering) {
   // An arrival scheduled before the stream tail must still fire in global
   // (time, schedule-order) position.
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
   q.schedule_flow_arrival(50, 1);
-  q.schedule_flow_arrival(10, 2);  // out of order -> heap fallback
+  q.schedule_flow_arrival(10, 2);  // out of order -> merged ahead of #1
   q.schedule_flow_arrival(50, 3);
   q.schedule_flow_arrival(10, 4);  // also out of order, ties with #2
+  EXPECT_EQ(q.heap_size(), 0u);
   q.run_until(100);
   ASSERT_EQ(sink.fired.size(), 4u);
   EXPECT_EQ(sink.fired[0].tag, 2);
   EXPECT_EQ(sink.fired[1].tag, 4);
   EXPECT_EQ(sink.fired[2].tag, 1);
   EXPECT_EQ(sink.fired[3].tag, 3);
+}
+
+/// Fires everything in `q` and returns the arrivals as (when, index).
+std::vector<std::pair<Nanos, std::int64_t>> drain_arrivals(EventQueue& q) {
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.run_until(kNeverNs - 1);
+  std::vector<std::pair<Nanos, std::int64_t>> out;
+  for (const auto& f : sink.fired) out.emplace_back(f.when, f.tag);
+  return out;
+}
+
+TEST(EventQueue, BatchedArrivalsFireInTimeThenInputOrder) {
+  // Property: a random trace made of k sorted runs (the shape of a
+  // concatenated workload) fires in (time, input index) order — equal-time
+  // ties in input order — whether it is committed as one batch, as one
+  // batch per run, or one arrival at a time. k spans both sides of
+  // kMaxMergedRuns (run-by-run merging vs sort-then-merge), and no arrival
+  // ever lands in the heap.
+  Rng rng(0xad417);
+  for (int round = 0; round < 60; ++round) {
+    const auto n = static_cast<std::size_t>(1 + rng.next_below(400));
+    const auto k = static_cast<std::size_t>(1 + rng.next_below(16));
+    std::vector<Nanos> when(n);
+    std::vector<std::size_t> run_start;
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::size_t b = r * n / k;
+      const std::size_t e = (r + 1) * n / k;
+      if (b == e) continue;
+      run_start.push_back(b);
+      // A narrow time range makes equal-time ties common.
+      for (std::size_t i = b; i < e; ++i) when[i] = rng.next_below(60);
+      std::sort(when.begin() + static_cast<std::ptrdiff_t>(b),
+                when.begin() + static_cast<std::ptrdiff_t>(e));
+    }
+    std::vector<std::pair<Nanos, std::int64_t>> expected;
+    for (std::size_t i = 0; i < n; ++i) {
+      expected.emplace_back(when[i], static_cast<std::int64_t>(i));
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+
+    EventQueue one_batch;
+    EventQueue per_run;
+    EventQueue per_flow;
+    one_batch.reserve_flow_arrivals(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto index = static_cast<std::int32_t>(i);
+      one_batch.append_flow_arrival(when[i], index);
+      per_run.append_flow_arrival(when[i], index);
+      if (i + 1 == n || std::binary_search(run_start.begin(),
+                                           run_start.end(), i + 1)) {
+        per_run.commit_flow_arrivals();
+      }
+      per_flow.schedule_flow_arrival(when[i], index);
+    }
+    one_batch.commit_flow_arrivals();
+    for (EventQueue* q : {&one_batch, &per_run, &per_flow}) {
+      EXPECT_EQ(q->heap_size(), 0u) << "round " << round;
+      EXPECT_EQ(q->size(), n) << "round " << round;
+      EXPECT_EQ(drain_arrivals(*q), expected) << "round " << round;
+    }
+  }
+}
+
+TEST(EventQueue, LateBatchMergesIntoPartlyConsumedArrivals) {
+  // A second admission while the first batch is half consumed (a trace
+  // added mid-run) merges behind the cursor's position: every remaining
+  // arrival still fires in (time, schedule order).
+  Rng rng(77);
+  EventQueue q;
+  RecordingSink sink;
+  q.set_sink(&sink);
+  for (std::int32_t i = 0; i < 200; ++i) {
+    q.append_flow_arrival(static_cast<Nanos>(i / 2), i);  // sorted, ties
+  }
+  q.commit_flow_arrivals();
+  q.run_until(49);
+  ASSERT_EQ(sink.fired.size(), 100u);
+  std::vector<std::pair<Nanos, std::int64_t>> expected;
+  for (std::int32_t i = 100; i < 200; ++i) expected.emplace_back(i / 2, i);
+  for (std::int32_t i = 200; i < 300; ++i) {
+    const Nanos when = 50 + rng.next_below(60);  // unsorted, ties
+    q.append_flow_arrival(when, i);
+    expected.emplace_back(when, i);
+  }
+  q.commit_flow_arrivals();
+  EXPECT_EQ(q.heap_size(), 0u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  EXPECT_EQ(drain_arrivals(q), expected);
+}
+
+TEST(EventQueue, StagedArrivalsAreInvisibleUntilCommitted) {
+  EventQueue q;
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.append_flow_arrival(5, 1);
+  EXPECT_TRUE(q.empty());
+  q.run_until(10);
+  EXPECT_TRUE(sink.fired.empty());
+  q.commit_flow_arrivals();
+  EXPECT_EQ(q.next_time(), 5);
+  q.run_until(10);
+  EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{1}));
 }
 
 TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {

@@ -65,6 +65,12 @@ TEST(Oblivious, SingleFlowDeliveredViaRelay) {
             2 * fab->config().propagation_delay_ns);
 }
 
+TEST(Oblivious, RejectsOutOfRangeEndpoints) {
+  auto fab = make_fabric(oblivious_config());
+  EXPECT_DEATH(fab->add_flow(one_flow(0, 16, 1'000, 0)), "out of range");
+  EXPECT_DEATH(fab->add_flow(one_flow(-1, 5, 1'000, 0)), "out of range");
+}
+
 TEST(Oblivious, RelayDoublesWireTraffic) {
   // VLB signature: relay receptions roughly match final deliveries (only
   // the lucky 1/N direct coin skips the detour).

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "engine/flow_table.h"
 #include "stats/csv.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
@@ -31,43 +34,109 @@ TEST(Percentile, MeanBasics) {
   EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
 }
 
+/// A FlowTable plus the recorder logging its completions, the way a fabric
+/// holds them.
+struct Completions {
+  FlowTable table;
+  FctRecorder rec{table};
+
+  /// Admits one flow and delivers all of it `fct` ns after its arrival.
+  void complete(FlowId id, Bytes size, Nanos arrival, Nanos fct, int group) {
+    const int i = table.add(Flow{id, 0, 1, size, arrival, group});
+    table.credit(i, size, arrival + fct, rec);
+  }
+};
+
 TEST(FctRecorder, MiceVsAllSeparation) {
-  FctRecorder rec;
-  rec.record({1, 1'000, 0, 5'000, 0});        // mouse
-  rec.record({2, 1'000'000, 0, 900'000, 0});  // elephant
-  EXPECT_EQ(rec.mice_summary().count, 1u);
-  EXPECT_EQ(rec.all_summary().count, 2u);
-  EXPECT_DOUBLE_EQ(rec.mice_summary().mean_ns, 5'000.0);
+  Completions c;
+  c.complete(1, 1'000, 0, 5'000, 0);        // mouse
+  c.complete(2, 1'000'000, 0, 900'000, 0);  // elephant
+  EXPECT_EQ(c.rec.mice_summary().count, 1u);
+  EXPECT_EQ(c.rec.all_summary().count, 2u);
+  EXPECT_DOUBLE_EQ(c.rec.mice_summary().mean_ns, 5'000.0);
 }
 
 TEST(FctRecorder, MeasureFromSkipsWarmup) {
-  FctRecorder rec;
-  rec.record({1, 1'000, 10, 5'000, 0});
-  rec.record({2, 1'000, 200, 7'000, 0});
-  rec.set_measure_from(100);
-  EXPECT_EQ(rec.mice_summary().count, 1u);
-  EXPECT_DOUBLE_EQ(rec.mice_summary().mean_ns, 7'000.0);
+  Completions c;
+  c.complete(1, 1'000, 10, 5'000, 0);
+  c.complete(2, 1'000, 200, 7'000, 0);
+  c.rec.set_measure_from(100);
+  EXPECT_EQ(c.rec.mice_summary().count, 1u);
+  EXPECT_DOUBLE_EQ(c.rec.mice_summary().mean_ns, 7'000.0);
 }
 
 TEST(FctRecorder, GroupFiltering) {
-  FctRecorder rec;
-  rec.record({1, 1'000, 0, 1'000, 0});
-  rec.record({2, 1'000, 0, 2'000, 1});
-  rec.record({3, 1'000, 0, 3'000, 1});
-  EXPECT_EQ(rec.mice_summary(1).count, 2u);
-  EXPECT_DOUBLE_EQ(rec.mice_summary(1).mean_ns, 2'500.0);
-  EXPECT_EQ(rec.mice_fcts(0).size(), 1u);
+  Completions c;
+  c.complete(1, 1'000, 0, 1'000, 0);
+  c.complete(2, 1'000, 0, 2'000, 1);
+  c.complete(3, 1'000, 0, 3'000, 1);
+  EXPECT_EQ(c.rec.mice_summary(1).count, 2u);
+  EXPECT_DOUBLE_EQ(c.rec.mice_summary(1).mean_ns, 2'500.0);
+  EXPECT_EQ(c.rec.mice_fcts(0).size(), 1u);
 }
 
 TEST(FctRecorder, P99TracksTail) {
   // 99 fast flows + 2 slow: nearest-rank p99 of 101 samples is the 100th
   // smallest, i.e. a slow one.
-  FctRecorder rec;
-  for (int i = 0; i < 99; ++i) rec.record({i, 100, 0, 10, 0});
-  rec.record({99, 100, 0, 1'000'000, 0});
-  rec.record({100, 100, 0, 1'000'000, 0});
-  EXPECT_DOUBLE_EQ(rec.mice_summary().p99_ns, 1'000'000.0);
-  EXPECT_DOUBLE_EQ(rec.mice_summary().max_ns, 1'000'000.0);
+  Completions c;
+  for (int i = 0; i < 99; ++i) c.complete(i, 100, 0, 10, 0);
+  c.complete(99, 100, 0, 1'000'000, 0);
+  c.complete(100, 100, 0, 1'000'000, 0);
+  EXPECT_DOUBLE_EQ(c.rec.mice_summary().p99_ns, 1'000'000.0);
+  EXPECT_DOUBLE_EQ(c.rec.mice_summary().max_ns, 1'000'000.0);
+}
+
+TEST(FctRecorder, SamplesViewReadsThroughTheTable) {
+  // Completions land in completion order, not table order; every sample
+  // field but the FCT comes from the table. The view is live.
+  FlowTable table;
+  FctRecorder rec(table);
+  const int a = table.add(Flow{70, 0, 1, 3'000, 100, 2});
+  const int b = table.add(Flow{71, 2, 3, 500, 150, 0});
+  const FctRecorder::Samples view = rec.samples();
+  EXPECT_TRUE(view.empty());
+  table.credit(b, 500, 1'150, rec);
+  table.credit(a, 1'000, 1'200, rec);  // partial: no completion yet
+  table.credit(a, 2'000, 5'100, rec);
+  ASSERT_EQ(view.size(), 2u);
+  const FctSample first = view[0];
+  EXPECT_EQ(first.flow, 71);
+  EXPECT_EQ(first.size, 500);
+  EXPECT_EQ(first.arrival, 150);
+  EXPECT_EQ(first.fct, 1'000);
+  EXPECT_EQ(first.group, 0);
+  const FctSample second = view[1];
+  EXPECT_EQ(second.flow, 70);
+  EXPECT_EQ(second.size, 3'000);
+  EXPECT_EQ(second.fct, 5'000);
+  EXPECT_EQ(second.group, 2);
+  std::size_t i = 0;
+  for (const FctSample& s : view) {
+    EXPECT_EQ(s.flow, view[i].flow);
+    EXPECT_EQ(s.fct, view[i].fct);
+    ++i;
+  }
+  EXPECT_EQ(i, 2u);
+}
+
+TEST(FctRecorder, SummaryMatchesCopyingPercentiles) {
+  // summarize() selects p50/p99 in place on one buffer; the figures must
+  // equal the copy-per-percentile recipe bit for bit.
+  Completions c;
+  std::vector<double> fcts;
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 997; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    const Nanos fct = 1 + static_cast<Nanos>((x >> 33) % 100'000);
+    c.complete(i, 100, 0, fct, 0);
+    fcts.push_back(static_cast<double>(fct));
+  }
+  const FctSummary s = c.rec.all_summary();
+  EXPECT_EQ(s.count, fcts.size());
+  EXPECT_EQ(s.mean_ns, mean(fcts));
+  EXPECT_EQ(s.p50_ns, percentile(fcts, 50.0));
+  EXPECT_EQ(s.p99_ns, percentile(fcts, 99.0));
+  EXPECT_EQ(s.max_ns, *std::max_element(fcts.begin(), fcts.end()));
 }
 
 TEST(GoodputMeter, NormalizedGoodput) {
@@ -172,75 +241,6 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   std::getline(in, line);
   EXPECT_EQ(line, "x,y");
   std::remove(path.c_str());
-}
-
-TEST(FctRecorder, RecordSpanMatchesSequentialRecords) {
-  FctRecorder bulk;
-  FctRecorder seq;
-  std::vector<FctSample> samples;
-  for (int i = 0; i < 25; ++i) {
-    samples.push_back(FctSample{i, 1'000 * (i + 1), i * 10,
-                                500 + 13 * i, i % 3});
-  }
-  bulk.record_span(samples.data(), 10);
-  bulk.record_span(samples.data() + 10, samples.size() - 10);
-  bulk.record_span(samples.data(), 0);  // empty span is a no-op
-  for (const FctSample& s : samples) seq.record(s);
-  ASSERT_EQ(bulk.completed(), seq.completed());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(bulk.samples()[i].flow, seq.samples()[i].flow);
-    EXPECT_EQ(bulk.samples()[i].fct, seq.samples()[i].fct);
-    EXPECT_EQ(bulk.samples()[i].arrival, seq.samples()[i].arrival);
-  }
-  const FctSummary a = bulk.all_summary();
-  const FctSummary b = seq.all_summary();
-  EXPECT_DOUBLE_EQ(a.p99_ns, b.p99_ns);
-  EXPECT_DOUBLE_EQ(a.mean_ns, b.mean_ns);
-}
-
-TEST(GoodputMeter, DeliverySpanMatchesSequentialDeliveries) {
-  // One slot's span: every record shares the arrival time; the span form
-  // must land identical totals and identical per-ToR window series, with
-  // arbitrary interleaving of destinations inside the span.
-  GoodputMeter bulk(4, /*window=*/100);
-  GoodputMeter seq(4, /*window=*/100);
-  bulk.set_measure_interval(50, 10'000);
-  seq.set_measure_interval(50, 10'000);
-  const DeliveryRecord slot_a[] = {
-      {1, 0, 300}, {2, 2, 150}, {3, 0, 75}, {4, 3, 220}, {5, 2, 10}};
-  const DeliveryRecord slot_b[] = {{6, 1, 40}, {7, 1, 60}};
-  bulk.record_delivery_span(slot_a, 5, 120);
-  bulk.record_delivery_span(slot_b, 2, 260);
-  bulk.record_delivery_span(slot_a, 0, 300);  // empty span is a no-op
-  for (const DeliveryRecord& r : slot_a) {
-    seq.record_delivery(r.dst, r.bytes, 120);
-  }
-  for (const DeliveryRecord& r : slot_b) {
-    seq.record_delivery(r.dst, r.bytes, 260);
-  }
-  EXPECT_EQ(bulk.delivered_bytes(), seq.delivered_bytes());
-  for (TorId dst = 0; dst < 4; ++dst) {
-    EXPECT_EQ(bulk.tor_window_series(dst), seq.tor_window_series(dst))
-        << "dst " << dst;
-  }
-}
-
-TEST(GoodputMeter, DeliverySpanRespectsMeasureInterval) {
-  GoodputMeter bulk(2);
-  GoodputMeter seq(2);
-  bulk.set_measure_interval(100, 200);
-  seq.set_measure_interval(100, 200);
-  const DeliveryRecord records[] = {{1, 0, 500}, {2, 1, 700}};
-  bulk.record_delivery_span(records, 2, 99);   // before the interval
-  bulk.record_delivery_span(records, 2, 150);  // inside
-  bulk.record_delivery_span(records, 2, 200);  // at the exclusive end
-  for (const Nanos when : {Nanos{99}, Nanos{150}, Nanos{200}}) {
-    for (const DeliveryRecord& r : records) {
-      seq.record_delivery(r.dst, r.bytes, when);
-    }
-  }
-  EXPECT_EQ(bulk.delivered_bytes(), seq.delivered_bytes());
-  EXPECT_EQ(bulk.delivered_bytes(), 1'200);
 }
 
 }  // namespace
