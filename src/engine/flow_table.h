@@ -1,13 +1,12 @@
-// The fabric's single per-flow store: every admitted flow's attributes and
-// delivery progress, addressed by a dense index in admission order. The
-// FCT recorder logs completions by this index and reads the rest back from
-// here, so a flow's attributes are stored once per fabric.
+// The fabric's single per-flow store, addressed by a dense index in
+// admission order. Each flow's attributes live once, in the FCT recorder
+// the table owns; the table adds the bytes still to deliver and logs the
+// completion when the last byte lands.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "common/reserve.h"
 #include "common/types.h"
 #include "stats/fct_recorder.h"
 #include "workload/flow.h"
@@ -17,42 +16,42 @@ namespace negotiator {
 /// Tracks per-flow delivery progress and closes FCT samples.
 class FlowTable {
  public:
-  /// Makes room for `total` flows, so a batch admission never reallocates
-  /// mid-batch (see reserve_total).
-  void reserve(std::size_t total) { reserve_total(states_, total); }
+  /// Makes room for `total` flows and their completions, so a batch
+  /// admission never reallocates mid-batch (see reserve_total).
+  void reserve(std::size_t total);
   /// Registers a flow, returning its dense internal index.
   int add(const Flow& flow);
-  const Flow& flow(int index) const {
-    return states_[static_cast<std::size_t>(index)].flow;
-  }
+  const Flow& flow(int index) const { return fct_.flow(index); }
   /// Credits `bytes` arriving at the destination at `arrival`; logs the
-  /// completion in `fct` when the flow completes.
-  void credit(int index, Bytes bytes, Nanos arrival, FctRecorder& fct);
+  /// completion when the flow completes.
+  void credit(int index, Bytes bytes, Nanos arrival);
   /// Credits a slot's coalesced delivery span in record order — identical
   /// per-record arithmetic to n credit() calls (a flow may appear several
   /// times in one span).
   void credit_span(const DeliveryRecord* records, std::size_t n,
-                   Nanos arrival, FctRecorder& fct);
-  std::size_t size() const { return states_.size(); }
+                   Nanos arrival);
+  std::size_t size() const { return remaining_.size(); }
   bool done(int index) const {
-    const State& s = states_[static_cast<std::size_t>(index)];
-    return s.delivered == s.flow.size;
+    return remaining_[static_cast<std::size_t>(index)] == 0;
   }
   /// Total bytes credited across every flow (conservation ledger).
   Bytes total_delivered() const { return total_delivered_; }
 
+  /// The completion log over this table's flows.
+  FctRecorder& fct() { return fct_; }
+  const FctRecorder& fct() const { return fct_; }
+
  private:
-  /// A flow is done exactly when every byte is delivered (sizes are > 0).
-  struct State {
-    Flow flow;
-    Bytes delivered{0};
-  };
-  std::vector<State> states_;
+  FctRecorder fct_;
+  /// Bytes each flow still awaits; a flow is done exactly at 0 (sizes
+  /// are > 0).
+  std::vector<Bytes> remaining_;
   Bytes total_delivered_{0};
 
  public:
   /// Bytes stored per admitted flow (pinned by the footprint test).
-  static constexpr std::size_t kBytesPerFlow = sizeof(State);
+  static constexpr std::size_t kBytesPerFlow =
+      FctRecorder::kBytesPerFlow + sizeof(Bytes);
 };
 
 }  // namespace negotiator

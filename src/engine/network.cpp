@@ -24,9 +24,6 @@ void FabricSim::add_flows(std::span<const Flow> flows) {
     events.append_flow_arrival(f.arrival, flow_table_.add(f));
   }
   events.commit_flow_arrivals();
-  // Completion-log pages are touched only as flows complete, so room for
-  // every admitted flow costs nothing until used and never reallocates.
-  fct_.reserve(flow_table_.size());
 }
 
 // --------------------------------------------------------- NegotiatorFabric
@@ -294,7 +291,7 @@ void NegotiatorFabric::flush_deliveries(Nanos arrival) {
     for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
     resilience_->on_degraded_delivery(degraded);
   }
-  flow_table_.credit_span(delivery_build_.data(), n, arrival, fct_);
+  flow_table_.credit_span(delivery_build_.data(), n, arrival);
   goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
   if (host_plane_) {
     // Same per-record order and shared timestamp as the inline calls the

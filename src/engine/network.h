@@ -54,7 +54,7 @@ class FabricSim {
   virtual void run_until(Nanos t) = 0;
   Nanos now() const { return sim_.now(); }
 
-  FctRecorder& fct() { return fct_; }
+  FctRecorder& fct() { return flow_table_.fct(); }
   virtual GoodputMeter& goodput() = 0;
   virtual LinkState& links() = 0;
   virtual const NetworkConfig& config() const = 0;
@@ -126,9 +126,8 @@ class FabricSim {
 
  protected:
   Simulation sim_;
-  /// The only per-flow store; fct_ logs completions against it.
+  /// The only per-flow store, completion log included.
   FlowTable flow_table_;
-  FctRecorder fct_{flow_table_};
   ResilienceRecorder* resilience_{nullptr};
 };
 

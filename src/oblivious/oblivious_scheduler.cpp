@@ -344,7 +344,7 @@ void ObliviousFabric::flush_deliveries(Nanos arrival) {
     for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
     resilience_->on_degraded_delivery(degraded);
   }
-  flow_table_.credit_span(delivery_build_.data(), n, arrival, fct_);
+  flow_table_.credit_span(delivery_build_.data(), n, arrival);
   goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
   deliveries_ += n;
   ++delivery_dispatches_;

@@ -105,11 +105,6 @@ class EventQueue {
   /// Makes room for `n` more arrivals ahead of a batch (see
   /// reserve_total).
   void reserve_flow_arrivals(std::size_t n);
-  /// One arrival: a batch of one.
-  void schedule_flow_arrival(Nanos when, std::int32_t flow_index) {
-    append_flow_arrival(when, flow_index);
-    commit_flow_arrivals();
-  }
   /// Link toggles take the heap.
   void schedule_link_toggle(Nanos when, const LinkToggleEvent& e);
   /// ARQ retransmission timers ride the calendar tier like trains; a
@@ -229,8 +224,11 @@ class EventQueue {
     /// Merges the staged entries into the pending ones, stably by time.
     void commit();
     /// Staged batches with more sorted runs than this are sorted before
-    /// merging.
-    static constexpr std::size_t kMaxMergedRuns = 8;
+    /// merging. Measured crossover (g++ -O2, one Xeon core, runs of
+    /// uniformly random times spanning the same range): merging run by
+    /// run beats one stable_sort up to 32 runs at both 50 k and 600 k
+    /// arrivals (27 vs 38 ms at 600 k) and loses at 64 (53 vs 49 ms).
+    static constexpr std::size_t kMaxMergedRuns = 32;
     /// Fully consumed with nothing staged: reuse the storage from the
     /// start.
     void recycle() {

@@ -3,16 +3,18 @@
 #include <algorithm>
 
 #include "common/reserve.h"
-#include "engine/flow_table.h"
 #include "stats/percentile.h"
 
 namespace negotiator {
 
-void FctRecorder::reserve(std::size_t total) { reserve_total(log_, total); }
+void FctRecorder::reserve(std::size_t total) {
+  reserve_total(flows_, total);
+  reserve_total(log_, total);
+}
 
 FctSample FctRecorder::sample(std::size_t i) const {
   const Completion& c = log_[i];
-  const Flow& f = table_->flow(c.flow);
+  const Flow& f = flow(c.flow);
   return FctSample{f.id, f.size, f.arrival, c.fct, f.group};
 }
 
@@ -20,7 +22,7 @@ std::vector<double> FctRecorder::measured_fcts(bool mice_only,
                                                int group) const {
   std::vector<double> out;
   for (const Completion& c : log_) {
-    const Flow& f = table_->flow(c.flow);
+    const Flow& f = flow(c.flow);
     if (f.arrival < measure_from_) continue;
     if (mice_only && f.size >= kMiceFlowBytes) continue;
     if (group >= 0 && f.group != group) continue;

@@ -10,7 +10,7 @@
 
 namespace negotiator {
 
-class FlowTable;  // engine/flow_table.h
+class FlowTable;  // engine/flow_table.h: the only writer
 
 struct FctSample {
   FlowId flow;
@@ -28,23 +28,17 @@ struct FctSummary {
   double max_ns{0.0};
 };
 
-/// An append-only completion log over a FlowTable: each completion stores
-/// only the flow's table index and its FCT; id, size, arrival and group are
-/// read back through the table.
+/// Every admitted flow's attributes plus an append-only completion log:
+/// each completion stores only the flow's index and its FCT, and id, size,
+/// arrival and group are read back from the flow. A FlowTable owns one
+/// recorder and is its only writer: it adds each flow once, in admission
+/// order, and logs the flow when its last byte lands.
 class FctRecorder {
  public:
-  /// `table` holds the flows whose completions are logged here; it must
-  /// outlive the recorder.
-  explicit FctRecorder(const FlowTable& table) : table_(&table) {}
-
-  /// Logs the completion of table flow `index` after `fct` ns.
-  void record(std::int32_t index, Nanos fct) {
-    log_.push_back(Completion{fct, index});
+  /// The flow admitted `index`-th.
+  const Flow& flow(int index) const {
+    return flows_[static_cast<std::size_t>(index)];
   }
-  /// Makes room for `total` completions (see reserve_total). Log pages are
-  /// only touched as completions land, so reserving for every admitted
-  /// flow costs no resident memory up front.
-  void reserve(std::size_t total);
 
   /// Only flows with arrival >= `measure_from` are included in summaries;
   /// earlier flows count as warm-up.
@@ -62,7 +56,7 @@ class FctRecorder {
   std::vector<double> mice_fcts(int group = -1) const;
 
   /// The completions in completion order, as FctSample values assembled
-  /// from the log and the table. A live view: it sees later completions.
+  /// from the log and the flows. A live view: it sees later completions.
   class Samples {
    public:
     class iterator {
@@ -95,10 +89,26 @@ class FctRecorder {
   Samples samples() const { return Samples(this); }
 
  private:
+  friend class FlowTable;
+
   struct Completion {
     Nanos fct;
-    std::int32_t flow;  // FlowTable index
+    std::int32_t flow;  // admission index
   };
+
+  /// Stores `flow`, returning its admission index.
+  int add(const Flow& flow) {
+    flows_.push_back(flow);
+    return static_cast<int>(flows_.size()) - 1;
+  }
+  /// Makes room for `total` flows and as many completions (see
+  /// reserve_total). Log pages are only touched as completions land, so
+  /// room for every admitted flow costs no resident memory up front.
+  void reserve(std::size_t total);
+  /// Logs the completion of flow `index` after `fct` ns.
+  void record(int index, Nanos fct) {
+    log_.push_back(Completion{fct, static_cast<std::int32_t>(index)});
+  }
 
   FctSample sample(std::size_t i) const;
   /// FCTs (ns) of the measured completions passing the filters, in
@@ -106,12 +116,14 @@ class FctRecorder {
   std::vector<double> measured_fcts(bool mice_only, int group) const;
   FctSummary summarize(bool mice_only, int group) const;
 
-  const FlowTable* table_;
+  std::vector<Flow> flows_;
   std::vector<Completion> log_;
   Nanos measure_from_{0};
 
  public:
-  /// Bytes logged per completion (pinned by the footprint test).
+  /// Bytes stored per admitted flow and per completion (pinned by the
+  /// footprint test).
+  static constexpr std::size_t kBytesPerFlow = sizeof(Flow);
   static constexpr std::size_t kBytesPerCompletion = sizeof(Completion);
 };
 

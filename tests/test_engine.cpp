@@ -303,8 +303,8 @@ TEST(FlowTable, CreditSpanMatchesSequentialCredits) {
   // a flow appearing several times in one span and completing mid-span.
   FlowTable bulk;
   FlowTable seq;
-  FctRecorder bulk_fct(bulk);
-  FctRecorder seq_fct(seq);
+  const FctRecorder& bulk_fct = bulk.fct();
+  const FctRecorder& seq_fct = seq.fct();
   std::vector<int> idx;
   for (int i = 0; i < 4; ++i) {
     const Flow f = one_flow(0, 1 + i % 3, 1'000 * (i + 1), 10 * i, i, i % 2);
@@ -316,14 +316,14 @@ TEST(FlowTable, CreditSpanMatchesSequentialCredits) {
   const DeliveryRecord span1[] = {{0, 1, 600}, {1, 2, 500}, {0, 1, 400},
                                   {3, 1, 900}};
   const DeliveryRecord span2[] = {{2, 3, 3'000}, {1, 2, 1'500}};
-  bulk.credit_span(span1, 4, 1'000, bulk_fct);
-  bulk.credit_span(span2, 2, 2'000, bulk_fct);
-  bulk.credit_span(span1, 0, 3'000, bulk_fct);  // empty span is a no-op
+  bulk.credit_span(span1, 4, 1'000);
+  bulk.credit_span(span2, 2, 2'000);
+  bulk.credit_span(span1, 0, 3'000);  // empty span is a no-op
   for (const DeliveryRecord& r : span1) {
-    seq.credit(static_cast<int>(r.flow), r.bytes, 1'000, seq_fct);
+    seq.credit(static_cast<int>(r.flow), r.bytes, 1'000);
   }
   for (const DeliveryRecord& r : span2) {
-    seq.credit(static_cast<int>(r.flow), r.bytes, 2'000, seq_fct);
+    seq.credit(static_cast<int>(r.flow), r.bytes, 2'000);
   }
   for (const int i : idx) EXPECT_EQ(bulk.done(i), seq.done(i));
   ASSERT_EQ(bulk_fct.completed(), seq_fct.completed());

@@ -52,6 +52,12 @@ LinkToggleEvent toggle(std::int64_t tag) {
                          true};
 }
 
+/// Schedules one flow arrival (the stream tier) as a batch of one.
+void schedule_arrival(EventQueue& q, Nanos when, std::int32_t flow_index) {
+  q.append_flow_arrival(when, flow_index);
+  q.commit_flow_arrivals();
+}
+
 /// A transport timer tagged `tag` (the calendar tier).
 TransportTimerEvent timer(std::int64_t tag) {
   return TransportTimerEvent{static_cast<std::int32_t>(tag)};
@@ -128,8 +134,8 @@ TEST(EventQueue, SinkMayScheduleMoreEvents) {
   EventQueue q;
   ChainingSink sink(q);
   q.set_sink(&sink);
-  q.schedule_flow_arrival(1, 1);
-  q.schedule_flow_arrival(1, 2);
+  schedule_arrival(q, 1, 1);
+  schedule_arrival(q, 1, 2);
   q.run_until(10);
   ASSERT_EQ(sink.fired.size(), 4u);
   EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{1, 2, 101, 102}));
@@ -141,7 +147,7 @@ TEST(EventQueue, ClearDropsEverything) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(1, 1);
+  schedule_arrival(q, 1, 1);
   q.schedule_link_toggle(1, toggle(2));
   q.schedule_transport_timer(1, timer(3));
   q.clear();
@@ -154,7 +160,7 @@ TEST(EventQueue, EventsCarryTheirPayloads) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(10, 7);
+  schedule_arrival(q, 10, 7);
   q.schedule_link_toggle(20, LinkToggleEvent{3, 1, LinkDirection::kEgress,
                                              true});
   q.schedule_transport_timer(30, TransportTimerEvent{42});
@@ -174,10 +180,10 @@ TEST(EventQueue, EveryTierSharesTheFifoTieBreak) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(5, 100);
+  schedule_arrival(q, 5, 100);
   q.schedule_link_toggle(5, toggle(101));
   q.schedule_transport_timer(5, timer(102));
-  q.schedule_flow_arrival(5, 103);
+  schedule_arrival(q, 5, 103);
   q.schedule_link_toggle(5, toggle(104));
   q.run_until(5);
   EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{100, 101, 102, 103, 104}));
@@ -189,10 +195,10 @@ TEST(EventQueue, OutOfOrderArrivalsMergeWithoutReordering) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(50, 1);
-  q.schedule_flow_arrival(10, 2);  // out of order -> merged ahead of #1
-  q.schedule_flow_arrival(50, 3);
-  q.schedule_flow_arrival(10, 4);  // also out of order, ties with #2
+  schedule_arrival(q, 50, 1);
+  schedule_arrival(q, 10, 2);  // out of order -> merged ahead of #1
+  schedule_arrival(q, 50, 3);
+  schedule_arrival(q, 10, 4);  // also out of order, ties with #2
   EXPECT_EQ(q.heap_size(), 0u);
   q.run_until(100);
   ASSERT_EQ(sink.fired.size(), 4u);
@@ -256,7 +262,7 @@ TEST(EventQueue, BatchedArrivalsFireInTimeThenInputOrder) {
                                            run_start.end(), i + 1)) {
         per_run.commit_flow_arrivals();
       }
-      per_flow.schedule_flow_arrival(when[i], index);
+      schedule_arrival(per_flow, when[i], index);
     }
     one_batch.commit_flow_arrivals();
     for (EventQueue* q : {&one_batch, &per_run, &per_flow}) {
@@ -332,7 +338,7 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
       const std::int64_t id = sched++;
       switch (rng.next_below(4)) {
         case 0:
-          q.schedule_flow_arrival(when, static_cast<std::int32_t>(id));
+          schedule_arrival(q, when, static_cast<std::int32_t>(id));
           break;
         case 1:
           q.schedule_transport_timer(when, timer(id));
@@ -538,7 +544,7 @@ TEST(EventQueue, TrainsInterleaveWithOtherTiersByScheduleOrder) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(5, 100);
+  schedule_arrival(q, 5, 100);
   q.append_train_chunk(RelayTrainChunk{0, 1, 101, 1});
   q.append_train_chunk(RelayTrainChunk{0, 2, 102, 1});
   q.commit_train(5);
@@ -576,7 +582,7 @@ TEST(EventQueue, TransportTimersCarryTheirPayloadAndInterleave) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(5, 100);
+  schedule_arrival(q, 5, 100);
   q.schedule_transport_timer(5, TransportTimerEvent{101});
   q.schedule_link_toggle(5, toggle(102));
   q.schedule_transport_timer(3, TransportTimerEvent{103});
@@ -759,7 +765,7 @@ TEST(EventQueue, ExecutedCountsPerChunkDispatchedPerTrain) {
   q.append_train_chunk(RelayTrainChunk{0, 1, 2, 1});
   q.append_train_chunk(RelayTrainChunk{0, 1, 3, 1});
   q.commit_train(5);
-  q.schedule_flow_arrival(6, 9);
+  schedule_arrival(q, 6, 9);
   q.run_until(10);
   EXPECT_EQ(q.executed(), 4u);
   EXPECT_EQ(q.dispatched(), 2u);
@@ -784,7 +790,7 @@ TEST(EventQueue, ExecutedCounterCountsEveryTier) {
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
-  q.schedule_flow_arrival(1, 1);
+  schedule_arrival(q, 1, 1);
   q.schedule_transport_timer(2, timer(2));
   q.schedule_link_toggle(3, toggle(3));
   EXPECT_EQ(q.executed(), 0u);
@@ -810,7 +816,7 @@ TEST(Simulation, EventsFireAtTheirTimestampNotTheAdvanceTarget) {
   RecordingSink sink;
   sim.set_sink(&sink);
   sim.advance_to(100);
-  sim.events().schedule_flow_arrival(105, 1);
+  schedule_arrival(sim.events(), 105, 1);
   sim.events().schedule_transport_timer(103, timer(2));
   sim.advance_to(200);
   ASSERT_EQ(sink.fired.size(), 2u);

@@ -34,16 +34,16 @@ TEST(Percentile, MeanBasics) {
   EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
 }
 
-/// A FlowTable plus the recorder logging its completions, the way a fabric
-/// holds them.
+/// A FlowTable and the completion log it owns, the way a fabric holds
+/// them.
 struct Completions {
   FlowTable table;
-  FctRecorder rec{table};
+  const FctRecorder& rec = table.fct();
 
   /// Admits one flow and delivers all of it `fct` ns after its arrival.
   void complete(FlowId id, Bytes size, Nanos arrival, Nanos fct, int group) {
     const int i = table.add(Flow{id, 0, 1, size, arrival, group});
-    table.credit(i, size, arrival + fct, rec);
+    table.credit(i, size, arrival + fct);
   }
 };
 
@@ -60,7 +60,7 @@ TEST(FctRecorder, MeasureFromSkipsWarmup) {
   Completions c;
   c.complete(1, 1'000, 10, 5'000, 0);
   c.complete(2, 1'000, 200, 7'000, 0);
-  c.rec.set_measure_from(100);
+  c.table.fct().set_measure_from(100);
   EXPECT_EQ(c.rec.mice_summary().count, 1u);
   EXPECT_DOUBLE_EQ(c.rec.mice_summary().mean_ns, 7'000.0);
 }
@@ -86,18 +86,17 @@ TEST(FctRecorder, P99TracksTail) {
   EXPECT_DOUBLE_EQ(c.rec.mice_summary().max_ns, 1'000'000.0);
 }
 
-TEST(FctRecorder, SamplesViewReadsThroughTheTable) {
+TEST(FctRecorder, SamplesViewReadsTheAdmittedFlows) {
   // Completions land in completion order, not table order; every sample
-  // field but the FCT comes from the table. The view is live.
+  // field but the FCT comes from the admitted flow. The view is live.
   FlowTable table;
-  FctRecorder rec(table);
   const int a = table.add(Flow{70, 0, 1, 3'000, 100, 2});
   const int b = table.add(Flow{71, 2, 3, 500, 150, 0});
-  const FctRecorder::Samples view = rec.samples();
+  const FctRecorder::Samples view = table.fct().samples();
   EXPECT_TRUE(view.empty());
-  table.credit(b, 500, 1'150, rec);
-  table.credit(a, 1'000, 1'200, rec);  // partial: no completion yet
-  table.credit(a, 2'000, 5'100, rec);
+  table.credit(b, 500, 1'150);
+  table.credit(a, 1'000, 1'200);  // partial: no completion yet
+  table.credit(a, 2'000, 5'100);
   ASSERT_EQ(view.size(), 2u);
   const FctSample first = view[0];
   EXPECT_EQ(first.flow, 71);
@@ -241,6 +240,51 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   std::getline(in, line);
   EXPECT_EQ(line, "x,y");
   std::remove(path.c_str());
+}
+
+TEST(GoodputMeter, DeliverySpanMatchesSequentialDeliveries) {
+  // One slot's span: every record shares the arrival time; the span form
+  // must land identical totals and identical per-ToR window series, with
+  // arbitrary interleaving of destinations inside the span.
+  GoodputMeter bulk(4, /*window=*/100);
+  GoodputMeter seq(4, /*window=*/100);
+  bulk.set_measure_interval(50, 10'000);
+  seq.set_measure_interval(50, 10'000);
+  const DeliveryRecord slot_a[] = {
+      {1, 0, 300}, {2, 2, 150}, {3, 0, 75}, {4, 3, 220}, {5, 2, 10}};
+  const DeliveryRecord slot_b[] = {{6, 1, 40}, {7, 1, 60}};
+  bulk.record_delivery_span(slot_a, 5, 120);
+  bulk.record_delivery_span(slot_b, 2, 260);
+  bulk.record_delivery_span(slot_a, 0, 300);  // empty span is a no-op
+  for (const DeliveryRecord& r : slot_a) {
+    seq.record_delivery(r.dst, r.bytes, 120);
+  }
+  for (const DeliveryRecord& r : slot_b) {
+    seq.record_delivery(r.dst, r.bytes, 260);
+  }
+  EXPECT_EQ(bulk.delivered_bytes(), seq.delivered_bytes());
+  for (TorId dst = 0; dst < 4; ++dst) {
+    EXPECT_EQ(bulk.tor_window_series(dst), seq.tor_window_series(dst))
+        << "dst " << dst;
+  }
+}
+
+TEST(GoodputMeter, DeliverySpanRespectsMeasureInterval) {
+  GoodputMeter bulk(2);
+  GoodputMeter seq(2);
+  bulk.set_measure_interval(100, 200);
+  seq.set_measure_interval(100, 200);
+  const DeliveryRecord records[] = {{1, 0, 500}, {2, 1, 700}};
+  bulk.record_delivery_span(records, 2, 99);   // before the interval
+  bulk.record_delivery_span(records, 2, 150);  // inside
+  bulk.record_delivery_span(records, 2, 200);  // at the exclusive end
+  for (const Nanos when : {Nanos{99}, Nanos{150}, Nanos{200}}) {
+    for (const DeliveryRecord& r : records) {
+      seq.record_delivery(r.dst, r.bytes, when);
+    }
+  }
+  EXPECT_EQ(bulk.delivered_bytes(), seq.delivered_bytes());
+  EXPECT_EQ(bulk.delivered_bytes(), 1'200);
 }
 
 }  // namespace
