@@ -1,15 +1,15 @@
-// Dense set of ToR ids tuned for the fabric hot path: O(1) membership via
-// a word bitmap, successor queries via count-trailing-zeros word scans
-// (the VLB spreader's round-robin pick), plus a compact sorted vector so
-// iteration touches only the live ids in ascending order (the stable view
-// schedulers rely on). Mutations are O(size) worst case, but callers only
-// mutate on empty/non-empty queue flips, not per packet.
+// Dense set of ToR ids tuned for the fabric hot path: a word bitmap and a
+// member count, nothing else. Membership, insert and erase are O(1) bit
+// operations; ascending iteration and successor queries (the VLB
+// spreader's round-robin pick) are count-trailing-zeros word scans, so
+// iteration costs O(words + size) and yields the stable ascending view
+// schedulers rely on.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "common/assert.h"
@@ -19,7 +19,54 @@ namespace negotiator {
 
 class ActiveSet {
  public:
-  using const_iterator = std::vector<TorId>::const_iterator;
+  /// Ascending walk over the set bits: holds the current word's remaining
+  /// bits and skips empty words.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TorId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TorId*;
+    using reference = TorId;
+
+    const_iterator() = default;
+
+    TorId operator*() const {
+      return static_cast<TorId>(
+          w_ * 64 + static_cast<std::size_t>(std::countr_zero(bits_)));
+    }
+    const_iterator& operator++() {
+      bits_ &= bits_ - 1;  // clear the lowest set bit
+      if (bits_ == 0) seek(w_ + 1);
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const {
+      return w_ == o.w_ && bits_ == o.bits_;
+    }
+
+   private:
+    friend class ActiveSet;
+    const_iterator(const std::uint64_t* words, std::size_t n, std::size_t w)
+        : words_(words), n_(n) {
+      seek(w);
+    }
+    /// Moves to the first non-empty word at or after `w` (end when none).
+    void seek(std::size_t w) {
+      while (w < n_ && words_[w] == 0) ++w;
+      w_ = w;
+      bits_ = w < n_ ? words_[w] : 0;
+    }
+
+    const std::uint64_t* words_{nullptr};
+    std::size_t n_{0};
+    std::size_t w_{0};
+    std::uint64_t bits_{0};
+  };
 
   ActiveSet() = default;
   explicit ActiveSet(int capacity) { reset(capacity); }
@@ -29,7 +76,7 @@ class ActiveSet {
     NEG_ASSERT(capacity >= 0, "negative capacity");
     capacity_ = capacity;
     words_.assign((static_cast<std::size_t>(capacity) + 63) / 64, 0);
-    sorted_.clear();
+    size_ = 0;
   }
 
   void insert(TorId id) {
@@ -38,7 +85,7 @@ class ActiveSet {
     const std::uint64_t bit = 1ULL << (static_cast<std::size_t>(id) % 64);
     if ((word & bit) != 0) return;
     word |= bit;
-    sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), id), id);
+    ++size_;
   }
 
   void erase(TorId id) {
@@ -47,7 +94,7 @@ class ActiveSet {
     const std::uint64_t bit = 1ULL << (static_cast<std::size_t>(id) % 64);
     if ((word & bit) == 0) return;
     word &= ~bit;
-    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), id));
+    --size_;
   }
 
   bool contains(TorId id) const {
@@ -56,17 +103,19 @@ class ActiveSet {
             (1ULL << (static_cast<std::size_t>(id) % 64))) != 0;
   }
 
-  bool empty() const { return sorted_.empty(); }
-  std::size_t size() const { return sorted_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
-  /// Ascending iteration over the live ids (the stable sorted view).
-  const_iterator begin() const { return sorted_.begin(); }
-  const_iterator end() const { return sorted_.end(); }
+  /// Ascending iteration over the live ids.
+  const_iterator begin() const {
+    return const_iterator(words_.data(), words_.size(), 0);
+  }
+  const_iterator end() const {
+    return const_iterator(words_.data(), words_.size(), words_.size());
+  }
 
   /// Smallest member; kInvalidTor when empty.
-  TorId first_member() const {
-    return sorted_.empty() ? kInvalidTor : sorted_.front();
-  }
+  TorId first_member() const { return empty() ? kInvalidTor : *begin(); }
 
   /// Smallest member strictly greater than `id` (kInvalidTor when none) —
   /// a count-trailing-zeros scan over the bitmap words, O(words) worst
@@ -99,8 +148,8 @@ class ActiveSet {
   }
 
   int capacity_{0};
+  std::size_t size_{0};
   std::vector<std::uint64_t> words_;
-  std::vector<TorId> sorted_;
 };
 
 }  // namespace negotiator

@@ -182,18 +182,17 @@ void NegotiatorFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
 
 void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
                                       const RelayTrainChunk* chunks,
-                                      Nanos now) {
+                                      Nanos /*now*/) {
   NEG_ASSERT(relay_enabled_, "relay train without selective relay");
   // The scheduled phase ships one train per (slot, intermediate), so a
   // span is normally a single run; the run loop keeps mixed spans correct
-  // anyway. Each run lands through the relay queue's bulk span ingest.
+  // anyway. Each run lands through the relay queue's span ingest.
   std::uint32_t i = 0;
   while (i < e.count) {
     const TorId inter = chunks[i].intermediate;
     std::uint32_t j = i + 1;
     while (j < e.count && chunks[j].intermediate == inter) ++j;
-    relay_[static_cast<std::size_t>(inter)].enqueue_span(chunks + i, j - i,
-                                                         now);
+    relay_[static_cast<std::size_t>(inter)].enqueue_span(chunks + i, j - i);
     relay_active_.insert(inter);
     i = j;
   }
@@ -697,29 +696,23 @@ void NegotiatorFabric::run_scheduled_phase() {
         continue;
       }
       // 2. Second-hop relayed data parked at this ToR for the destination.
-      // The span dequeue keeps the relay queue live (same-slot reads see
-      // the drain) while the delivery effects ride the slot's span.
-      {
-        RelayQueueSet& parked = relay_[static_cast<std::size_t>(m.src)];
-        if (parked.bytes_for(m.dst) > 0) {
-          RelayChunk chunk;
-          const std::size_t got =
-              parked.dequeue_span(m.dst, payload, 1, &chunk);
-          NEG_ASSERT(got == 1, "pending relay yielded no chunk");
-          sync_relay_activity(m.src);
-          bool deliver = true;
-          if (data_) {
-            deliver =
-                data_->classify(DataHopClass::kSecondHop, chunk.bytes)
-                    .deliver;
-          }
-          if (deliver) {
-            stage_delivery(static_cast<int>(chunk.flow), m.dst, chunk.bytes,
-                           chunk.seq);
-          }
-          live_matches_[keep++] = index;
-          continue;
+      // The dequeue keeps the relay queue live (same-slot reads see the
+      // drain) while the delivery effects ride the slot's span.
+      if (const std::optional<RelayChunk> chunk =
+              relay_[static_cast<std::size_t>(m.src)].dequeue_packet(
+                  m.dst, payload)) {
+        sync_relay_activity(m.src);
+        bool deliver = true;
+        if (data_) {
+          deliver = data_->classify(DataHopClass::kSecondHop, chunk->bytes)
+                        .deliver;
         }
+        if (deliver) {
+          stage_delivery(static_cast<int>(chunk->flow), m.dst, chunk->bytes,
+                         chunk->seq);
+        }
+        live_matches_[keep++] = index;
+        continue;
       }
       // 3. First-hop relay: push elephant bytes towards the intermediate.
       if (m.relay && a.relay_remaining > 0) {

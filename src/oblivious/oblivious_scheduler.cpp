@@ -96,16 +96,15 @@ void ObliviousFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
 
 void ObliviousFabric::on_relay_train(const RelayTrainEvent& e,
                                      const RelayTrainChunk* chunks,
-                                     Nanos now) {
+                                     Nanos /*now*/) {
   // A slot train interleaves intermediates (chunks ride in the slot's
-  // (src, port) scan order), so the unpack is per chunk — exactly the
-  // per-event handoff body it replaces, minus the per-event queue
-  // overhead. Per-chunk FIFO order at every intermediate is preserved
-  // because the span keeps the order the per-chunk events fired in.
+  // (src, port) scan order), so the unpack is per chunk. Per-chunk FIFO
+  // order at every intermediate is the train's order, which is the order
+  // the slot spread the chunks in.
   for (std::uint32_t i = 0; i < e.count; ++i) {
     const RelayTrainChunk& c = chunks[i];
     relay_[static_cast<std::size_t>(c.intermediate)].enqueue(
-        c.final_dst, c.flow, c.bytes, now, c.seq);
+        c.final_dst, c.flow, c.bytes, c.seq);
     busy_.insert(c.intermediate);
     if (data_) transit_bytes_ -= c.bytes;  // landed: in-transit -> parked
   }
@@ -143,8 +142,8 @@ TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
       tors_[static_cast<std::size_t>(src)].active_destinations();
   if (active.empty()) return kInvalidTor;
   TorId& ptr = spread_ptr_[static_cast<std::size_t>(src)];
-  // Bitmap successor scan instead of a binary search over the sorted
-  // view: this runs once per potential spread, i.e. millions of times.
+  // Bitmap successor scan: this runs once per potential spread, i.e.
+  // millions of times.
   TorId d = active.next_member_after(ptr);
   for (std::size_t step = 0; step < active.size() + 1; ++step) {
     if (d == kInvalidTor) d = active.first_member();  // wrap around
@@ -215,23 +214,21 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
         continue;
       }
       // 1. Second hop: deliver relayed data whose final destination is m.
-      // The span dequeue mutates the relay queue inline (congestion
-      // adverts later this slot must see the drain); the delivery's
-      // downstream effects ride the slot's staged span.
-      if (parked.bytes_for(m) > 0) {
-        RelayChunk chunk;
-        if (parked.dequeue_span(m, payload, 1, &chunk) == 1) {
-          bool deliver = true;
-          if (data_) {
-            deliver = data_->classify(DataHopClass::kSecondHop, chunk.bytes)
-                          .deliver;
-          }
-          if (deliver) {
-            delivery_build_.push_back(
-                DeliveryRecord{chunk.flow, m, chunk.bytes, chunk.seq});
-          }
-          continue;
+      // The dequeue mutates the relay queue inline (congestion adverts
+      // later this slot must see the drain); the delivery's downstream
+      // effects ride the slot's staged span.
+      if (const std::optional<RelayChunk> chunk =
+              parked.dequeue_packet(m, payload)) {
+        bool deliver = true;
+        if (data_) {
+          deliver = data_->classify(DataHopClass::kSecondHop, chunk->bytes)
+                        .deliver;
         }
+        if (deliver) {
+          delivery_build_.push_back(
+              DeliveryRecord{chunk->flow, m, chunk->bytes, chunk->seq});
+        }
+        continue;
       }
       // 2. VLB spread: detour the next backlogged destination through m.
       //    When the round-robin pointer lands on m itself the data goes

@@ -5,8 +5,8 @@
 // level, which keeps per-pair data in order (§3.6.5).
 //
 // Storage is structure-of-arrays: one segment arena per DestQueueSet (a
-// free-list-recycled flat vector of Segment records, ChunkFifo-style —
-// grown on demand and kept) threaded into per-(queue, level) FIFOs by flat
+// flat vector of Segment records recycled through a LIFO free list, grown
+// on demand and kept) threaded into per-(queue, level) FIFOs by flat
 // head/tail index arrays. Per-queue byte totals, per-level byte counters,
 // head-of-line timestamps and a non-empty-level bitmask live in their own
 // contiguous arrays, so the fabric's per-destination reads (`pending_to`,

@@ -5,9 +5,7 @@
 namespace negotiator {
 
 RelayQueueSet::RelayQueueSet(int num_tors)
-    : queues_(static_cast<std::size_t>(num_tors)),
-      queue_bytes_(static_cast<std::size_t>(num_tors), 0),
-      active_(num_tors) {
+    : fifos_(static_cast<std::size_t>(num_tors)), active_(num_tors) {
   NEG_ASSERT(num_tors >= 1, "need >= 1 ToR");
 }
 

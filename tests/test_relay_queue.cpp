@@ -1,8 +1,13 @@
 #include "tor/relay_queue.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,8 +24,8 @@ TEST(RelayQueue, StartsEmpty) {
 
 TEST(RelayQueue, PerDestinationIsolation) {
   RelayQueueSet r(8);
-  r.enqueue(1, 10, 500, 0);
-  r.enqueue(2, 11, 700, 0);
+  r.enqueue(1, 10, 500);
+  r.enqueue(2, 11, 700);
   EXPECT_EQ(r.bytes_for(1), 500);
   EXPECT_EQ(r.bytes_for(2), 700);
   EXPECT_EQ(r.total_bytes(), 1'200);
@@ -30,15 +35,15 @@ TEST(RelayQueue, PerDestinationIsolation) {
 TEST(RelayQueue, FifoOrderNoPrioritization) {
   // §4.1: priority queues do not apply at intermediate nodes.
   RelayQueueSet r(4);
-  r.enqueue(0, 100, 1'000, 0);  // elephant chunk arrives first
-  r.enqueue(0, 200, 100, 1);    // mouse behind it
+  r.enqueue(0, 100, 1'000);  // elephant chunk arrives first
+  r.enqueue(0, 200, 100);    // mouse behind it
   EXPECT_EQ(r.dequeue_packet(0, 2'000)->flow, 100)
       << "FIFO: the mouse must wait behind the elephant chunk";
 }
 
 TEST(RelayQueue, PacketBounded) {
   RelayQueueSet r(4);
-  r.enqueue(0, 1, 5'000, 0);
+  r.enqueue(0, 1, 5'000);
   const auto chunk = r.dequeue_packet(0, 1'115);
   ASSERT_TRUE(chunk.has_value());
   EXPECT_EQ(chunk->bytes, 1'115);
@@ -47,10 +52,29 @@ TEST(RelayQueue, PacketBounded) {
 
 TEST(RelayQueue, SameFlowChunksCoalesce) {
   RelayQueueSet r(4);
-  r.enqueue(0, 1, 500, 0);
-  r.enqueue(0, 1, 500, 5);
+  r.enqueue(0, 1, 500);
+  r.enqueue(0, 1, 500);
   const auto chunk = r.dequeue_packet(0, 2'000);
   EXPECT_EQ(chunk->bytes, 1'000);
+  EXPECT_TRUE(r.empty_for(0));
+}
+
+TEST(RelayQueue, DistinctSeqsStayDistinctUnits) {
+  // Same flow, different ARQ seqs: each chunk stays a retransmittable
+  // unit and comes out whole with its own seq.
+  RelayQueueSet r(4);
+  r.enqueue(0, 7, 500, 1);
+  r.enqueue(0, 7, 400, 2);
+  r.enqueue(0, 7, 300);
+  const auto first = r.dequeue_packet(0, 2'000);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->bytes, 500);
+  EXPECT_EQ(first->seq, 1u);
+  const auto second = r.dequeue_packet(0, 2'000);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->bytes, 400);
+  EXPECT_EQ(second->seq, 2u);
+  EXPECT_EQ(r.dequeue_packet(0, 2'000)->seq, 0u);
   EXPECT_TRUE(r.empty_for(0));
 }
 
@@ -58,7 +82,7 @@ TEST(RelayQueue, TotalsConserved) {
   RelayQueueSet r(4);
   Bytes in = 0;
   for (int i = 0; i < 100; ++i) {
-    r.enqueue(i % 4, i, 137 + i, i);
+    r.enqueue(i % 4, i, 137 + i);
     in += 137 + i;
   }
   Bytes out = 0;
@@ -69,199 +93,171 @@ TEST(RelayQueue, TotalsConserved) {
   EXPECT_EQ(r.total_bytes(), 0);
 }
 
-// --- ChunkFifo edge cases (the ring under the relay queues) ---
-
-TEST(ChunkFifo, WrapAroundAtCapacityPreservesFifoOrder) {
-  // Fill to the initial capacity (8), drain a prefix, refill past the
-  // physical end: the ring must wrap without growing or reordering.
-  ChunkFifo f;
-  for (FlowId i = 0; i < 8; ++i) f.push_back(RelayChunk{i, 10 + i, i});
-  for (int i = 0; i < 5; ++i) f.pop_front();
-  for (FlowId i = 8; i < 13; ++i) f.push_back(RelayChunk{i, 10 + i, i});
-  ASSERT_EQ(f.size(), 8u);
-  for (FlowId i = 5; i < 13; ++i) {
-    EXPECT_EQ(f.front().flow, i);
-    EXPECT_EQ(f.front().bytes, 10 + i);
-    f.pop_front();
-  }
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(ChunkFifo, GrowthWhileNonEmptyAndWrappedUnwraps) {
-  // Grow while the live span wraps the physical end: the contents must
-  // come out in the same order after re-layout.
-  ChunkFifo f;
-  for (FlowId i = 0; i < 8; ++i) f.push_back(RelayChunk{i, 1, 0});
-  for (int i = 0; i < 6; ++i) f.pop_front();   // head now at index 6
-  for (FlowId i = 8; i < 14; ++i) f.push_back(RelayChunk{i, 1, 0});  // wraps
-  for (FlowId i = 14; i < 30; ++i) f.push_back(RelayChunk{i, 1, 0});  // grows
-  ASSERT_EQ(f.size(), 24u);
-  for (FlowId i = 6; i < 30; ++i) {
-    EXPECT_EQ(f.front().flow, i);
-    f.pop_front();
-  }
-}
-
-TEST(ChunkFifo, PushSpanCrossesTheWrapBoundary) {
-  ChunkFifo f;
-  for (FlowId i = 0; i < 6; ++i) f.push_back(RelayChunk{i, 1, 0});
-  for (int i = 0; i < 4; ++i) f.pop_front();
-  // 2 live at positions 4-5; a span of 5 lands across the physical end.
-  std::vector<RelayChunk> span;
-  for (FlowId i = 6; i < 11; ++i) span.push_back(RelayChunk{i, 2, 1});
-  f.push_span(span.data(), span.size());
-  ASSERT_EQ(f.size(), 7u);
-  for (FlowId i = 4; i < 11; ++i) {
-    EXPECT_EQ(f.front().flow, i);
-    f.pop_front();
-  }
-}
-
-TEST(ChunkFifo, PushSpanGrowsOnceForTheWholeSpan) {
-  ChunkFifo f;
-  std::vector<RelayChunk> span;
-  for (FlowId i = 0; i < 1'000; ++i) span.push_back(RelayChunk{i, i + 1, i});
-  f.push_span(span.data(), span.size());
-  ASSERT_EQ(f.size(), 1'000u);
-  RelayChunk out[1'000];
-  EXPECT_EQ(f.pop_span(out, 1'000), 1'000u);
-  for (FlowId i = 0; i < 1'000; ++i) {
-    EXPECT_EQ(out[i].flow, i);
-    EXPECT_EQ(out[i].bytes, i + 1);
-  }
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(ChunkFifo, PopSpanIsBoundedBySizeAndKeepsTheRest) {
-  ChunkFifo f;
-  for (FlowId i = 0; i < 5; ++i) f.push_back(RelayChunk{i, 1, 0});
-  RelayChunk out[8];
-  EXPECT_EQ(f.pop_span(out, 3), 3u);
-  EXPECT_EQ(out[0].flow, 0);
-  EXPECT_EQ(out[2].flow, 2);
-  EXPECT_EQ(f.size(), 2u);
-  EXPECT_EQ(f.front().flow, 3);
-  EXPECT_EQ(f.pop_span(out, 8), 2u) << "pop_span caps at the live count";
-  EXPECT_EQ(out[1].flow, 4);
-  EXPECT_EQ(f.pop_span(out, 8), 0u);
-}
-
-TEST(ChunkFifo, EmptySpanOpsAreNoOps) {
-  ChunkFifo f;
-  f.push_span(nullptr, 0);
-  EXPECT_TRUE(f.empty());
-  RelayChunk c{1, 2, 3};
-  EXPECT_EQ(f.pop_span(&c, 0), 0u);
-}
-
-// --- Bulk train ingest (enqueue_span) ---
-
-TEST(RelayQueue, EnqueueSpanMatchesSequentialEnqueues) {
-  // Property: bulk span ingest must be observationally identical to
-  // per-chunk enqueue — same totals, same per-destination bytes, same
-  // drain order, same coalescing — across random trains.
-  Rng rng(42);
-  for (int round = 0; round < 50; ++round) {
-    RelayQueueSet bulk(6);
-    RelayQueueSet seq(6);
-    Nanos now = 0;
-    for (int train = 0; train < 8; ++train) {
-      std::vector<RelayTrainChunk> chunks;
-      const int n = 1 + static_cast<int>(rng.next_below(12));
-      for (int i = 0; i < n; ++i) {
-        chunks.push_back(RelayTrainChunk{
-            /*intermediate=*/0, static_cast<TorId>(rng.next_below(6)),
-            static_cast<FlowId>(rng.next_below(5)),
-            static_cast<Bytes>(1 + rng.next_below(1'000))});
-      }
-      bulk.enqueue_span(chunks.data(), chunks.size(), now);
-      for (const RelayTrainChunk& c : chunks) {
-        seq.enqueue(c.final_dst, c.flow, c.bytes, now);
-      }
-      now += 100;
-    }
-    ASSERT_EQ(bulk.total_bytes(), seq.total_bytes()) << "round " << round;
-    for (TorId d = 0; d < 6; ++d) {
-      ASSERT_EQ(bulk.bytes_for(d), seq.bytes_for(d)) << "round " << round;
-      ASSERT_EQ(bulk.active_destinations().contains(d),
-                seq.active_destinations().contains(d))
-          << "round " << round;
-      while (true) {
-        auto a = bulk.dequeue_packet(d, 512);
-        auto b = seq.dequeue_packet(d, 512);
-        ASSERT_EQ(a.has_value(), b.has_value()) << "round " << round;
-        if (!a) break;
-        ASSERT_EQ(a->flow, b->flow) << "round " << round;
-        ASSERT_EQ(a->bytes, b->bytes) << "round " << round;
-        ASSERT_EQ(a->received_at, b->received_at) << "round " << round;
-      }
-    }
-  }
-}
-
 TEST(RelayQueue, EnqueueSpanCoalescesIntoTheFifoTail) {
   RelayQueueSet r(4);
-  r.enqueue(2, 7, 100, 0);
+  r.enqueue(2, 7, 100);
   const RelayTrainChunk chunks[] = {
       {0, 2, 7, 50},   // merges into the tail chunk of flow 7
       {0, 2, 7, 25},   // still the same tail
       {0, 2, 9, 10},   // new chunk
       {0, 1, 9, 30},   // different destination
   };
-  r.enqueue_span(chunks, 4, 5);
+  r.enqueue_span(chunks, 4);
   EXPECT_EQ(r.bytes_for(2), 185);
   EXPECT_EQ(r.bytes_for(1), 30);
   auto head = r.dequeue_packet(2, 10'000);
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->flow, 7);
   EXPECT_EQ(head->bytes, 175) << "all three flow-7 chunks coalesced";
-  EXPECT_EQ(head->received_at, 0) << "coalescing keeps the first arrival";
 }
 
 TEST(RelayQueue, EnqueueSpanEmptyIsANoOp) {
   RelayQueueSet r(4);
-  r.enqueue_span(nullptr, 0, 0);
+  r.enqueue_span(nullptr, 0);
   EXPECT_EQ(r.total_bytes(), 0);
 }
 
-TEST(RelayQueue, DequeueSpanMatchesSequentialDequeues) {
-  // The drain-side mirror of the enqueue_span equivalence: a span of up to
-  // k packets must be exactly what k sequential dequeue_packet calls yield
-  // — same flows, same partial takes, same reception stamps, same counter
-  // and active-set trajectory.
+// --- Reference model: one std::deque of chunks per destination ---
+
+class RefRelayQueues {
+ public:
+  explicit RefRelayQueues(int n) : fifos_(static_cast<std::size_t>(n)) {}
+
+  void enqueue(TorId d, FlowId flow, Bytes bytes, std::uint32_t seq) {
+    auto& q = fifos_[static_cast<std::size_t>(d)];
+    if (!q.empty() && q.back().flow == flow && q.back().seq == seq) {
+      q.back().bytes += bytes;
+    } else {
+      q.push_back(RelayChunk{flow, bytes, seq});
+    }
+  }
+
+  std::optional<RelayChunk> dequeue_packet(TorId d, Bytes max_payload) {
+    auto& q = fifos_[static_cast<std::size_t>(d)];
+    if (q.empty()) return std::nullopt;
+    RelayChunk& head = q.front();
+    const Bytes take = std::min(head.bytes, max_payload);
+    const RelayChunk out{head.flow, take, head.seq};
+    head.bytes -= take;
+    if (head.bytes == 0) q.pop_front();
+    return out;
+  }
+
+  Bytes bytes_for(TorId d) const {
+    Bytes sum = 0;
+    for (const RelayChunk& c : fifos_[static_cast<std::size_t>(d)]) {
+      sum += c.bytes;
+    }
+    return sum;
+  }
+
+ private:
+  std::vector<std::deque<RelayChunk>> fifos_;
+};
+
+void expect_same_chunk(const std::optional<RelayChunk>& got,
+                       const std::optional<RelayChunk>& want,
+                       std::size_t step) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+  if (!got) return;
+  EXPECT_EQ(got->flow, want->flow) << "step " << step;
+  EXPECT_EQ(got->bytes, want->bytes) << "step " << step;
+  EXPECT_EQ(got->seq, want->seq) << "step " << step;
+}
+
+TEST(RelayQueueProperty, ArenaMatchesDequeReference) {
+  // A seeded mix of single enqueues, train ingests and packet draws over a
+  // multi-destination set: nodes freed by one destination's drains are
+  // recycled through the shared free list into other destinations'
+  // enqueues. Seq-carrying chunks get unique seqs and at most the
+  // smallest payload, so (as in the fabric) they never split.
   const int kTors = 6;
-  RelayQueueSet bulk(kTors);
-  RelayQueueSet seq(kTors);
-  Rng rng(42);
-  for (int i = 0; i < 300; ++i) {
-    const TorId dst = static_cast<TorId>(rng.next_below(kTors));
-    const FlowId flow = static_cast<FlowId>(rng.next_below(20));
-    const Bytes bytes = 1 + rng.next_below(3'000);
-    bulk.enqueue(dst, flow, bytes, i);
-    seq.enqueue(dst, flow, bytes, i);
-  }
-  RelayChunk span[8];
-  for (int round = 0; round < 600; ++round) {
-    const TorId dst = static_cast<TorId>(rng.next_below(kTors));
-    const Bytes payload = 1 + rng.next_below(1'200);
-    const std::size_t max_packets =
-        1 + static_cast<std::size_t>(rng.next_below(8));
-    const std::size_t n = bulk.dequeue_span(dst, payload, max_packets, span);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto want = seq.dequeue_packet(dst, payload);
-      ASSERT_TRUE(want.has_value()) << "round " << round;
-      EXPECT_EQ(span[i].flow, want->flow);
-      EXPECT_EQ(span[i].bytes, want->bytes);
-      EXPECT_EQ(span[i].received_at, want->received_at);
+  const Bytes kMinPayload = 600;
+  RelayQueueSet impl(kTors);
+  RefRelayQueues ref(kTors);
+  Rng rng(20261017);
+  std::uint32_t next_seq = 1;
+  // Few flows so same-flow chunks meet at FIFO tails and coalesce.
+  auto draw_chunk = [&](TorId d) {
+    const FlowId flow = static_cast<FlowId>(rng.next_below(4));
+    if (rng.next_below(4) == 0) {
+      return RelayTrainChunk{0, d, flow, 1 + rng.next_below(kMinPayload),
+                             next_seq++};
     }
-    if (n < max_packets) {
-      EXPECT_FALSE(seq.dequeue_packet(dst, payload).has_value());
+    return RelayTrainChunk{0, d, flow, 1 + rng.next_below(3'000), 0};
+  };
+  Bytes total = 0;
+  for (std::size_t step = 0; step < 20'000; ++step) {
+    const TorId d = static_cast<TorId>(rng.next_below(kTors));
+    // Draws outnumber enqueues so FIFOs keep draining to empty and back.
+    switch (rng.next_below(10)) {
+      case 0: {  // single enqueue
+        const RelayTrainChunk c = draw_chunk(d);
+        impl.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
+        ref.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
+        total += c.bytes;
+        break;
+      }
+      case 1: {  // one train, runs of destinations interleaved
+        std::vector<RelayTrainChunk> train;
+        const int n = 1 + static_cast<int>(rng.next_below(12));
+        for (int i = 0; i < n; ++i) {
+          train.push_back(draw_chunk(static_cast<TorId>(
+              rng.next_below(2) == 0 ? d : rng.next_below(kTors))));
+        }
+        impl.enqueue_span(train.data(), train.size());
+        for (const RelayTrainChunk& c : train) {
+          ref.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
+          total += c.bytes;
+        }
+        break;
+      }
+      default: {  // packet draw, partial takes included
+        const Bytes payload = kMinPayload + rng.next_below(1'400);
+        const auto got = impl.dequeue_packet(d, payload);
+        expect_same_chunk(got, ref.dequeue_packet(d, payload), step);
+        if (got) total -= got->bytes;
+        break;
+      }
     }
-    ASSERT_EQ(bulk.bytes_for(dst), seq.bytes_for(dst));
-    ASSERT_EQ(bulk.total_bytes(), seq.total_bytes());
-    ASSERT_EQ(bulk.active_destinations().contains(dst),
-              seq.active_destinations().contains(dst));
+    ASSERT_EQ(impl.total_bytes(), total) << "step " << step;
+    std::vector<TorId> want_active;
+    for (TorId t = 0; t < kTors; ++t) {
+      ASSERT_EQ(impl.bytes_for(t), ref.bytes_for(t)) << "step " << step;
+      ASSERT_EQ(impl.empty_for(t), ref.bytes_for(t) == 0) << "step " << step;
+      if (ref.bytes_for(t) > 0) want_active.push_back(t);
+    }
+    const std::vector<TorId> active(impl.active_destinations().begin(),
+                                    impl.active_destinations().end());
+    ASSERT_EQ(active, want_active) << "step " << step;
   }
+}
+
+TEST(RelayQueue, FootprintTracksLiveChunksNotPerDestinationPeaks) {
+  // Fill and drain each destination in turn at N = 128. Every drained
+  // node is reused by the next destination, so the set's heap footprint
+  // stays near one burst instead of one burst per destination.
+  constexpr int kTors = 128;
+  constexpr int kBurst = 1'000;
+  auto allocated = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  const std::size_t before = allocated();
+  std::size_t grown = 0;
+  {
+    RelayQueueSet r(kTors);
+    for (TorId d = 0; d < kTors; ++d) {
+      // Distinct flows: no coalescing, one node per chunk.
+      for (FlowId f = 0; f < kBurst; ++f) r.enqueue(d, f, 100);
+      while (r.dequeue_packet(d, 1'000)) {
+      }
+      ASSERT_TRUE(r.empty_for(d));
+    }
+    grown = allocated() - before;
+  }
+  if (grown == 0) GTEST_SKIP() << "allocator does not report to mallinfo2";
+  EXPECT_LE(grown, 2 * kBurst * sizeof(RelayChunk));
 }
 
 }  // namespace

@@ -91,23 +91,6 @@ TEST(TorSwitch, TotalPendingConserved) {
   EXPECT_TRUE(tor.active_destinations().empty());
 }
 
-TEST(ActiveSet, SortedViewAndMembership) {
-  ActiveSet set(8);
-  set.insert(5);
-  set.insert(2);
-  set.insert(7);
-  set.insert(2);  // duplicate is a no-op
-  EXPECT_EQ(set.size(), 3u);
-  EXPECT_TRUE(set.contains(2));
-  EXPECT_FALSE(set.contains(3));
-  std::vector<TorId> seen(set.begin(), set.end());
-  EXPECT_EQ(seen, (std::vector<TorId>{2, 5, 7}));
-  set.erase(5);
-  EXPECT_FALSE(set.contains(5));
-  seen.assign(set.begin(), set.end());
-  EXPECT_EQ(seen, (std::vector<TorId>{2, 7}));
-}
-
 TEST(TorSwitch, DequeueSpanMatchesSequentialDequeues) {
   // Twin switches with the same flows: a bulk span on one must yield the
   // exact packets sequential dequeue_packet calls yield on the other, and
@@ -141,26 +124,6 @@ TEST(TorSwitch, DequeueSpanMatchesSequentialDequeues) {
               seq.active_destinations().contains(dst));
   }
   EXPECT_EQ(bulk.total_pending(), 0);
-}
-
-TEST(ActiveSet, SuccessorQueriesScanTheBitmap) {
-  ActiveSet set(16);
-  for (TorId t : {3, 8, 12}) set.insert(t);
-  EXPECT_EQ(set.first_member(), 3);
-  EXPECT_EQ(set.next_member_after(3), 8);
-  EXPECT_EQ(set.next_member_after(0), 3);
-  EXPECT_EQ(set.next_member_after(-1), 3);
-  EXPECT_EQ(set.next_member_after(12), kInvalidTor);
-  EXPECT_EQ(set.next_member_after(15), kInvalidTor);
-  set.erase(8);
-  EXPECT_EQ(set.next_member_after(3), 12);
-  // Across word boundaries.
-  ActiveSet wide(200);
-  wide.insert(1);
-  wide.insert(130);
-  EXPECT_EQ(wide.next_member_after(1), 130);
-  EXPECT_EQ(wide.next_member_after(130), kInvalidTor);
-  EXPECT_EQ(ActiveSet(8).first_member(), kInvalidTor);
 }
 
 }  // namespace
