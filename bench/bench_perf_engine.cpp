@@ -33,11 +33,15 @@
 //
 // A data_loss section runs the fig9 systems with the seeded lossy data
 // plane installed (per-hop chunk drop + corruption at a fixed mix, without
-// and with the end-host ARQ) plus one loss-disabled reference row per
+// and with the end-host ARQ) plus one loss-disabled reference row and one
+// zero-loss row (channel constructed, every probability 0, ARQ off) per
 // system. Each row carries a result fingerprint so check_perf.py gates the
-// data-fault path's bit-identity, and the reference row must fingerprint-
+// data-fault path's bit-identity. The reference row must fingerprint-
 // identically to the plain scaling row at the same N — the disabled-path
-// witness at bench scale, asserted in-process before the JSON is written.
+// witness at bench scale — and so must the zero-loss row, whose channel
+// keeps the negotiator's scheduled phase on the per-slot walk while the
+// scaling run drains it per queue segment. Both are asserted in-process
+// and gated again by check_perf.py.
 //
 // A third section records the *scaling* dimension: events/sec for every
 // fig9 system at N in {16, 64, 128, 256} — plus an oblivious-only tail at
@@ -481,7 +485,11 @@ ControlLossRun measure_control_loss(const char* name, TopologyKind topo,
 /// data-fault path, the damage and recovery counters, plus a result
 /// fingerprint. The lossless reference row never constructs the channel,
 /// so its fingerprint must match the plain scaling row bit-for-bit — the
-/// disabled-path witness at bench scale (asserted in main).
+/// disabled-path witness at bench scale (asserted in main). The zero-loss
+/// row constructs the channel with every probability 0 and ARQ off: it
+/// drops nothing but keeps the negotiator's scheduled phase on the
+/// per-slot walk, so its match with the scaling row (which drains per
+/// queue segment) witnesses that the two paths agree.
 struct DataLossRun {
   PerfRun run;
   std::string label;
@@ -495,8 +503,8 @@ struct DataLossRun {
 
 DataLossRun measure_data_loss(const char* name, TopologyKind topo,
                               SchedulerKind sched, int n, double load,
-                              Nanos duration, double drop, bool arq,
-                              bool lossless, const char* label) {
+                              Nanos duration, double drop, double corrupt,
+                              bool arq, bool lossless, const char* label) {
   NetworkConfig cfg = paper_config(topo, sched);
   cfg.num_tors = n;
   if (!lossless) {
@@ -506,7 +514,7 @@ DataLossRun measure_data_loss(const char* name, TopologyKind topo,
     cfg.data_fault.first_hop_drop = drop;
     cfg.data_fault.relay_drop = drop;
     cfg.data_fault.second_hop_drop = drop;
-    cfg.data_fault.corrupt_prob = 0.01;
+    cfg.data_fault.corrupt_prob = corrupt;
     cfg.data_fault.arq = arq;
   }
   Runner runner(cfg);
@@ -673,8 +681,8 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
   std::fprintf(f, "  ],\n");
   // Data loss: the lossy data plane with and without the end-host ARQ,
   // fingerprint-gated per row like scaling/storm/control_loss. The
-  // lossless reference row's fingerprint equals the plain scaling row's
-  // (disabled ≡ never constructed, checked in main before this writes).
+  // lossless and zero-loss rows' fingerprints equal the plain scaling
+  // row's (checked in main before this writes).
   std::fprintf(f, "  \"data_loss\": [\n");
   for (std::size_t i = 0; i < data_loss.size(); ++i) {
     const DataLossRun& d = data_loss[i];
@@ -884,13 +892,15 @@ int main() {
   print_header("Data loss: events/sec and recovery under a lossy data plane");
   const struct {
     double drop;
+    double corrupt;
     bool arq;
     bool lossless;
     const char* label;
   } data_cfgs[] = {
-      {0.0, false, true, "lossless"},
-      {0.05, false, false, "drop 0.05"},
-      {0.05, true, false, "drop 0.05 arq"},
+      {0.0, 0.0, false, true, "lossless"},
+      {0.0, 0.0, false, false, "zero loss"},
+      {0.05, 0.01, false, false, "drop 0.05"},
+      {0.05, 0.01, true, false, "drop 0.05 arq"},
   };
   std::vector<DataLossRun> data_loss;
   bool disabled_path_ok = true;
@@ -902,7 +912,7 @@ int main() {
       for (const auto& dc : data_cfgs) {
         const DataLossRun d = measure_data_loss(
             sys.name, sys.topo, sys.sched, n, load, duration, dc.drop,
-            dc.arq, dc.lossless, dc.label);
+            dc.corrupt, dc.arq, dc.lossless, dc.label);
         data_table.add_row(
             {d.run.name, std::to_string(d.run.num_tors), d.label,
              fmt(d.run.events_per_sec(), 0), std::to_string(d.run.completed),
@@ -910,17 +920,17 @@ int main() {
              fmt(static_cast<double>(d.data_corrupted_bytes) / 1e6, 3),
              fmt(static_cast<double>(d.retransmitted_bytes) / 1e6, 3),
              std::to_string(d.rto_fires), std::to_string(d.spurious_retx)});
-        if (dc.lossless) {
-          // Disabled-path witness: with the channel never constructed the
-          // run must be bit-identical to the plain scaling row.
+        if (dc.drop == 0.0 && dc.corrupt == 0.0) {
+          // A channel that is never constructed, or drops nothing, must
+          // leave the run bit-identical to the plain scaling row.
           for (const PerfRun& s : scaling) {
             if (s.num_tors == n && s.name == sys.name &&
                 s.result_fingerprint != d.run.result_fingerprint) {
               disabled_path_ok = false;
               std::printf(
-                  "DISABLED-PATH MISMATCH: %s N=%d lossless %016llx != "
+                  "WITNESS MISMATCH: %s N=%d %s %016llx != "
                   "scaling %016llx\n",
-                  sys.name, n,
+                  sys.name, n, dc.label,
                   static_cast<unsigned long long>(d.run.result_fingerprint),
                   static_cast<unsigned long long>(s.result_fingerprint));
             }
@@ -931,7 +941,7 @@ int main() {
     }
   }
   data_table.print();
-  std::printf("disabled-path witness (lossless rows == scaling rows): %s\n",
+  std::printf("lossless and zero-loss witness (rows == scaling rows): %s\n",
               disabled_path_ok ? "PASS" : "FAIL");
 
   // --- Sweep dimension: the fig9 grid across worker-thread counts. ---

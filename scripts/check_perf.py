@@ -24,10 +24,17 @@ Gating:
     and its row fingerprints must match the committed baseline — the lossy
     rows are the control-fault path's bit-identity witness;
   - the fresh data_loss section (the seeded lossy data plane, without and
-    with the end-host ARQ, plus a lossless row that must fingerprint-match
-    the plain scaling row) must exist, be non-empty, and its row
-    fingerprints must match the committed baseline — the lossy-data rows
-    are the data-fault path's bit-identity witness;
+    with the end-host ARQ, plus a lossless row and a zero-loss row) must
+    exist, be non-empty, and its row fingerprints must match the committed
+    baseline — the lossy-data rows are the data-fault path's bit-identity
+    witness;
+  - in the fresh file, every lossless row (channel never constructed) and
+    every zero-loss row (channel constructed with every probability 0, ARQ
+    off) must fingerprint-match the scaling row of the same system, N and
+    sim_ns, and the zero-loss rows must exist. A zero-loss run keeps the
+    negotiator's scheduled phase on the per-slot walk while the scaling run
+    drains it per queue segment, so a mismatch means the two paths
+    disagree;
   - a readable committed baseline must carry every fingerprinted section
     the fresh run produced. A missing baseline section means the committed
     BENCH_perf.json predates the section and was never regenerated, so the
@@ -150,6 +157,40 @@ def check_section(fresh, baseline, section, missing_hint, mismatch_hint):
     return failed
 
 
+WITNESS_LABELS = ("lossless", "zero loss")
+
+
+def check_witness_rows(fresh):
+    """Gates the fresh file's lossless and zero-loss data_loss rows against
+    its own scaling rows; returns True when gating failed."""
+    scaling = {(r["name"], r["num_tors"], r.get("sim_ns")): r
+               for r in fresh.get("scaling", [])}
+    failed = False
+    compared = 0
+    zero_loss_rows = 0
+    for r in fresh.get("data_loss", []):
+        if r.get("label") not in WITNESS_LABELS:
+            continue
+        zero_loss_rows += r.get("label") == "zero loss"
+        s = scaling.get((r["name"], r["num_tors"], r.get("sim_ns")))
+        if s is None:
+            continue
+        compared += 1
+        if s.get("fingerprint") != r.get("fingerprint"):
+            print(f"::error::data_loss witness [{row_context(r)}] "
+                  f"fingerprint {r.get('fingerprint')} != scaling row "
+                  f"{s.get('fingerprint')} — a data channel that drops "
+                  "nothing changed the simulated output")
+            failed = True
+    if zero_loss_rows == 0:
+        print("::error::fresh data_loss section has no zero-loss row — the "
+              "per-slot vs per-segment witness is missing")
+        failed = True
+    print(f"data_loss witness: {compared} lossless/zero-loss rows compared "
+          "against the fresh scaling rows")
+    return failed
+
+
 def scaling_shapes(rows):
     """Per (system, sim_ns): events/sec at N=256 over events/sec at N=16."""
     by_key = {(r["name"], r["num_tors"], r.get("sim_ns")): r for r in rows}
@@ -238,6 +279,8 @@ def main():
                      "the lossy data plane",
                      "the lossy data plane (per-hop drop/corrupt or the "
                      "end-host ARQ) changed behaviour"):
+        failed = True
+    if check_witness_rows(fresh):
         failed = True
     check_scaling_shape(fresh, baseline)
 

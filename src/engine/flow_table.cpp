@@ -18,20 +18,13 @@ int FlowTable::add(const Flow& flow) {
 }
 
 void FlowTable::credit(int index, Bytes bytes, Nanos arrival) {
-  const DeliveryRecord record{index, kInvalidTor, bytes};
-  credit_span(&record, 1, arrival);
+  if (credit_unlogged(index, bytes)) log_completion(index, arrival);
 }
 
 void FlowTable::credit_span(const DeliveryRecord* records, std::size_t n,
                             Nanos arrival) {
   for (std::size_t i = 0; i < n; ++i) {
-    const int index = static_cast<int>(records[i].flow);
-    Bytes& left = remaining_[static_cast<std::size_t>(index)];
-    NEG_ASSERT(left > 0, "delivery to a completed flow");
-    NEG_ASSERT(records[i].bytes <= left, "over-delivery");
-    left -= records[i].bytes;
-    total_delivered_ += records[i].bytes;
-    if (left == 0) fct_.record(index, arrival - fct_.flow(index).arrival);
+    credit(static_cast<int>(records[i].flow), records[i].bytes, arrival);
   }
 }
 

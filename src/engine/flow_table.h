@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/types.h"
 #include "stats/fct_recorder.h"
 #include "workload/flow.h"
@@ -30,6 +31,22 @@ class FlowTable {
   /// times in one span).
   void credit_span(const DeliveryRecord* records, std::size_t n,
                    Nanos arrival);
+  /// Credits `bytes` without logging; returns true when the flow just
+  /// completed. The caller logs the completion with log_completion, which
+  /// lets it order a phase's completions itself.
+  bool credit_unlogged(int index, Bytes bytes) {
+    Bytes& left = remaining_[static_cast<std::size_t>(index)];
+    NEG_ASSERT(left > 0, "delivery to a completed flow");
+    NEG_ASSERT(bytes <= left, "over-delivery");
+    left -= bytes;
+    total_delivered_ += bytes;
+    return left == 0;
+  }
+  /// Logs the completion of flow `index`, whose last byte landed at
+  /// `arrival`.
+  void log_completion(int index, Nanos arrival) {
+    fct_.record(index, arrival - fct_.flow(index).arrival);
+  }
   std::size_t size() const { return remaining_.size(); }
   bool done(int index) const {
     return remaining_[static_cast<std::size_t>(index)] == 0;

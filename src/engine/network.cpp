@@ -613,9 +613,6 @@ void NegotiatorFabric::run_fallback_slot() {
 }
 
 void NegotiatorFabric::run_scheduled_phase() {
-  const Bytes payload = config_.scheduled_payload_bytes();
-  const Nanos prop = config_.propagation_delay_ns;
-
   sched_matches_.clear();
   sched_matches_.reserve(scheduler_->matches().size());
   for (const Match& m : scheduler_->matches()) {
@@ -630,6 +627,153 @@ void NegotiatorFabric::run_scheduled_phase() {
   match_slots_offered_ += static_cast<std::int64_t>(sched_matches_.size()) *
                           timing_.scheduled_slots();
 
+  // The per-segment drain needs every (src, dst) pair independent of every
+  // other for the whole phase. Lossy data and ARQ draw and retransmit
+  // across pairs in visit order, relay matches share relay queues, the
+  // fallback shares free ports and the host plane shares receive buffers,
+  // so each keeps the per-slot walk. So does an epoch in which a link is
+  // down or a link toggle, timer or train fires before the last slot.
+  const int slots = timing_.scheduled_slots();
+  if (slots > 0 && !data_ && !relay_enabled_ && !host_plane_ &&
+      !(control_ && config_.control_fault.fallback)) {
+    sim_.advance_to(timing_.scheduled_slot_start(epoch_, 0));
+    if (links_.all_up() &&
+        sim_.events().next_non_arrival_time() >
+            timing_.scheduled_slot_start(epoch_, slots - 1)) {
+      drain_scheduled_phase();
+      return;
+    }
+  }
+  run_scheduled_slots();
+}
+
+void NegotiatorFabric::drain_scheduled_phase() {
+  const int slots = timing_.scheduled_slots();
+  const auto n = static_cast<std::uint64_t>(config_.num_tors);
+  ++drain_epochs_;
+
+  // Group the matches by (src, dst), members in ascending match index.
+  drain_order_.clear();
+  for (std::size_t i = 0; i < sched_matches_.size(); ++i) {
+    const Match& m = sched_matches_[i].m;
+    drain_order_.push_back(
+        (static_cast<std::uint64_t>(m.src) * n +
+         static_cast<std::uint64_t>(m.dst)) << 32 | i);
+  }
+  std::sort(drain_order_.begin(), drain_order_.end());
+  drain_pairs_.clear();
+  for (std::size_t k = 0; k < drain_order_.size(); ++k) {
+    const auto pair = static_cast<std::uint32_t>(drain_order_[k] >> 32);
+    if (drain_pairs_.empty() || drain_pairs_.back().pair != pair) {
+      drain_pairs_.push_back(
+          DrainPair{pair, static_cast<std::uint32_t>(k), 0, false});
+    }
+    ++drain_pairs_.back().members;
+  }
+
+  // A pair is dirty when one of its flows lands before the last slot
+  // starts: its queue changes mid-phase, so it drains slot by slot.
+  sim_.events().for_each_arrival_until(
+      timing_.scheduled_slot_start(epoch_, slots - 1),
+      [this, n](std::int32_t flow_index) {
+        const Flow& f = flow_table_.flow(flow_index);
+        const auto pair = static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(f.src) * n +
+            static_cast<std::uint64_t>(f.dst));
+        const auto it = std::lower_bound(
+            drain_pairs_.begin(), drain_pairs_.end(), pair,
+            [](const DrainPair& p, std::uint32_t key) { return p.pair < key; });
+        if (it != drain_pairs_.end() && it->pair == pair) it->dirty = true;
+      });
+
+  drain_slot_packets_.assign(static_cast<std::size_t>(slots), 0);
+  drain_completions_.clear();
+  std::size_t dirty = 0;
+  for (const DrainPair& p : drain_pairs_) {
+    if (p.dirty) {
+      ++dirty;
+    } else {
+      drain_pair(p, 0, slots);
+    }
+  }
+  drain_clean_pairs_ += static_cast<std::int64_t>(drain_pairs_.size() - dirty);
+  drain_dirty_pairs_ += static_cast<std::int64_t>(dirty);
+  // Dirty pairs follow the clock, so each slot's arrivals land before that
+  // slot's draw exactly as in the per-slot walk.
+  for (int slot = 0; slot < slots; ++slot) {
+    sim_.advance_to(timing_.scheduled_slot_start(epoch_, slot));
+    if (dirty == 0) continue;
+    for (const DrainPair& p : drain_pairs_) {
+      if (p.dirty) drain_pair(p, slot, slot + 1);
+    }
+  }
+
+  // Completions land in (slot, match index) order, as the per-slot walk's
+  // slot flushes log them; each slot that delivered is one dispatch.
+  std::sort(drain_completions_.begin(), drain_completions_.end(),
+            [](const DrainCompletion& a, const DrainCompletion& b) {
+              return a.order < b.order;
+            });
+  for (const DrainCompletion& c : drain_completions_) {
+    flow_table_.log_completion(
+        c.flow, scheduled_arrival(static_cast<int>(c.order >> 32)));
+  }
+  for (const std::uint32_t packets : drain_slot_packets_) {
+    deliveries_ += packets;
+    match_slots_used_ += packets;
+    if (packets > 0) ++delivery_dispatches_;
+  }
+}
+
+void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
+                                  int end_slot) {
+  const auto n = static_cast<std::uint32_t>(config_.num_tors);
+  const auto src = static_cast<TorId>(p.pair / n);
+  const auto dst = static_cast<TorId>(p.pair % n);
+  const Bytes payload = config_.scheduled_payload_bytes();
+  TorSwitch& tor = tors_[static_cast<std::size_t>(src)];
+  // Packet j rides slot first_slot + j / m on member j % m.
+  const std::uint32_t m = p.members;
+  const auto budget = static_cast<std::uint32_t>(end_slot - first_slot) * m;
+  std::uint32_t j = 0;
+  int booked_slot = first_slot;  // slot whose bytes `booked` accumulates
+  Bytes booked = 0;
+  while (j < budget) {
+    const PacketRun run = tor.take_run(dst, payload, budget - j);
+    if (run.packets == 0) break;
+    const std::uint32_t last = j + run.packets - 1;
+    if (flow_table_.credit_unlogged(static_cast<int>(run.flow), run.bytes)) {
+      const int slot = first_slot + static_cast<int>(last / m);
+      const auto match = static_cast<std::uint32_t>(
+          drain_order_[p.first + last % m]);
+      drain_completions_.push_back(DrainCompletion{
+          static_cast<std::uint64_t>(slot) << 32 | match,
+          static_cast<int>(run.flow)});
+    }
+    // Goodput is booked per (pair, slot) at the slot's arrival time.
+    for (std::uint32_t left = run.packets; left > 0;) {
+      const int slot = first_slot + static_cast<int>(j / m);
+      if (slot != booked_slot) {
+        goodput_.record_delivery(dst, booked, scheduled_arrival(booked_slot));
+        booked_slot = slot;
+        booked = 0;
+      }
+      const std::uint32_t in_slot = std::min(left, m - j % m);
+      booked += static_cast<Bytes>(in_slot) * payload;
+      drain_slot_packets_[static_cast<std::size_t>(slot)] += in_slot;
+      j += in_slot;
+      left -= in_slot;
+    }
+    booked -= payload - run.last_bytes;
+  }
+  if (j == 0) return;
+  goodput_.record_delivery(dst, booked, scheduled_arrival(booked_slot));
+  sync_source_activity(src);
+}
+
+void NegotiatorFabric::run_scheduled_slots() {
+  const Bytes payload = config_.scheduled_payload_bytes();
+  const Nanos prop = config_.propagation_delay_ns;
   live_matches_.resize(sched_matches_.size());
   for (std::size_t i = 0; i < live_matches_.size(); ++i) {
     live_matches_[i] = static_cast<std::int32_t>(i);

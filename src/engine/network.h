@@ -189,6 +189,13 @@ class NegotiatorFabric final : public FabricSim,
   std::int64_t match_slots_offered() const { return match_slots_offered_; }
   std::int64_t match_slots_used() const { return match_slots_used_; }
   std::int64_t piggyback_packets() const { return piggyback_packets_; }
+  /// Scheduled-phase path counters: epochs drained per queue segment, and
+  /// the (src, dst) pairs those epochs drained in one pass (clean) or slot
+  /// by slot (dirty: a flow for the pair landed mid-phase). Every other
+  /// epoch ran the per-slot walk.
+  std::int64_t drain_epochs() const { return drain_epochs_; }
+  std::int64_t drain_clean_pairs() const { return drain_clean_pairs_; }
+  std::int64_t drain_dirty_pairs() const { return drain_dirty_pairs_; }
 
   /// Lossy control channel (null when control_fault is disabled).
   const ControlChannel* control_channel() const { return control_.get(); }
@@ -216,7 +223,11 @@ class NegotiatorFabric final : public FabricSim,
 
   void run_epoch();
   void run_predefined_phase();
+  /// Picks the scheduled phase's path for this epoch (see the drain block
+  /// below) and runs it.
   void run_scheduled_phase();
+  /// The per-slot walk: every slot visits every live match once.
+  void run_scheduled_slots();
 
   /// Graceful degradation under control-plane loss (config-gated by
   /// control_fault.fallback): sources whose negotiation yielded no match
@@ -346,10 +357,10 @@ class NegotiatorFabric final : public FabricSim,
   bool in_predefined_phase_{false};
   std::vector<PredefinedSchedule::Connection> pair_conn_scratch_;
 
-  // --- Scheduled-phase live-match list ---
+  // --- Scheduled phase, per-slot walk: the live-match list ---
   //
   // An over-scheduled match spends most of its 30 slots with a drained
-  // queue (§3.5). Instead of re-checking every match every slot, the phase
+  // queue (§3.5). Instead of re-checking every match every slot, the walk
   // iterates a compact ascending index list of *live* matches; a match
   // whose queue is found empty is dropped from the list and reactivated —
   // at its original position, preserving the dense visit order exactly —
@@ -368,6 +379,48 @@ class NegotiatorFabric final : public FabricSim,
   std::vector<std::int32_t> dropped_heads_;    // [src] -> chain head
   std::vector<std::int64_t> dropped_stamp_;    // [src] -> epoch of that head
   std::vector<std::int32_t> dropped_next_;     // [match index] -> next in chain
+
+  // --- Scheduled phase, per-segment drain ---
+  //
+  // The matching is fixed for the whole phase, so when nothing couples one
+  // (src, dst) pair to another — no data channel, ARQ, relay, fallback or
+  // host plane; every link up at slot 0; no link toggle, timer or train
+  // due before the last slot starts — each pair is served for the whole
+  // phase in one pass, drawing whole runs of packets per queue segment
+  // (TorSwitch::take_run). A pair with m matches moves up to m packets per
+  // slot: packet j rides slot j / m on member j % m (members in ascending
+  // match index), exactly as the per-slot walk would send it. A pair one
+  // of whose flows lands mid-phase is dirty and drains slot by slot after
+  // each advance_to instead. Completions are logged at the end of the
+  // phase in (slot, match index) order, goodput is booked per (pair,
+  // slot) at the slot's arrival time, and the delivery counters count one
+  // dispatch per slot that delivered — all as the per-slot walk does.
+  struct DrainPair {
+    std::uint32_t pair;     // src * N + dst
+    std::uint32_t first;    // position of its first member in drain_order_
+    std::uint32_t members;  // matches for this pair
+    bool dirty;
+  };
+  struct DrainCompletion {
+    std::uint64_t order;  // slot << 32 | match index
+    int flow;
+  };
+  /// Drains the phase per queue segment; clock ends where the walk's does.
+  void drain_scheduled_phase();
+  /// Serves pair `p` over slots [first_slot, end_slot).
+  void drain_pair(const DrainPair& p, int first_slot, int end_slot);
+  /// When data sent in scheduled slot `slot` of this epoch arrives.
+  Nanos scheduled_arrival(int slot) const {
+    return timing_.scheduled_slot_end(epoch_, slot) +
+           config_.propagation_delay_ns;
+  }
+  std::vector<std::uint64_t> drain_order_;  // (pair << 32 | index), sorted
+  std::vector<DrainPair> drain_pairs_;      // ascending pair
+  std::vector<DrainCompletion> drain_completions_;
+  std::vector<std::uint32_t> drain_slot_packets_;  // [slot] -> packets
+  std::int64_t drain_epochs_{0};
+  std::int64_t drain_clean_pairs_{0};
+  std::int64_t drain_dirty_pairs_{0};
 
   /// rx port of a transmission leaving (src, tx) — destination-independent
   /// in both topologies, precomputed once. kInvalidPort for a port that

@@ -244,12 +244,16 @@ void EventQueue::schedule_train_span(Nanos when, std::uint64_t offset,
   push_calendar_or_heap(when, Kind::kRelayTrain, payload);
 }
 
-Nanos EventQueue::next_time() const {
-  if (empty()) return kNeverNs;
+Nanos EventQueue::next_non_arrival_time() const {
   Nanos best = kNeverNs;
   if (!heap_.empty()) best = heap_.front().when;
-  if (!arrivals_.drained()) best = std::min(best, arrivals_.front().when);
   if (!calendar_.empty()) best = std::min(best, calendar_.front().when);
+  return best;
+}
+
+Nanos EventQueue::next_time() const {
+  Nanos best = next_non_arrival_time();
+  if (!arrivals_.drained()) best = std::min(best, arrivals_.front().when);
   return best;
 }
 

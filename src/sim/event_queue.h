@@ -143,6 +143,21 @@ class EventQueue {
   /// Timestamp of the earliest pending event; kNeverNs when empty.
   Nanos next_time() const;
 
+  /// Timestamp of the earliest pending link toggle, ARQ timer or relay
+  /// train — every event but a flow arrival; kNeverNs when none is
+  /// pending.
+  Nanos next_non_arrival_time() const;
+
+  /// Read-only peek at the committed pending flow arrivals: calls
+  /// `visit(flow_index)` for each with timestamp <= `t`, in firing order.
+  template <typename Visit>
+  void for_each_arrival_until(Nanos t, Visit&& visit) const {
+    for (std::size_t i = arrivals_.head;
+         i < arrivals_.sorted_end && arrivals_.items[i].when <= t; ++i) {
+      visit(arrivals_.items[i].flow_index);
+    }
+  }
+
   /// Pops and runs the earliest event. Requires !empty().
   void run_next();
 

@@ -35,6 +35,16 @@ struct QueuedPacket {
   Nanos enqueued_at; // when its segment entered the queue
 };
 
+/// A run of packets of one flow drawn from one queue segment
+/// (DestQueueSet::take_run): `packets` packets carrying `bytes` in total,
+/// each a full payload except the last, which carries `last_bytes`.
+struct PacketRun {
+  FlowId flow{0};
+  Bytes bytes{0};
+  std::uint32_t packets{0};  // 0: the queue was empty
+  Bytes last_bytes{0};
+};
+
 /// A set of per-destination priority FIFOs sharing one segment arena.
 /// Queue index is the destination; a ToR owns one set spanning all of its
 /// N-1 peers.
@@ -126,20 +136,33 @@ class DestQueueSet {
     return out;
   }
 
-  /// Draws up to `max_packets` packets exactly as that many sequential
-  /// dequeue_packet calls would — same packets, same level order — writing
-  /// them to `out`. Returns the number drawn. The bulk form behind
-  /// TorSwitch::dequeue_span.
-  std::size_t dequeue_span(int q, Bytes max_payload, std::size_t max_packets,
-                           QueuedPacket* out) {
+  /// Draws up to `max_packets` packets from the head segment of the
+  /// highest-priority non-empty level, never crossing into the next
+  /// segment: exactly the packets that many dequeue_packet calls would
+  /// draw while they stay on that segment. Every packet of the run is
+  /// `max_payload` bytes except possibly the last. Empty queue -> a run of
+  /// 0 packets.
+  PacketRun take_run(int q, Bytes max_payload, std::uint32_t max_packets) {
     NEG_ASSERT(max_payload > 0, "packet payload must be positive");
-    std::size_t n = 0;
-    while (n < max_packets) {
-      const std::uint32_t mask = level_mask_[static_cast<std::size_t>(q)];
-      if (mask == 0) break;
-      take_head(q, std::countr_zero(mask), max_payload, out[n++]);
+    NEG_ASSERT(max_packets > 0, "a run draws at least one packet");
+    const std::uint32_t mask = level_mask_[static_cast<std::size_t>(q)];
+    if (mask == 0) return PacketRun{};
+    const int level = std::countr_zero(mask);
+    const std::size_t idx = slot(q, level);
+    const Segment& seg = arena_[static_cast<std::size_t>(head_[idx])];
+    const Bytes partial = seg.remaining % max_payload;
+    const Bytes seg_packets = seg.remaining / max_payload + (partial > 0);
+    PacketRun run{seg.flow, 0, 0, max_payload};
+    if (static_cast<Bytes>(max_packets) < seg_packets) {
+      run.packets = max_packets;
+      run.bytes = static_cast<Bytes>(max_packets) * max_payload;
+    } else {
+      run.packets = static_cast<std::uint32_t>(seg_packets);
+      run.bytes = seg.remaining;
+      if (partial > 0) run.last_bytes = partial;
     }
-    return n;
+    drain_head(q, level, idx, run.bytes);
+    return run;
   }
 
   bool empty(int q) const {
@@ -203,19 +226,27 @@ class DestQueueSet {
     return static_cast<std::int32_t>(arena_.size()) - 1;
   }
 
-  /// Partial-takes from the head segment of (q, level): the shared body of
-  /// every dequeue path. The level must be non-empty.
+  /// Partial-takes one packet from the head segment of (q, level). The
+  /// level must be non-empty.
   void take_head(int q, int level, Bytes max_payload, QueuedPacket& out) {
     const std::size_t idx = slot(q, level);
-    const std::int32_t h = head_[idx];
-    Segment& seg = arena_[static_cast<std::size_t>(h)];
+    const Segment& seg = arena_[static_cast<std::size_t>(head_[idx])];
     const Bytes take = std::min(seg.remaining, max_payload);
     out = QueuedPacket{seg.flow, take, level, seg.enqueued_at};
-    seg.remaining -= take;
-    level_bytes_[idx] -= take;
-    queue_bytes_[static_cast<std::size_t>(q)] -= take;
+    drain_head(q, level, idx, take);
+  }
+
+  /// Removes `bytes` from the head segment of (q, level), whose flat index
+  /// is `idx`: the shared body of every dequeue path. A drained head is
+  /// unlinked and its arena slot recycled, keeping the HoL stamp and level
+  /// bitmask current.
+  void drain_head(int q, int level, std::size_t idx, Bytes bytes) {
+    const std::int32_t h = head_[idx];
+    Segment& seg = arena_[static_cast<std::size_t>(h)];
+    seg.remaining -= bytes;
+    level_bytes_[idx] -= bytes;
+    queue_bytes_[static_cast<std::size_t>(q)] -= bytes;
     if (seg.remaining != 0) return;
-    // Drained segment: unlink the head and recycle its arena slot.
     const std::int32_t nxt = seg.next;
     seg.next = free_head_;
     free_head_ = h;

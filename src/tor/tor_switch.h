@@ -7,7 +7,7 @@
 // contiguous loads.
 #pragma once
 
-#include <cstddef>
+#include <cstdint>
 #include <optional>
 
 #include "common/active_set.h"
@@ -44,18 +44,18 @@ class TorSwitch {
     return packet;
   }
 
-  /// Draws up to `max_packets` packets bound for `dst` exactly as that many
-  /// sequential dequeue_packet calls would, with one occupancy/active-set
-  /// update. Returns the number drawn — the bulk drain path for coalesced
-  /// delivery walks.
-  std::size_t dequeue_span(TorId dst, Bytes max_payload,
-                           std::size_t max_packets, QueuedPacket* out) {
+  /// Draws a run of up to `max_packets` packets bound for `dst` from one
+  /// queue segment (DestQueueSet::take_run), with one occupancy/active-set
+  /// update — the per-segment scheduled phase's bulk draw.
+  PacketRun take_run(TorId dst, Bytes max_payload,
+                     std::uint32_t max_packets) {
     check_dst(dst);
-    const std::size_t n = store_.dequeue_span(dst, max_payload, max_packets,
-                                              out);
-    for (std::size_t i = 0; i < n; ++i) total_pending_ -= out[i].bytes;
-    if (n > 0) note_dequeued(dst);
-    return n;
+    const PacketRun run = store_.take_run(dst, max_payload, max_packets);
+    if (run.packets > 0) {
+      total_pending_ -= run.bytes;
+      note_dequeued(dst);
+    }
+    return run;
   }
 
   /// Draws one packet of only the lowest-priority data (selective relay).

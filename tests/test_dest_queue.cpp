@@ -164,6 +164,13 @@ class RefDestQueue {
     }
   }
 
+  std::optional<int> first_nonempty_level() const {
+    for (int level = 0; level < static_cast<int>(q_.size()); ++level) {
+      if (!q_[static_cast<std::size_t>(level)].empty()) return level;
+    }
+    return std::nullopt;
+  }
+
   std::optional<QueuedPacket> dequeue_packet_at_least(Bytes max_payload,
                                                       int min_level) {
     for (int level = min_level; level < static_cast<int>(q_.size());
@@ -178,6 +185,23 @@ class RefDestQueue {
       return out;
     }
     return std::nullopt;
+  }
+
+  /// Sequential dequeue_packet calls that stay on the head segment they
+  /// start on: the reference for DestQueueSet::take_run.
+  std::vector<QueuedPacket> dequeue_segment(Bytes max_payload,
+                                            std::size_t max_packets) {
+    std::vector<QueuedPacket> out;
+    while (out.size() < max_packets) {
+      const auto level = first_nonempty_level();
+      if (!level) break;
+      const bool segment_ends =
+          q_[static_cast<std::size_t>(*level)].front().remaining <=
+          max_payload;
+      out.push_back(*dequeue_packet_at_least(max_payload, 0));
+      if (segment_ends) break;
+    }
+    return out;
   }
 
   Bytes bytes_at_level(int level) const {
@@ -212,6 +236,22 @@ void expect_same_packet(const std::optional<QueuedPacket>& got,
   EXPECT_EQ(got->bytes, want->bytes) << "step " << step;
   EXPECT_EQ(got->level, want->level) << "step " << step;
   EXPECT_EQ(got->enqueued_at, want->enqueued_at) << "step " << step;
+}
+
+/// A run must carry exactly the reference packets: one flow, every packet
+/// full but the last, byte totals equal.
+void expect_run_matches(const PacketRun& run,
+                        const std::vector<QueuedPacket>& want, Bytes payload,
+                        std::size_t step) {
+  ASSERT_EQ(run.packets, want.size()) << "step " << step;
+  Bytes total = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].flow, run.flow) << "step " << step;
+    EXPECT_EQ(want[i].bytes, i + 1 < want.size() ? payload : run.last_bytes)
+        << "step " << step << " packet " << i;
+    total += want[i].bytes;
+  }
+  EXPECT_EQ(run.bytes, total) << "step " << step;
 }
 
 void expect_same_state(const DestQueueSet& impl,
@@ -287,21 +327,15 @@ TEST(DestQueueProperty, ArenaMatchesDequeReference) {
         if (got) dequeued.emplace_back(q, *got);
         break;
       }
-      case 5: {  // bulk drain vs the same number of sequential ref dequeues
+      case 5: {  // a run vs sequential ref dequeues on one segment
         const Bytes payload = 1 + rng.next_below(2'000);
-        const std::size_t max_packets =
-            1 + static_cast<std::size_t>(rng.next_below(8));
-        std::vector<QueuedPacket> span(max_packets);
-        const std::size_t n =
-            impl.dequeue_span(q, payload, max_packets, span.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto want = ref.dequeue_packet_at_least(payload, 0);
-          expect_same_packet(span[i], want, step);
-          dequeued.emplace_back(q, span[i]);
-        }
-        ASSERT_FALSE(n < max_packets &&
-                     ref.dequeue_packet_at_least(payload, 0).has_value())
-            << "span stopped early at step " << step;
+        const auto max_packets =
+            static_cast<std::uint32_t>(1 + rng.next_below(8));
+        const PacketRun run = impl.take_run(q, payload, max_packets);
+        const std::vector<QueuedPacket> want =
+            ref.dequeue_segment(payload, max_packets);
+        expect_run_matches(run, want, payload, step);
+        for (const QueuedPacket& p : want) dequeued.emplace_back(q, p);
         break;
       }
       default: {  // plain dequeue (most common op in the fabric)
@@ -318,42 +352,43 @@ TEST(DestQueueProperty, ArenaMatchesDequeReference) {
   }
 }
 
-TEST(DestQueueSet, SpanMatchesSequentialDequeues) {
-  // Two identically-loaded sets: draining one via dequeue_span must yield
-  // exactly the packets sequential dequeue_packet calls yield on the other.
-  const int kQueues = 4;
-  DestQueueSet bulk(kQueues, 3);
-  DestQueueSet seq(kQueues, 3);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const int q = static_cast<int>(rng.next_below(kQueues));
-    const FlowId flow = static_cast<FlowId>(rng.next_below(16));
-    const Bytes bytes = 1 + rng.next_below(4'000);
-    const int level = static_cast<int>(rng.next_below(3));
-    const Nanos now = i * 3;
-    bulk.enqueue_bytes(q, flow, bytes, now, level);
-    seq.enqueue_bytes(q, flow, bytes, now, level);
-  }
-  QueuedPacket span[8];
-  for (int round = 0; round < 500; ++round) {
-    const int q = static_cast<int>(rng.next_below(kQueues));
-    const Bytes payload = 1 + rng.next_below(1'500);
-    const std::size_t max_packets =
-        1 + static_cast<std::size_t>(rng.next_below(8));
-    const std::size_t n = bulk.dequeue_span(q, payload, max_packets, span);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto want = seq.dequeue_packet(q, payload);
-      ASSERT_TRUE(want.has_value());
-      EXPECT_EQ(span[i].flow, want->flow);
-      EXPECT_EQ(span[i].bytes, want->bytes);
-      EXPECT_EQ(span[i].level, want->level);
-      EXPECT_EQ(span[i].enqueued_at, want->enqueued_at);
-    }
-    if (n < max_packets) {
-      EXPECT_FALSE(seq.dequeue_packet(q, payload).has_value());
-    }
-    ASSERT_EQ(bulk.total_bytes(q), seq.total_bytes(q));
-  }
+TEST(DestQueueSet, TakeRunStaysOnOneSegment) {
+  // A run drains the head segment of the highest-priority level and stops
+  // there: at the segment's end (short or full last packet), or at
+  // max_packets in mid-segment.
+  DestQueueSet set(1, 3);
+  set.enqueue_bytes(0, 1, 3'000, 5, 2);
+  set.enqueue_bytes(0, 2, 2'500, 7, 0);
+  set.enqueue_bytes(0, 3, 1'000, 9, 0);
+
+  PacketRun run = set.take_run(0, 1'000, 8);  // short last packet
+  EXPECT_EQ(run.flow, 2);
+  EXPECT_EQ(run.packets, 3u);
+  EXPECT_EQ(run.bytes, 2'500);
+  EXPECT_EQ(run.last_bytes, 500);
+  EXPECT_EQ(set.hol_enqueue_time(0, 0), 9) << "next segment is the head";
+
+  run = set.take_run(0, 1'000, 8);  // segment of exactly one full packet
+  EXPECT_EQ(run.flow, 3);
+  EXPECT_EQ(run.packets, 1u);
+  EXPECT_EQ(run.last_bytes, 1'000);
+  EXPECT_EQ(set.hol_enqueue_time(0, 0), kNeverNs);
+
+  run = set.take_run(0, 1'000, 2);  // cut in mid-segment, one level down
+  EXPECT_EQ(run.flow, 1);
+  EXPECT_EQ(run.packets, 2u);
+  EXPECT_EQ(run.bytes, 2'000);
+  EXPECT_EQ(run.last_bytes, 1'000);
+  EXPECT_EQ(set.bytes_at_level(0, 2), 1'000);
+  EXPECT_EQ(set.hol_enqueue_time(0, 2), 5) << "a cut keeps the head";
+
+  run = set.take_run(0, 1'000, 2);
+  EXPECT_EQ(run.packets, 1u);
+  EXPECT_TRUE(set.empty(0));
+
+  run = set.take_run(0, 1'000, 2);  // empty queue
+  EXPECT_EQ(run.packets, 0u);
+  EXPECT_EQ(run.bytes, 0);
 }
 
 TEST(DestQueueSet, MinLevelMaskSkipsEmptyLevels) {

@@ -91,9 +91,9 @@ TEST(TorSwitch, TotalPendingConserved) {
   EXPECT_TRUE(tor.active_destinations().empty());
 }
 
-TEST(TorSwitch, DequeueSpanMatchesSequentialDequeues) {
-  // Twin switches with the same flows: a bulk span on one must yield the
-  // exact packets sequential dequeue_packet calls yield on the other, and
+TEST(TorSwitch, TakeRunMatchesSequentialDequeues) {
+  // Twin switches with the same flows: a run on one must carry the exact
+  // packets that sequential dequeue_packet calls yield on the other, and
   // leave identical pending/active state behind.
   TorSwitch bulk(0, 8, PiasConfig{});
   TorSwitch seq(0, 8, PiasConfig{});
@@ -103,19 +103,19 @@ TEST(TorSwitch, DequeueSpanMatchesSequentialDequeues) {
     bulk.accept_flow(f, i);
     seq.accept_flow(f, i);
   }
-  QueuedPacket span[4];
   for (int round = 0; round < 400; ++round) {
     const TorId dst = static_cast<TorId>(1 + round % 7);
-    const std::size_t n = bulk.dequeue_span(dst, 1'115, 4, span);
-    for (std::size_t i = 0; i < n; ++i) {
+    const PacketRun run = bulk.take_run(dst, 1'115, 4);
+    Bytes total = 0;
+    for (std::uint32_t i = 0; i < run.packets; ++i) {
       const auto want = seq.dequeue_packet(dst, 1'115);
       ASSERT_TRUE(want.has_value()) << "round " << round;
-      EXPECT_EQ(span[i].flow, want->flow);
-      EXPECT_EQ(span[i].bytes, want->bytes);
-      EXPECT_EQ(span[i].level, want->level);
-      EXPECT_EQ(span[i].enqueued_at, want->enqueued_at);
+      EXPECT_EQ(want->flow, run.flow);
+      EXPECT_EQ(want->bytes, i + 1 < run.packets ? 1'115 : run.last_bytes);
+      total += want->bytes;
     }
-    if (n < 4) {
+    EXPECT_EQ(run.bytes, total);
+    if (run.packets == 0) {
       EXPECT_FALSE(seq.dequeue_packet(dst, 1'115).has_value());
     }
     ASSERT_EQ(bulk.pending_to(dst), seq.pending_to(dst));
