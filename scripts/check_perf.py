@@ -10,6 +10,12 @@ Gating:
     bit-identical-for-fixed-seed contract;
   - the fresh scaling section must exist, be non-empty, and carry a result
     fingerprint per row;
+  - every deterministic integer counter a section records (COUNTERS below:
+    scaling deliveries/delivery_dispatches, storm blackholed_bytes, the
+    control_loss drop and fallback counts, the data_loss drop, corruption,
+    ARQ and completion counts) must equal the committed row's under the
+    fingerprint rule below (same row identity and sim_ns). The counters
+    are simulated output the fingerprints do not hash;
   - a scaling row's fingerprint must match the committed baseline's row
     when both describe the same run (same system, num_tors AND sim_ns —
     fingerprints hash the simulated output, so they only compare across
@@ -95,14 +101,26 @@ def row_context(r):
     return " ".join(parts)
 
 
+# Deterministic integer counters per section, gated for exact equality
+# against the committed row alongside the fingerprint.
+COUNTERS = {
+    "scaling": ("deliveries", "delivery_dispatches"),
+    "storm": ("blackholed_bytes",),
+    "control_loss": ("control_dropped", "degraded_slots", "fallback_bytes"),
+    "data_loss": ("data_dropped_bytes", "data_corrupted_bytes",
+                  "retransmitted_bytes", "rto_fires", "spurious_retx",
+                  "completed"),
+}
+
+
 def check_section(fresh, baseline, section, missing_hint, mismatch_hint):
     """Validates one fingerprinted section; returns True when gating failed.
 
     Rows are matched to the committed baseline by (name, num_tors, label);
-    fingerprints only compare across equal sim_ns (they hash the simulated
-    output, so different durations are different runs). A mismatch prints
-    the offending row's full context so the failure names the exact
-    configuration that diverged.
+    fingerprints and COUNTERS only compare across equal sim_ns (they are
+    simulated output, so different durations are different runs). A
+    mismatch prints the offending row's full context so the failure names
+    the exact configuration that diverged.
     """
     rows = fresh.get(section, [])
     if not rows:
@@ -139,6 +157,15 @@ def check_section(fresh, baseline, section, missing_hint, mismatch_hint):
                       f"[{row_context(r)}]: {r['fingerprint']} vs committed "
                       f"{b['fingerprint']} — {mismatch_hint}")
                 failed = True
+        if b.get("sim_ns") == r.get("sim_ns"):
+            for counter in COUNTERS.get(section, ()):
+                if counter not in b:
+                    continue
+                if r.get(counter) != b[counter]:
+                    print(f"::error::{section} {counter} mismatch for "
+                          f"[{row_context(r)}]: {r.get(counter)} vs "
+                          f"committed {b[counter]} — {mismatch_hint}")
+                    failed = True
         if b.get("events_per_sec") and b.get("sim_ns") == r.get("sim_ns"):
             # Same duration only: a 30 ms paper-scale run vs the 2 ms
             # baseline has a different warm-up fraction and steady-state
@@ -152,8 +179,8 @@ def check_section(fresh, baseline, section, missing_hint, mismatch_hint):
     skipped = len(rows) - compared
     note = (f" ({skipped} rows without a comparable baseline — different "
             "sim_ns or not in the committed file)" if skipped else "")
-    print(f"{section}: {len(rows)} rows, {compared} fingerprints compared "
-          f"against the baseline{note}")
+    print(f"{section}: {len(rows)} rows, {compared} fingerprints and "
+          f"counters compared against the baseline{note}")
     return failed
 
 

@@ -6,6 +6,7 @@
 // tests/test_host_transport.cpp covers the end-host ARQ layered on top.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "common/config.h"
@@ -251,6 +252,102 @@ TEST(DataChannel, DropsStrictlyHurtWithoutArq) {
   EXPECT_GT(rec.data_dropped(), 0);
   EXPECT_GT(rec.data_dropped_bytes(), 0);
   EXPECT_EQ(rec.retransmitted_bytes(), 0) << "no ARQ, no retransmissions";
+}
+
+// The end-host delivery path's observables that no golden hashes: the
+// delivery counters, the resilience JSON, the channel's drop/corrupt
+// counts, the transport's ARQ counters and the auditor's check count.
+// Each case pins a hash of all of them, so a refactor of the path shows
+// up here even where the FCT fingerprints stay put.
+struct PlaneCase {
+  const char* name;
+  SchedulerKind kind;
+  bool arq;
+  bool link_failures;
+  bool host_plane;
+  std::uint64_t expected;
+};
+
+/// Calls `fn` with the concrete fabric (the accessors live there).
+template <class Fn>
+void with_concrete(FabricSim& fab, Fn fn) {
+  if (auto* n = dynamic_cast<NegotiatorFabric*>(&fab)) {
+    fn(*n);
+  } else {
+    fn(dynamic_cast<ObliviousFabric&>(fab));
+  }
+}
+
+std::string delivery_observables(const PlaneCase& pc) {
+  NetworkConfig cfg = base_config(87, pc.kind);
+  cfg.data_fault = lossy_data(0.05, 0.01);
+  cfg.data_fault.arq = pc.arq;
+  if (pc.host_plane) {
+    cfg.host_plane.enabled = true;
+    cfg.host_plane.rx_buffer_capacity = 600'000;
+    cfg.host_plane.rx_high_watermark = 300'000;
+    cfg.host_plane.rx_low_watermark = 150'000;
+  }
+  Runner runner(cfg);
+  FabricSim& fab = runner.fabric();
+  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
+  fab.set_resilience(&rec);
+  if (pc.link_failures) {
+    for (const TorId tor : {1, 6, 11}) {
+      fab.schedule_link_event(kDuration / 4, tor, 2, LinkDirection::kEgress,
+                              true);
+      fab.schedule_link_event(kDuration / 2, tor, 2, LinkDirection::kEgress,
+                              false);
+    }
+  }
+  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                        cfg.host_rate(), 0.6, Rng(cfg.seed));
+  runner.add_flows(gen.generate(0, kDuration));
+  runner.run(kDuration, kDuration / 4);
+
+  std::ostringstream os;
+  os << "deliveries=" << fab.deliveries()
+     << " dispatches=" << fab.delivery_dispatches();
+  with_concrete(fab, [&os](auto& f) {
+    if (const DataChannel* d = f.data_channel()) {
+      os << " dropped=" << d->dropped() << " corrupted=" << d->corrupted();
+    }
+    if (const HostTransport* t = f.host_transport()) {
+      os << " retransmitted=" << t->retransmitted_bytes()
+         << " rto_fires=" << t->rto_fires()
+         << " spurious=" << t->spurious_retx();
+    }
+    if (const ConservationAuditor* a = f.conservation_auditor()) {
+      os << " checks=" << a->checks();
+    }
+  });
+  os << " resilience=" << rec.json();
+  return os.str();
+}
+
+TEST(DataChannel, DeliveryPlaneObservablesArePinned) {
+  const PlaneCase cases[] = {
+      {"negotiator drop", SchedulerKind::kNegotiator, false, false, false,
+       3702059328245119405ULL},
+      {"negotiator arq", SchedulerKind::kNegotiator, true, false, false,
+       17542574215734865622ULL},
+      {"oblivious drop", SchedulerKind::kOblivious, false, false, false,
+       5308167383031444985ULL},
+      {"oblivious arq", SchedulerKind::kOblivious, true, false, false,
+       7281772117254156226ULL},
+      {"oblivious link failures", SchedulerKind::kOblivious, false, true,
+       false, 11755841054212656769ULL},
+      {"negotiator host plane", SchedulerKind::kNegotiator, true, false, true,
+       18085817454214437823ULL},
+  };
+  for (const PlaneCase& pc : cases) {
+    const std::string observed = delivery_observables(pc);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : observed) {
+      h = fnv_mix(h, static_cast<unsigned char>(c));
+    }
+    EXPECT_EQ(h, pc.expected) << pc.name << ": " << observed;
+  }
 }
 
 }  // namespace
