@@ -92,6 +92,11 @@ void NetworkConfig::validate() const {
       (pias.first_threshold <= 0 || pias.second_threshold <= 0)) {
     fail("PIAS thresholds must be positive");
   }
+  // The oblivious baseline has no grant step to gate on receive buffers
+  // (§3.6.5), so it would silently run as if the host plane were off.
+  if (host_plane.enabled && scheduler == SchedulerKind::kOblivious) {
+    fail("host_plane.enabled needs a negotiator-family scheduler");
+  }
   auto check_prob = [&](double p, const char* field) {
     if (!(p >= 0.0 && p <= 1.0)) {
       fail(std::string(field) + " must be in [0, 1]");

@@ -1,10 +1,11 @@
 // Byte-conservation auditor for the lossy data plane: every byte a
 // workload injects must be accounted for at every epoch boundary.
 //
-// The fabrics assemble a ConservationLedger snapshot (O(N) queue sums
-// plus running counters) at the end of each epoch (negotiator) or rotor
-// cycle (oblivious) and hand it to check(), which asserts the
-// conservation identity:
+// The DeliveryPlane (engine/delivery_plane.h) assembles a
+// ConservationLedger snapshot (the fabric's O(N) queue sums plus running
+// counters) at the end of each epoch (negotiator) or rotor cycle
+// (oblivious) and hands it to check(), which asserts the conservation
+// identity:
 //
 //   without ARQ:  injected = source_queued + relay_parked + in_transit
 //                            + delivered + dropped + corrupted
@@ -21,8 +22,8 @@
 // Arming follows MatchingValidator's contract: constructed whenever the
 // data channel exists and config.validate_matching is set — and always
 // in !NDEBUG (debug/sanitizer) builds. A violation aborts via
-// NEG_ASSERT. Absent (the default in release), the fabrics skip the
-// ledger assembly entirely.
+// NEG_ASSERT. Absent (the default in release), the ledger is never
+// assembled.
 #pragma once
 
 #include <cstdint>

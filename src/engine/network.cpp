@@ -11,9 +11,39 @@ namespace negotiator {
 
 // ---------------------------------------------------------------- FabricSim
 
+namespace {
+
+const NetworkConfig& validated(const NetworkConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
+FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns,
+                     bool relay)
+    : config_(validated(config)),
+      topo_(make_topology(config)),
+      goodput_(config.num_tors, stats_window_ns),
+      links_(config.num_tors, config.ports_per_tor),
+      plane_(config_, sim_.events(), goodput_, links_) {
+  tors_.reserve(static_cast<std::size_t>(config_.num_tors));
+  for (TorId t = 0; t < config_.num_tors; ++t) {
+    tors_.emplace_back(t, config_.num_tors, config_.pias);
+  }
+  if (relay) {
+    relay_.reserve(static_cast<std::size_t>(config_.num_tors));
+    for (TorId t = 0; t < config_.num_tors; ++t) {
+      relay_.emplace_back(config_.num_tors);
+    }
+  }
+  sim_.set_sink(this);
+}
+
 void FabricSim::add_flows(std::span<const Flow> flows) {
-  const int num_tors = config().num_tors;
-  flow_table_.reserve(flow_table_.size() + flows.size());
+  const int num_tors = config_.num_tors;
+  FlowTable& flow_table = plane_.flows();
+  flow_table.reserve(flow_table.size() + flows.size());
   EventQueue& events = sim_.events();
   events.reserve_flow_arrivals(flows.size());
   for (const Flow& f : flows) {
@@ -21,23 +51,47 @@ void FabricSim::add_flows(std::span<const Flow> flows) {
     NEG_ASSERT(f.src >= 0 && f.src < num_tors && f.dst >= 0 &&
                    f.dst < num_tors,
                "flow endpoints out of range");
-    events.append_flow_arrival(f.arrival, flow_table_.add(f));
+    events.append_flow_arrival(f.arrival, flow_table.add(f));
   }
   events.commit_flow_arrivals();
+}
+
+Bytes FabricSim::total_backlog() const {
+  Bytes total = plane_.unresolved_bytes();
+  for (const TorSwitch& t : tors_) total += t.total_pending();
+  for (const RelayQueueSet& r : relay_) total += r.total_bytes();
+  return total;
+}
+
+void FabricSim::audit(std::int64_t epoch) {
+  if (plane_.auditor() == nullptr) return;
+  Bytes queued = 0;
+  for (const TorSwitch& t : tors_) queued += t.total_pending();
+  Bytes parked = 0;
+  for (const RelayQueueSet& r : relay_) parked += r.total_bytes();
+  plane_.audit(epoch, queued, parked);
+}
+
+void FabricSim::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
+  if (e.fail) {
+    links_.fail(e.tor, e.port, e.dir);
+  } else {
+    links_.repair(e.tor, e.port, e.dir);
+  }
+  if (resilience_) {
+    resilience_->on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
+  }
 }
 
 // --------------------------------------------------------- NegotiatorFabric
 
 NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
                                    Nanos stats_window_ns)
-    : config_(config),
-      topo_(make_topology(config)),
+    : FabricSim(config, stats_window_ns,
+                config.scheduler == SchedulerKind::kNegotiatorSelectiveRelay),
       schedule_(config.topology, config.num_tors, config.ports_per_tor),
       timing_(config),
-      relay_enabled_(config.scheduler ==
-                     SchedulerKind::kNegotiatorSelectiveRelay),
-      goodput_(config.num_tors, stats_window_ns),
-      links_(config.num_tors, config.ports_per_tor),
+      relay_enabled_(!relay_.empty()),
       faults_(config.num_tors, config.ports_per_tor),
       arrived_(static_cast<std::size_t>(config.num_tors) * config.num_tors,
                0),
@@ -48,27 +102,15 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
       dropped_stamp_(static_cast<std::size_t>(config.num_tors), -1),
       active_sources_(config.num_tors),
       relay_active_(config.num_tors) {
-  config_.validate();
   Rng rng(config_.seed);
-  tors_.reserve(static_cast<std::size_t>(config_.num_tors));
-  for (TorId t = 0; t < config_.num_tors; ++t) {
-    tors_.emplace_back(t, config_.num_tors, config_.pias);
-  }
   if (relay_enabled_) {
-    relay_.reserve(static_cast<std::size_t>(config_.num_tors));
-    for (TorId t = 0; t < config_.num_tors; ++t) {
-      relay_.emplace_back(config_.num_tors);
-    }
     train_build_.resize(static_cast<std::size_t>(config_.num_tors));
   }
-  if (config_.host_plane.enabled) {
-    host_plane_ = std::make_unique<HostPlane>(
-        config_.num_tors, config_.host_rate(), config_.host_plane);
+  if (host_plane()) {
     pause_advertised_.assign(static_cast<std::size_t>(config_.num_tors),
                              false);
   }
   scheduler_ = make_negotiator_scheduler(config_, *topo_, rng.fork());
-  sim_.set_sink(this);
 
   // Lossy control plane: the channel's stream derives from the run seed
   // with a fixed salt, NOT from the fork chain above — forking would
@@ -87,28 +129,8 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
       fb_starved_.assign(static_cast<std::size_t>(config_.num_tors), 0);
     }
   }
-  bool validate = config_.validate_matching;
-#ifndef NDEBUG
-  validate = true;  // invariants always on in debug/sanitizer builds
-#endif
-  if (validate) validator_ = std::make_unique<MatchingValidator>(*topo_);
-
-  // Lossy data plane + end-host ARQ: same salted private-stream contract
-  // as the control channel above — disabled -> never constructed -> zero
-  // draws, so every loss-free golden stays byte-identical. The auditor
-  // arms alongside the MatchingValidator (validate_matching or !NDEBUG)
-  // whenever the channel exists.
-  if (config_.data_fault.enabled) {
-    data_ = std::make_unique<DataChannel>(
-        config_.data_fault,
-        make_salted_stream(config_.seed, kDataChannelSeedSalt));
-    if (config_.data_fault.arq) {
-      transport_ = std::make_unique<HostTransport>(config_, &sim_.events());
-    }
-    if (validate) {
-      auditor_ =
-          std::make_unique<ConservationAuditor>(config_.data_fault.arq);
-    }
+  if (invariants_armed(config_)) {
+    validator_ = std::make_unique<MatchingValidator>(*topo_);
   }
 
   // rx ports are destination-independent in both topologies (parallel:
@@ -131,14 +153,14 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
 }
 
 void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
-  const Flow& f = flow_table_.flow(e.flow_index);
+  const Flow& f = plane_.flows().flow(e.flow_index);
   // Queues carry the dense FlowTable index; the external id only appears
   // in reported samples.
   Flow queued = f;
   queued.id = e.flow_index;
   tors_[static_cast<std::size_t>(f.src)].accept_flow(queued, now);
   active_sources_.insert(f.src);
-  if (data_) injected_bytes_ += f.size;  // conservation ledger
+  plane_.on_inject(f.size);
   arrived_[static_cast<std::size_t>(f.src) * config_.num_tors + f.dst] +=
       f.size;
   // A flow landing mid-predefined-phase can piggyback on its pair's
@@ -169,17 +191,6 @@ void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   }
 }
 
-void NegotiatorFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
-  if (e.fail) {
-    links_.fail(e.tor, e.port, e.dir);
-  } else {
-    links_.repair(e.tor, e.port, e.dir);
-  }
-  if (resilience_) {
-    resilience_->on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
-  }
-}
-
 void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
                                       const RelayTrainChunk* chunks,
                                       Nanos /*now*/) {
@@ -196,17 +207,9 @@ void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
     relay_active_.insert(inter);
     i = j;
   }
-  if (data_) {
-    for (std::uint32_t k = 0; k < e.count; ++k) {
-      transit_bytes_ -= chunks[k].bytes;  // landed: in-transit -> parked
-    }
+  for (std::uint32_t k = 0; k < e.count; ++k) {
+    plane_.on_landed(chunks[k].bytes);
   }
-}
-
-void NegotiatorFabric::schedule_link_event(Nanos when, TorId tor, PortId port,
-                                           LinkDirection dir, bool fail) {
-  sim_.events().schedule_link_toggle(when,
-                                     LinkToggleEvent{tor, port, dir, fail});
 }
 
 void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
@@ -217,91 +220,20 @@ void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
   if (control_) control_->add_brownout(start, end, drop_floor);
 }
 
-void NegotiatorFabric::schedule_data_loss(Nanos start, Nanos end,
-                                          double drop_floor) {
-  // Same tolerance as brownouts: without a data channel the loss window
-  // simply has no data plane to degrade.
-  if (data_) data_->add_loss_window(start, end, drop_floor);
-}
-
 void NegotiatorFabric::set_resilience(ResilienceRecorder* recorder) {
   FabricSim::set_resilience(recorder);
   if (control_) control_->set_recorder(recorder);
-  if (data_) data_->set_recorder(recorder);
-  if (transport_) transport_->set_recorder(recorder);
 }
 
 void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
                                           Nanos now) {
-  NEG_ASSERT(transport_ != nullptr, "transport timer without a transport");
-  if (transport_->on_timer(e.flow_index, now) && in_predefined_phase_) {
+  if (plane_.on_timer(e.flow_index, now) && in_predefined_phase_) {
     // The fire moved units into a retransmit FIFO mid-predefined-phase:
     // re-gather the pair so a not-yet-passed connection can serve it this
     // very epoch (mirrors the mid-phase flow-arrival hook above).
-    gather_predefined_pair(transport_->flow_src(e.flow_index),
-                           transport_->flow_dst(e.flow_index));
+    gather_predefined_pair(host_transport()->flow_src(e.flow_index),
+                           host_transport()->flow_dst(e.flow_index));
   }
-}
-
-void NegotiatorFabric::transmit_direct(int flow_index, TorId src, TorId dst,
-                                       Bytes bytes, Nanos now) {
-  std::uint32_t seq = 0;
-  if (transport_) {
-    seq = transport_->on_transmit(flow_index, src, dst, bytes, now);
-  }
-  if (data_) {
-    const DataChannel::Fate fate =
-        data_->classify(DataHopClass::kFirstHop, bytes);
-    if (!fate.deliver) return;  // lost in flight (ARQ will retransmit)
-  }
-  stage_delivery(flow_index, dst, bytes, seq);
-}
-
-bool NegotiatorFabric::try_retransmit(TorId src, TorId dst, Nanos now) {
-  if (!transport_ || !transport_->has_retx(src, dst)) return false;
-  const HostTransport::RetxChunk r = transport_->take_retx(src, dst, now);
-  // A retransmission is a first-hop transmission like any other: it
-  // redraws the channel and can be lost again (the timer re-covers it).
-  const DataChannel::Fate fate =
-      data_->classify(DataHopClass::kFirstHop, r.bytes);
-  if (fate.deliver) stage_delivery(r.flow, dst, r.bytes, r.seq);
-  return true;
-}
-
-void NegotiatorFabric::flush_deliveries(Nanos arrival) {
-  if (delivery_build_.empty()) return;
-  if (transport_) {
-    // Receiver-side ARQ filter: only a unit's first arrival survives to
-    // the credit/goodput/host-plane effects below; duplicates and copies
-    // of abandoned units vanish here.
-    std::size_t keep = 0;
-    for (const DeliveryRecord& r : delivery_build_) {
-      if (transport_->on_deliver(static_cast<std::int32_t>(r.flow), r.seq,
-                                 r.bytes, arrival)) {
-        delivery_build_[keep++] = r;
-      }
-    }
-    delivery_build_.resize(keep);
-    if (delivery_build_.empty()) return;
-  }
-  const std::size_t n = delivery_build_.size();
-  if (resilience_ && links_.failed_count() > 0) {
-    Bytes degraded = 0;
-    for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
-    resilience_->on_degraded_delivery(degraded);
-  }
-  flow_table_.credit_span(delivery_build_.data(), n, arrival);
-  goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
-  if (host_plane_) {
-    // Same per-record order and shared timestamp as the inline calls the
-    // span replaces, so the receive-buffer trajectory is identical.
-    for (const DeliveryRecord& r : delivery_build_) {
-      host_plane_->on_delivery(r.dst, r.bytes, arrival);
-    }
-  }
-  deliveries_ += n;
-  ++delivery_dispatches_;
-  delivery_build_.clear();
 }
 
 void NegotiatorFabric::run_until(Nanos t) {
@@ -312,17 +244,16 @@ void NegotiatorFabric::run_until(Nanos t) {
 
 void NegotiatorFabric::run_epoch() {
   sim_.advance_to(timing_.epoch_start(epoch_));
-  if (host_plane_) {
+  if (HostPlane* hosts = host_plane()) {
     // Pause bits ride the previous predefined phase's dummy messages; the
     // epoch-start snapshot is what senders know this epoch.
     for (TorId t = 0; t < config_.num_tors; ++t) {
       pause_advertised_[static_cast<std::size_t>(t)] =
-          host_plane_->rx_paused(t, sim_.now());
+          hosts->rx_paused(t, sim_.now());
     }
   }
   if (control_) control_->begin_epoch(sim_.now());
-  if (data_) data_->begin_epoch(sim_.now());
-  if (transport_) transport_->flush_acks(sim_.now());
+  plane_.begin_epoch(sim_.now());
   scheduler_->begin_epoch(epoch_, sim_.now(), *this, faults_);
   if (validator_) {
     NEG_ASSERT(validator_->validate(scheduler_->matches(), epoch_),
@@ -344,26 +275,8 @@ void NegotiatorFabric::run_epoch() {
   run_predefined_phase();
   run_scheduled_phase();
   faults_.end_epoch(resilience_, sim_.now());
-  if (auditor_) audit_conservation();
+  audit(epoch_);
   ++epoch_;
-}
-
-void NegotiatorFabric::audit_conservation() {
-  ConservationLedger l;
-  l.injected = injected_bytes_;
-  for (const TorSwitch& t : tors_) l.source_queued += t.total_pending();
-  l.delivered = flow_table_.total_delivered();
-  if (transport_) {
-    l.arq_unresolved = transport_->unresolved_bytes();
-    l.arq_delivered = transport_->delivered_bytes();
-    l.arq_abandoned = transport_->abandoned_bytes();
-  } else {
-    for (const RelayQueueSet& r : relay_) l.relay_parked += r.total_bytes();
-    l.in_transit = transit_bytes_;
-    l.dropped = data_->dropped_bytes();
-    l.corrupted = data_->corrupted_bytes();
-  }
-  auditor_->check(epoch_, l);
 }
 
 NegotiatorFabric::PredefConn NegotiatorFabric::resolve_predef_conn(
@@ -419,26 +332,25 @@ void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
   // Bitmap membership == "queue non-empty": one bit read instead of a
   // pointer chase into the per-destination queue.
   TorSwitch& tor = tors_[static_cast<std::size_t>(c.src)];
+  // §3.6.5: withhold data towards a paused receiver.
+  const bool paused =
+      host_plane() && pause_advertised_[static_cast<std::size_t>(c.dst)];
   // Retransmissions outrank fresh piggyback data for the pair's slot
   // (selective repeat: the oldest lost unit is the flow's head of line).
-  if (transport_ && up &&
-      !(host_plane_ && pause_advertised_[static_cast<std::size_t>(c.dst)]) &&
-      try_retransmit(c.src, c.dst, sim_.now())) {
+  if (up && !paused && plane_.try_retransmit(c.src, c.dst, sim_.now())) {
     return;  // slot consumed by the retransmission
   }
-  if (!config_.piggyback || !tor.active_destinations().contains(c.dst)) {
+  if (!config_.piggyback || !tor.active_destinations().contains(c.dst) ||
+      paused) {
     return;
-  }
-  if (host_plane_ && pause_advertised_[static_cast<std::size_t>(c.dst)]) {
-    return;  // §3.6.5: withhold data towards a paused receiver
   }
   if (up) {
     auto pkt = tor.dequeue_packet(c.dst, config_.piggyback_payload_bytes());
     NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
     ++piggyback_packets_;
     sync_source_activity(c.src);
-    transmit_direct(static_cast<int>(pkt->flow), c.src, c.dst, pkt->bytes,
-                    sim_.now());
+    plane_.first_hop(static_cast<int>(pkt->flow), c.src, c.dst, pkt->bytes,
+                     sim_.now());
   } else if (!faults_.tx_excluded(c.src, c.tx) &&
              !faults_.rx_excluded(c.dst, c.rx)) {
     // Undetected failure: the packet is transmitted into a dark fibre
@@ -495,13 +407,11 @@ void NegotiatorFabric::run_predefined_phase() {
       }
     }
   }
-  if (transport_) {
-    // Pairs with retransmit work ride predefined connections even when
-    // piggyback is off — a retransmission is owed a slot regardless of
-    // how the original unit was transmitted.
-    transport_->for_each_retx_pair(
-        [this](TorId s, TorId d) { gather_predefined_pair(s, d); });
-  }
+  // Pairs with retransmit work ride predefined connections even when
+  // piggyback is off — a retransmission is owed a slot regardless of how
+  // the original unit was transmitted.
+  plane_.for_each_retx_pair(
+      [this](TorId s, TorId d) { gather_predefined_pair(s, d); });
 
   for (int slot = 0; slot < timing_.predefined_slots(); ++slot) {
     predef_cursor_ = slot;
@@ -522,7 +432,7 @@ void NegotiatorFabric::run_predefined_phase() {
     }
     // Close the slot: every piggyback delivery staged above shares this
     // arrival time, so the whole slot lands as one span.
-    flush_deliveries(data_end + config_.propagation_delay_ns);
+    plane_.flush(data_end + config_.propagation_delay_ns);
   }
   in_predefined_phase_ = false;
 }
@@ -587,7 +497,7 @@ void NegotiatorFabric::run_fallback_slot() {
         continue;
       }
       if (!tor.active_destinations().contains(d)) continue;
-      if (host_plane_ && pause_advertised_[static_cast<std::size_t>(d)]) {
+      if (host_plane() && pause_advertised_[static_cast<std::size_t>(d)]) {
         continue;  // §3.6.5: withhold data towards a paused receiver
       }
       if (!healthy &&
@@ -599,8 +509,8 @@ void NegotiatorFabric::run_fallback_slot() {
       auto pkt = tor.dequeue_packet(d, payload);
       NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
       sync_source_activity(s);
-      transmit_direct(static_cast<int>(pkt->flow), s, d, pkt->bytes,
-                      sim_.now());
+      plane_.first_hop(static_cast<int>(pkt->flow), s, d, pkt->bytes,
+                       sim_.now());
       fallback_bytes_ += pkt->bytes;
       if (resilience_) resilience_->on_fallback_delivery(pkt->bytes);
       sent = true;
@@ -634,7 +544,7 @@ void NegotiatorFabric::run_scheduled_phase() {
   // so each keeps the per-slot walk. So does an epoch in which a link is
   // down or a link toggle, timer or train fires before the last slot.
   const int slots = timing_.scheduled_slots();
-  if (slots > 0 && !data_ && !relay_enabled_ && !host_plane_ &&
+  if (slots > 0 && !data_channel() && !relay_enabled_ && !host_plane() &&
       !(control_ && config_.control_fault.fallback)) {
     sim_.advance_to(timing_.scheduled_slot_start(epoch_, 0));
     if (links_.all_up() &&
@@ -676,7 +586,7 @@ void NegotiatorFabric::drain_scheduled_phase() {
   sim_.events().for_each_arrival_until(
       timing_.scheduled_slot_start(epoch_, slots - 1),
       [this, n](std::int32_t flow_index) {
-        const Flow& f = flow_table_.flow(flow_index);
+        const Flow& f = plane_.flows().flow(flow_index);
         const auto pair = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(f.src) * n +
             static_cast<std::uint64_t>(f.dst));
@@ -715,13 +625,12 @@ void NegotiatorFabric::drain_scheduled_phase() {
               return a.order < b.order;
             });
   for (const DrainCompletion& c : drain_completions_) {
-    flow_table_.log_completion(
+    plane_.flows().log_completion(
         c.flow, scheduled_arrival(static_cast<int>(c.order >> 32)));
   }
   for (const std::uint32_t packets : drain_slot_packets_) {
-    deliveries_ += packets;
+    plane_.count(packets);
     match_slots_used_ += packets;
-    if (packets > 0) ++delivery_dispatches_;
   }
 }
 
@@ -742,7 +651,8 @@ void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
     const PacketRun run = tor.take_run(dst, payload, budget - j);
     if (run.packets == 0) break;
     const std::uint32_t last = j + run.packets - 1;
-    if (flow_table_.credit_unlogged(static_cast<int>(run.flow), run.bytes)) {
+    if (plane_.flows().credit_unlogged(static_cast<int>(run.flow),
+                                       run.bytes)) {
       const int slot = first_slot + static_cast<int>(last / m);
       const auto match = static_cast<std::uint32_t>(
           drain_order_[p.first + last % m]);
@@ -807,7 +717,7 @@ void NegotiatorFabric::run_scheduled_slots() {
       // 0. A pending retransmission for the matched pair outranks fresh
       // data (selective repeat: the lost unit is the pair's oldest debt).
       // The match stays live — its queue state is unchanged.
-      if (transport_ && try_retransmit(m.src, m.dst, sim_.now())) {
+      if (plane_.try_retransmit(m.src, m.dst, sim_.now())) {
         ++match_slots_used_;
         live_matches_[keep++] = index;
         continue;
@@ -821,8 +731,8 @@ void NegotiatorFabric::run_scheduled_slots() {
         NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
         ++match_slots_used_;
         sync_source_activity(m.src);
-        transmit_direct(static_cast<int>(pkt->flow), m.src, m.dst,
-                        pkt->bytes, sim_.now());
+        plane_.first_hop(static_cast<int>(pkt->flow), m.src, m.dst,
+                         pkt->bytes, sim_.now());
         live_matches_[keep++] = index;
         continue;
       }
@@ -846,15 +756,7 @@ void NegotiatorFabric::run_scheduled_slots() {
               relay_[static_cast<std::size_t>(m.src)].dequeue_packet(
                   m.dst, payload)) {
         sync_relay_activity(m.src);
-        bool deliver = true;
-        if (data_) {
-          deliver = data_->classify(DataHopClass::kSecondHop, chunk->bytes)
-                        .deliver;
-        }
-        if (deliver) {
-          stage_delivery(static_cast<int>(chunk->flow), m.dst, chunk->bytes,
-                         chunk->seq);
-        }
+        plane_.second_hop(*chunk, m.dst);
         live_matches_[keep++] = index;
         continue;
       }
@@ -864,23 +766,10 @@ void NegotiatorFabric::run_scheduled_slots() {
         if (auto pkt = tor.dequeue_elephant_packet(m.relay_final_dst, cap)) {
           a.relay_remaining -= pkt->bytes;
           sync_source_activity(m.src);
-          // The ARQ unit is the elephant chunk itself; a retransmission
-          // after a loss on either VLB leg goes direct (first-hop) to the
-          // final destination, never back through a relay queue.
-          std::uint32_t seq = 0;
-          if (transport_) {
-            seq = transport_->on_transmit(static_cast<std::int32_t>(
-                                              pkt->flow),
-                                          m.src, m.relay_final_dst,
-                                          pkt->bytes, sim_.now());
-          }
-          bool deliver = true;
-          if (data_) {
-            deliver =
-                data_->classify(DataHopClass::kRelay, pkt->bytes).deliver;
-          }
-          if (deliver) {
-            if (data_) transit_bytes_ += pkt->bytes;
+          const DeliveryPlane::RelayLeg leg =
+              plane_.relay_leg(static_cast<int>(pkt->flow), m.src,
+                               m.relay_final_dst, pkt->bytes, sim_.now());
+          if (leg.delivered) {
             // Batched data plane: the chunk joins this slot's train
             // towards the intermediate m.dst; the train ships once when
             // the slot closes (same arrival time, same per-chunk order at
@@ -888,7 +777,7 @@ void NegotiatorFabric::run_scheduled_slots() {
             auto& train = train_build_[static_cast<std::size_t>(m.dst)];
             if (train.empty()) train_touched_.push_back(m.dst);
             train.push_back(RelayTrainChunk{m.dst, m.relay_final_dst,
-                                            pkt->flow, pkt->bytes, seq});
+                                            pkt->flow, pkt->bytes, leg.seq});
           }
         }
       }
@@ -906,7 +795,7 @@ void NegotiatorFabric::run_scheduled_slots() {
     // Close the slot: deliveries flush first (the goodput meter books
     // delivered bytes before relay receptions, matching the per-packet
     // order the span replaces), then one train event per intermediate.
-    flush_deliveries(arrival);
+    plane_.flush(arrival);
     for (const TorId inter : train_touched_) {
       auto& train = train_build_[static_cast<std::size_t>(inter)];
       goodput_.record_relay_train(inter, train.data(), train.size(), arrival);
@@ -917,20 +806,6 @@ void NegotiatorFabric::run_scheduled_slots() {
     train_touched_.clear();
   }
   in_scheduled_phase_ = false;
-}
-
-Bytes NegotiatorFabric::total_backlog() const {
-  Bytes total = 0;
-  for (const TorSwitch& t : tors_) total += t.total_pending();
-  for (const RelayQueueSet& r : relay_) total += r.total_bytes();
-  // Every ARQ unit between first transmit and first arrival — in flight,
-  // dropped and awaiting its RTO, or queued for a retransmit slot — is
-  // backlog the fabric still owes service to: drain loops must keep
-  // simulated time moving until the pending timers fire and the
-  // retransmissions land. (Chunks parked at a relay are counted by the
-  // relay sum too; the overlap is harmless for a drain signal.)
-  if (transport_) total += transport_->unresolved_bytes();
-  return total;
 }
 
 // DemandView --------------------------------------------------------------
@@ -990,8 +865,8 @@ const ActiveSet& NegotiatorFabric::active_sources() const {
 bool NegotiatorFabric::rx_paused(TorId tor) const {
   // Grant-time gating uses the destination's own (current) buffer state —
   // the pause decision is local to the destination ToR.
-  if (!host_plane_) return false;
-  return host_plane_->rx_paused(tor, sim_.now());
+  HostPlane* hosts = host_plane();
+  return hosts != nullptr && hosts->rx_paused(tor, sim_.now());
 }
 
 // ------------------------------------------------------------- make_fabric

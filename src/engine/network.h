@@ -2,7 +2,8 @@
 // plane, and statistics. Two implementations share this interface — the
 // NegotiaToR fabric (two-phase epochs, §3.3) defined here and the
 // traffic-oblivious rotor fabric (Sirius-style baseline) in
-// oblivious/oblivious_scheduler.h.
+// oblivious/oblivious_scheduler.h — and both hand every packet to the same
+// end-host delivery path (engine/delivery_plane.h).
 #pragma once
 
 #include <memory>
@@ -12,22 +13,18 @@
 #include "common/config.h"
 #include "common/types.h"
 #include "core/control_channel.h"
-#include "core/data_channel.h"
 #include "core/demand_view.h"
 #include "core/epoch.h"
 #include "core/fault_detector.h"
 #include "core/matching_validator.h"
 #include "core/negotiator_scheduler.h"
-#include "engine/conservation_auditor.h"
-#include "engine/flow_table.h"
+#include "engine/delivery_plane.h"
 #include "sim/simulation.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
 #include "topo/link_state.h"
 #include "topo/predefined_schedule.h"
 #include "topo/topology.h"
-#include "tor/host_plane.h"
-#include "tor/host_transport.h"
 #include "tor/relay_queue.h"
 #include "tor/tor_switch.h"
 #include "workload/flow.h"
@@ -36,7 +33,7 @@ namespace negotiator {
 
 class ResilienceRecorder;  // stats/resilience_recorder.h
 
-class FabricSim {
+class FabricSim : private EventSink {
  public:
   virtual ~FabricSim() = default;
 
@@ -54,13 +51,18 @@ class FabricSim {
   virtual void run_until(Nanos t) = 0;
   Nanos now() const { return sim_.now(); }
 
-  FctRecorder& fct() { return flow_table_.fct(); }
-  virtual GoodputMeter& goodput() = 0;
-  virtual LinkState& links() = 0;
-  virtual const NetworkConfig& config() const = 0;
+  FctRecorder& fct() { return plane_.flows().fct(); }
+  GoodputMeter& goodput() { return goodput_; }
+  LinkState& links() { return links_; }
+  const NetworkConfig& config() const { return config_; }
 
-  /// Bytes still queued anywhere in the fabric.
-  virtual Bytes total_backlog() const = 0;
+  /// Bytes the fabric still owes service to: queued at sources and relays,
+  /// plus every ARQ unit between first transmit and first arrival (in
+  /// flight, dropped and awaiting its RTO, or queued for a retransmit
+  /// slot), so drain loops keep simulated time moving until the pending
+  /// timers fire and the retransmissions land. (A chunk parked at a relay
+  /// counts twice; the overlap is harmless for a drain signal.)
+  Bytes total_backlog() const;
 
   /// Logical (per-chunk) events executed by the simulation clock so far
   /// (perf accounting for bench_perf_engine; representation-independent,
@@ -76,13 +78,13 @@ class FabricSim {
 
   /// Final-destination packet deliveries that rode a coalesced per-slot
   /// delivery span so far (second-hop relay + direct data).
-  virtual std::uint64_t deliveries() const { return 0; }
+  std::uint64_t deliveries() const { return plane_.deliveries(); }
 
   /// Coalesced delivery walks flushed so far (at most one per slot);
   /// deliveries() / delivery_dispatches() is the delivery-side batching
   /// factor — the second-hop mirror of events/dispatches on the enqueue
   /// side.
-  virtual std::uint64_t delivery_dispatches() const { return 0; }
+  std::uint64_t delivery_dispatches() const { return plane_.dispatches(); }
 
   /// Per-epoch accepts/grants ratio (Fig. 14); empty for the oblivious
   /// fabric, which has no matching step.
@@ -90,8 +92,11 @@ class FabricSim {
 
   /// Schedules a link failure (fail=true) or repair at absolute time
   /// `when`.
-  virtual void schedule_link_event(Nanos when, TorId tor, PortId port,
-                                   LinkDirection dir, bool fail) = 0;
+  void schedule_link_event(Nanos when, TorId tor, PortId port,
+                           LinkDirection dir, bool fail) {
+    sim_.events().schedule_link_toggle(when,
+                                       LinkToggleEvent{tor, port, dir, fail});
+  }
 
   /// Schedules a control-plane brownout window [start, end) with an
   /// absolute message-drop floor (engine/fault_scenario.h,
@@ -102,11 +107,12 @@ class FabricSim {
                                          double /*drop_floor*/) {}
 
   /// Schedules a data-plane loss window [start, end) with an absolute
-  /// chunk-drop floor (engine/fault_scenario.h, DataLossSpec). Default
-  /// no-op: a fabric whose data channel is disabled tolerates data-loss
-  /// scenarios silently — same contract as brownouts above.
-  virtual void schedule_data_loss(Nanos /*start*/, Nanos /*end*/,
-                                  double /*drop_floor*/) {}
+  /// chunk-drop floor (engine/fault_scenario.h, DataLossSpec). A fabric
+  /// whose data channel is disabled tolerates data-loss scenarios
+  /// silently — same contract as brownouts above.
+  void schedule_data_loss(Nanos start, Nanos end, double drop_floor) {
+    plane_.add_loss_window(start, end, drop_floor);
+  }
 
   /// Ports currently excluded by the fault-detection plane (counted per
   /// direction; 0 for fabrics without detection, e.g. the oblivious
@@ -117,47 +123,65 @@ class FabricSim {
   /// stats/resilience_recorder.h). The recorder must outlive the fabric
   /// or be detached with set_resilience(nullptr). Null — the default —
   /// keeps every hot path byte-identical to a recorder-free build.
-  /// Virtual so fabrics can propagate the sink to sub-components (the
-  /// negotiator fabric forwards it to its lossy control channel).
+  /// Virtual so a fabric can also hand the sink to its own components
+  /// (the negotiator fabric forwards it to its lossy control channel).
   virtual void set_resilience(ResilienceRecorder* recorder) {
     resilience_ = recorder;
+    plane_.set_resilience(recorder);
   }
   ResilienceRecorder* resilience() const { return resilience_; }
 
+  /// Lossy data channel (null when data_fault is disabled).
+  const DataChannel* data_channel() const { return plane_.data_channel(); }
+  /// End-host ARQ transport (null unless data_fault.enabled && .arq).
+  const HostTransport* host_transport() const {
+    return plane_.host_transport();
+  }
+  /// Byte-conservation auditor (null unless armed; see
+  /// engine/conservation_auditor.h).
+  const ConservationAuditor* conservation_auditor() const {
+    return plane_.auditor();
+  }
+  /// §3.6.5 host plane, when enabled in the config (else nullptr).
+  HostPlane* host_plane() const { return plane_.host_plane(); }
+
  protected:
+  /// Validates `config` and builds the state both fabrics share; the relay
+  /// queues exist only when `relay` is set. `stats_window_ns` > 0 enables
+  /// per-ToR bandwidth time series.
+  FabricSim(const NetworkConfig& config, Nanos stats_window_ns, bool relay);
+
+  /// Audits byte conservation at the end of `epoch` when the auditor is
+  /// armed.
+  void audit(std::int64_t epoch);
+
+  // EventSink: link toggles act the same on both fabrics.
+  void on_link_toggle(const LinkToggleEvent& e, Nanos now) final;
+
   Simulation sim_;
-  /// The only per-flow store, completion log included.
-  FlowTable flow_table_;
+  NetworkConfig config_;
+  std::unique_ptr<FlatTopology> topo_;
+  std::vector<TorSwitch> tors_;
+  std::vector<RelayQueueSet> relay_;  // empty unless the fabric relays
+  GoodputMeter goodput_;
+  LinkState links_;
+  DeliveryPlane plane_;
   ResilienceRecorder* resilience_{nullptr};
 };
 
 /// NegotiaToR fabric: predefined + scheduled phases per epoch.
-class NegotiatorFabric final : public FabricSim,
-                               public DemandView,
-                               private EventSink {
+class NegotiatorFabric final : public FabricSim, public DemandView {
  public:
   /// `stats_window_ns` > 0 enables per-ToR bandwidth time series.
   explicit NegotiatorFabric(const NetworkConfig& config,
                             Nanos stats_window_ns = 0);
 
   void run_until(Nanos t) override;
-  GoodputMeter& goodput() override { return goodput_; }
-  LinkState& links() override { return links_; }
-  const NetworkConfig& config() const override { return config_; }
-  Bytes total_backlog() const override;
   std::vector<double> match_ratio_series() const override {
     return ratio_series_;
   }
-  std::uint64_t deliveries() const override { return deliveries_; }
-  std::uint64_t delivery_dispatches() const override {
-    return delivery_dispatches_;
-  }
-  void schedule_link_event(Nanos when, TorId tor, PortId port,
-                           LinkDirection dir, bool fail) override;
   void schedule_control_brownout(Nanos start, Nanos end,
                                  double drop_floor) override;
-  void schedule_data_loss(Nanos start, Nanos end,
-                          double drop_floor) override;
   void set_resilience(ResilienceRecorder* recorder) override;
   int excluded_ports() const override { return faults_.excluded_count(); }
 
@@ -175,9 +199,6 @@ class NegotiatorFabric final : public FabricSim,
   const ActiveSet& active_destinations(TorId src) const override;
   const ActiveSet& active_sources() const override;
   bool rx_paused(TorId tor) const override;
-
-  /// §3.6.5 host plane, when enabled in the config (else nullptr).
-  HostPlane* host_plane() { return host_plane_.get(); }
 
   const EpochTiming& timing() const { return timing_; }
   std::int64_t current_epoch() const { return epoch_; }
@@ -199,15 +220,6 @@ class NegotiatorFabric final : public FabricSim,
 
   /// Lossy control channel (null when control_fault is disabled).
   const ControlChannel* control_channel() const { return control_.get(); }
-  /// Lossy data channel (null when data_fault is disabled).
-  const DataChannel* data_channel() const { return data_.get(); }
-  /// End-host ARQ transport (null unless data_fault.enabled && .arq).
-  const HostTransport* host_transport() const { return transport_.get(); }
-  /// Byte-conservation auditor (null unless armed; see
-  /// engine/conservation_auditor.h).
-  const ConservationAuditor* conservation_auditor() const {
-    return auditor_.get();
-  }
   /// Scheduled slots in which the oblivious fallback delivered data, and
   /// the bytes it moved (0 unless control_fault.fallback).
   std::int64_t degraded_slots() const { return degraded_slots_; }
@@ -216,7 +228,6 @@ class NegotiatorFabric final : public FabricSim,
  private:
   // EventSink: typed events scheduled on the simulation clock.
   void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override;
-  void on_link_toggle(const LinkToggleEvent& e, Nanos now) override;
   void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
                       Nanos now) override;
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;
@@ -241,30 +252,6 @@ class NegotiatorFabric final : public FabricSim,
   /// the unmatched-but-active source list (ascending, deterministic).
   void prepare_fallback_epoch();
 
-  /// Parks one final-destination delivery on the current slot's span. The
-  /// dequeue already happened (queue state must stay live for same-slot
-  /// reads); the flow credit / FCT / goodput / host-plane effects ride the
-  /// span and land in flush_deliveries in staged order.
-  void stage_delivery(int flow_index, TorId dst, Bytes bytes,
-                      std::uint32_t seq = 0) {
-    delivery_build_.push_back(
-        DeliveryRecord{static_cast<FlowId>(flow_index), dst, bytes, seq});
-  }
-  /// Transmits one fresh first-hop/direct packet through the lossy data
-  /// plane: stamps the ARQ seq (when the transport is on), draws the
-  /// channel fate, and stages the delivery when the chunk survives.
-  /// Without a data channel this is exactly stage_delivery. `src` is the
-  /// transmitting ToR (the ARQ unit's retransmit origin).
-  void transmit_direct(int flow_index, TorId src, TorId dst, Bytes bytes,
-                       Nanos now);
-  /// One retransmission attempt for pair (src, dst), if the transport has
-  /// work queued there; returns true when a slot was consumed.
-  bool try_retransmit(TorId src, TorId dst, Nanos now);
-  /// Lands the staged span as one coalesced walk: credit_span (bulk FCT
-  /// completion), record_delivery_span (per-destination deltas), and the
-  /// host plane's per-record drain, all at the slot's shared `arrival`.
-  void flush_deliveries(Nanos arrival);
-
   /// Maintains active_sources_ / relay_active_ after a queue mutation at
   /// `tor` (dirty-set invariant: the fabric marks on fill, clears on
   /// drain; schedulers only read).
@@ -283,15 +270,9 @@ class NegotiatorFabric final : public FabricSim,
     }
   }
 
-  NetworkConfig config_;
-  std::unique_ptr<FlatTopology> topo_;
   PredefinedSchedule schedule_;
   EpochTiming timing_;
-  std::vector<TorSwitch> tors_;
-  std::vector<RelayQueueSet> relay_;  // selective-relay variant only
-  bool relay_enabled_;
-  GoodputMeter goodput_;
-  LinkState links_;
+  bool relay_enabled_;  // selective-relay variant: relay_ is built
   FaultPlane faults_;
   std::unique_ptr<NegotiatorScheduler> scheduler_;
   std::int64_t epoch_{0};
@@ -302,7 +283,6 @@ class NegotiatorFabric final : public FabricSim,
   std::int64_t match_slots_offered_{0};
   std::int64_t match_slots_used_{0};
   std::int64_t piggyback_packets_{0};
-  std::unique_ptr<HostPlane> host_plane_;
   /// Pause state advertised to senders during the previous predefined
   /// phase; refreshed once per epoch.
   std::vector<bool> pause_advertised_;
@@ -439,13 +419,6 @@ class NegotiatorFabric final : public FabricSim,
   std::vector<std::vector<RelayTrainChunk>> train_build_;  // [intermediate]
   std::vector<TorId> train_touched_;
 
-  /// Per-slot delivery span (both phases): records staged in dequeue order,
-  /// flushed once per slot. Counters feed deliveries_per_dispatch in
-  /// bench_perf_engine.
-  std::vector<DeliveryRecord> delivery_build_;
-  std::uint64_t deliveries_{0};
-  std::uint64_t delivery_dispatches_{0};
-
   // --- Lossy control plane (core/control_channel.h) ---
   //
   // Owned here, consulted by the scheduler at its exchange points. Absent
@@ -456,22 +429,6 @@ class NegotiatorFabric final : public FabricSim,
   /// created when config.validate_matching is set, and always in
   /// !NDEBUG builds.
   std::unique_ptr<MatchingValidator> validator_;
-
-  // --- Lossy data plane (core/data_channel.h + tor/host_transport.h) ---
-  //
-  // Same contract as the control channel: absent (the default) every data
-  // path is byte-identical to a channel-free build. The transport exists
-  // only when data_fault.arq is also set; the auditor arms like the
-  // MatchingValidator (validate_matching or !NDEBUG) whenever the channel
-  // exists.
-  std::unique_ptr<DataChannel> data_;
-  std::unique_ptr<HostTransport> transport_;
-  std::unique_ptr<ConservationAuditor> auditor_;
-  /// Ledger counters maintained only when data_ exists.
-  Bytes injected_bytes_{0};
-  Bytes transit_bytes_{0};  // scheduled train chunks not yet landed
-  /// Assembles the epoch-boundary ledger and runs the auditor.
-  void audit_conservation();
 
   // Fallback state (empty unless control_fault.fallback):
   /// Epochs a source must stay active-but-unmatched before the fallback

@@ -1,57 +1,18 @@
 #include "oblivious/oblivious_scheduler.h"
 
-#include <algorithm>
-
-#include "common/assert.h"
-#include "stats/resilience_recorder.h"
-#include "topo/topology_factory.h"
-
 namespace negotiator {
 
 ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
                                  Nanos stats_window_ns)
-    : config_(config),
-      topo_(make_topology(config)),
+    : FabricSim(config, stats_window_ns, /*relay=*/true),
       rotor_(config.topology, config.num_tors, config.ports_per_tor,
              config.epoch.guardband_ns + config.epoch.scheduled_slot_ns),
-      goodput_(config.num_tors, stats_window_ns),
-      links_(config.num_tors, config.ports_per_tor),
       spread_ptr_(static_cast<std::size_t>(config.num_tors), 0),
       busy_(config.num_tors),
       advertised_congested_(
           static_cast<std::size_t>(config.num_tors) * config.num_tors, 0),
       peers_believe_congested_(static_cast<std::size_t>(config.num_tors),
                                0) {
-  config_.validate();
-  tors_.reserve(static_cast<std::size_t>(config_.num_tors));
-  relay_.reserve(static_cast<std::size_t>(config_.num_tors));
-  for (TorId t = 0; t < config_.num_tors; ++t) {
-    tors_.emplace_back(t, config_.num_tors, config_.pias);
-    relay_.emplace_back(config_.num_tors);
-  }
-  sim_.set_sink(this);
-
-  // Lossy data plane + end-host ARQ: private salted stream, never built
-  // when disabled (zero draws — the oblivious goldens pin this). The
-  // auditor arms like the negotiator's MatchingValidator: on
-  // validate_matching, and always in debug/sanitizer builds.
-  if (config_.data_fault.enabled) {
-    data_ = std::make_unique<DataChannel>(
-        config_.data_fault,
-        make_salted_stream(config_.seed, kDataChannelSeedSalt));
-    if (config_.data_fault.arq) {
-      transport_ = std::make_unique<HostTransport>(config_, &sim_.events());
-    }
-    bool validate = config_.validate_matching;
-#ifndef NDEBUG
-    validate = true;
-#endif
-    if (validate) {
-      auditor_ =
-          std::make_unique<ConservationAuditor>(config_.data_fault.arq);
-    }
-  }
-
   const int cycle = rotor_.cycle_slots();
   const int n = config_.num_tors;
   const int ports = config_.ports_per_tor;
@@ -75,23 +36,12 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
 }
 
 void ObliviousFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
-  const Flow& f = flow_table_.flow(e.flow_index);
+  const Flow& f = plane_.flows().flow(e.flow_index);
   Flow queued = f;
   queued.id = e.flow_index;  // queues carry the dense index
   tors_[static_cast<std::size_t>(f.src)].accept_flow(queued, now);
   busy_.insert(f.src);
-  if (data_) injected_bytes_ += f.size;  // conservation ledger
-}
-
-void ObliviousFabric::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
-  if (e.fail) {
-    links_.fail(e.tor, e.port, e.dir);
-  } else {
-    links_.repair(e.tor, e.port, e.dir);
-  }
-  if (resilience_) {
-    resilience_->on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
-  }
+  plane_.on_inject(f.size);
 }
 
 void ObliviousFabric::on_relay_train(const RelayTrainEvent& e,
@@ -106,35 +56,17 @@ void ObliviousFabric::on_relay_train(const RelayTrainEvent& e,
     relay_[static_cast<std::size_t>(c.intermediate)].enqueue(
         c.final_dst, c.flow, c.bytes, c.seq);
     busy_.insert(c.intermediate);
-    if (data_) transit_bytes_ -= c.bytes;  // landed: in-transit -> parked
+    plane_.on_landed(c.bytes);
   }
 }
 
 void ObliviousFabric::on_transport_timer(const TransportTimerEvent& e,
                                          Nanos now) {
-  NEG_ASSERT(transport_ != nullptr, "transport timer without a transport");
-  if (transport_->on_timer(e.flow_index, now)) {
+  if (plane_.on_timer(e.flow_index, now)) {
     // Retransmit work keeps the unit's source in the dirty set until a
     // rotor connection towards its destination comes around.
-    busy_.insert(transport_->flow_src(e.flow_index));
+    busy_.insert(host_transport()->flow_src(e.flow_index));
   }
-}
-
-void ObliviousFabric::schedule_data_loss(Nanos start, Nanos end,
-                                         double drop_floor) {
-  if (data_) data_->add_loss_window(start, end, drop_floor);
-}
-
-void ObliviousFabric::set_resilience(ResilienceRecorder* recorder) {
-  FabricSim::set_resilience(recorder);
-  if (data_) data_->set_recorder(recorder);
-  if (transport_) transport_->set_recorder(recorder);
-}
-
-void ObliviousFabric::schedule_link_event(Nanos when, TorId tor, PortId port,
-                                          LinkDirection dir, bool fail) {
-  sim_.events().schedule_link_toggle(when,
-                                     LinkToggleEvent{tor, port, dir, fail});
 }
 
 TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
@@ -158,10 +90,7 @@ TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
 
 void ObliviousFabric::run_slot(std::int64_t global_slot) {
   sim_.advance_to(rotor_.slot_start(global_slot));
-  // Rotor slots are the oblivious fabric's epochs: the channel samples
-  // its loss-window floor and the transport drains matured acks here.
-  if (data_) data_->begin_epoch(sim_.now());
-  if (transport_) transport_->flush_acks(sim_.now());
+  plane_.begin_epoch(sim_.now());
   const Bytes payload = config_.scheduled_payload_bytes();
   const Nanos arrival = rotor_.slot_end(global_slot) +
                         config_.propagation_delay_ns;
@@ -203,31 +132,14 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
       // slot could otherwise carry (selective repeat: the lost unit is
       // the pair's oldest debt). Retransmissions go direct — never back
       // through a relay queue.
-      if (transport_ && transport_->has_retx(s, m)) {
-        const HostTransport::RetxChunk r =
-            transport_->take_retx(s, m, sim_.now());
-        if (data_->classify(DataHopClass::kFirstHop, r.bytes).deliver) {
-          delivery_build_.push_back(
-              DeliveryRecord{static_cast<FlowId>(r.flow), m, r.bytes,
-                             r.seq});
-        }
-        continue;
-      }
+      if (plane_.try_retransmit(s, m, sim_.now())) continue;
       // 1. Second hop: deliver relayed data whose final destination is m.
       // The dequeue mutates the relay queue inline (congestion adverts
       // later this slot must see the drain); the delivery's downstream
       // effects ride the slot's staged span.
       if (const std::optional<RelayChunk> chunk =
               parked.dequeue_packet(m, payload)) {
-        bool deliver = true;
-        if (data_) {
-          deliver = data_->classify(DataHopClass::kSecondHop, chunk->bytes)
-                        .deliver;
-        }
-        if (deliver) {
-          delivery_build_.push_back(
-              DeliveryRecord{chunk->flow, m, chunk->bytes, chunk->seq});
-        }
+        plane_.second_hop(*chunk, m);
         continue;
       }
       // 2. VLB spread: detour the next backlogged destination through m.
@@ -244,46 +156,24 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
       if (d == m) {
         if (auto pkt = tor.dequeue_packet(m, payload)) {
           // The lucky 1/N direct case: a plain first-hop transmission.
-          std::uint32_t seq = 0;
-          if (transport_) {
-            seq = transport_->on_transmit(
-                static_cast<std::int32_t>(pkt->flow), s, m, pkt->bytes,
-                sim_.now());
-          }
-          bool deliver = true;
-          if (data_) {
-            deliver = data_->classify(DataHopClass::kFirstHop, pkt->bytes)
-                          .deliver;
-          }
-          if (deliver) {
-            delivery_build_.push_back(
-                DeliveryRecord{pkt->flow, m, pkt->bytes, seq});
-          }
+          plane_.first_hop(static_cast<int>(pkt->flow), s, m, pkt->bytes,
+                           sim_.now());
         }
         continue;
       }
       if (auto pkt = tor.dequeue_packet(d, payload)) {
         // VLB leg 1 rides the lossy channel too; a chunk lost here never
         // reaches the intermediate (ARQ retransmits it direct later).
-        std::uint32_t seq = 0;
-        if (transport_) {
-          seq = transport_->on_transmit(static_cast<std::int32_t>(pkt->flow),
-                                        s, d, pkt->bytes, sim_.now());
-        }
-        bool deliver = true;
-        if (data_) {
-          deliver =
-              data_->classify(DataHopClass::kRelay, pkt->bytes).deliver;
-        }
-        if (deliver) {
-          if (data_) transit_bytes_ += pkt->bytes;
+        const DeliveryPlane::RelayLeg leg = plane_.relay_leg(
+            static_cast<int>(pkt->flow), s, d, pkt->bytes, sim_.now());
+        if (leg.delivered) {
           goodput_.record_relay_reception(m, pkt->bytes, arrival);
           // Batched data plane: the chunk rides this slot's train instead
           // of becoming its own calendar event — appended straight into
           // the event queue's arena (zero staging), in the scan order the
           // per-chunk events used to fire in.
           sim_.events().append_train_chunk(
-              RelayTrainChunk{m, d, pkt->flow, pkt->bytes, seq});
+              RelayTrainChunk{m, d, pkt->flow, pkt->bytes, leg.seq});
         }
       }
     }
@@ -294,58 +184,12 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
   // shared timestamp, so sums are unchanged), then everything appended
   // above leaves as one train event at the shared arrival time (a no-op
   // when nothing spread this slot).
-  flush_deliveries(arrival);
+  plane_.flush(arrival);
   sim_.events().commit_train(arrival);
-  // Cycle boundary == the oblivious fabric's epoch boundary.
-  if (auditor_ && slot == rotor_.cycle_slots() - 1) {
-    audit_conservation(global_slot / rotor_.cycle_slots());
+  // Cycle boundary == the oblivious fabric's audit epoch boundary.
+  if (slot == rotor_.cycle_slots() - 1) {
+    audit(global_slot / rotor_.cycle_slots());
   }
-}
-
-void ObliviousFabric::audit_conservation(std::int64_t cycle) {
-  ConservationLedger l;
-  l.injected = injected_bytes_;
-  for (const TorSwitch& t : tors_) l.source_queued += t.total_pending();
-  l.delivered = flow_table_.total_delivered();
-  if (transport_) {
-    l.arq_unresolved = transport_->unresolved_bytes();
-    l.arq_delivered = transport_->delivered_bytes();
-    l.arq_abandoned = transport_->abandoned_bytes();
-  } else {
-    for (const RelayQueueSet& r : relay_) l.relay_parked += r.total_bytes();
-    l.in_transit = transit_bytes_;
-    l.dropped = data_->dropped_bytes();
-    l.corrupted = data_->corrupted_bytes();
-  }
-  auditor_->check(cycle, l);
-}
-
-void ObliviousFabric::flush_deliveries(Nanos arrival) {
-  if (delivery_build_.empty()) return;
-  if (transport_) {
-    // Receiver-side ARQ filter: only a unit's first arrival is credited;
-    // duplicates and copies of abandoned units vanish here.
-    std::size_t keep = 0;
-    for (const DeliveryRecord& r : delivery_build_) {
-      if (transport_->on_deliver(static_cast<std::int32_t>(r.flow), r.seq,
-                                 r.bytes, arrival)) {
-        delivery_build_[keep++] = r;
-      }
-    }
-    delivery_build_.resize(keep);
-    if (delivery_build_.empty()) return;
-  }
-  const std::size_t n = delivery_build_.size();
-  if (resilience_ && links_.failed_count() > 0) {
-    Bytes degraded = 0;
-    for (const DeliveryRecord& r : delivery_build_) degraded += r.bytes;
-    resilience_->on_degraded_delivery(degraded);
-  }
-  flow_table_.credit_span(delivery_build_.data(), n, arrival);
-  goodput_.record_delivery_span(delivery_build_.data(), n, arrival);
-  deliveries_ += n;
-  ++delivery_dispatches_;
-  delivery_build_.clear();
 }
 
 void ObliviousFabric::run_until(Nanos t) {
@@ -354,17 +198,6 @@ void ObliviousFabric::run_until(Nanos t) {
     ++next_slot_;
   }
   if (t > sim_.now()) sim_.advance_to(t);
-}
-
-Bytes ObliviousFabric::total_backlog() const {
-  Bytes total = 0;
-  for (const TorSwitch& t : tors_) total += t.total_pending();
-  for (const RelayQueueSet& r : relay_) total += r.total_bytes();
-  // See NegotiatorFabric::total_backlog: every unresolved ARQ unit keeps
-  // the drain loops advancing simulated time until its RTO fires and the
-  // retransmission lands.
-  if (transport_) total += transport_->unresolved_bytes();
-  return total;
 }
 
 }  // namespace negotiator

@@ -19,7 +19,6 @@
 // inflated by the detour plus FIFO head-of-line blocking at intermediates.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/config.h"
@@ -28,50 +27,25 @@
 
 namespace negotiator {
 
-class ObliviousFabric final : public FabricSim, private EventSink {
+class ObliviousFabric final : public FabricSim {
  public:
   explicit ObliviousFabric(const NetworkConfig& config,
                            Nanos stats_window_ns = 0);
 
   void run_until(Nanos t) override;
-  GoodputMeter& goodput() override { return goodput_; }
-  LinkState& links() override { return links_; }
-  const NetworkConfig& config() const override { return config_; }
-  Bytes total_backlog() const override;
-  std::uint64_t deliveries() const override { return deliveries_; }
-  std::uint64_t delivery_dispatches() const override {
-    return delivery_dispatches_;
-  }
-  void schedule_link_event(Nanos when, TorId tor, PortId port,
-                           LinkDirection dir, bool fail) override;
-  void schedule_data_loss(Nanos start, Nanos end,
-                          double drop_floor) override;
-  void set_resilience(ResilienceRecorder* recorder) override;
 
   Nanos cycle_length_ns() const { return rotor_.cycle_length_ns(); }
-
-  /// Lossy data channel (null when data_fault is disabled).
-  const DataChannel* data_channel() const { return data_.get(); }
-  /// End-host ARQ transport (null unless data_fault.enabled && .arq).
-  const HostTransport* host_transport() const { return transport_.get(); }
-  /// Byte-conservation auditor (null unless armed).
-  const ConservationAuditor* conservation_auditor() const {
-    return auditor_.get();
-  }
 
  private:
   // EventSink: typed events scheduled on the simulation clock.
   void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override;
-  void on_link_toggle(const LinkToggleEvent& e, Nanos now) override;
   void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
                       Nanos now) override;
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;
 
+  /// One rotor slot. Rotor slots are this fabric's epochs for the delivery
+  /// plane, and a rotor cycle is its audit epoch.
   void run_slot(std::int64_t global_slot);
-  /// Drains the slot's staged second-hop/direct deliveries as one span:
-  /// a single FlowTable credit walk and one goodput span at the shared
-  /// arrival time, in the dequeue order the inline calls used.
-  void flush_deliveries(Nanos arrival);
   /// Next backlogged destination after the spread pointer, skipping
   /// `exclude`; kInvalidTor when none.
   TorId next_spread_dst(TorId src, TorId exclude);
@@ -110,8 +84,7 @@ class ObliviousFabric final : public FabricSim, private EventSink {
     const bool busy =
         !tors_[static_cast<std::size_t>(tor)].active_destinations().empty() ||
         relay_[static_cast<std::size_t>(tor)].total_bytes() > 0 ||
-        stale_peers(tor) > 0 ||
-        (transport_ && transport_->has_retx_from(tor));
+        stale_peers(tor) > 0 || plane_.retx_pending_from(tor);
     if (busy) {
       busy_.insert(tor);
     } else {
@@ -119,13 +92,7 @@ class ObliviousFabric final : public FabricSim, private EventSink {
     }
   }
 
-  NetworkConfig config_;
-  std::unique_ptr<FlatTopology> topo_;
   RotorSchedule rotor_;
-  std::vector<TorSwitch> tors_;
-  std::vector<RelayQueueSet> relay_;
-  GoodputMeter goodput_;
-  LinkState links_;
   std::int64_t next_slot_{0};
   std::vector<TorId> spread_ptr_;
 
@@ -141,14 +108,6 @@ class ObliviousFabric final : public FabricSim, private EventSink {
   };
   std::vector<SlotConn> conn_table_;
 
-  /// Slot-local staging for final-destination deliveries (second-hop and
-  /// lucky d == m spreads); flushed once per slot by flush_deliveries.
-  /// The dequeues themselves stay inline — congestion adverts read the
-  /// relay totals live mid-slot — only the downstream effects batch.
-  std::vector<DeliveryRecord> delivery_build_;
-  std::uint64_t deliveries_{0};
-  std::uint64_t delivery_dispatches_{0};
-
   ActiveSet busy_;                   // dirty set of sources with work
   std::vector<TorId> busy_scratch_;  // per-slot snapshot of busy_
   /// advertised_congested_[observer * N + peer]: did the peer's last
@@ -156,18 +115,6 @@ class ObliviousFabric final : public FabricSim, private EventSink {
   /// boolean form of last_occupancy_ — the only part room checks can see.)
   std::vector<std::uint8_t> advertised_congested_;
   std::vector<std::int32_t> peers_believe_congested_;  // [tor]
-
-  // --- Lossy data plane (core/data_channel.h + tor/host_transport.h) ---
-  //
-  // Same disabled-≡-never-constructed contract as the negotiator fabric;
-  // the channel samples loss windows per rotor slot (the oblivious
-  // epoch), and the auditor runs at each cycle boundary.
-  std::unique_ptr<DataChannel> data_;
-  std::unique_ptr<HostTransport> transport_;
-  std::unique_ptr<ConservationAuditor> auditor_;
-  Bytes injected_bytes_{0};
-  Bytes transit_bytes_{0};  // spread train chunks not yet landed
-  void audit_conservation(std::int64_t cycle);
 };
 
 }  // namespace negotiator

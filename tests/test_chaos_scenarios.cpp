@@ -50,7 +50,6 @@
 
 #include "engine/fault_scenario.h"
 #include "engine/runner.h"
-#include "oblivious/oblivious_scheduler.h"
 #include "stats/resilience_recorder.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -379,28 +378,6 @@ struct ChaosOutcome {
       : rec(cfg.num_tors, cfg.ports_per_tor) {}
 };
 
-/// The conservation auditor lives on the concrete fabric types (armed
-/// only when the data plane exists and validation is on).
-const ConservationAuditor* find_auditor(FabricSim& fab) {
-  if (auto* n = dynamic_cast<NegotiatorFabric*>(&fab)) {
-    return n->conservation_auditor();
-  }
-  if (auto* o = dynamic_cast<ObliviousFabric*>(&fab)) {
-    return o->conservation_auditor();
-  }
-  return nullptr;
-}
-
-const HostTransport* find_transport(FabricSim& fab) {
-  if (auto* n = dynamic_cast<NegotiatorFabric*>(&fab)) {
-    return n->host_transport();
-  }
-  if (auto* o = dynamic_cast<ObliviousFabric*>(&fab)) {
-    return o->host_transport();
-  }
-  return nullptr;
-}
-
 ChaosOutcome run_case(const ChaosCase& cc, int index) {
   ChaosOutcome out(cc.cfg);
   Runner runner(cc.cfg);
@@ -458,14 +435,14 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   // its ledger at every epoch boundary (it aborts the run otherwise), and
   // ARQ must leave nothing abandoned — the drain above is byte-exact.
   if (cc.cfg.data_fault.enabled) {
-    const ConservationAuditor* auditor = find_auditor(fab);
+    const ConservationAuditor* auditor = fab.conservation_auditor();
     EXPECT_NE(auditor, nullptr) << "case " << index << ": auditor not armed";
     if (auditor != nullptr) {
       out.conservation_checks = auditor->checks();
       EXPECT_GT(auditor->checks(), 0)
           << "case " << index << ": the auditor never ran";
     }
-    if (const HostTransport* t = find_transport(fab)) {
+    if (const HostTransport* t = fab.host_transport()) {
       EXPECT_EQ(t->abandoned_bytes(), 0)
           << "case " << index << ": ARQ gave up on "
           << t->abandoned_units() << " units (rto_fires "

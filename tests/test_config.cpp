@@ -79,6 +79,24 @@ TEST(Config, RejectsRelayVariantOnParallel) {
   EXPECT_NO_THROW(c.validate());
 }
 
+// The oblivious fabric never reads the host plane, so enabling it there
+// must fail loudly instead of running as if it were off.
+TEST(Config, RejectsHostPlaneOnTheObliviousFabric) {
+  NetworkConfig c;
+  c.scheduler = SchedulerKind::kOblivious;
+  c.host_plane.enabled = true;
+  try {
+    c.validate();
+    FAIL() << "host plane accepted on the oblivious fabric";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("host_plane.enabled"),
+              std::string::npos)
+        << e.what();
+  }
+  c.scheduler = SchedulerKind::kNegotiator;
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Config, RejectsIterativeWithoutIterations) {
   NetworkConfig c;
   c.scheduler = SchedulerKind::kNegotiatorIterative;

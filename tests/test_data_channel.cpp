@@ -1,8 +1,9 @@
 // Unit contract for the lossy data plane (core/data_channel.h): the
 // per-chunk draw-order and loss-window semantics, bit-identity of a
 // zero-rate channel with a channel-free build (both fabrics), per-hop-
-// class independence, the ResilienceRecorder mirror, and the byte-
-// conservation auditor's ledger across lossy runs without ARQ.
+// class independence, the ResilienceRecorder mirror, the byte-
+// conservation auditor's ledger across lossy runs without ARQ, and the
+// delivery plane's counters on both fabrics.
 // tests/test_host_transport.cpp covers the end-host ARQ layered on top.
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 #include "engine/conservation_auditor.h"
 #include "engine/network.h"
 #include "engine/runner.h"
-#include "oblivious/oblivious_scheduler.h"
 #include "stats/resilience_recorder.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -199,39 +199,32 @@ TEST(DataChannel, RecorderCountersMirrorTheChannel) {
 
 // Without ARQ, dropped bytes are gone for good: the conservation auditor
 // must still balance the ledger (injected = stranded + in flight +
-// delivered + dropped + corrupted) at every epoch boundary. The auditor
-// is armed because validate_matching is set.
+// delivered + dropped + corrupted) at every epoch boundary (every rotor
+// cycle on the oblivious fabric). The auditor is armed because
+// validate_matching is set.
 TEST(DataChannel, ConservationLedgerBalancesWithoutArq) {
-  NetworkConfig cfg = base_config(84);
-  cfg.data_fault = lossy_data(0.05, 0.01);
-  Runner runner(cfg);
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), 0.6, Rng(cfg.seed));
-  runner.add_flows(gen.generate(0, kDuration));
-  runner.run(kDuration, kDuration / 4);
-  auto* fabric = dynamic_cast<NegotiatorFabric*>(&runner.fabric());
-  ASSERT_NE(fabric, nullptr);
-  ASSERT_NE(fabric->data_channel(), nullptr);
-  ASSERT_NE(fabric->conservation_auditor(), nullptr);
-  EXPECT_EQ(fabric->host_transport(), nullptr) << "ARQ off -> no transport";
-  EXPECT_GT(fabric->data_channel()->dropped(), 0);
-  EXPECT_GT(fabric->conservation_auditor()->checks(), 0);
-}
-
-TEST(DataChannel, ConservationLedgerBalancesOnTheObliviousFabric) {
-  NetworkConfig cfg = base_config(85, SchedulerKind::kOblivious);
-  cfg.data_fault = lossy_data(0.05);
-  Runner runner(cfg);
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), 0.6, Rng(cfg.seed));
-  runner.add_flows(gen.generate(0, kDuration));
-  runner.run(kDuration, kDuration / 4);
-  auto* fabric = dynamic_cast<ObliviousFabric*>(&runner.fabric());
-  ASSERT_NE(fabric, nullptr);
-  ASSERT_NE(fabric->data_channel(), nullptr);
-  ASSERT_NE(fabric->conservation_auditor(), nullptr);
-  EXPECT_GT(fabric->data_channel()->dropped(), 0);
-  EXPECT_GT(fabric->conservation_auditor()->checks(), 0);
+  const struct {
+    SchedulerKind kind;
+    std::uint64_t seed;
+    double corrupt;
+  } cases[] = {{SchedulerKind::kNegotiator, 84, 0.01},
+               {SchedulerKind::kOblivious, 85, 0.0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(to_string(c.kind));
+    NetworkConfig cfg = base_config(c.seed, c.kind);
+    cfg.data_fault = lossy_data(0.05, c.corrupt);
+    Runner runner(cfg);
+    WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                          cfg.host_rate(), 0.6, Rng(cfg.seed));
+    runner.add_flows(gen.generate(0, kDuration));
+    runner.run(kDuration, kDuration / 4);
+    const FabricSim& fabric = runner.fabric();
+    ASSERT_NE(fabric.data_channel(), nullptr);
+    ASSERT_NE(fabric.conservation_auditor(), nullptr);
+    EXPECT_EQ(fabric.host_transport(), nullptr) << "ARQ off -> no transport";
+    EXPECT_GT(fabric.data_channel()->dropped(), 0);
+    EXPECT_GT(fabric.conservation_auditor()->checks(), 0);
+  }
 }
 
 // Loss is loss: at a fixed seed and horizon, a lossy run can never
@@ -268,16 +261,6 @@ struct PlaneCase {
   std::uint64_t expected;
 };
 
-/// Calls `fn` with the concrete fabric (the accessors live there).
-template <class Fn>
-void with_concrete(FabricSim& fab, Fn fn) {
-  if (auto* n = dynamic_cast<NegotiatorFabric*>(&fab)) {
-    fn(*n);
-  } else {
-    fn(dynamic_cast<ObliviousFabric&>(fab));
-  }
-}
-
 std::string delivery_observables(const PlaneCase& pc) {
   NetworkConfig cfg = base_config(87, pc.kind);
   cfg.data_fault = lossy_data(0.05, 0.01);
@@ -308,19 +291,17 @@ std::string delivery_observables(const PlaneCase& pc) {
   std::ostringstream os;
   os << "deliveries=" << fab.deliveries()
      << " dispatches=" << fab.delivery_dispatches();
-  with_concrete(fab, [&os](auto& f) {
-    if (const DataChannel* d = f.data_channel()) {
-      os << " dropped=" << d->dropped() << " corrupted=" << d->corrupted();
-    }
-    if (const HostTransport* t = f.host_transport()) {
-      os << " retransmitted=" << t->retransmitted_bytes()
-         << " rto_fires=" << t->rto_fires()
-         << " spurious=" << t->spurious_retx();
-    }
-    if (const ConservationAuditor* a = f.conservation_auditor()) {
-      os << " checks=" << a->checks();
-    }
-  });
+  if (const DataChannel* d = fab.data_channel()) {
+    os << " dropped=" << d->dropped() << " corrupted=" << d->corrupted();
+  }
+  if (const HostTransport* t = fab.host_transport()) {
+    os << " retransmitted=" << t->retransmitted_bytes()
+       << " rto_fires=" << t->rto_fires()
+       << " spurious=" << t->spurious_retx();
+  }
+  if (const ConservationAuditor* a = fab.conservation_auditor()) {
+    os << " checks=" << a->checks();
+  }
   os << " resilience=" << rec.json();
   return os.str();
 }

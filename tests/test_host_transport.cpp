@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "engine/network.h"
 #include "engine/runner.h"
-#include "oblivious/oblivious_scheduler.h"
 #include "sim/event_queue.h"
 #include "stats/resilience_recorder.h"
 #include "tor/host_transport.h"
@@ -409,7 +408,6 @@ TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
 /// dropped chunk — after a drain period every flow completes, nothing is
 /// abandoned, and the ledger returns to zero unresolved bytes. The
 /// conservation auditor is armed throughout (validate_matching).
-template <typename FabricT>
 void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   constexpr Nanos kArrivals = 200'000;
   NetworkConfig cfg;
@@ -437,9 +435,8 @@ void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
 
   EXPECT_EQ(r.completed, flows.size()) << "ARQ must recover every flow";
   EXPECT_EQ(r.backlog, 0);
-  auto* fabric = dynamic_cast<FabricT*>(&runner.fabric());
-  ASSERT_NE(fabric, nullptr);
-  const HostTransport* t = fabric->host_transport();
+  const FabricSim& fabric = runner.fabric();
+  const HostTransport* t = fabric.host_transport();
   ASSERT_NE(t, nullptr);
   EXPECT_GT(rec.data_dropped(), 0) << "the channel really dropped chunks";
   EXPECT_GT(t->retransmitted_bytes(), 0);
@@ -448,16 +445,16 @@ void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   EXPECT_EQ(t->unresolved_bytes(), 0) << "drained: nothing left in flight";
   EXPECT_EQ(rec.retransmitted_bytes(), t->retransmitted_bytes());
   EXPECT_EQ(rec.rto_fires(), t->rto_fires());
-  ASSERT_NE(fabric->conservation_auditor(), nullptr);
-  EXPECT_GT(fabric->conservation_auditor()->checks(), 0);
+  ASSERT_NE(fabric.conservation_auditor(), nullptr);
+  EXPECT_GT(fabric.conservation_auditor()->checks(), 0);
 }
 
 TEST(HostTransport, ArqRecoversEveryFlowOnTheNegotiatorFabric) {
-  run_arq_recovers<NegotiatorFabric>(SchedulerKind::kNegotiator, 71);
+  run_arq_recovers(SchedulerKind::kNegotiator, 71);
 }
 
 TEST(HostTransport, ArqRecoversEveryFlowOnTheObliviousFabric) {
-  run_arq_recovers<ObliviousFabric>(SchedulerKind::kOblivious, 72);
+  run_arq_recovers(SchedulerKind::kOblivious, 72);
 }
 
 }  // namespace
