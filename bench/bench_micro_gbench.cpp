@@ -45,10 +45,10 @@ void BM_GrantStep(benchmark::State& state) {
     benchmark::DoNotOptimize(eng.grant(0, requests, eligible, 33'450));
   }
 }
-BENCHMARK(BM_GrantStep)->Arg(32)->Arg(128);
+BENCHMARK(BM_GrantStep)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_AcceptStep(benchmark::State& state) {
-  ParallelTopology topo(128, 8);
+  ParallelTopology topo(static_cast<int>(state.range(0)), 8);
   Rng rng(3);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   std::vector<GrantMsg> grants;
@@ -63,7 +63,7 @@ void BM_AcceptStep(benchmark::State& state) {
     benchmark::DoNotOptimize(eng.accept(0, grants, eligible));
   }
 }
-BENCHMARK(BM_AcceptStep);
+BENCHMARK(BM_AcceptStep)->Arg(128)->Arg(512);
 
 void BM_DestQueuePacketCycle(benchmark::State& state) {
   DestQueueSet q(1, 3);

@@ -57,25 +57,20 @@ RoundRobinRing& MatchingEngine::accept_ring(TorId src, PortId tx) {
                        tx];
 }
 
-MatchingEngine::GrantResult MatchingEngine::grant(
+const MatchingEngine::GrantResult& MatchingEngine::grant(
     TorId dst, std::span<const RequestMsg> requests,
     const std::vector<bool>& rx_eligible, Bytes epoch_capacity) {
   const int ports = topo_.ports_per_tor();
   NEG_ASSERT(static_cast<int>(rx_eligible.size()) == ports,
              "rx_eligible size mismatch");
-  GrantResult out;
+  GrantResult& out = grant_out_;
+  out.grants.clear();
   out.port_used.assign(static_cast<std::size_t>(ports), false);
   if (requests.empty()) return out;
 
   // Working copies of the per-requester metadata used by the policies.
-  struct Work {
-    TorId src;
-    Bytes remaining;      // kLargestSize
-    Nanos delay;          // kLongestDelay
-    bool granted_round;   // kLongestDelay round marker
-  };
-  std::vector<Work> work;
-  work.reserve(requests.size());
+  std::vector<Work>& work = work_;
+  work.clear();
   // Dense index: slot_of_tor_[src] -> first Work entry for that source
   // (matching the old scan's first-occurrence semantics).
   touched_.clear();
@@ -151,13 +146,14 @@ MatchingEngine::GrantResult MatchingEngine::grant(
   return out;
 }
 
-MatchingEngine::AcceptResult MatchingEngine::accept(
+const MatchingEngine::AcceptResult& MatchingEngine::accept(
     TorId src, std::span<const GrantMsg> grants,
     const std::vector<bool>& tx_eligible) {
   const int ports = topo_.ports_per_tor();
   NEG_ASSERT(static_cast<int>(tx_eligible.size()) == ports,
              "tx_eligible size mismatch");
-  AcceptResult out;
+  AcceptResult& out = accept_out_;
+  out.matches.clear();
   out.port_used.assign(static_cast<std::size_t>(ports), false);
   if (grants.empty()) return out;
 

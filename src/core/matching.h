@@ -19,6 +19,11 @@
 // reset via touched lists), not linear rescans of the request set — the
 // picks are byte-identical to the straightforward implementation (see
 // tests/test_matching_equivalence.cpp).
+//
+// Result lifetime: grant() and accept() fill engine-owned scratch and
+// return a reference to it, so the steps allocate nothing once warm. A
+// result is valid until the next call of the same step; a caller that
+// mutates one (selective relay marks extra ports in port_used) copies it.
 #pragma once
 
 #include <span>
@@ -48,9 +53,9 @@ class MatchingEngine {
   /// GRANT step at `dst`: allocates every eligible rx port to the pending
   /// (non-relay) requests. `epoch_capacity` is the data volume one match
   /// can move in an epoch (used by the kLargestSize policy).
-  GrantResult grant(TorId dst, std::span<const RequestMsg> requests,
-                    const std::vector<bool>& rx_eligible,
-                    Bytes epoch_capacity);
+  const GrantResult& grant(TorId dst, std::span<const RequestMsg> requests,
+                           const std::vector<bool>& rx_eligible,
+                           Bytes epoch_capacity);
 
   struct AcceptResult {
     std::vector<Match> matches;
@@ -59,8 +64,8 @@ class MatchingEngine {
   };
 
   /// ACCEPT step at `src`: picks at most one grant per eligible tx port.
-  AcceptResult accept(TorId src, std::span<const GrantMsg> grants,
-                      const std::vector<bool>& tx_eligible);
+  const AcceptResult& accept(TorId src, std::span<const GrantMsg> grants,
+                             const std::vector<bool>& tx_eligible);
 
   SelectionPolicy policy() const { return policy_; }
 
@@ -86,6 +91,18 @@ class MatchingEngine {
   /// for the parallel network (every port eligible).
   std::vector<PortId> rx_group_of_src_;
 
+  /// grant()'s working copy of one request's policy metadata.
+  struct Work {
+    TorId src;
+    Bytes remaining;      // kLargestSize
+    Nanos delay;          // kLongestDelay
+    bool granted_round;   // kLongestDelay round marker
+  };
+
+  // The results grant()/accept() hand out, and grant()'s working set.
+  GrantResult grant_out_;
+  AcceptResult accept_out_;
+  std::vector<Work> work_;
   // Scratch for the dense-index lookups, sized num_tors; entries are -1
   // outside a grant()/accept() call (reset via the touched list).
   std::vector<std::int32_t> slot_of_tor_;

@@ -35,10 +35,41 @@ NegotiatorScheduler::PairOut& NegotiatorScheduler::outbox(TorId from,
     out_stamp_[index] = epoch_;
     out_pairs_.emplace_back(from, to);
     entry.has_request = entry.has_accept = false;
-    entry.grants.clear();
-    entry.relay_requests.clear();
+    entry.grant_head = entry.grant_tail = -1;
+    entry.relay_head = entry.relay_tail = -1;
   }
   return entry;
+}
+
+namespace {
+
+/// Appends `msg` to a per-epoch log and links it at the tail of the chain
+/// (head, tail).
+template <typename Log, typename T>
+void append_chained(Log& log, std::int32_t& head, std::int32_t& tail,
+                    const T& msg) {
+  const auto index = static_cast<std::int32_t>(log.size());
+  log.push_back({msg, -1});
+  if (head < 0) {
+    head = index;
+  } else {
+    log[static_cast<std::size_t>(tail)].next = index;
+  }
+  tail = index;
+}
+
+}  // namespace
+
+void NegotiatorScheduler::post_grant(TorId from, TorId to,
+                                     const GrantMsg& grant) {
+  PairOut& entry = outbox(from, to);
+  append_chained(grant_log_, entry.grant_head, entry.grant_tail, grant);
+}
+
+void NegotiatorScheduler::post_relay_request(TorId from, TorId to,
+                                             const RequestMsg& request) {
+  PairOut& entry = outbox(from, to);
+  append_chained(relay_log_, entry.relay_head, entry.relay_tail, request);
 }
 
 Bytes NegotiatorScheduler::request_threshold_bytes() const {
@@ -113,10 +144,16 @@ void NegotiatorScheduler::deliver_pair_lossy(TorId src, TorId dst, bool ok) {
   if (!ok) return;
   const PairOut& entry = out_[index];
   if (entry.has_request) deliver_request_lossy(dst, entry.request);
-  for (const RequestMsg& r : entry.relay_requests) {
-    deliver_request_lossy(dst, r);
+  for (std::int32_t i = entry.relay_head; i >= 0;) {
+    const auto& logged = relay_log_[static_cast<std::size_t>(i)];
+    deliver_request_lossy(dst, logged.msg);
+    i = logged.next;
   }
-  for (const GrantMsg& g : entry.grants) deliver_grant_lossy(dst, g);
+  for (std::int32_t i = entry.grant_head; i >= 0;) {
+    const auto& logged = grant_log_[static_cast<std::size_t>(i)];
+    deliver_grant_lossy(dst, logged.msg);
+    i = logged.next;
+  }
   if (entry.has_accept) deliver_accept_lossy(dst, entry.accept);
 }
 
@@ -143,6 +180,8 @@ void NegotiatorScheduler::begin_epoch(std::int64_t epoch, Nanos now,
   now_ = now;
   matches_.clear();
   out_pairs_.clear();
+  grant_log_.clear();
+  relay_log_.clear();
   epoch_grants_ = 0;
   epoch_accepts_ = 0;
 
@@ -170,7 +209,7 @@ void NegotiatorScheduler::compute_accepts(const DemandView& /*demand*/,
     for (PortId p = 0; p < ports; ++p) {
       tx_eligible[static_cast<std::size_t>(p)] = !faults.tx_excluded(s, p);
     }
-    auto result = matching_.accept(s, grants, tx_eligible);
+    const auto& result = matching_.accept(s, grants, tx_eligible);
     epoch_accepts_ += result.matches.size();
     for (const Match& m : result.matches) {
       matches_.push_back(m);
@@ -180,8 +219,9 @@ void NegotiatorScheduler::compute_accepts(const DemandView& /*demand*/,
       a.tx_port = m.tx_port;
       a.rx_port = m.rx_port;
       a.accepted = true;
-      outbox(s, m.dst).has_accept = true;
-      outbox(s, m.dst).accept = a;
+      PairOut& entry = outbox(s, m.dst);
+      entry.has_accept = true;
+      entry.accept = a;
     }
     // Rejection notices for unaccepted grants (consumed by the stateful
     // variant's matrix reconciliation; harmless otherwise). At most one
@@ -226,12 +266,10 @@ void NegotiatorScheduler::compute_grants(const DemandView& demand,
     for (PortId p = 0; p < ports; ++p) {
       rx_eligible[static_cast<std::size_t>(p)] = !faults.rx_excluded(d, p);
     }
-    auto result =
+    const auto& result =
         matching_.grant(d, requests, rx_eligible, epoch_capacity_bytes());
     epoch_grants_ += result.grants.size();
-    for (auto& [src, g] : result.grants) {
-      outbox(d, src).grants.push_back(g);
-    }
+    for (const auto& [src, g] : result.grants) post_grant(d, src, g);
   }
 }
 

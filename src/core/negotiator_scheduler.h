@@ -81,11 +81,15 @@ class NegotiatorScheduler {
     if (entry.has_request) {
       inbox_requests_.push(dst, entry.request);
     }
-    for (const RequestMsg& r : entry.relay_requests) {
-      inbox_requests_.push(dst, r);
+    for (std::int32_t i = entry.relay_head; i >= 0;) {
+      const auto& logged = relay_log_[static_cast<std::size_t>(i)];
+      inbox_requests_.push(dst, logged.msg);
+      i = logged.next;
     }
-    for (const GrantMsg& g : entry.grants) {
-      inbox_grants_.push(dst, g);
+    for (std::int32_t i = entry.grant_head; i >= 0;) {
+      const auto& logged = grant_log_[static_cast<std::size_t>(i)];
+      inbox_grants_.push(dst, logged.msg);
+      i = logged.next;
     }
     if (entry.has_accept) {
       inbox_accepts_.push(dst, entry.accept);
@@ -121,20 +125,37 @@ class NegotiatorScheduler {
   /// instead of cleared (O(#messages) per epoch, not O(N^2)). The stamps
   /// live in a separate dense array (out_stamp_) so the per-slot delivery
   /// scan only touches 8 bytes per pair unless the pair actually has
-  /// messages this epoch. A pair can carry several grants in one epoch: in
-  /// the parallel network a destination may grant multiple rx ports to the
-  /// same source (Fig. 3a).
+  /// messages this epoch. The single-valued messages sit inline; the
+  /// multi-valued ones live in the per-epoch logs below, chained per pair
+  /// by head/tail index (-1 = none), so a PairOut holds no heap storage.
   struct PairOut {
+    RequestMsg request;
+    AcceptMsg accept;
+    /// Chain into grant_log_. A pair can carry several grants in one
+    /// epoch: in the parallel network a destination may grant multiple rx
+    /// ports to the same source (Fig. 3a).
+    std::int32_t grant_head{-1};
+    std::int32_t grant_tail{-1};
+    /// Chain into relay_log_: selective-relay establishment requests
+    /// (A.2.2); a pair can carry a direct request and relay requests in
+    /// the same epoch.
+    std::int32_t relay_head{-1};
+    std::int32_t relay_tail{-1};
     bool has_request{false};
     bool has_accept{false};
-    RequestMsg request;
-    std::vector<GrantMsg> grants;
-    /// Selective-relay establishment requests (A.2.2); a pair can carry a
-    /// direct request and relay requests in the same epoch.
-    std::vector<RequestMsg> relay_requests;
-    AcceptMsg accept;
+  };
+  /// One entry of a per-epoch message log; `next` chains the pair's
+  /// entries in posting order (-1 ends the chain).
+  template <typename T>
+  struct Logged {
+    T msg;
+    std::int32_t next;
   };
   PairOut& outbox(TorId from, TorId to);
+  /// Appends a grant / relay-establishment request to pair (from, to)'s
+  /// chain; deliver_pair replays each chain in posting order.
+  void post_grant(TorId from, TorId to, const GrantMsg& grant);
+  void post_relay_request(TorId from, TorId to, const RequestMsg& request);
 
   virtual void compute_accepts(const DemandView& demand,
                                const FaultPlane& faults);
@@ -184,6 +205,10 @@ class NegotiatorScheduler {
   std::vector<PairOut> out_;                  // N*N
   std::vector<std::int64_t> out_stamp_;       // N*N, epoch of last write
   std::vector<std::pair<TorId, TorId>> out_pairs_;  // pairs stamped this epoch
+  // The epoch's multi-valued messages, all pairs in one flat buffer each;
+  // cleared with out_pairs_ at the top of begin_epoch.
+  std::vector<Logged<GrantMsg>> grant_log_;
+  std::vector<Logged<RequestMsg>> relay_log_;
   // Per-epoch message arenas (one flat buffer each, O(1) clear; see
   // core/inbox.h). Owners: requests/accepts by destination, grants by the
   // granted source.

@@ -75,10 +75,10 @@ void IterativeScheduler::stage_grant(Process& p, const FaultPlane& faults) {
           !p.rx_used[static_cast<std::size_t>(d) * ports + q] &&
           !faults.rx_excluded(d, q);
     }
-    auto result =
+    const auto& result =
         matching_.grant(d, requests, rx_eligible, epoch_capacity_bytes());
     epoch_grants_ += result.grants.size();
-    for (auto& [src, g] : result.grants) {
+    for (const auto& [src, g] : result.grants) {
       bool duplicate = false;
       if (control_ != nullptr) {
         // Same in-epoch semantics as stage_request: a delayed grant misses
@@ -110,7 +110,7 @@ void IterativeScheduler::stage_accept(Process& p, const FaultPlane& faults) {
           !p.tx_used[static_cast<std::size_t>(s) * ports + q] &&
           !faults.tx_excluded(s, q);
     }
-    auto result = matching_.accept(s, grants, tx_eligible);
+    const auto& result = matching_.accept(s, grants, tx_eligible);
     epoch_accepts_ += result.matches.size();
     for (const Match& m : result.matches) {
       p.matches.push_back(m);

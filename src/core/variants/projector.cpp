@@ -68,7 +68,7 @@ void ProjectorScheduler::compute_grants(const DemandView& /*demand*/,
       g.rx_port = p;
       g.weighted_delay = best->weighted_delay;
       epoch_grants_ += 1;
-      outbox(d, best->src).grants.push_back(g);
+      post_grant(d, best->src, g);
     }
   }
 }

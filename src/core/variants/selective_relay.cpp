@@ -98,7 +98,7 @@ void SelectiveRelayScheduler::sample_requests(const DemandView& demand,
         r.relay = true;
         r.relay_final_dst = d;
         r.relay_volume = std::min(elephant, epoch_capacity_bytes());
-        outbox(s, m).relay_requests.push_back(r);
+        post_relay_request(s, m, r);
         ++sent;
       }
     }
@@ -122,12 +122,11 @@ void SelectiveRelayScheduler::compute_grants(const DemandView& demand,
     for (PortId p = 0; p < ports; ++p) {
       rx_eligible[static_cast<std::size_t>(p)] = !faults.rx_excluded(d, p);
     }
+    // A copy: the relay pass below marks more rx ports in port_used.
     auto result =
         matching_.grant(d, direct, rx_eligible, epoch_capacity_bytes());
     epoch_grants_ += result.grants.size();
-    for (auto& [src, g] : result.grants) {
-      outbox(d, src).grants.push_back(g);
-    }
+    for (const auto& [src, g] : result.grants) post_grant(d, src, g);
     // Relay grants only on rx ports the direct traffic left free, with
     // queue space (congestion control) and no heavy direct conflict on the
     // second hop's shared port.
@@ -155,7 +154,7 @@ void SelectiveRelayScheduler::compute_grants(const DemandView& demand,
       space -= g.relay_volume;
       result.port_used[static_cast<std::size_t>(rx)] = true;
       epoch_grants_ += 1;
-      outbox(d, r.src).grants.push_back(g);
+      post_grant(d, r.src, g);
     }
   }
 }
@@ -178,6 +177,7 @@ void SelectiveRelayScheduler::compute_accepts(const DemandView& /*demand*/,
     }
     // Direct grants take priority ("the transmission of direct traffic is
     // prioritized over relayed traffic").
+    // A copy: the relay pass below marks more tx ports in port_used.
     auto result = matching_.accept(s, direct, tx_eligible);
     epoch_accepts_ += result.matches.size();
     for (const Match& m : result.matches) matches_.push_back(m);

@@ -64,15 +64,15 @@ void StatefulScheduler::compute_grants(const DemandView& /*demand*/,
     for (PortId p = 0; p < ports; ++p) {
       rx_eligible[static_cast<std::size_t>(p)] = !faults.rx_excluded(d, p);
     }
-    auto result = matching_.grant(d, eligible_requests, rx_eligible,
-                                  epoch_capacity_bytes());
+    const auto& result = matching_.grant(d, eligible_requests, rx_eligible,
+                                         epoch_capacity_bytes());
     epoch_grants_ += result.grants.size();
-    for (auto& [src, g] : result.grants) {
+    for (const auto& [src, g] : result.grants) {
       Bytes& m = matrix(d, src);
       const Bytes amount = std::min(m, epoch_capacity_bytes());
       m -= amount;  // tentative until the accept/reject notice arrives
       tentative_.push_back(Tentative{d, src, g.rx_port, amount, epoch_});
-      outbox(d, src).grants.push_back(g);
+      post_grant(d, src, g);
     }
   }
 }

@@ -303,18 +303,10 @@ void NegotiatorFabric::gather_predefined_pair(TorId src, TorId dst) {
   schedule_.pair_connections(src, dst, predef_rotation_, pair_conn_scratch_);
   for (const PredefinedSchedule::Connection& conn : pair_conn_scratch_) {
     if (conn.slot < predef_cursor_) continue;  // this slot already ran
-    const PredefConn c = resolve_predef_conn(src, conn.tx_port, dst);
-    auto& bucket = predef_buckets_[static_cast<std::size_t>(conn.slot)];
-    // Keep the bucket sorted by (src, tx) — the dense scan's visit order.
-    // Epoch-start gathering appends mostly in order; mid-phase arrivals
-    // insert in place (rare).
-    const auto pos = std::upper_bound(
-        bucket.begin(), bucket.end(), c,
-        [](const PredefConn& a, const PredefConn& b) {
-          if (a.src != b.src) return a.src < b.src;
-          return a.tx < b.tx;
-        });
-    bucket.insert(pos, c);
+    // Appended unsorted; run_predefined_phase sorts the bucket right
+    // before it visits the slot.
+    predef_buckets_[static_cast<std::size_t>(conn.slot)].push_back(
+        resolve_predef_conn(src, conn.tx_port, dst));
   }
 }
 
@@ -425,8 +417,17 @@ void NegotiatorFabric::run_predefined_phase() {
     if (!healthy) {
       run_predefined_slot_dense(slot);
     } else {
-      for (const PredefConn& c :
-           predef_buckets_[static_cast<std::size_t>(slot)]) {
+      // Every gather into this slot's bucket happened before this point
+      // (at epoch start, or during the advance_to above), and (src, tx)
+      // is unique within a slot, so one sort yields the dense scan's
+      // visit order.
+      auto& bucket = predef_buckets_[static_cast<std::size_t>(slot)];
+      std::sort(bucket.begin(), bucket.end(),
+                [](const PredefConn& a, const PredefConn& b) {
+                  if (a.src != b.src) return a.src < b.src;
+                  return a.tx < b.tx;
+                });
+      for (const PredefConn& c : bucket) {
         visit_predefined_conn(c, /*healthy=*/true);
       }
     }

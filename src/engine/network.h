@@ -306,13 +306,17 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   // control messages (scheduler_->epoch_out_pairs()) plus pairs with
   // piggyback data (active_sources_ × their active destinations) — and
   // resolves each pair's connection(s) under this epoch's rotation via
-  // PredefinedSchedule::pair_connections, bucketed per slot and sorted by
-  // (src, tx) so the visit order matches the dense scan exactly.
+  // PredefinedSchedule::pair_connections, appended to per-slot buckets.
+  // Just before it visits slot k, run_predefined_phase sorts slot k's
+  // bucket by (src, tx) once, so the visit order matches the dense scan
+  // exactly. That is sound because every append to slot k's bucket
+  // happens before the visit (epoch start, or a handler dispatched by
+  // the slot's advance_to), and (src, tx) is unique within a slot.
   //
   // Dirty-set invariants:
   //  - who marks: gather_predefined_pair() (at epoch start, and from
-  //    on_flow_arrival for flows landing mid-phase), stamped once per pair
-  //    per epoch in predef_gather_stamp_;
+  //    on_flow_arrival / on_transport_timer for work landing mid-phase),
+  //    stamped once per pair per epoch in predef_gather_stamp_;
   //  - who clears: run_predefined_phase() resets the buckets each epoch;
   //  - a slot whose links are unhealthy falls back to the dense scan so
   //    the fault detector still observes every connection.

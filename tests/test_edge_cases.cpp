@@ -52,6 +52,32 @@ TEST(EdgeCases, ThinClosTwoByTwo) {
   EXPECT_EQ(fab->total_backlog(), 0);
 }
 
+TEST(EdgeCases, ThinClosOneTorPerBlock) {
+  // num_tors == ports_per_tor: every block holds one ToR, so a ToR's
+  // own-block grant and accept rings are empty. Both fabrics must build
+  // and drain an all-to-all exchange.
+  for (const SchedulerKind kind :
+       {SchedulerKind::kNegotiator, SchedulerKind::kOblivious}) {
+    for (const int n : {4, 8}) {
+      NetworkConfig cfg;
+      cfg.num_tors = n;
+      cfg.ports_per_tor = n;
+      cfg.topology = TopologyKind::kThinClos;
+      cfg.scheduler = kind;
+      auto fab = make_fabric(cfg);
+      for (TorId s = 0; s < n; ++s) {
+        for (TorId d = 0; d < n; ++d) {
+          if (s != d) fab->add_flow(one_flow(s, d, 10'000, 0, s * n + d));
+        }
+      }
+      fab->run_until(300 * cfg.epoch_length_ns());
+      EXPECT_EQ(fab->fct().completed(), static_cast<std::size_t>(n) * (n - 1))
+          << "n=" << n << " scheduler=" << static_cast<int>(kind);
+      EXPECT_EQ(fab->total_backlog(), 0);
+    }
+  }
+}
+
 TEST(EdgeCases, ZeroScheduledSlotsDegeneratesToRoundRobin) {
   // §3.6.4: a predefined-dominated epoch degenerates to pure round-robin —
   // only the piggyback path moves data, slowly but correctly.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 #include <vector>
 
 namespace negotiator {
@@ -86,6 +87,42 @@ TEST_P(PredefinedScheduleTest, PairConnectionIsConsistent) {
         EXPECT_EQ(sched.dst_of(src, c.tx_port, c.slot, rotation), dst);
       }
     }
+  }
+}
+
+TEST_P(PredefinedScheduleTest, PairConnectionsCoverTheDenseScanOnce) {
+  // The sparse predefined phase gathers pair_connections per pair and
+  // sorts each slot's bucket by (src, tx). That reproduces the dense scan
+  // only if the union over all pairs is exactly the dense scan's non-idle
+  // (slot, src, tx) set, each connection listed once.
+  const auto [kind, n, s] = GetParam();
+  PredefinedSchedule sched(kind, n, s);
+  for (int rotation : {0, 17, 34, 17 * 127}) {
+    using Conn = std::tuple<int, TorId, PortId, TorId>;  // slot, src, tx, dst
+    std::set<Conn> dense;
+    for (int slot = 0; slot < sched.slots(); ++slot) {
+      for (TorId src = 0; src < n; ++src) {
+        for (PortId p = 0; p < s; ++p) {
+          const TorId dst = sched.dst_of(src, p, slot, rotation);
+          if (dst != kInvalidTor) dense.insert({slot, src, p, dst});
+        }
+      }
+    }
+    std::set<Conn> sparse;
+    std::size_t listed = 0;
+    std::vector<PredefinedSchedule::Connection> conns;
+    for (TorId src = 0; src < n; ++src) {
+      for (TorId dst = 0; dst < n; ++dst) {
+        if (src == dst) continue;
+        conns.clear();
+        sched.pair_connections(src, dst, rotation, conns);
+        listed += conns.size();
+        for (const auto& c : conns) sparse.insert({c.slot, src, c.tx_port, dst});
+      }
+    }
+    EXPECT_EQ(listed, sparse.size())
+        << "a connection is listed twice at rotation " << rotation;
+    EXPECT_EQ(sparse, dense) << "rotation " << rotation;
   }
 }
 
