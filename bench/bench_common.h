@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/env.h"
 #include "engine/runner.h"
 #include "engine/sweep.h"
 #include "workload/generator.h"
@@ -30,11 +31,12 @@ namespace negbench {
 
 using namespace negotiator;
 
-/// Bench duration: `default_ms` unless NEG_DURATION_MS overrides.
+/// Bench duration: `default_ms` unless NEG_DURATION_MS overrides; a value
+/// outside (0, 1e9] ms exits with status 2.
 inline Nanos bench_duration(double default_ms) {
   if (const char* env = std::getenv("NEG_DURATION_MS")) {
-    const double ms = std::atof(env);
-    if (ms > 0) return static_cast<Nanos>(ms * kMilli);
+    return static_cast<Nanos>(
+        parse_env_positive("NEG_DURATION_MS", env, 1e9) * kMilli);
   }
   return static_cast<Nanos>(default_ms * kMilli);
 }

@@ -52,7 +52,7 @@
 // delivery-span batching factor deliveries/dispatch (how many final-hop
 // deliveries the slot-close span flush coalesces per walk).
 //
-// Environment:
+// Environment (a malformed or out-of-range number exits with status 2):
 //   NEG_DURATION_MS    simulated milliseconds per run (default 2.0)
 //   NEG_PERF_TORS      comma-separated N list (default "16,64,128")
 //   NEG_PERF_SCALING_TORS  N list for the scaling section
@@ -130,47 +130,22 @@ struct PerfRun {
   }
 };
 
+/// The comma-separated integers of environment variable `env_name`, or of
+/// `fallback` when it is unset; a token below `min_value` or not an
+/// integer exits with status 2, naming the variable.
 std::vector<int> parse_int_list(const char* env_name,
                                 const std::string& fallback, int min_value) {
   std::vector<int> out;
   const char* env = std::getenv(env_name);
   const std::string spec = env != nullptr ? env : fallback;
   std::size_t pos = 0;
-  while (pos < spec.size()) {
+  while (true) {
     const std::size_t comma = spec.find(',', pos);
-    const std::string tok =
-        spec.substr(pos, comma == std::string::npos ? spec.size() - pos
-                                                    : comma - pos);
-    const int n = std::atoi(tok.c_str());
-    if (n >= min_value) out.push_back(n);
-    if (comma == std::string::npos) break;
+    out.push_back(parse_env_int(env_name, spec.substr(pos, comma - pos),
+                                min_value));
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out;
-}
-
-std::vector<int> tor_counts() {
-  return parse_int_list("NEG_PERF_TORS", "16,64,128", 2);
-}
-
-std::vector<int> scaling_tor_counts() {
-  return parse_int_list("NEG_PERF_SCALING_TORS", "16,64,128,256", 2);
-}
-
-std::vector<int> scaling_oblivious_tor_counts() {
-  return parse_int_list("NEG_PERF_SCALING_OBLIVIOUS_TORS", "512", 2);
-}
-
-std::vector<int> storm_tor_counts() {
-  return parse_int_list("NEG_PERF_STORM_TORS", "16,64", 2);
-}
-
-std::vector<int> control_tor_counts() {
-  return parse_int_list("NEG_PERF_CONTROL_TORS", "16", 2);
-}
-
-std::vector<int> data_tor_counts() {
-  return parse_int_list("NEG_PERF_DATA_TORS", "16", 2);
 }
 
 /// Why the multi-thread sweep rows were skipped; empty when they ran.
@@ -738,8 +713,28 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
 }  // namespace
 
 int main() {
-  print_header("Engine perf: events/sec and simulated-ns per wall-second");
+  // Every setting is parsed before the first run, so a malformed value
+  // fails at once instead of after minutes of measurement.
   const Nanos duration = bench_duration(2.0);
+  const std::vector<int> tor_counts =
+      parse_int_list("NEG_PERF_TORS", "16,64,128", 2);
+  const std::vector<int> scaling_tor_counts =
+      parse_int_list("NEG_PERF_SCALING_TORS", "16,64,128,256", 2);
+  const std::vector<int> scaling_oblivious_tor_counts =
+      parse_int_list("NEG_PERF_SCALING_OBLIVIOUS_TORS", "512", 2);
+  const std::vector<int> storm_tor_counts =
+      parse_int_list("NEG_PERF_STORM_TORS", "16,64", 2);
+  const std::vector<int> control_tor_counts =
+      parse_int_list("NEG_PERF_CONTROL_TORS", "16", 2);
+  const std::vector<int> data_tor_counts =
+      parse_int_list("NEG_PERF_DATA_TORS", "16", 2);
+  const char* sweep_env = std::getenv("NEG_PERF_SWEEP_TORS");
+  const int sweep_tors =
+      sweep_env != nullptr ? parse_env_int("NEG_PERF_SWEEP_TORS", sweep_env, 2)
+                           : 64;
+  const std::vector<int> sweep_threads = sweep_thread_counts();
+
+  print_header("Engine perf: events/sec and simulated-ns per wall-second");
   const double load = 0.5;
 
   const struct {
@@ -758,7 +753,7 @@ int main() {
   std::vector<PerfRun> runs;
   ConsoleTable table({"system", "N", "events", "wall s", "events/s",
                       "sim-ns/wall-s"});
-  for (const int n : tor_counts()) {
+  for (const int n : tor_counts) {
     for (const auto& sys : systems) {
       const PerfRun r =
           measure_engine(sys.name, sys.topo, sys.sched, n, load, duration);
@@ -799,7 +794,7 @@ int main() {
                            fmt(r.events_per_sec(), 0)});
     scaling.push_back(r);
   };
-  for (const int n : scaling_tor_counts()) {
+  for (const int n : scaling_tor_counts) {
     for (const auto& sys : systems) {
       const PerfRun* reuse = nullptr;
       for (const PerfRun& r : runs) {
@@ -818,7 +813,7 @@ int main() {
   // busy ToR each slot, so its per-slot walk is the densest in the repo —
   // the largest-N row records how the SoA store and span delivery hold up.
   const auto& oblivious_sys = systems[2];
-  for (const int n : scaling_oblivious_tor_counts()) {
+  for (const int n : scaling_oblivious_tor_counts) {
     const PerfRun* reuse = nullptr;
     for (const PerfRun& r : scaling) {
       if (r.num_tors == n && r.name == oblivious_sys.name) {
@@ -837,7 +832,7 @@ int main() {
   std::vector<StormRun> storms;
   ConsoleTable storm_table({"system", "N", "events", "wall s", "events/s",
                             "BWstorm/BWpre", "excl churn", "blackholed"});
-  for (const int n : storm_tor_counts()) {
+  for (const int n : storm_tor_counts) {
     for (const auto& sys : systems) {
       const StormRun s =
           measure_storm(sys.name, sys.topo, sys.sched, n, load, duration);
@@ -869,7 +864,7 @@ int main() {
   ConsoleTable control_table({"system", "N", "config", "events/s",
                               "match ratio", "stranded MB", "fallback MB",
                               "degr slots", "dropped"});
-  for (const int n : control_tor_counts()) {
+  for (const int n : control_tor_counts) {
     for (const auto& sys : {systems[0], systems[1]}) {  // negotiator only
       for (const auto& cc : control_cfgs) {
         const ControlLossRun c = measure_control_loss(
@@ -907,7 +902,7 @@ int main() {
   ConsoleTable data_table({"system", "N", "config", "events/s", "completed",
                            "dropped MB", "corrupt MB", "retx MB",
                            "rto fires", "spurious"});
-  for (const int n : data_tor_counts()) {
+  for (const int n : data_tor_counts) {
     for (const auto& sys : systems) {
       for (const auto& dc : data_cfgs) {
         const DataLossRun d = measure_data_loss(
@@ -945,18 +940,13 @@ int main() {
               disabled_path_ok ? "PASS" : "FAIL");
 
   // --- Sweep dimension: the fig9 grid across worker-thread counts. ---
-  const int sweep_tors = [] {
-    const char* env = std::getenv("NEG_PERF_SWEEP_TORS");
-    const int n = env != nullptr ? std::atoi(env) : 0;
-    return n >= 2 ? n : 64;
-  }();
   print_header("Sweep perf: fig9 grid points/sec vs worker threads");
   const std::vector<SweepPoint> grid = sweep_grid(sweep_tors, duration);
   std::vector<SweepPerf> sweeps;
   bool deterministic = true;
   ConsoleTable sweep_table(
       {"threads", "points", "wall s", "points/s", "speedup", "digest"});
-  for (const int t : sweep_thread_counts()) {
+  for (const int t : sweep_threads) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto outcomes =
         SweepEngine(static_cast<unsigned>(t)).run(grid);

@@ -61,6 +61,10 @@ void NetworkConfig::validate() const {
     throw std::invalid_argument("NetworkConfig: " + what);
   };
   if (num_tors < 2) fail("need at least 2 ToRs");
+  if (num_tors > kMaxTors) {
+    fail("num_tors must be at most " + std::to_string(kMaxTors) +
+         " (flow endpoints are stored in 16 bits)");
+  }
   if (ports_per_tor < 1) fail("need at least 1 port per ToR");
   if (topology == TopologyKind::kThinClos && num_tors % ports_per_tor != 0) {
     fail("thin-clos requires num_tors divisible by ports_per_tor");

@@ -19,6 +19,10 @@ using Bytes = std::int64_t;
 /// Index of a top-of-rack switch, in [0, num_tors).
 using TorId = std::int32_t;
 
+/// Most ToRs a fabric may have: the per-flow record stores each endpoint
+/// in 16 bits (stats/fct_recorder.h).
+inline constexpr int kMaxTors = 1 << 16;
+
 /// Index of a ToR uplink port, in [0, ports_per_tor).
 using PortId = std::int32_t;
 

@@ -17,6 +17,15 @@ int FlowTable::add(const Flow& flow) {
   return fct_.add(flow);
 }
 
+std::size_t FlowTable::unfinished(Nanos from, Nanos until) const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < remaining_.size(); ++i) {
+    const Nanos arrival = fct_.arrival(static_cast<int>(i));
+    n += remaining_[i] > 0 && arrival >= from && arrival < until;
+  }
+  return n;
+}
+
 void FlowTable::credit(int index, Bytes bytes, Nanos arrival) {
   if (credit_unlogged(index, bytes)) log_completion(index, arrival);
 }

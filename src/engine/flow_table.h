@@ -22,7 +22,7 @@ class FlowTable {
   void reserve(std::size_t total);
   /// Registers a flow, returning its dense internal index.
   int add(const Flow& flow);
-  const Flow& flow(int index) const { return fct_.flow(index); }
+  Flow flow(int index) const { return fct_.flow(index); }
   /// Credits `bytes` arriving at the destination at `arrival`; logs the
   /// completion when the flow completes.
   void credit(int index, Bytes bytes, Nanos arrival);
@@ -45,12 +45,15 @@ class FlowTable {
   /// Logs the completion of flow `index`, whose last byte landed at
   /// `arrival`.
   void log_completion(int index, Nanos arrival) {
-    fct_.record(index, arrival - fct_.flow(index).arrival);
+    fct_.record(index, arrival - fct_.arrival(index));
   }
   std::size_t size() const { return remaining_.size(); }
   bool done(int index) const {
     return remaining_[static_cast<std::size_t>(index)] == 0;
   }
+  /// Flows arriving in [from, until) that have not completed: the
+  /// samples a summary over that window is missing.
+  std::size_t unfinished(Nanos from, Nanos until) const;
   /// Total bytes credited across every flow (conservation ledger).
   Bytes total_delivered() const { return total_delivered_; }
 

@@ -153,7 +153,7 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
 }
 
 void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
-  const Flow& f = plane_.flows().flow(e.flow_index);
+  const Flow f = plane_.flows().flow(e.flow_index);
   // Queues carry the dense FlowTable index; the external id only appears
   // in reported samples.
   Flow queued = f;
@@ -587,7 +587,7 @@ void NegotiatorFabric::drain_scheduled_phase() {
   sim_.events().for_each_arrival_until(
       timing_.scheduled_slot_start(epoch_, slots - 1),
       [this, n](std::int32_t flow_index) {
-        const Flow& f = plane_.flows().flow(flow_index);
+        const Flow f = plane_.flows().flow(flow_index);
         const auto pair = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(f.src) * n +
             static_cast<std::uint64_t>(f.dst));

@@ -52,6 +52,7 @@ class FabricSim : private EventSink {
   Nanos now() const { return sim_.now(); }
 
   FctRecorder& fct() { return plane_.flows().fct(); }
+  const FlowTable& flows() const { return plane_.flows(); }
   GoodputMeter& goodput() { return goodput_; }
   LinkState& links() { return links_; }
   const NetworkConfig& config() const { return config_; }

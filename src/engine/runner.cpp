@@ -25,6 +25,7 @@ RunResult Runner::run(Nanos duration, Nanos measure_from) {
   out.epoch_ns = config().epoch_length_ns();
   out.completed = fabric_->fct().completed();
   out.backlog = fabric_->total_backlog();
+  out.censored = fabric_->flows().unfinished(measure_from, duration);
   return out;
 }
 

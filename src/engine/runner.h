@@ -19,6 +19,9 @@ struct RunResult {
   Nanos epoch_ns{0};      ///< epoch (or rotor-cycle) length, for unit talk
   std::size_t completed{0};
   Bytes backlog{0};       ///< bytes still queued at the end
+  /// Flows arriving in [measure_from, duration) still unfinished at the
+  /// horizon: the samples the summaries above are missing.
+  std::size_t censored{0};
 };
 
 class Runner {

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "workload/generator.h"
@@ -103,8 +104,7 @@ SweepEngine::SweepEngine(unsigned threads)
 
 unsigned SweepEngine::default_threads() {
   if (const char* env = std::getenv("NEG_BENCH_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return static_cast<unsigned>(n);
+    return static_cast<unsigned>(parse_env_int("NEG_BENCH_THREADS", env, 1));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw != 0 ? hw : 1;

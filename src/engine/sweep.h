@@ -65,8 +65,9 @@ class SweepEngine {
 
   unsigned threads() const { return threads_; }
 
-  /// NEG_BENCH_THREADS when set to a positive integer, otherwise
-  /// std::thread::hardware_concurrency() (at least 1).
+  /// NEG_BENCH_THREADS when set, otherwise
+  /// std::thread::hardware_concurrency() (at least 1). A value that is not
+  /// a positive integer exits with status 2 (common/env.h).
   static unsigned default_threads();
 
   /// Executes every point and returns one outcome per point, in submission

@@ -36,7 +36,7 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
 }
 
 void ObliviousFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
-  const Flow& f = plane_.flows().flow(e.flow_index);
+  const Flow f = plane_.flows().flow(e.flow_index);
   Flow queued = f;
   queued.id = e.flow_index;  // queues carry the dense index
   tors_[static_cast<std::size_t>(f.src)].accept_flow(queued, now);

@@ -1,11 +1,14 @@
 #include "sim/event_queue.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "common/assert.h"
-#include "common/reserve.h"
 
 namespace negotiator {
 
@@ -153,14 +156,39 @@ void EventQueue::push_calendar_or_heap(Nanos when, Kind kind,
 }
 
 void EventQueue::reserve_flow_arrivals(std::size_t n) {
-  arrivals_.recycle();
-  reserve_total(arrivals_.items, arrivals_.items.size() + n);
+  arrivals_.reserve(n);
 }
 
 void EventQueue::append_flow_arrival(Nanos when, std::int32_t flow_index) {
   NEG_ASSERT(when >= 0, "event time must be non-negative");
-  arrivals_.recycle();
+  arrivals_.reserve(1);
   arrivals_.items.push_back(Arrival{when, next_seq_++, flow_index});
+}
+
+void EventQueue::Stream::reserve(std::size_t n) {
+  if (items.size() + n <= items.capacity()) return;
+  const std::size_t live = items.size() - head;
+  std::vector<Arrival> grown;
+  grown.reserve(std::max(live + n, 2 * live));
+  grown.assign(items.begin() + static_cast<std::ptrdiff_t>(head),
+               items.end());
+  items = std::move(grown);
+  sorted_end -= head;
+  head = 0;
+  released = 0;
+}
+
+void EventQueue::Stream::release_consumed() {
+  static const std::uintptr_t page =
+      static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const auto base = reinterpret_cast<std::uintptr_t>(items.data());
+  const std::uintptr_t first = (base + page - 1) & ~(page - 1);
+  const std::uintptr_t from = first + released;
+  const std::uintptr_t to = (base + head * sizeof(Arrival)) & ~(page - 1);
+  if (to > from &&
+      madvise(reinterpret_cast<void*>(from), to - from, MADV_DONTNEED) == 0) {
+    released = to - first;
+  }
 }
 
 void EventQueue::commit_flow_arrivals() { arrivals_.commit(); }
@@ -353,7 +381,7 @@ void EventQueue::run_tier(int tier) {
   // which can recycle the tier's storage.
   if (tier == 1) {
     const Arrival a = arrivals_.front();
-    ++arrivals_.head;
+    arrivals_.pop();
     ++executed_;
     NEG_ASSERT(sink_ != nullptr, "event without a sink");
     sink_->on_flow_arrival(FlowArrivalEvent{a.flow_index}, a.when);

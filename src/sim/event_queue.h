@@ -14,7 +14,9 @@
 //    one sorted array consumed by a cursor. Arrivals are admitted in
 //    batches, each merged into the pending arrivals stably by time (an
 //    already-sorted batch behind the tail moves nothing), so a
-//    concatenated or multi-call trace stays out of the heap.
+//    concatenated or multi-call trace stays out of the heap. Consumed
+//    entries are handed back to the OS as the cursor advances, so the
+//    stream holds memory for pending arrivals, not admitted history.
 //  - Heap: link toggles, plus any train or timer beyond the calendar
 //    horizon. Heap and calendar entries share one tagged-union record
 //    (Item).
@@ -102,8 +104,8 @@ class EventQueue {
   /// had been scheduled on its own.
   void append_flow_arrival(Nanos when, std::int32_t flow_index);
   void commit_flow_arrivals();
-  /// Makes room for `n` more arrivals ahead of a batch (see
-  /// reserve_total).
+  /// Makes room for `n` more arrivals ahead of a batch; the first
+  /// reservation is exact, so admitting a whole trace allocates once.
   void reserve_flow_arrivals(std::size_t n);
   /// Link toggles take the heap.
   void schedule_link_toggle(Nanos when, const LinkToggleEvent& e);
@@ -183,6 +185,16 @@ class EventQueue {
   /// arrivals never land there).
   std::size_t heap_size() const { return heap_.size(); }
 
+  /// Bytes of arrival-stream storage still held: every stored entry,
+  /// pending or consumed, less the pages already returned to the OS
+  /// (exposed for the memory tests). 0 once the stream drains.
+  std::size_t arrival_bytes_retained() const {
+    return arrivals_.retained_bytes();
+  }
+  /// Consumed arrival bytes that trigger a release: one madvise per
+  /// 64 KiB keeps the calls rare and the unreleased prefix small.
+  static constexpr std::size_t kArrivalReleaseBytes = 64 * 1024;
+
   /// Calendar-tier geometry (exposed for the property tests): entries more
   /// than `kCalendarBucketNs * kCalendarBuckets` ns ahead of the calendar
   /// cursor fall back to the heap.
@@ -228,14 +240,37 @@ class EventQueue {
   /// The flow-arrival tier: one array sorted by (when, seq) over
   /// [head, sorted_end), consumed through the head cursor; entries past
   /// sorted_end are staged by append_flow_arrival and not yet committed.
+  /// Consumed entries go back to the OS as the head advances: the whole
+  /// pages below it are released every kArrivalReleaseBytes, the storage is
+  /// freed when the stream drains, and growth copies only the entries
+  /// past the head, so a released page is never touched again.
   struct Stream {
     std::vector<Arrival> items;
     std::size_t head{0};
     std::size_t sorted_end{0};
+    /// Bytes of `items`' storage released so far: the whole pages from
+    /// the first page boundary in the storage on.
+    std::size_t released{0};
 
     bool drained() const { return head == sorted_end; }
     std::size_t pending() const { return sorted_end - head; }
     const Arrival& front() const { return items[head]; }
+    /// Consumes the front entry, releasing storage behind it.
+    void pop() {
+      ++head;
+      if (head == items.size()) {
+        clear();
+      } else if (head * sizeof(Arrival) - released >= kArrivalReleaseBytes) {
+        release_consumed();
+      }
+    }
+    /// Returns the whole pages below the head to the OS.
+    void release_consumed();
+    /// Makes room for `n` more staged entries. Growing moves only the
+    /// entries past the head into fresh storage: exactly sized the first
+    /// time, at least double the live entries after that (amortised O(1)
+    /// appends).
+    void reserve(std::size_t n);
     /// Merges the staged entries into the pending ones, stably by time.
     void commit();
     /// Staged batches with more sorted runs than this are sorted before
@@ -244,15 +279,10 @@ class EventQueue {
     /// run beats one stable_sort up to 32 runs at both 50 k and 600 k
     /// arrivals (27 vs 38 ms at 600 k) and loses at 64 (53 vs 49 ms).
     static constexpr std::size_t kMaxMergedRuns = 32;
-    /// Fully consumed with nothing staged: reuse the storage from the
-    /// start.
-    void recycle() {
-      if (head == items.size()) clear();
-    }
-    void clear() {
-      items.clear();
-      head = 0;
-      sorted_end = 0;
+    /// Frees the storage.
+    void clear() { *this = Stream{}; }
+    std::size_t retained_bytes() const {
+      return items.size() * sizeof(Arrival) - released;
     }
   };
 

@@ -9,24 +9,24 @@ namespace negotiator {
 
 void FctRecorder::reserve(std::size_t total) {
   reserve_total(flows_, total);
-  reserve_total(log_, total);
+  reserve_total(fcts_, total);
+  reserve_total(done_, total);
 }
 
 FctSample FctRecorder::sample(std::size_t i) const {
-  const Completion& c = log_[i];
-  const Flow& f = flow(c.flow);
-  return FctSample{f.id, f.size, f.arrival, c.fct, f.group};
+  const Record& f = flows_[static_cast<std::size_t>(done_[i])];
+  return FctSample{f.id, f.size, f.arrival, fcts_[i], f.group};
 }
 
 std::vector<double> FctRecorder::measured_fcts(bool mice_only,
                                                int group) const {
   std::vector<double> out;
-  for (const Completion& c : log_) {
-    const Flow& f = flow(c.flow);
+  for (std::size_t i = 0; i < fcts_.size(); ++i) {
+    const Record& f = flows_[static_cast<std::size_t>(done_[i])];
     if (f.arrival < measure_from_) continue;
     if (mice_only && f.size >= kMiceFlowBytes) continue;
     if (group >= 0 && f.group != group) continue;
-    out.push_back(static_cast<double>(c.fct));
+    out.push_back(static_cast<double>(fcts_[i]));
   }
   return out;
 }

@@ -36,15 +36,20 @@ struct FctSummary {
 class FctRecorder {
  public:
   /// The flow admitted `index`-th.
-  const Flow& flow(int index) const {
-    return flows_[static_cast<std::size_t>(index)];
+  Flow flow(int index) const {
+    const Record& r = flows_[static_cast<std::size_t>(index)];
+    return Flow{r.id, r.src, r.dst, r.size, r.arrival, r.group};
+  }
+  /// Arrival time of the flow admitted `index`-th.
+  Nanos arrival(int index) const {
+    return flows_[static_cast<std::size_t>(index)].arrival;
   }
 
   /// Only flows with arrival >= `measure_from` are included in summaries;
   /// earlier flows count as warm-up.
   void set_measure_from(Nanos t) { measure_from_ = t; }
 
-  std::size_t completed() const { return log_.size(); }
+  std::size_t completed() const { return fcts_.size(); }
 
   /// Summary over mice flows (< kMiceFlowBytes), optionally one group only
   /// (group < 0 means all groups).
@@ -75,8 +80,8 @@ class FctRecorder {
       std::size_t i_;
     };
 
-    std::size_t size() const { return rec_->log_.size(); }
-    bool empty() const { return rec_->log_.empty(); }
+    std::size_t size() const { return rec_->fcts_.size(); }
+    bool empty() const { return rec_->fcts_.empty(); }
     FctSample operator[](std::size_t i) const { return rec_->sample(i); }
     iterator begin() const { return iterator(rec_, 0); }
     iterator end() const { return iterator(rec_, size()); }
@@ -91,14 +96,24 @@ class FctRecorder {
  private:
   friend class FlowTable;
 
-  struct Completion {
-    Nanos fct;
-    std::int32_t flow;  // admission index
+  /// A stored flow: Flow's fields, endpoints narrowed to 16 bits (which
+  /// kMaxTors bounds) and no padding.
+  struct Record {
+    FlowId id;
+    Bytes size;
+    Nanos arrival;
+    std::int32_t group;
+    std::uint16_t src;
+    std::uint16_t dst;
   };
+  static_assert(kMaxTors - 1 <= UINT16_MAX);
 
-  /// Stores `flow`, returning its admission index.
+  /// Stores `flow`, returning its admission index. Endpoints must lie in
+  /// [0, kMaxTors).
   int add(const Flow& flow) {
-    flows_.push_back(flow);
+    flows_.push_back(Record{flow.id, flow.size, flow.arrival, flow.group,
+                            static_cast<std::uint16_t>(flow.src),
+                            static_cast<std::uint16_t>(flow.dst)});
     return static_cast<int>(flows_.size()) - 1;
   }
   /// Makes room for `total` flows and as many completions (see
@@ -107,7 +122,8 @@ class FctRecorder {
   void reserve(std::size_t total);
   /// Logs the completion of flow `index` after `fct` ns.
   void record(int index, Nanos fct) {
-    log_.push_back(Completion{fct, static_cast<std::int32_t>(index)});
+    fcts_.push_back(fct);
+    done_.push_back(static_cast<std::int32_t>(index));
   }
 
   FctSample sample(std::size_t i) const;
@@ -116,15 +132,20 @@ class FctRecorder {
   std::vector<double> measured_fcts(bool mice_only, int group) const;
   FctSummary summarize(bool mice_only, int group) const;
 
-  std::vector<Flow> flows_;
-  std::vector<Completion> log_;
+  std::vector<Record> flows_;
+  /// The completion log, one entry per completion in both arrays: the
+  /// FCT and the completed flow's admission index.
+  std::vector<Nanos> fcts_;
+  std::vector<std::int32_t> done_;
   Nanos measure_from_{0};
 
  public:
   /// Bytes stored per admitted flow and per completion (pinned by the
   /// footprint test).
-  static constexpr std::size_t kBytesPerFlow = sizeof(Flow);
-  static constexpr std::size_t kBytesPerCompletion = sizeof(Completion);
+  static constexpr std::size_t kBytesPerFlow = sizeof(Record);
+  static constexpr std::size_t kBytesPerCompletion =
+      sizeof(decltype(fcts_)::value_type) +
+      sizeof(decltype(done_)::value_type);
 };
 
 }  // namespace negotiator

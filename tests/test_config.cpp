@@ -70,6 +70,20 @@ TEST(Config, RejectsBadShapes) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(Config, RejectsMoreTorsThanAFlowEndpointHolds) {
+  NetworkConfig c;
+  c.num_tors = kMaxTors;
+  EXPECT_NO_THROW(c.validate());
+  c.num_tors = kMaxTors + 1;
+  try {
+    c.validate();
+    FAIL() << "num_tors above kMaxTors must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_tors"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Config, RejectsRelayVariantOnParallel) {
   NetworkConfig c;
   c.scheduler = SchedulerKind::kNegotiatorSelectiveRelay;

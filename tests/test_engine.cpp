@@ -274,9 +274,9 @@ TEST(Admission, PerFlowFootprintIsPinned) {
   // pending arrival, and the completion log is reserved for it at
   // admission; nothing else per flow. A re-added per-flow copy breaks
   // either the record sizes or the measured allocation below.
-  static_assert(FlowTable::kBytesPerFlow <= 48);
+  static_assert(FlowTable::kBytesPerFlow <= 40);
   static_assert(EventQueue::kBytesPerArrival <= 24);
-  static_assert(FctRecorder::kBytesPerCompletion <= 16);
+  static_assert(FctRecorder::kBytesPerCompletion <= 12);
   constexpr std::size_t kPerFlow = FlowTable::kBytesPerFlow +
                                    EventQueue::kBytesPerArrival +
                                    FctRecorder::kBytesPerCompletion;

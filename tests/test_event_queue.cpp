@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -315,6 +319,136 @@ TEST(EventQueue, StagedArrivalsAreInvisibleUntilCommitted) {
   EXPECT_EQ(q.next_time(), 5);
   q.run_until(10);
   EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{1}));
+}
+
+/// Most bytes the arrival stream may retain beyond its `live` (pending or
+/// staged) entries: one release step plus the partial pages at its ends.
+std::size_t retained_bound(std::size_t live) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return live * EventQueue::kBytesPerArrival +
+         EventQueue::kArrivalReleaseBytes + 2 * page;
+}
+
+TEST(EventQueue, ConsumedArrivalsAreReleasedAsTheyPop) {
+  // The stream holds memory for pending arrivals, not admitted history:
+  // its retained bytes never rise while arrivals pop, stay within one
+  // release step of the pending entries, and reach 0 when it drains.
+  constexpr std::size_t kArrivals = 40'000;  // ~940 KiB of entries
+  EventQueue q;
+  RecordingSink sink;
+  q.set_sink(&sink);
+  q.reserve_flow_arrivals(kArrivals);
+  for (std::size_t i = 0; i < kArrivals; ++i) {
+    q.append_flow_arrival(static_cast<Nanos>(i / 3),
+                          static_cast<std::int32_t>(i));
+  }
+  q.commit_flow_arrivals();
+  std::size_t last = q.arrival_bytes_retained();
+  EXPECT_EQ(last, kArrivals * EventQueue::kBytesPerArrival);
+  for (std::size_t popped = 1; popped <= kArrivals; ++popped) {
+    q.run_next();
+    const std::size_t retained = q.arrival_bytes_retained();
+    ASSERT_LE(retained, last) << "after " << popped << " pops";
+    ASSERT_LE(retained, retained_bound(kArrivals - popped))
+        << "after " << popped << " pops";
+    last = retained;
+  }
+  EXPECT_EQ(last, 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(sink.fired.size(), kArrivals);
+}
+
+TEST(EventQueue, ReleasePropertyRandomizedInterleavingsMatchReference) {
+  // Property: however appends, commits and pops interleave with the
+  // stream's page release, events fire in (when, schedule order) exactly
+  // as a reference ordered set predicts. Batches are big enough to cross
+  // release steps, are staged and committed after pages went back, grow
+  // the stream past a consumed prefix (with and without a reservation),
+  // tie heavily in time, and interleave with calendar timers, timers past
+  // the horizon and heap link toggles. The stream never retains more than
+  // one release step beyond its live entries.
+  constexpr Nanos kHorizon =
+      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
+  Rng rng(4242);
+  for (int round = 0; round < 8; ++round) {
+    EventQueue q;
+    RecordingSink sink;
+    q.set_sink(&sink);
+    // (when, seq, kind); the seq doubles as the event's tag.
+    using Ref = std::tuple<Nanos, std::int64_t, char>;
+    std::set<Ref> pending;
+    std::vector<Ref> staged;
+    std::size_t live_arrivals = 0;  // pending or staged
+    std::int64_t seq = 0;
+    Nanos now = 0;
+
+    auto pop_one = [&] {
+      ASSERT_FALSE(pending.empty());
+      const Ref want = *pending.begin();
+      pending.erase(pending.begin());
+      if (std::get<2>(want) == 'f') --live_arrivals;
+      q.run_next();
+      ASSERT_FALSE(sink.fired.empty());
+      const RecordingSink::Fired& got = sink.fired.back();
+      ASSERT_EQ(got.kind, std::get<2>(want)) << "seq " << std::get<1>(want);
+      ASSERT_EQ(got.tag, std::get<1>(want));
+      ASSERT_EQ(got.when, std::get<0>(want));
+      now = got.when;
+    };
+
+    for (int op = 0; op < 300; ++op) {
+      switch (rng.next_below(6)) {
+        case 0: {  // stage a batch, maybe reserved ahead like add_flows
+          const auto n = static_cast<std::size_t>(1 + rng.next_below(4000));
+          if (rng.next_below(2) == 0) q.reserve_flow_arrivals(n);
+          const Nanos span = 1 + rng.next_below(3000);
+          for (std::size_t i = 0; i < n; ++i) {
+            const Nanos when = now + rng.next_below(span) / 4 * 4;  // ties
+            q.append_flow_arrival(when, static_cast<std::int32_t>(seq));
+            staged.emplace_back(when, seq++, 'f');
+          }
+          live_arrivals += n;
+          break;
+        }
+        case 1:
+          q.commit_flow_arrivals();
+          pending.insert(staged.begin(), staged.end());
+          staged.clear();
+          break;
+        case 2: {  // a calendar timer, a far timer or a link toggle
+          const std::int64_t kind = rng.next_below(3);
+          const Nanos when = now + rng.next_below(2000) +
+                             (kind == 1 ? kHorizon : 0);
+          if (kind == 2) {
+            q.schedule_link_toggle(when, toggle(seq));
+            pending.emplace(when, seq++, 'l');
+          } else {
+            q.schedule_transport_timer(when, timer(seq));
+            pending.emplace(when, seq++, 'x');
+          }
+          break;
+        }
+        default: {  // pop a run of events
+          const auto k = rng.next_below(3000);
+          for (std::int64_t i = 0; i < k && !pending.empty(); ++i) {
+            ASSERT_NO_FATAL_FAILURE(pop_one()) << "round " << round;
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(q.size(), pending.size()) << "round " << round;
+      ASSERT_LE(q.arrival_bytes_retained(), retained_bound(live_arrivals))
+          << "round " << round << " op " << op;
+    }
+    q.commit_flow_arrivals();
+    pending.insert(staged.begin(), staged.end());
+    staged.clear();
+    while (!pending.empty()) {
+      ASSERT_NO_FATAL_FAILURE(pop_one()) << "round " << round;
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.arrival_bytes_retained(), 0u) << "round " << round;
+  }
 }
 
 TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {

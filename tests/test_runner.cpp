@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
@@ -33,6 +35,36 @@ TEST(Runner, MeasureFromExcludesWarmupFlows) {
   const RunResult without = cold.run(dur, 0);
   EXPECT_LT(with_warmup.mice.count, without.mice.count);
   EXPECT_GT(with_warmup.mice.count, 0u);
+}
+
+TEST(Runner, CensoredCountsUnfinishedMeasuredFlows) {
+  // `censored` counts exactly the flows arriving in [measure_from,
+  // duration) with no completion by the horizon: not the warm-up flows,
+  // and not the flows that arrive after the horizon.
+  NetworkConfig cfg = small();
+  Runner runner(cfg);
+  const Nanos dur = 300'000;
+  const Nanos from = dur / 3;
+  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                        cfg.host_rate(), 0.9, Rng(5));
+  const std::vector<Flow> flows = gen.generate(0, 2 * dur);
+  runner.add_flows(flows);
+  const RunResult r = runner.run(dur, from);
+  std::vector<bool> completed(flows.size(), false);
+  for (const FctSample& s : runner.fabric().fct().samples()) {
+    completed[static_cast<std::size_t>(s.flow)] = true;
+  }
+  std::size_t expected = 0;
+  std::size_t late = 0;
+  for (const Flow& f : flows) {
+    if (f.arrival >= dur) ++late;
+    expected += f.arrival >= from && f.arrival < dur &&
+                !completed[static_cast<std::size_t>(f.id)];
+  }
+  ASSERT_GT(late, 0u);
+  EXPECT_GT(r.censored, 0u);
+  EXPECT_EQ(r.censored, expected);
+  EXPECT_LT(r.censored, r.completed);
 }
 
 TEST(Runner, FinishTimeOfGroupTimesOut) {

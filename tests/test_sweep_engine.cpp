@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,30 @@ TEST(SweepEngine, ThreadsDefaultToAtLeastOne) {
   EXPECT_GE(SweepEngine::default_threads(), 1u);
   EXPECT_GE(SweepEngine(0).threads(), 1u);
   EXPECT_EQ(SweepEngine(3).threads(), 3u);
+}
+
+TEST(SweepEngine, DefaultThreadsReadsTheEnvironment) {
+  const char* saved = std::getenv("NEG_BENCH_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  setenv("NEG_BENCH_THREADS", "3", 1);
+  EXPECT_EQ(SweepEngine::default_threads(), 3u);
+  if (saved != nullptr) {
+    setenv("NEG_BENCH_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("NEG_BENCH_THREADS");
+  }
+}
+
+TEST(SweepEngineDeathTest, DefaultThreadsRejectsAMalformedSetting) {
+  for (const char* bad : {"abc", "0", "-2", "4x", "", "1e3"}) {
+    EXPECT_EXIT(
+        {
+          setenv("NEG_BENCH_THREADS", bad, 1);
+          SweepEngine::default_threads();
+        },
+        ::testing::ExitedWithCode(2), "NEG_BENCH_THREADS")
+        << "value '" << bad << "'";
+  }
 }
 
 TEST(SweepEngine, ResultsIdenticalAtOneAndEightThreads) {
