@@ -1,15 +1,18 @@
 // Google-benchmark microbenchmarks of the scheduler hot paths: ring
 // arbitration, the GRANT and ACCEPT steps, queue operations, workload
-// sampling, and a full fabric epoch. These back §3.6.2's practicality
-// argument with concrete per-operation costs.
+// sampling, the end-host ARQ's per-unit cycle, and a full fabric epoch.
+// These back §3.6.2's practicality argument with concrete per-operation
+// costs.
 #include <benchmark/benchmark.h>
 
 #include "core/matching.h"
 #include "core/ring.h"
 #include "engine/network.h"
+#include "sim/event_queue.h"
 #include "topo/parallel.h"
 #include "topo/thin_clos.h"
 #include "tor/dest_queue.h"
+#include "tor/host_transport.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
@@ -85,6 +88,70 @@ void BM_WorkloadSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadSampling);
+
+/// Forwards ARQ timer expiries to the transport; no other event kind is
+/// scheduled here.
+class TransportTimerSink final : public EventSink {
+ public:
+  explicit TransportTimerSink(HostTransport* t) : t_(t) {}
+  void on_flow_arrival(const FlowArrivalEvent&, Nanos) override {}
+  void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
+  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
+                      Nanos) override {}
+  void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
+    t_->on_timer(e.flow_index, now);
+  }
+
+ private:
+  HostTransport* t_;
+};
+
+void BM_TransportUnitCycle(benchmark::State& state) {
+  // One ARQ unit per iteration, round-robin over 16 flows of a 16-ToR
+  // fabric: transmit -> deliver -> flush_acks. The lossy variant (arg 1)
+  // drops one unit in 20; its RTO fires off the event queue and the
+  // retransmission is taken and delivered, so the per-unit cost includes
+  // the timer and retransmit paths.
+  const bool lossy = state.range(0) != 0;
+  NetworkConfig cfg;
+  cfg.num_tors = 16;
+  cfg.data_fault.enabled = true;
+  cfg.data_fault.arq = true;
+  constexpr int kFlows = 16;
+  constexpr Bytes kUnit = 1'000;
+  // About ten units of each flow in flight per RTO, as under load.
+  const Nanos step = cfg.propagation_delay_ns / 32;
+  EventQueue q;
+  HostTransport t(cfg, &q);
+  TransportTimerSink sink(&t);
+  q.set_sink(&sink);
+  Nanos now = 0;
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    now += step;
+    q.run_until(now);
+    if (lossy) {
+      t.for_each_retx_pair([&](TorId src, TorId dst) {
+        while (t.has_retx(src, dst)) {
+          const HostTransport::RetxChunk r = t.take_retx(src, dst, now);
+          benchmark::DoNotOptimize(t.on_deliver(r.flow, r.seq, r.bytes, now));
+        }
+      });
+    }
+    const auto flow = static_cast<std::int32_t>(i % kFlows);
+    const TorId src = flow % cfg.num_tors;
+    const TorId dst = (src + 1 + flow / cfg.num_tors) % cfg.num_tors;
+    const std::uint32_t seq = t.on_transmit(flow, src, dst, kUnit, now);
+    benchmark::DoNotOptimize(seq);
+    if (!lossy || i % 20 != 0) {
+      benchmark::DoNotOptimize(t.on_deliver(flow, seq, kUnit, now));
+    }
+    t.flush_acks(now);
+    ++i;
+  }
+  state.SetLabel(lossy ? "lossy 1/20" : "clean");
+}
+BENCHMARK(BM_TransportUnitCycle)->Arg(0)->Arg(1);
 
 void BM_FabricEpoch(benchmark::State& state) {
   // One full epoch of the paper-scale fabric under 100% Hadoop load.

@@ -63,7 +63,8 @@
 //   NEG_PERF_STORM_TORS  N list for the storm section (default "16,64")
 //   NEG_PERF_CONTROL_TORS  N list for the control_loss section
 //                      (default "16")
-//   NEG_PERF_DATA_TORS  N list for the data_loss section (default "16")
+//   NEG_PERF_DATA_TORS  N list for the data_loss section (default "16,64":
+//                      N = 64 is the lossy benchmark workload's scale)
 //   NEG_PERF_SWEEP_TORS  N for the sweep grid (default 64)
 //   NEG_PERF_THREADS   comma-separated thread counts for the sweep section
 //                      (default "1,2,<hardware concurrency>"; on a 1-core
@@ -727,7 +728,7 @@ int main() {
   const std::vector<int> control_tor_counts =
       parse_int_list("NEG_PERF_CONTROL_TORS", "16", 2);
   const std::vector<int> data_tor_counts =
-      parse_int_list("NEG_PERF_DATA_TORS", "16", 2);
+      parse_int_list("NEG_PERF_DATA_TORS", "16,64", 2);
   const char* sweep_env = std::getenv("NEG_PERF_SWEEP_TORS");
   const int sweep_tors =
       sweep_env != nullptr ? parse_env_int("NEG_PERF_SWEEP_TORS", sweep_env, 2)

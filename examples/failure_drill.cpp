@@ -4,8 +4,8 @@
 //
 //   ./failure_drill [failure_percent] [horizon_ms]
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.h"
 #include "engine/fault_scenario.h"
 #include "engine/runner.h"
 #include "workload/generator.h"
@@ -14,16 +14,16 @@
 using namespace negotiator;
 
 int main(int argc, char** argv) {
-  const double fail_pct = argc > 1 ? std::atof(argv[1]) : 8.0;
-  const double horizon_ms = argc > 2 ? std::atof(argv[2]) : 4.5;
+  const double fail_pct =
+      argc > 1 ? parse_env_number("failure_drill: fail_pct", argv[1], 0, 100)
+               : 8.0;
   // Need at least one full 1/45-horizon measurement window (>= 1 ns each),
   // or the window arithmetic below degenerates; the upper bound keeps the
   // nanosecond horizon inside int64.
-  if (!(horizon_ms * kMilli >= 45) || horizon_ms > 1e9) {
-    std::fprintf(stderr, "failure_drill: horizon_ms must be in "
-                         "[0.000045, 1e9]\n");
-    return 2;
-  }
+  const double horizon_ms =
+      argc > 2 ? parse_env_number("failure_drill: horizon_ms", argv[2],
+                                  45.0 / kMilli, 1e9)
+               : 4.5;
   NetworkConfig cfg;
   cfg.topology = TopologyKind::kParallel;
 

@@ -7,9 +7,9 @@
 //   ./incast_demo [degree] [response_bytes]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "common/env.h"
 #include "engine/runner.h"
 #include "workload/incast.h"
 
@@ -43,8 +43,14 @@ void run_one(const char* name, const NetworkConfig& cfg, int degree,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int degree = argc > 1 ? std::atoi(argv[1]) : 40;
-  const Bytes response = argc > 2 ? std::atoll(argv[2]) : 1_KB;
+  // Every worker is a distinct rack other than the aggregator's.
+  const int max_degree = NetworkConfig{}.num_tors - 1;
+  const int degree =
+      argc > 1 ? parse_env_int("incast_demo: degree", argv[1], 1, max_degree)
+               : 40;
+  const Bytes response =
+      argc > 2 ? parse_env_int("incast_demo: response_bytes", argv[2], 1)
+               : 1_KB;
   std::printf("partition/aggregate: %d workers send %lld B responses to one "
               "aggregator ToR\n\n",
               degree, static_cast<long long>(response));

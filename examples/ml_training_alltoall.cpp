@@ -6,8 +6,8 @@
 //
 //   ./ml_training_alltoall [shard_kb] [rounds]
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.h"
 #include "engine/runner.h"
 #include "workload/all_to_all.h"
 
@@ -43,8 +43,14 @@ void run_system(const char* name, const NetworkConfig& cfg, Bytes shard,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Bytes shard = (argc > 1 ? std::atoll(argv[1]) : 100) * 1000;
-  const int rounds = argc > 2 ? std::atoi(argv[2]) : 3;
+  const Bytes shard =
+      Bytes{argc > 1 ? parse_env_int("ml_training_alltoall: shard_kb",
+                                     argv[1], 1)
+                     : 100} *
+      1000;
+  const int rounds =
+      argc > 2 ? parse_env_int("ml_training_alltoall: rounds", argv[2], 1)
+               : 3;
   std::printf("all-to-all collective: 128 racks x 127 peers x %lld B shards, "
               "%d rounds\n\n",
               static_cast<long long>(shard), rounds);

@@ -3,8 +3,8 @@
 //
 //   ./quickstart [load] [duration_ms]
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.h"
 #include "engine/runner.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -12,8 +12,11 @@
 using namespace negotiator;
 
 int main(int argc, char** argv) {
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.5;
-  const double duration_ms = argc > 2 ? std::atof(argv[2]) : 2.0;
+  const double load =
+      argc > 1 ? parse_env_positive("quickstart: load", argv[1], 1e3) : 0.5;
+  const double duration_ms =
+      argc > 2 ? parse_env_positive("quickstart: duration_ms", argv[2], 1e9)
+               : 2.0;
   const auto duration = static_cast<Nanos>(duration_ms * kMilli);
 
   NetworkConfig config;  // defaults reproduce the paper's setup (§4.1)

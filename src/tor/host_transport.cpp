@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 
 #include "stats/resilience_recorder.h"
 
@@ -11,8 +12,8 @@ namespace {
 /// Drops a head-consumed FIFO's consumed prefix once it is at least half
 /// the stored entries: each entry moves at most once per consumption, so
 /// storage tracks the unconsumed tail at amortised O(1).
-template <typename T>
-void compact_consumed(std::vector<T>& items, std::size_t& head) {
+template <typename T, typename Index>
+void compact_consumed(std::vector<T>& items, Index& head) {
   if (head == 0 || 2 * head < items.size()) return;
   items.erase(items.begin(),
               items.begin() + static_cast<std::ptrdiff_t>(head));
@@ -56,6 +57,8 @@ void HostTransport::arm_timer(FlowState& f, std::int32_t flow, Nanos when) {
 std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
                                          TorId dst, Bytes bytes, Nanos now) {
   NEG_ASSERT(bytes > 0, "cannot transmit zero bytes");
+  NEG_ASSERT(bytes <= std::numeric_limits<std::uint32_t>::max(),
+             "an ARQ unit must fit a 32-bit byte count");
   FlowState& f = flow_state(flow);
   if (f.src == kInvalidTor) {
     f.src = src;
@@ -64,10 +67,11 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
   }
   NEG_ASSERT(f.src == src && f.dst == dst, "flow endpoints changed");
   const auto idx = static_cast<std::uint32_t>(f.end());
-  f.units.push_back(Unit{bytes, now, 1, kInFlight, false});
+  NEG_ASSERT(idx < std::numeric_limits<std::uint32_t>::max(),
+             "sequence numbers exhausted");
+  // A fresh unit's in-flight record is its window slot: no side entry.
+  f.units.push_back(Unit{now, static_cast<std::uint32_t>(bytes)});
   unresolved_bytes_ += bytes;
-  compact_consumed(f.inflight, f.inflight_head);
-  f.inflight.push_back(InflightEntry{idx, now});
   if (!f.timer_armed) arm_timer(f, flow, now + f.rto);
   return idx + 1;
 }
@@ -75,14 +79,16 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
 bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
                                Bytes bytes, Nanos now) {
   NEG_ASSERT(seq > 0, "delivery without a sequence number");
-  FlowState& f = flow_state(flow);
+  NEG_ASSERT(flow >= 0 && static_cast<std::size_t>(flow) < flows_.size(),
+             "delivery for an unknown unit");
+  FlowState& f = flows_[static_cast<std::size_t>(flow)];
   const std::uint32_t idx = seq - 1;
   NEG_ASSERT(idx < f.end(), "delivery for an unknown unit");
   Unit* u = f.find(idx);
   // An ARQ unit is indivisible: a partial arrival means something split
   // a seq-carrying chunk in transit, which the conservation ledger
   // cannot represent.
-  NEG_ASSERT(u == nullptr || bytes == u->bytes,
+  NEG_ASSERT(u == nullptr || bytes == Bytes{u->bytes},
              "partial delivery of an ARQ unit");
   if (u == nullptr || u->delivered_rx || u->state == kAbandoned) {
     // Duplicate (a spurious retransmission's copy, released or not) or a
@@ -135,7 +141,11 @@ void HostTransport::flush_acks(Nanos now) {
   while (acks_head_ < acks_.size() && acks_[acks_head_].effective <= now) {
     const Ack a = acks_[acks_head_++];
     FlowState& f = flows_[static_cast<std::size_t>(a.flow)];
-    bool progress = resolve_ack(f, a.seq - 1);
+    // Selective part, unless the cumulative part below covers the unit or
+    // an earlier cumulative ack already resolved it (a unit below cum_tx
+    // was delivered, so it is acked or released: nothing to resolve).
+    const std::uint32_t idx = a.seq - 1;
+    bool progress = idx >= std::max(f.cum_tx, a.cum) && resolve_ack(f, idx);
     // Cumulative part: everything below the receiver's contiguous
     // watermark is implicitly acked.
     for (std::uint32_t i = f.cum_tx; i < a.cum; ++i) {
@@ -153,34 +163,57 @@ void HostTransport::flush_acks(Nanos now) {
 void HostTransport::release_acked(FlowState& f) {
   const std::size_t acked = f.cum_tx - f.base;
   if (acked == f.units.size()) {
-    // Fully acked: every in-flight entry names a released unit, so the
-    // flow's storage goes back to the allocator.
+    // Fully acked: every side entry names a released unit, so the flow's
+    // storage goes back to the allocator.
     f.base = f.cum_tx;
     std::vector<Unit>().swap(f.units);
-    std::vector<InflightEntry>().swap(f.inflight);
-    f.inflight_head = 0;
+    std::vector<ResentEntry>().swap(f.resent);
+    f.resent_head = 0;
     return;
   }
   if (2 * acked < f.units.size()) return;
   f.units.erase(f.units.begin(),
                 f.units.begin() + static_cast<std::ptrdiff_t>(acked));
   f.base = f.cum_tx;
-  // The released units' in-flight entries are stale for good (a re-sent
+  // The released units' side entries are stale for good (a re-sent
   // unit's sent_at only grows), so consuming them now instead of at the
-  // next timer fire bounds `inflight` whatever the timer cadence.
-  prune_inflight(f);
+  // next timer fire bounds `resent` whatever the timer cadence.
+  prune_resent(f);
 }
 
-bool HostTransport::prune_inflight(FlowState& f) {
-  while (f.inflight_head < f.inflight.size()) {
-    const InflightEntry& e = f.inflight[f.inflight_head];
+void HostTransport::prune_resent(FlowState& f) {
+  while (f.resent_head < f.resent.size()) {
+    const ResentEntry& e = f.resent[f.resent_head];
     const Unit* u = f.find(e.idx);
     if (u != nullptr && u->state == kInFlight && u->sent_at == e.sent_at) {
-      return true;
+      return;
     }
-    ++f.inflight_head;  // stale: acked (or released), abandoned, re-sent
+    ++f.resent_head;
   }
-  return false;
+}
+
+bool HostTransport::inflight_head(FlowState& f, InflightHead* head) {
+  // Stale records are stale for good (an acked, released or abandoned
+  // unit never returns, and a queued unit comes back only through a new
+  // side entry), so each cursor only moves forward.
+  f.fresh_head = std::max(f.fresh_head, f.base);
+  while (f.fresh_head < f.end()) {
+    const Unit& u = f.units[f.fresh_head - f.base];
+    if (u.state == kInFlight) break;
+    ++f.fresh_head;
+  }
+  prune_resent(f);
+  const bool fresh = f.fresh_head < f.end();
+  if (f.resent_head < f.resent.size() &&
+      (!fresh || f.resent[f.resent_head].stamp <= f.fresh_head)) {
+    const ResentEntry& e = f.resent[f.resent_head];
+    *head = InflightHead{e.idx, e.sent_at};
+    return true;
+  }
+  if (!fresh) return false;
+  *head = InflightHead{f.fresh_head,
+                       f.units[f.fresh_head - f.base].sent_at};
+  return true;
 }
 
 void HostTransport::queue_retx(FlowState& f, std::int32_t flow,
@@ -227,8 +260,9 @@ bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
   FlowState& f = flows_[static_cast<std::size_t>(flow)];
   f.timer_armed = false;
   flush_acks(now);
-  if (!prune_inflight(f)) return false;  // everything resolved meanwhile
-  const Nanos earliest = f.inflight[f.inflight_head].sent_at + f.rto;
+  InflightHead head;
+  if (!inflight_head(f, &head)) return false;  // everything resolved
+  const Nanos earliest = head.sent_at + f.rto;
   if (earliest > now) {
     // Stale wakeup: the deadline moved (ack progress or retransmission
     // since this timer was armed). Re-arm at the real deadline.
@@ -250,20 +284,18 @@ bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
     abandon_flow(f);
     return false;
   }
+  // Queueing a unit makes its record stale, so the next head is the next
+  // live transmission.
   bool moved = false;
-  while (prune_inflight(f)) {
-    const InflightEntry& e = f.inflight[f.inflight_head];
-    if (e.sent_at + f.rto > now) break;  // later units have not expired
-    queue_retx(f, flow, e.idx);
-    ++f.inflight_head;
+  while (inflight_head(f, &head)) {
+    if (head.sent_at + f.rto > now) break;  // later units have not expired
+    queue_retx(f, flow, head.idx);
     moved = true;
   }
   f.rto = std::min(
       rto_cap_ns_,
       static_cast<Nanos>(static_cast<double>(f.rto) * backoff_));
-  if (prune_inflight(f)) {
-    arm_timer(f, flow, f.inflight[f.inflight_head].sent_at + f.rto);
-  }
+  if (inflight_head(f, &head)) arm_timer(f, flow, head.sent_at + f.rto);
   return moved;
 }
 
@@ -284,11 +316,14 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
     --retx_from_[static_cast<std::size_t>(src)];
     --f.pending;
     retx_backlog_bytes_ -= u->bytes;
+    // A unit's transmission times strictly grow, so only its newest
+    // record can match sent_at.
+    NEG_ASSERT(now > u->sent_at, "retransmission no later than the last send");
     u->state = kInFlight;
     u->sent_at = now;
-    ++u->attempts;
-    compact_consumed(f.inflight, f.inflight_head);
-    f.inflight.push_back(InflightEntry{e.idx, now});
+    compact_consumed(f.resent, f.resent_head);
+    f.resent.push_back(
+        ResentEntry{e.idx, static_cast<std::uint32_t>(f.end()), now});
     retransmitted_bytes_ += u->bytes;
     if (recorder_) recorder_->on_retransmit(u->bytes);
     if (!f.timer_armed) arm_timer(f, e.flow, now + f.rto);
@@ -300,7 +335,7 @@ HostTransport::Footprint HostTransport::footprint() const {
   Footprint fp{0, 0, acks_.size(), 0};
   for (const FlowState& f : flows_) {
     fp.units += f.units.size();
-    fp.inflight += f.inflight.size();
+    fp.inflight += f.resent.size();
   }
   for (const RetxFifo& fifo : retx_) fp.retx += fifo.items.size();
   return fp;

@@ -31,16 +31,26 @@
 // shared pair FIFO, or behind a downed link) — so it backs off and
 // re-queues but does not count toward max_retries.
 //
-// Storage is the live window, not the history. Each flow keeps its unit
-// records from a release point `base` on: once the cumulatively acked
-// prefix [base, cum_tx) is at least half the stored records, flush_acks()
-// drops it (a fully acked flow frees its storage outright). A released
-// unit is acked and delivered, so any later touch of it is a duplicate:
-// a copy is discarded as spurious, an ack resolves nothing, and an
-// in-flight or retransmit entry naming it is stale. The head-consumed
-// FIFOs (acks, in-flight entries, retransmit items) drop their consumed
-// prefix on the same at-least-half rule, so every structure costs
-// amortised O(1) per unit and memory no longer grows with simulated time.
+// Storage is the live window, not the history. Each flow keeps one
+// 16-byte record per unit from a release point `base` on: once the
+// cumulatively acked prefix [base, cum_tx) is at least half the stored
+// records, flush_acks() drops it (a fully acked flow frees its storage
+// outright). A released unit is acked and delivered, so any later touch
+// of it is a duplicate: a copy is discarded as spurious, an ack resolves
+// nothing, and a retransmit item naming it is stale.
+//
+// The RTO scan needs the flow's in-flight units in transmission order.
+// Fresh units go out in index order, so for them the window itself is
+// that list: a `fresh_head` cursor walks it past units no longer in
+// flight. An RTO queues units only at the head of that scan, so the
+// cursor is past every unit that goes out again; each retransmission
+// instead pushes a side entry stamped with the window end at push time.
+// The two merge back into exact transmission order (a fresh unit went
+// out first iff its index is below the entry's stamp), and a loss-free
+// flow stores nothing beyond its unit records. The head-consumed FIFOs
+// (acks, side entries, retransmit items) drop their consumed prefix on
+// the same at-least-half rule, so every structure costs amortised O(1)
+// per unit and memory does not grow with simulated time.
 //
 // Like the data channel, the transport follows the disabled-≡-never-
 // constructed contract: with ARQ off it is never built, every chunk
@@ -168,7 +178,7 @@ class HostTransport {
   /// bound, which must track the live window rather than units ever sent.
   struct Footprint {
     std::size_t units;     // per-flow unit records
-    std::size_t inflight;  // per-flow in-flight entries
+    std::size_t inflight;  // per-flow retransmission entries (side lists)
     std::size_t acks;      // queued acks
     std::size_t retx;      // retransmit FIFO entries
   };
@@ -183,16 +193,23 @@ class HostTransport {
   };
 
   struct Unit {
-    Bytes bytes;
-    Nanos sent_at;
-    std::uint16_t attempts{0};
+    Nanos sent_at;        // latest transmission
+    std::uint32_t bytes;  // on_transmit asserts the unit fits
     std::uint8_t state{kInFlight};
     bool delivered_rx{false};  // receiver reassembly bitmap
   };
 
-  /// In-flight bookkeeping entry; stale once the unit left kInFlight or
-  /// was retransmitted (sent_at moved) — validity is re-checked lazily.
-  struct InflightEntry {
+  /// Side entry for one retransmission. Stale once the unit left
+  /// kInFlight or went out again (sent_at moved) — validity is re-checked
+  /// lazily. Fresh units below `stamp` went out before it, the rest after.
+  struct ResentEntry {
+    std::uint32_t idx;
+    std::uint32_t stamp;  // the flow's end() at push time
+    Nanos sent_at;
+  };
+
+  /// The flow's earliest live transmission (in transmission order).
+  struct InflightHead {
     std::uint32_t idx;
     Nanos sent_at;
   };
@@ -205,8 +222,9 @@ class HostTransport {
     TorId src{kInvalidTor};
     TorId dst{kInvalidTor};
     std::vector<Unit> units;  // unit idx (= seq - 1) at units[idx - base]
-    std::vector<InflightEntry> inflight;  // sent_at non-decreasing
-    std::size_t inflight_head{0};
+    std::vector<ResentEntry> resent;  // retransmissions, push order
+    std::uint32_t resent_head{0};
+    std::uint32_t fresh_head{0};  // where the RTO scan resumes on the window
     std::uint32_t base{0};    // units [0, base) acked and released
     std::uint32_t cum_rx{0};  // receiver: units [0, cum_rx) delivered
     std::uint32_t cum_tx{0};  // sender: units [0, cum_tx) acked
@@ -248,8 +266,11 @@ class HostTransport {
   }
   FlowState& flow_state(std::int32_t flow);
   void arm_timer(FlowState& f, std::int32_t flow, Nanos when);
-  /// Drops stale head entries; true when a valid head remains.
-  bool prune_inflight(FlowState& f);
+  /// Moves both cursors past stale records and reports the earliest live
+  /// transmission in `head`; false when nothing is in flight.
+  bool inflight_head(FlowState& f, InflightHead* head);
+  /// Moves the side-list cursor past stale entries.
+  void prune_resent(FlowState& f);
   /// Sender-side ack for one unit; true when it resolved a live unit.
   bool resolve_ack(FlowState& f, std::uint32_t idx);
   /// Releases the acked prefix once it is at least half the stored units.
@@ -284,6 +305,10 @@ class HostTransport {
   std::int64_t rto_fires_{0};
   std::int64_t max_backoff_reached_{0};
   std::int64_t abandoned_units_{0};
+
+ public:
+  /// Bytes stored per transmitted unit (pinned by the footprint test).
+  static constexpr std::size_t kBytesPerUnit = sizeof(Unit);
 };
 
 }  // namespace negotiator

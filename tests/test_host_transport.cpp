@@ -4,12 +4,16 @@
 // backoff, retransmit FIFO round-trips, abandonment, the
 // conservation-ledger bucket moves, and the memory bound (released units
 // behave as duplicates; storage tracks the live window over 10^5 units)
-// — plus full-fabric integration runs proving ARQ delivers everything
-// under moderate loss on both fabrics.
+// — plus a differential test against a reference model that keeps one
+// in-flight entry per transmission, and full-fabric integration runs
+// proving ARQ delivers everything under moderate loss on both fabrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/config.h"
 #include "common/rng.h"
@@ -383,11 +387,464 @@ TEST(HostTransport, StorageTracksTheLiveWindowNotTheUnitsEverSent) {
   }
   constexpr std::size_t kBound = 4 * (kLag + 4 + 1);
   EXPECT_LE(peak.units, kBound);
-  EXPECT_LE(peak.inflight, kBound);
+  EXPECT_EQ(peak.inflight, 0u) << "a loss-free stream stores no side entries";
   EXPECT_LE(peak.acks, kBound);
   EXPECT_EQ(peak.retx, 0u);
   EXPECT_EQ(t.delivered_bytes(), Bytes{100} * kUnits);
   EXPECT_EQ(t.spurious_retx(), 0);
+}
+
+TEST(HostTransport, UnitRecordIsSixteenBytes) {
+  EXPECT_LE(HostTransport::kBytesPerUnit, 16u);
+}
+
+/// The transport's observable contract, kept as simple as possible: every
+/// transmission pushes an in-flight entry onto a per-flow FIFO, an entry
+/// is valid while its unit is in flight with the entry's send time, and
+/// no storage is ever released (a released unit in the real transport is
+/// acked and delivered here, so it behaves identically).
+class ReferenceTransport {
+ public:
+  ReferenceTransport(const NetworkConfig& cfg, EventQueue* events)
+      : n_(cfg.num_tors),
+        prop_(cfg.propagation_delay_ns),
+        base_rto_(base_rto(cfg)),
+        rto_cap_(static_cast<Nanos>(cfg.data_fault.rto_cap_epochs *
+                                    static_cast<double>(
+                                        cfg.epoch_length_ns()))),
+        backoff_(cfg.data_fault.rto_backoff),
+        max_retries_(cfg.data_fault.max_retries),
+        events_(events),
+        fifo_(static_cast<std::size_t>(n_ * n_)),
+        count_(static_cast<std::size_t>(n_ * n_), 0),
+        from_(static_cast<std::size_t>(n_), 0) {}
+
+  std::uint32_t on_transmit(std::int32_t flow, TorId src, TorId dst,
+                            Bytes bytes, Nanos now) {
+    Flow& f = flow_at(flow);
+    if (f.src == kInvalidTor) {
+      f.src = src;
+      f.dst = dst;
+      f.rto = base_rto_;
+    }
+    const auto idx = static_cast<std::uint32_t>(f.units.size());
+    f.units.push_back(Unit{bytes, now, kInFlight, false});
+    unresolved_ += bytes;
+    f.inflight.emplace_back(idx, now);
+    if (!f.armed) arm(f, flow, now + f.rto);
+    return idx + 1;
+  }
+
+  bool on_deliver(std::int32_t flow, std::uint32_t seq, Bytes bytes,
+                  Nanos now) {
+    Flow& f = flow_at(flow);
+    Unit& u = f.units[seq - 1];
+    if (u.delivered || u.state == kAbandoned) {
+      ++spurious_;
+      return false;
+    }
+    u.delivered = true;
+    unresolved_ -= bytes;
+    delivered_ += bytes;
+    while (f.cum_rx < f.units.size() && f.units[f.cum_rx].delivered) {
+      ++f.cum_rx;
+    }
+    acks_.push_back(Ack{now + prop_, flow, seq, f.cum_rx});
+    return true;
+  }
+
+  void flush_acks(Nanos now) {
+    while (ack_head_ < acks_.size() && acks_[ack_head_].effective <= now) {
+      const Ack a = acks_[ack_head_++];
+      Flow& f = flows_[static_cast<std::size_t>(a.flow)];
+      bool progress = resolve(f, a.seq - 1);
+      for (std::uint32_t i = f.cum_tx; i < a.cum; ++i) {
+        progress = resolve(f, i) || progress;
+      }
+      f.cum_tx = std::max(f.cum_tx, a.cum);
+      if (progress) {
+        f.rto = base_rto_;
+        f.retries = 0;
+      }
+    }
+  }
+
+  bool on_timer(std::int32_t flow, Nanos now) {
+    Flow& f = flows_[static_cast<std::size_t>(flow)];
+    f.armed = false;
+    flush_acks(now);
+    if (!prune(f)) return false;
+    if (f.inflight[f.head].second + f.rto > now) {
+      arm(f, flow, f.inflight[f.head].second + f.rto);
+      return false;
+    }
+    ++rto_fires_;
+    if (f.rto >= rto_cap_) ++max_backoff_;
+    if (f.pending == 0 && ++f.retries > max_retries_) {
+      abandon(f);
+      return false;
+    }
+    bool moved = false;
+    while (prune(f) && f.inflight[f.head].second + f.rto <= now) {
+      const std::uint32_t idx = f.inflight[f.head++].first;
+      f.units[idx].state = kRetxPending;
+      const std::size_t pair = pair_of(f);
+      fifo_[pair].emplace_back(flow, idx);
+      ++count_[pair];
+      ++from_[static_cast<std::size_t>(f.src)];
+      ++f.pending;
+      backlog_ += f.units[idx].bytes;
+      moved = true;
+    }
+    f.rto = std::min(rto_cap_, static_cast<Nanos>(
+                                   static_cast<double>(f.rto) * backoff_));
+    if (prune(f)) arm(f, flow, f.inflight[f.head].second + f.rto);
+    return moved;
+  }
+
+  bool has_retx(TorId src, TorId dst) const {
+    return count_[static_cast<std::size_t>(src * n_ + dst)] > 0;
+  }
+  bool has_retx_from(TorId src) const {
+    return from_[static_cast<std::size_t>(src)] > 0;
+  }
+
+  HostTransport::RetxChunk take_retx(TorId src, TorId dst, Nanos now) {
+    const auto pair = static_cast<std::size_t>(src * n_ + dst);
+    for (;;) {
+      const auto [flow, idx] = fifo_[pair].front();
+      fifo_[pair].erase(fifo_[pair].begin());
+      Flow& f = flows_[static_cast<std::size_t>(flow)];
+      Unit& u = f.units[idx];
+      if (u.state != kRetxPending) continue;
+      --count_[pair];
+      --from_[static_cast<std::size_t>(src)];
+      --f.pending;
+      backlog_ -= u.bytes;
+      u.state = kInFlight;
+      u.sent_at = now;
+      f.inflight.emplace_back(idx, now);
+      retransmitted_ += u.bytes;
+      if (!f.armed) arm(f, flow, now + f.rto);
+      return HostTransport::RetxChunk{flow, f.dst, u.bytes, idx + 1};
+    }
+  }
+
+  Bytes unresolved_bytes() const { return unresolved_; }
+  Bytes delivered_bytes() const { return delivered_; }
+  Bytes abandoned_bytes() const { return abandoned_; }
+  Bytes retx_backlog_bytes() const { return backlog_; }
+  Bytes retransmitted_bytes() const { return retransmitted_; }
+  std::int64_t spurious_retx() const { return spurious_; }
+  std::int64_t rto_fires() const { return rto_fires_; }
+  std::int64_t max_backoff_reached() const { return max_backoff_; }
+  std::int64_t abandoned_units() const { return abandoned_units_; }
+
+ private:
+  enum State { kInFlight, kRetxPending, kAcked, kAbandoned };
+  struct Unit {
+    Bytes bytes;
+    Nanos sent_at;
+    State state;
+    bool delivered;
+  };
+  struct Flow {
+    TorId src{kInvalidTor};
+    TorId dst{kInvalidTor};
+    std::vector<Unit> units;
+    std::vector<std::pair<std::uint32_t, Nanos>> inflight;  // (idx, sent)
+    std::size_t head{0};
+    std::uint32_t cum_rx{0};
+    std::uint32_t cum_tx{0};
+    int pending{0};
+    Nanos rto{0};
+    int retries{0};
+    bool armed{false};
+  };
+  struct Ack {
+    Nanos effective;
+    std::int32_t flow;
+    std::uint32_t seq;
+    std::uint32_t cum;
+  };
+
+  Flow& flow_at(std::int32_t flow) {
+    const auto i = static_cast<std::size_t>(flow);
+    if (i >= flows_.size()) flows_.resize(i + 1);
+    return flows_[i];
+  }
+  std::size_t pair_of(const Flow& f) const {
+    return static_cast<std::size_t>(f.src * n_ + f.dst);
+  }
+  void arm(Flow& f, std::int32_t flow, Nanos when) {
+    events_->schedule_transport_timer(when, TransportTimerEvent{flow});
+    f.armed = true;
+  }
+  bool prune(Flow& f) {
+    while (f.head < f.inflight.size()) {
+      const auto [idx, sent] = f.inflight[f.head];
+      const Unit& u = f.units[idx];
+      if (u.state == kInFlight && u.sent_at == sent) return true;
+      ++f.head;
+    }
+    return false;
+  }
+  bool resolve(Flow& f, std::uint32_t idx) {
+    Unit& u = f.units[idx];
+    if (u.state == kRetxPending) {
+      const std::size_t pair = pair_of(f);
+      --count_[pair];
+      --from_[static_cast<std::size_t>(f.src)];
+      --f.pending;
+      backlog_ -= u.bytes;
+    } else if (u.state != kInFlight) {
+      return false;
+    }
+    u.state = kAcked;
+    return true;
+  }
+  void abandon(Flow& f) {
+    for (Unit& u : f.units) {
+      if (u.state == kAcked || u.state == kAbandoned) continue;
+      if (u.state == kRetxPending) {
+        const std::size_t pair = pair_of(f);
+        --count_[pair];
+        --from_[static_cast<std::size_t>(f.src)];
+        --f.pending;
+        backlog_ -= u.bytes;
+      }
+      if (u.delivered) {
+        u.state = kAcked;
+        continue;
+      }
+      u.state = kAbandoned;
+      unresolved_ -= u.bytes;
+      abandoned_ += u.bytes;
+      ++abandoned_units_;
+    }
+  }
+
+  int n_;
+  Nanos prop_;
+  Nanos base_rto_;
+  Nanos rto_cap_;
+  double backoff_;
+  int max_retries_;
+  EventQueue* events_;
+  std::vector<Flow> flows_;
+  std::vector<Ack> acks_;
+  std::size_t ack_head_{0};
+  std::vector<std::vector<std::pair<std::int32_t, std::uint32_t>>> fifo_;
+  std::vector<std::int64_t> count_;
+  std::vector<std::int64_t> from_;
+  Bytes unresolved_{0};
+  Bytes delivered_{0};
+  Bytes abandoned_{0};
+  Bytes backlog_{0};
+  Bytes retransmitted_{0};
+  std::int64_t spurious_{0};
+  std::int64_t rto_fires_{0};
+  std::int64_t max_backoff_{0};
+  std::int64_t abandoned_units_{0};
+};
+
+/// Runs a transport's timer expiries off its own event queue and logs
+/// each fire as (time, flow, moved-units).
+template <typename Transport>
+class TimerLog final : public EventSink {
+ public:
+  explicit TimerLog(Transport* t) : t_(t) {}
+  void on_flow_arrival(const FlowArrivalEvent&, Nanos) override {}
+  void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
+  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
+                      Nanos) override {}
+  void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
+    fires.emplace_back(now, e.flow_index, t_->on_timer(e.flow_index, now));
+  }
+  std::vector<std::tuple<Nanos, std::int32_t, bool>> fires;
+
+ private:
+  Transport* t_;
+};
+
+/// Coverage of one differential run, so the test can insist that every
+/// interesting interleaving actually happened.
+struct DiffCoverage {
+  std::int64_t stale_fires{0};
+  std::int64_t genuine_fires{0};
+  std::int64_t retx{0};
+  std::int64_t same_now_retx_then_fresh{0};
+  std::int64_t spurious{0};
+  std::int64_t abandoned{0};
+};
+
+/// Drives HostTransport and ReferenceTransport with one seeded random
+/// sequence and compares every return value, the order of retransmissions,
+/// every counter and ledger getter, and the timers each schedules; adds
+/// what the run exercised to `out`.
+void run_differential(std::uint64_t seed, DiffCoverage* out) {
+  NetworkConfig cfg = arq_config(seed);
+  cfg.num_tors = 4;
+  cfg.ports_per_tor = 2;
+  cfg.data_fault.max_retries = 2;
+  cfg.data_fault.rto_cap_epochs = 16.0;
+  const Nanos rto = base_rto(cfg);
+  EventQueue q_real;
+  EventQueue q_ref;
+  HostTransport real(cfg, &q_real);
+  ReferenceTransport ref(cfg, &q_ref);
+  TimerLog<HostTransport> log_real(&real);
+  TimerLog<ReferenceTransport> log_ref(&ref);
+  q_real.set_sink(&log_real);
+  q_ref.set_sink(&log_ref);
+
+  // Copies on the wire: (arrival, flow, seq, bytes).
+  struct Copy {
+    Nanos arrival;
+    std::int32_t flow;
+    std::uint32_t seq;
+    Bytes bytes;
+  };
+  std::vector<Copy> wire;
+  Rng rng(seed);
+  auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+    return lo + rng.next_below(hi - lo + 1);
+  };
+  constexpr int kFlows = 6;
+  auto endpoints = [](std::int32_t flow) {
+    // Flows 0/3, 1/4 and 2/5 share a pair: their retransmissions
+    // interleave in one FIFO.
+    const TorId src = flow % 3;
+    return std::pair<TorId, TorId>{src, static_cast<TorId>(src + 1)};
+  };
+  // Loss rate, latency spread and duplication vary by seed so some runs
+  // abandon flows and others recover everything.
+  const double drop = 0.05 + 0.3 * rng.next_double();
+  // A flow in an outage loses every copy, so its expiries run up to
+  // max_retries and abandon it; copies already on the wire land later.
+  std::vector<Nanos> outage_until(kFlows, 0);
+  auto send = [&](std::int32_t flow, std::uint32_t seq, Bytes bytes,
+                  Nanos now) {
+    if (now < outage_until[static_cast<std::size_t>(flow)] ||
+        rng.next_double() < drop) {
+      return;
+    }
+    const auto latency = static_cast<Nanos>(rng.next_double() * 1.5 *
+                                            static_cast<double>(rto));
+    wire.push_back(Copy{now + latency, flow, seq, bytes});
+    if (rng.next_double() < 0.05) {  // a duplicated copy
+      wire.push_back(Copy{now + 2 * latency + 1, flow, seq, bytes});
+    }
+  };
+
+  DiffCoverage& cov = *out;
+  auto check_state = [&](Nanos now) {
+    ASSERT_EQ(real.unresolved_bytes(), ref.unresolved_bytes()) << now;
+    ASSERT_EQ(real.delivered_bytes(), ref.delivered_bytes()) << now;
+    ASSERT_EQ(real.abandoned_bytes(), ref.abandoned_bytes()) << now;
+    ASSERT_EQ(real.retx_backlog_bytes(), ref.retx_backlog_bytes()) << now;
+    ASSERT_EQ(real.retransmitted_bytes(), ref.retransmitted_bytes()) << now;
+    ASSERT_EQ(real.spurious_retx(), ref.spurious_retx()) << now;
+    ASSERT_EQ(real.rto_fires(), ref.rto_fires()) << now;
+    ASSERT_EQ(real.max_backoff_reached(), ref.max_backoff_reached()) << now;
+    ASSERT_EQ(real.abandoned_units(), ref.abandoned_units()) << now;
+    for (TorId s = 0; s < cfg.num_tors; ++s) {
+      ASSERT_EQ(real.has_retx_from(s), ref.has_retx_from(s)) << now;
+      for (TorId d = 0; d < cfg.num_tors; ++d) {
+        ASSERT_EQ(real.has_retx(s, d), ref.has_retx(s, d)) << now;
+      }
+    }
+    ASSERT_EQ(log_real.fires, log_ref.fires) << now;
+    ASSERT_EQ(q_real.size(), q_ref.size()) << now;
+    ASSERT_EQ(q_real.next_time(), q_ref.next_time()) << now;
+  };
+
+  Nanos now = 0;
+  for (int step = 0; step < 4'000; ++step) {
+    now += static_cast<Nanos>(uniform(0, 3)) * (rto / 16);
+    // Timers first, as the fabrics run every event due by now before
+    // serving the slot.
+    q_real.run_until(now);
+    q_ref.run_until(now);
+    for (Nanos& until : outage_until) {
+      if (rng.next_double() < 0.002) until = now + uniform(10, 40) * rto;
+    }
+    if (rng.next_double() < 0.5) {  // boundaries flush acks, not every step
+      real.flush_acks(now);
+      ref.flush_acks(now);
+    }
+    // Arrived copies land in random order (reordering across and within
+    // flows).
+    std::vector<Copy> landed;
+    std::size_t keep = 0;
+    for (const Copy& c : wire) {
+      if (c.arrival <= now) {
+        landed.push_back(c);
+      } else {
+        wire[keep++] = c;
+      }
+    }
+    wire.resize(keep);
+    for (std::size_t i = landed.size(); i > 1; --i) {
+      std::swap(landed[i - 1],
+                landed[static_cast<std::size_t>(uniform(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    for (const Copy& c : landed) {
+      const bool first = real.on_deliver(c.flow, c.seq, c.bytes, now);
+      ASSERT_EQ(first, ref.on_deliver(c.flow, c.seq, c.bytes, now));
+      if (!first) ++cov.spurious;
+    }
+    // Sends at this instant, retransmissions and fresh units interleaved
+    // in random order, several per flow.
+    std::vector<bool> retx_now(kFlows, false);
+    const int sends = static_cast<int>(uniform(0, 6));
+    for (int k = 0; k < sends; ++k) {
+      const auto flow =
+          static_cast<std::int32_t>(uniform(0, kFlows - 1));
+      const auto [src, dst] = endpoints(flow);
+      if (rng.next_double() < 0.5 && ref.has_retx(src, dst)) {
+        ASSERT_TRUE(real.has_retx(src, dst));
+        const HostTransport::RetxChunk a = real.take_retx(src, dst, now);
+        const HostTransport::RetxChunk b = ref.take_retx(src, dst, now);
+        ASSERT_EQ(std::tie(a.flow, a.dst, a.bytes, a.seq),
+                  std::tie(b.flow, b.dst, b.bytes, b.seq));
+        retx_now[static_cast<std::size_t>(a.flow)] = true;
+        ++cov.retx;
+        send(a.flow, a.seq, a.bytes, now);
+        continue;
+      }
+      const Bytes bytes = uniform(1, 1'500);
+      const std::uint32_t seq = real.on_transmit(flow, src, dst, bytes, now);
+      ASSERT_EQ(seq, ref.on_transmit(flow, src, dst, bytes, now));
+      if (retx_now[static_cast<std::size_t>(flow)]) {
+        ++cov.same_now_retx_then_fresh;
+      }
+      send(flow, seq, bytes, now);
+    }
+    check_state(now);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const auto& [when, flow, moved] : log_real.fires) {
+    ++(moved ? cov.genuine_fires : cov.stale_fires);
+  }
+  cov.abandoned += real.abandoned_units();
+}
+
+TEST(HostTransport, MatchesThePerEntryInflightReference) {
+  DiffCoverage total;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential(seed, &total);
+    if (HasFatalFailure()) return;
+  }
+  // The sequences must have exercised every path the side list changes.
+  EXPECT_GT(total.stale_fires, 0);
+  EXPECT_GT(total.genuine_fires, 0);
+  EXPECT_GT(total.retx, 0);
+  EXPECT_GT(total.same_now_retx_then_fresh, 0);
+  EXPECT_GT(total.spurious, 0);
+  EXPECT_GT(total.abandoned, 0);
 }
 
 TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
