@@ -1,12 +1,17 @@
 // Google-benchmark microbenchmarks of the scheduler hot paths: ring
 // arbitration, the GRANT and ACCEPT steps, queue operations, workload
-// sampling, the end-host ARQ's per-unit cycle, and a full fabric epoch.
+// sampling, the end-host ARQ's per-unit cycle, the flow-arrival stream's
+// admit-and-drain, and a full fabric epoch.
 // These back §3.6.2's practicality argument with concrete per-operation
 // costs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/matching.h"
 #include "core/ring.h"
+#include "engine/flow_table.h"
 #include "engine/network.h"
 #include "sim/event_queue.h"
 #include "topo/parallel.h"
@@ -121,8 +126,15 @@ void BM_TransportUnitCycle(benchmark::State& state) {
   constexpr Bytes kUnit = 1'000;
   // About ten units of each flow in flight per RTO, as under load.
   const Nanos step = cfg.propagation_delay_ns / 32;
+  // Flows that never finish: nothing credits them.
+  FlowTable flows;
+  for (int f = 0; f < kFlows; ++f) {
+    const TorId src = f % cfg.num_tors;
+    flows.add(Flow{f, src, (src + 1 + f / cfg.num_tors) % cfg.num_tors,
+                   Bytes{1} << 40, 0, 0});
+  }
   EventQueue q;
-  HostTransport t(cfg, &q);
+  HostTransport t(cfg, &q, flows);
   TransportTimerSink sink(&t);
   q.set_sink(&sink);
   Nanos now = 0;
@@ -152,6 +164,46 @@ void BM_TransportUnitCycle(benchmark::State& state) {
   state.SetLabel(lossy ? "lossy 1/20" : "clean");
 }
 BENCHMARK(BM_TransportUnitCycle)->Arg(0)->Arg(1);
+
+/// Counts flow arrivals; no other event kind is scheduled here.
+class ArrivalCountSink final : public EventSink {
+ public:
+  void on_flow_arrival(const FlowArrivalEvent&, Nanos) override { ++count; }
+  void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
+  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
+                      Nanos) override {}
+  void on_transport_timer(const TransportTimerEvent&, Nanos) override {}
+  std::int64_t count{0};
+};
+
+void BM_ArrivalStreamAdmitDrain(benchmark::State& state) {
+  // The incast admission shape: a background trace and an incast trace,
+  // each sorted by time, admitted as one batch of 600 k arrivals (so the
+  // commit merges two runs), then every arrival popped. This is the
+  // arrival stream's share of setup plus its per-event cost, in isolation.
+  constexpr std::size_t kPerRun = 300'000;
+  constexpr Nanos kSpan = 2'000'000;  // 2 ms of arrivals per run
+  std::vector<Nanos> when(2 * kPerRun);
+  Rng rng(11);
+  for (Nanos& w : when) w = static_cast<Nanos>(rng.next_below(kSpan));
+  std::sort(when.begin(), when.begin() + kPerRun);
+  std::sort(when.begin() + kPerRun, when.end());
+  for (auto _ : state) {
+    EventQueue q;
+    ArrivalCountSink sink;
+    q.set_sink(&sink);
+    q.reserve_flow_arrivals(when.size());
+    for (std::size_t i = 0; i < when.size(); ++i) {
+      q.append_flow_arrival(when[i], static_cast<std::int32_t>(i));
+    }
+    q.commit_flow_arrivals();
+    q.run_until(kSpan);
+    benchmark::DoNotOptimize(sink.count);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(when.size()));
+}
+BENCHMARK(BM_ArrivalStreamAdmitDrain)->Unit(benchmark::kMillisecond);
 
 void BM_FabricEpoch(benchmark::State& state) {
   // One full epoch of the paper-scale fabric under 100% Hadoop load.

@@ -16,7 +16,7 @@ DeliveryPlane::DeliveryPlane(const NetworkConfig& config, EventQueue& events,
         config.data_fault,
         make_salted_stream(config.seed, kDataChannelSeedSalt));
     if (config.data_fault.arq) {
-      transport_ = std::make_unique<HostTransport>(config, &events);
+      transport_ = std::make_unique<HostTransport>(config, &events, flows_);
     }
     if (invariants_armed(config)) {
       auditor_ = std::make_unique<ConservationAuditor>(config.data_fault.arq);

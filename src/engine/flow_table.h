@@ -1,13 +1,11 @@
 // The fabric's single per-flow store, addressed by a dense index in
-// admission order. Each flow's attributes live once, in the FCT recorder
-// the table owns; the table adds the bytes still to deliver and logs the
-// completion when the last byte lands.
+// admission order. Each flow lives once, as one record in the FCT
+// recorder the table owns, which also keeps its delivery progress and,
+// once the last byte lands, its FCT.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
-#include "common/assert.h"
 #include "common/types.h"
 #include "stats/fct_recorder.h"
 #include "workload/flow.h"
@@ -35,25 +33,21 @@ class FlowTable {
   /// completed. The caller logs the completion with log_completion, which
   /// lets it order a phase's completions itself.
   bool credit_unlogged(int index, Bytes bytes) {
-    Bytes& left = remaining_[static_cast<std::size_t>(index)];
-    NEG_ASSERT(left > 0, "delivery to a completed flow");
-    NEG_ASSERT(bytes <= left, "over-delivery");
-    left -= bytes;
     total_delivered_ += bytes;
-    return left == 0;
+    return fct_.credit(index, bytes);
   }
   /// Logs the completion of flow `index`, whose last byte landed at
   /// `arrival`.
   void log_completion(int index, Nanos arrival) {
-    fct_.record(index, arrival - fct_.arrival(index));
+    fct_.record(index, arrival);
   }
-  std::size_t size() const { return remaining_.size(); }
-  bool done(int index) const {
-    return remaining_[static_cast<std::size_t>(index)] == 0;
-  }
+  std::size_t size() const { return fct_.admitted(); }
+  bool done(int index) const { return fct_.done(index); }
   /// Flows arriving in [from, until) that have not completed: the
   /// samples a summary over that window is missing.
-  std::size_t unfinished(Nanos from, Nanos until) const;
+  std::size_t unfinished(Nanos from, Nanos until) const {
+    return fct_.unfinished(from, until);
+  }
   /// Total bytes credited across every flow (conservation ledger).
   Bytes total_delivered() const { return total_delivered_; }
 
@@ -63,15 +57,11 @@ class FlowTable {
 
  private:
   FctRecorder fct_;
-  /// Bytes each flow still awaits; a flow is done exactly at 0 (sizes
-  /// are > 0).
-  std::vector<Bytes> remaining_;
   Bytes total_delivered_{0};
 
  public:
   /// Bytes stored per admitted flow (pinned by the footprint test).
-  static constexpr std::size_t kBytesPerFlow =
-      FctRecorder::kBytesPerFlow + sizeof(Bytes);
+  static constexpr std::size_t kBytesPerFlow = FctRecorder::kBytesPerFlow;
 };
 
 }  // namespace negotiator

@@ -162,7 +162,27 @@ void EventQueue::reserve_flow_arrivals(std::size_t n) {
 void EventQueue::append_flow_arrival(Nanos when, std::int32_t flow_index) {
   NEG_ASSERT(when >= 0, "event time must be non-negative");
   arrivals_.reserve(1);
-  arrivals_.items.push_back(Arrival{when, next_seq_++, flow_index});
+  arrivals_.append(when, flow_index, next_seq_++);
+}
+
+void EventQueue::Stream::append(Nanos when, std::int32_t flow_index,
+                                std::uint64_t seq) {
+  NEG_ASSERT(flow_index > last_index,
+             "flow indices must rise in append order");
+  last_index = flow_index;
+  const std::uint64_t offset = seq - static_cast<std::uint64_t>(flow_index);
+  if (runs.empty() || runs.back().offset != offset) {
+    runs.push_back(SeqRun{flow_index, offset});
+  }
+  items.push_back(Arrival{when, flow_index});
+}
+
+std::uint64_t EventQueue::Stream::seq_of(std::int32_t flow_index) const {
+  const auto run = std::upper_bound(
+      runs.begin(), runs.end(), flow_index,
+      [](std::int32_t i, const SeqRun& r) { return i < r.first; });
+  NEG_ASSERT(run != runs.begin(), "arrival below every seq run");
+  return static_cast<std::uint64_t>(flow_index) + run[-1].offset;
 }
 
 void EventQueue::Stream::reserve(std::size_t n) {
@@ -281,7 +301,9 @@ Nanos EventQueue::next_non_arrival_time() const {
 
 Nanos EventQueue::next_time() const {
   Nanos best = next_non_arrival_time();
-  if (!arrivals_.drained()) best = std::min(best, arrivals_.front().when);
+  if (!arrivals_.drained() && arrivals_.front().when < best) {
+    best = arrivals_.front().when;
+  }
   return best;
 }
 
@@ -344,7 +366,9 @@ void EventQueue::free_train_span(std::uint64_t offset, std::uint32_t count) {
 
 int EventQueue::earliest_tier(Nanos& when_out) {
   // Merge the tiers by (when, seq); seq values are globally unique, so the
-  // comparison is a strict total order. Requires !empty().
+  // comparison is a strict total order and the tiers may be visited in
+  // any order. The arrivals go last, so their derived seq is looked up
+  // only on an exact time tie. Requires !empty().
   Nanos best_when = kNeverNs;
   std::uint64_t best_seq = ~0ULL;
   int tier = -1;  // 0 = heap, 1 = arrivals, 2 = calendar
@@ -353,22 +377,22 @@ int EventQueue::earliest_tier(Nanos& when_out) {
     best_seq = heap_.front().seq;
     tier = 0;
   }
-  if (!arrivals_.drained()) {
-    const Arrival& it = arrivals_.front();
-    if (tier < 0 || it.when < best_when ||
-        (it.when == best_when && it.seq < best_seq)) {
-      best_when = it.when;
-      best_seq = it.seq;
-      tier = 1;
-    }
-  }
   if (!calendar_.empty()) {
     const Item& it = calendar_.front();
     if (tier < 0 || it.when < best_when ||
         (it.when == best_when && it.seq < best_seq)) {
       best_when = it.when;
-      best_seq = it.seq;  // keep the tie-break state right for new tiers
+      best_seq = it.seq;
       tier = 2;
+    }
+  }
+  if (!arrivals_.drained()) {
+    const Arrival& it = arrivals_.front();
+    if (tier < 0 || it.when < best_when ||
+        (it.when == best_when &&
+         arrivals_.seq_of(it.flow_index) < best_seq)) {
+      best_when = it.when;
+      tier = 1;
     }
   }
   when_out = best_when;

@@ -10,8 +10,11 @@
 // the records; pops merge the tier heads by (timestamp, seq), so
 // observable order is always identical to a single binary heap:
 //
-//  - Stream: every flow arrival, as a compact (when, seq, flow) entry in
-//    one sorted array consumed by a cursor. Arrivals are admitted in
+//  - Stream: every flow arrival, as a 12-byte (when, flow) entry in one
+//    sorted array consumed by a cursor. Flow indices rise in append
+//    order, so an entry's seq is not stored but derived from its flow
+//    index through a small table of runs, and read only when the entry
+//    ties another tier's head in time. Arrivals are admitted in
 //    batches, each merged into the pending arrivals stably by time (an
 //    already-sorted batch behind the tail moves nothing), so a
 //    concatenated or multi-call trace stays out of the heap. Consumed
@@ -101,7 +104,8 @@ class EventQueue {
   /// appended since the last commit — sorted stably by time, then merged
   /// into the pending arrivals. Staged arrivals are invisible until the
   /// commit. Pops stay in (when, seq) order, exactly as if each arrival
-  /// had been scheduled on its own.
+  /// had been scheduled on its own. `flow_index` must exceed that of every
+  /// arrival still stored (pending or staged): the seq is derived from it.
   void append_flow_arrival(Nanos when, std::int32_t flow_index);
   void commit_flow_arrivals();
   /// Makes room for `n` more arrivals ahead of a batch; the first
@@ -230,22 +234,37 @@ class EventQueue {
     }
   };
 
-  /// One pending flow arrival in the stream tier.
+  /// One pending flow arrival in the stream tier, packed to 12 bytes; its
+  /// seq is Stream::seq_of(flow_index).
+#pragma pack(push, 4)
   struct Arrival {
     Nanos when;
-    std::uint64_t seq;
     std::int32_t flow_index;
+  };
+#pragma pack(pop)
+
+  /// The arrivals appended from flow index `first` on (up to the next
+  /// run's) took seq = flow_index + offset, modulo 2^64.
+  struct SeqRun {
+    std::int32_t first;
+    std::uint64_t offset;
   };
 
   /// The flow-arrival tier: one array sorted by (when, seq) over
   /// [head, sorted_end), consumed through the head cursor; entries past
   /// sorted_end are staged by append_flow_arrival and not yet committed.
+  /// Flow indices rise in append order, and so do seqs, so the seqs of
+  /// the stored entries are a step function of the flow index: `runs`
+  /// holds one SeqRun per step (one per batch unless other events were
+  /// scheduled between its appends).
   /// Consumed entries go back to the OS as the head advances: the whole
   /// pages below it are released every kArrivalReleaseBytes, the storage is
   /// freed when the stream drains, and growth copies only the entries
   /// past the head, so a released page is never touched again.
   struct Stream {
     std::vector<Arrival> items;
+    std::vector<SeqRun> runs;  // ascending `first`
+    std::int64_t last_index{-1};  // flow index of the latest append
     std::size_t head{0};
     std::size_t sorted_end{0};
     /// Bytes of `items`' storage released so far: the whole pages from
@@ -255,6 +274,10 @@ class EventQueue {
     bool drained() const { return head == sorted_end; }
     std::size_t pending() const { return sorted_end - head; }
     const Arrival& front() const { return items[head]; }
+    /// Stages one arrival that took `seq`.
+    void append(Nanos when, std::int32_t flow_index, std::uint64_t seq);
+    /// The seq the stored arrival of `flow_index` took.
+    std::uint64_t seq_of(std::int32_t flow_index) const;
     /// Consumes the front entry, releasing storage behind it.
     void pop() {
       ++head;

@@ -9,24 +9,39 @@ namespace negotiator {
 
 void FctRecorder::reserve(std::size_t total) {
   reserve_total(flows_, total);
-  reserve_total(fcts_, total);
   reserve_total(done_, total);
+}
+
+std::size_t FctRecorder::unfinished(Nanos from, Nanos until) const {
+  std::size_t n = 0;
+  for (const Record& f : flows_) {
+    n += f.progress > 0 && f.arrival >= from && f.arrival < until;
+  }
+  return n;
 }
 
 FctSample FctRecorder::sample(std::size_t i) const {
   const Record& f = flows_[static_cast<std::size_t>(done_[i])];
-  return FctSample{f.id, f.size, f.arrival, fcts_[i], f.group};
+  return FctSample{f.id, f.size, f.arrival, -f.progress, f.group};
 }
 
 std::vector<double> FctRecorder::measured_fcts(bool mice_only,
                                                int group) const {
+  const auto measured = [&](const Record& f) {
+    return f.arrival >= measure_from_ &&
+           (!mice_only || f.size < kMiceFlowBytes) &&
+           (group < 0 || f.group == group);
+  };
+  // Count first, so the buffer is allocated once at its exact size.
+  std::size_t n = 0;
+  for (const std::int32_t i : done_) {
+    n += measured(flows_[static_cast<std::size_t>(i)]);
+  }
   std::vector<double> out;
-  for (std::size_t i = 0; i < fcts_.size(); ++i) {
-    const Record& f = flows_[static_cast<std::size_t>(done_[i])];
-    if (f.arrival < measure_from_) continue;
-    if (mice_only && f.size >= kMiceFlowBytes) continue;
-    if (group >= 0 && f.group != group) continue;
-    out.push_back(static_cast<double>(fcts_[i]));
+  out.reserve(n);
+  for (const std::int32_t i : done_) {
+    const Record& f = flows_[static_cast<std::size_t>(i)];
+    if (measured(f)) out.push_back(static_cast<double>(-f.progress));
   }
   return out;
 }

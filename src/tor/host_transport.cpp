@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 
+#include "engine/flow_table.h"
 #include "stats/resilience_recorder.h"
 
 namespace negotiator {
@@ -22,7 +23,8 @@ void compact_consumed(std::vector<T>& items, Index& head) {
 
 }  // namespace
 
-HostTransport::HostTransport(const NetworkConfig& config, EventQueue* events)
+HostTransport::HostTransport(const NetworkConfig& config, EventQueue* events,
+                             const FlowTable& flows)
     : num_tors_(config.num_tors),
       prop_delay_ns_(config.propagation_delay_ns),
       base_rto_ns_(static_cast<Nanos>(config.data_fault.rto_epochs *
@@ -34,6 +36,7 @@ HostTransport::HostTransport(const NetworkConfig& config, EventQueue* events)
       backoff_(config.data_fault.rto_backoff),
       max_retries_(config.data_fault.max_retries),
       events_(events),
+      flow_table_(flows),
       retx_(static_cast<std::size_t>(num_tors_) * num_tors_),
       retx_count_(static_cast<std::size_t>(num_tors_) * num_tors_, 0),
       retx_from_(static_cast<std::size_t>(num_tors_), 0),
@@ -43,10 +46,32 @@ HostTransport::HostTransport(const NetworkConfig& config, EventQueue* events)
   NEG_ASSERT(base_rto_ns_ > 0, "base RTO must be positive");
 }
 
-HostTransport::FlowState& HostTransport::flow_state(std::int32_t flow) {
+HostTransport::FlowState& HostTransport::acquire(std::int32_t flow) {
+  NEG_ASSERT(flow >= 0, "negative flow index");
   const auto i = static_cast<std::size_t>(flow);
-  if (i >= flows_.size()) flows_.resize(i + 1);
-  return flows_[i];
+  if (i >= slot_.size()) slot_.resize(i + 1, kNoState);
+  std::int32_t& slot = slot_[i];
+  NEG_ASSERT(slot != kFinished, "a finished flow transmitted again");
+  if (slot == kNoState) {
+    if (free_slots_.empty()) {
+      slot = static_cast<std::int32_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+  }
+  return pool_[static_cast<std::size_t>(slot)];
+}
+
+void HostTransport::release_flow(std::int32_t flow) {
+  std::int32_t& slot = slot_[static_cast<std::size_t>(flow)];
+  FlowState& f = pool_[static_cast<std::size_t>(slot)];
+  NEG_ASSERT(f.pending == 0 && f.units.empty(),
+             "releasing a flow with units outstanding");
+  f = FlowState{};
+  free_slots_.push_back(slot);
+  slot = kFinished;
 }
 
 void HostTransport::arm_timer(FlowState& f, std::int32_t flow, Nanos when) {
@@ -59,7 +84,7 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
   NEG_ASSERT(bytes > 0, "cannot transmit zero bytes");
   NEG_ASSERT(bytes <= std::numeric_limits<std::uint32_t>::max(),
              "an ARQ unit must fit a 32-bit byte count");
-  FlowState& f = flow_state(flow);
+  FlowState& f = acquire(flow);
   if (f.src == kInvalidTor) {
     f.src = src;
     f.dst = dst;
@@ -79,12 +104,11 @@ std::uint32_t HostTransport::on_transmit(std::int32_t flow, TorId src,
 bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
                                Bytes bytes, Nanos now) {
   NEG_ASSERT(seq > 0, "delivery without a sequence number");
-  NEG_ASSERT(flow >= 0 && static_cast<std::size_t>(flow) < flows_.size(),
-             "delivery for an unknown unit");
-  FlowState& f = flows_[static_cast<std::size_t>(flow)];
+  FlowState* fs = live_state(flow);
   const std::uint32_t idx = seq - 1;
-  NEG_ASSERT(idx < f.end(), "delivery for an unknown unit");
-  Unit* u = f.find(idx);
+  NEG_ASSERT(fs == nullptr || idx < fs->end(), "delivery for an unknown unit");
+  // A finished flow's units are all released.
+  Unit* u = fs == nullptr ? nullptr : fs->find(idx);
   // An ARQ unit is indivisible: a partial arrival means something split
   // a seq-carrying chunk in transit, which the conservation ledger
   // cannot represent.
@@ -98,6 +122,7 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
     if (recorder_) recorder_->on_spurious_retx();
     return false;
   }
+  FlowState& f = *fs;
   u->delivered_rx = true;
   unresolved_bytes_ -= bytes;
   delivered_bytes_ += bytes;
@@ -140,7 +165,11 @@ bool HostTransport::resolve_ack(FlowState& f, std::uint32_t idx) {
 void HostTransport::flush_acks(Nanos now) {
   while (acks_head_ < acks_.size() && acks_[acks_head_].effective <= now) {
     const Ack a = acks_[acks_head_++];
-    FlowState& f = flows_[static_cast<std::size_t>(a.flow)];
+    // A flow finishes at the ack that covers its last unit, and every
+    // later ack of it would be a duplicate, which is never queued.
+    FlowState* fs = live_state(a.flow);
+    NEG_ASSERT(fs != nullptr, "ack for a finished flow");
+    FlowState& f = *fs;
     // Selective part, unless the cumulative part below covers the unit or
     // an earlier cumulative ack already resolved it (a unit below cum_tx
     // was delivered, so it is acked or released: nothing to resolve).
@@ -157,6 +186,9 @@ void HostTransport::flush_acks(Nanos now) {
       f.retries = 0;
     }
     release_acked(f);
+    if (f.cum_tx == f.end() && flow_table_.done(a.flow)) {
+      release_flow(a.flow);
+    }
   }
 }
 
@@ -257,9 +289,13 @@ void HostTransport::abandon_flow(FlowState& f) {
 }
 
 bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
-  FlowState& f = flows_[static_cast<std::size_t>(flow)];
-  f.timer_armed = false;
+  if (FlowState* armed = live_state(flow)) armed->timer_armed = false;
   flush_acks(now);
+  // A finished flow (possibly finished by this flush) has nothing in
+  // flight.
+  FlowState* fs = live_state(flow);
+  if (fs == nullptr) return false;
+  FlowState& f = *fs;
   InflightHead head;
   if (!inflight_head(f, &head)) return false;  // everything resolved
   const Nanos earliest = head.sent_at + f.rto;
@@ -308,10 +344,11 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
     NEG_ASSERT(fifo.head < fifo.items.size(),
                "retx count says live entries but the FIFO is drained");
     const RetxEntry e = fifo.items[fifo.head++];
-    FlowState& f = flows_[static_cast<std::size_t>(e.flow)];
-    Unit* u = f.find(e.idx);
-    // Stale: resolved (possibly released) while queued.
+    FlowState* fs = live_state(e.flow);
+    Unit* u = fs == nullptr ? nullptr : fs->find(e.idx);
+    // Stale: resolved (possibly released, with its flow) while queued.
     if (u == nullptr || u->state != kRetxPending) continue;
+    FlowState& f = *fs;
     --retx_count_[pair];
     --retx_from_[static_cast<std::size_t>(src)];
     --f.pending;
@@ -332,8 +369,8 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
 }
 
 HostTransport::Footprint HostTransport::footprint() const {
-  Footprint fp{0, 0, acks_.size(), 0};
-  for (const FlowState& f : flows_) {
+  Footprint fp{pool_.size() - free_slots_.size(), 0, 0, acks_.size(), 0};
+  for (const FlowState& f : pool_) {
     fp.units += f.units.size();
     fp.inflight += f.resent.size();
   }

@@ -50,7 +50,18 @@
 // flow stores nothing beyond its unit records. The head-consumed FIFOs
 // (acks, side entries, retransmit items) drop their consumed prefix on
 // the same at-least-half rule, so every structure costs amortised O(1)
-// per unit and memory does not grow with simulated time.
+// per unit.
+//
+// A flow's state is pooled, not kept for the run: the flow's 4-byte slot
+// entry maps it to a pooled FlowState from its first transmission until
+// it is finished — its FlowTable entry is done and every unit it sent is
+// acked — and the state then goes back to the pool. A finished flow never
+// transmits again, so anything that still names it is stale: a late copy
+// is discarded as spurious, a retransmit item is skipped and a timer
+// flushes acks and does nothing else, exactly as for its released units.
+// Beyond that 4-byte entry per flow, memory therefore tracks the flows in
+// progress (plus those that abandoned units, which never finish), not
+// simulated time.
 //
 // Like the data channel, the transport follows the disabled-≡-never-
 // constructed contract: with ARQ off it is never built, every chunk
@@ -71,12 +82,16 @@
 
 namespace negotiator {
 
+class FlowTable;           // engine/flow_table.h
 class ResilienceRecorder;  // stats/resilience_recorder.h
 
 class HostTransport {
  public:
   /// `events` outlives the transport; timers are scheduled through it.
-  HostTransport(const NetworkConfig& config, EventQueue* events);
+  /// `flows` outlives it too and tells which flows are done: a done
+  /// flow's state is released once all its units are acked.
+  HostTransport(const NetworkConfig& config, EventQueue* events,
+                const FlowTable& flows);
 
   HostTransport(const HostTransport&) = delete;
   HostTransport& operator=(const HostTransport&) = delete;
@@ -143,11 +158,13 @@ class HostTransport {
     retx_pairs_.resize(keep);
   }
 
-  TorId flow_src(std::int32_t flow) const {
-    return flows_[static_cast<std::size_t>(flow)].src;
-  }
-  TorId flow_dst(std::int32_t flow) const {
-    return flows_[static_cast<std::size_t>(flow)].dst;
+  /// Endpoints of a flow the transport holds state for (see tracks()).
+  TorId flow_src(std::int32_t flow) const { return state_of(flow).src; }
+  TorId flow_dst(std::int32_t flow) const { return state_of(flow).dst; }
+  /// True from the flow's first transmission until it is finished.
+  bool tracks(std::int32_t flow) const {
+    return static_cast<std::size_t>(flow) < slot_.size() &&
+           slot_[static_cast<std::size_t>(flow)] >= 0;
   }
 
   /// Optional metrics sink; may be null.
@@ -177,6 +194,7 @@ class HostTransport {
   /// (consumed FIFO prefixes included). Read-only: it pins the memory
   /// bound, which must track the live window rather than units ever sent.
   struct Footprint {
+    std::size_t flows;     // live per-flow states (flows tracked)
     std::size_t units;     // per-flow unit records
     std::size_t inflight;  // per-flow retransmission entries (side lists)
     std::size_t acks;      // queued acks
@@ -264,7 +282,29 @@ class HostTransport {
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(num_tors_) +
            static_cast<std::size_t>(dst);
   }
-  FlowState& flow_state(std::int32_t flow);
+  /// slot_ values besides a pool index.
+  static constexpr std::int32_t kNoState = -1;  // never transmitted
+  static constexpr std::int32_t kFinished = -2;  // state released
+  /// The flow's state, taken from the pool at its first transmission.
+  FlowState& acquire(std::int32_t flow);
+  /// The flow's state, or null once it is finished. The flow must have
+  /// transmitted.
+  FlowState* live_state(std::int32_t flow) {
+    // The unsigned cast folds a negative index into the range check.
+    NEG_ASSERT(static_cast<std::size_t>(flow) < slot_.size(),
+               "flow never transmitted");
+    const std::int32_t slot = slot_[static_cast<std::size_t>(flow)];
+    if (slot >= 0) return &pool_[static_cast<std::size_t>(slot)];
+    NEG_ASSERT(slot == kFinished, "flow never transmitted");
+    return nullptr;
+  }
+  const FlowState& state_of(std::int32_t flow) const {
+    NEG_ASSERT(tracks(flow), "flow without transport state");
+    return pool_[static_cast<std::size_t>(
+        slot_[static_cast<std::size_t>(flow)])];
+  }
+  /// Returns a finished flow's state to the pool.
+  void release_flow(std::int32_t flow);
   void arm_timer(FlowState& f, std::int32_t flow, Nanos when);
   /// Moves both cursors past stale records and reports the earliest live
   /// transmission in `head`; false when nothing is in flight.
@@ -285,9 +325,13 @@ class HostTransport {
   double backoff_;
   int max_retries_;
   EventQueue* events_;
+  const FlowTable& flow_table_;
   ResilienceRecorder* recorder_{nullptr};
 
-  std::vector<FlowState> flows_;
+  /// Per flow: its pool index, kNoState or kFinished.
+  std::vector<std::int32_t> slot_;
+  std::vector<FlowState> pool_;
+  std::vector<std::int32_t> free_slots_;  // pool entries not in use
   std::vector<Ack> acks_;  // effective-time ordered; head-consumed
   std::size_t acks_head_{0};
   std::vector<RetxFifo> retx_;           // [src * N + dst]

@@ -275,8 +275,8 @@ TEST(Admission, PerFlowFootprintIsPinned) {
   // admission; nothing else per flow. A re-added per-flow copy breaks
   // either the record sizes or the measured allocation below.
   static_assert(FlowTable::kBytesPerFlow <= 40);
-  static_assert(EventQueue::kBytesPerArrival <= 24);
-  static_assert(FctRecorder::kBytesPerCompletion <= 12);
+  static_assert(EventQueue::kBytesPerArrival <= 12);
+  static_assert(FctRecorder::kBytesPerCompletion <= 4);
   constexpr std::size_t kPerFlow = FlowTable::kBytesPerFlow +
                                    EventQueue::kBytesPerArrival +
                                    FctRecorder::kBytesPerCompletion;

@@ -193,6 +193,41 @@ TEST(EventQueue, EveryTierSharesTheFifoTieBreak) {
   EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{100, 101, 102, 103, 104}));
 }
 
+TEST(EventQueue, DerivedArrivalSeqsKeepScheduleOrderAcrossBatches) {
+  // An arrival stores no seq: it is derived from the flow index. Two
+  // batches, a toggle and a timer scheduled between them and a second
+  // toggle inside the second batch (before its commit), all at one
+  // timestamp, fire in schedule order. The second batch's indices skip
+  // ahead, so it takes two seq runs of its own.
+  EventQueue q;
+  RecordingSink sink;
+  q.set_sink(&sink);
+  for (std::int32_t i = 0; i < 3; ++i) q.append_flow_arrival(5, i);
+  q.commit_flow_arrivals();
+  q.schedule_link_toggle(5, toggle(100));
+  q.schedule_transport_timer(5, timer(200));
+  q.append_flow_arrival(5, 10);
+  q.append_flow_arrival(5, 11);
+  q.schedule_link_toggle(5, toggle(101));
+  q.append_flow_arrival(5, 12);
+  q.append_flow_arrival(5, 20);
+  q.commit_flow_arrivals();
+  q.schedule_transport_timer(5, timer(201));
+  q.run_until(5);
+  EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{0, 1, 2, 100, 200, 10, 11,
+                                                   101, 12, 20, 201}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, FlowIndicesMustRiseInAppendOrder) {
+  EventQueue q;
+  q.append_flow_arrival(5, 3);
+  EXPECT_DEATH(q.append_flow_arrival(6, 3), "rise in append order");
+  q.commit_flow_arrivals();
+  // Across batches too, while the earlier arrivals are stored.
+  EXPECT_DEATH(schedule_arrival(q, 1, 2), "rise in append order");
+}
+
 TEST(EventQueue, OutOfOrderArrivalsMergeWithoutReordering) {
   // An arrival scheduled before the stream tail must still fire in global
   // (time, schedule-order) position.

@@ -3,10 +3,12 @@
 // cumulative+selective ack resolution, lazy RTO timers with exponential
 // backoff, retransmit FIFO round-trips, abandonment, the
 // conservation-ledger bucket moves, and the memory bound (released units
-// behave as duplicates; storage tracks the live window over 10^5 units)
-// — plus a differential test against a reference model that keeps one
-// in-flight entry per transmission, and full-fabric integration runs
-// proving ARQ delivers everything under moderate loss on both fabrics.
+// behave as duplicates; storage tracks the live window over 10^5 units;
+// a finished flow's state returns to the pool) — plus a differential
+// test against a reference model that keeps one in-flight entry per
+// transmission and never releases a flow, and full-fabric integration
+// runs proving ARQ delivers everything under moderate loss on both
+// fabrics and leaves no flow state behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "engine/flow_table.h"
 #include "engine/network.h"
 #include "engine/runner.h"
 #include "sim/event_queue.h"
@@ -40,6 +43,14 @@ NetworkConfig arq_config(std::uint64_t seed = 1) {
   return cfg;
 }
 
+/// A table of flows 0..n-1 that never finish (nothing credits them), for
+/// transports driven without a fabric: none of their state is released.
+FlowTable open_flows(int n = 8) {
+  FlowTable table;
+  for (int i = 0; i < n; ++i) table.add(Flow{i, 0, 1, Bytes{1} << 40, 0, 0});
+  return table;
+}
+
 /// The transport's own base RTO, derived exactly as the constructor does.
 Nanos base_rto(const NetworkConfig& cfg) {
   return static_cast<Nanos>(cfg.data_fault.rto_epochs *
@@ -49,7 +60,8 @@ Nanos base_rto(const NetworkConfig& cfg) {
 TEST(HostTransport, SequenceNumbersAreDenseOneBasedAndPerFlow) {
   NetworkConfig cfg = arq_config();
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   EXPECT_EQ(t.on_transmit(0, 1, 2, 100, 0), 1u);
   EXPECT_EQ(t.on_transmit(0, 1, 2, 200, 10), 2u);
   EXPECT_EQ(t.on_transmit(0, 1, 2, 300, 20), 3u);
@@ -64,7 +76,8 @@ TEST(HostTransport, SequenceNumbersAreDenseOneBasedAndPerFlow) {
 TEST(HostTransport, DuplicateDeliveryIsSuppressedAndCountedSpurious) {
   NetworkConfig cfg = arq_config();
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 500, 0);
   EXPECT_TRUE(t.on_deliver(0, 1, 500, 100)) << "first arrival credits";
   EXPECT_FALSE(t.on_deliver(0, 1, 500, 200)) << "duplicate discards";
@@ -77,7 +90,8 @@ TEST(HostTransport, CumulativeAckResolvesEverythingBelowTheWatermark) {
   NetworkConfig cfg = arq_config();
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 100, 0);
   t.on_transmit(0, 1, 2, 100, 0);
   t.on_transmit(0, 1, 2, 100, 0);
@@ -99,7 +113,8 @@ TEST(HostTransport, StaleWakeupReArmsWithoutCountingAFire) {
   const Nanos rto = base_rto(cfg);
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 100, 0);        // timer armed for t=rto
   t.on_transmit(0, 1, 2, 100, rto / 2);  // younger unit, no new timer
   // The first unit's copy arrives; its ack is effective before the fire.
@@ -121,7 +136,8 @@ TEST(HostTransport, RtoRoundTripsThroughTheRetxFifo) {
   NetworkConfig cfg = arq_config();
   const Nanos rto = base_rto(cfg);
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
   t.set_recorder(&rec);
   t.on_transmit(0, 1, 2, 700, 0);
@@ -158,7 +174,8 @@ TEST(HostTransport, BackoffDoublesUpToTheCap) {
   cfg.data_fault.max_retries = 100;
   const Nanos e = base_rto(cfg);  // rto_epochs = 1 -> one epoch
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 100, 0);
   // Fire 1 at t=e (rto = e), retransmit; rto doubles to 2e.
   EXPECT_TRUE(t.on_timer(0, e));
@@ -181,7 +198,8 @@ TEST(HostTransport, AckProgressResetsTheBackoff) {
   const Nanos e = base_rto(cfg);
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 100, 0);
   EXPECT_TRUE(t.on_timer(0, e));  // rto -> 2e
   t.take_retx(1, 2, e);
@@ -201,7 +219,8 @@ TEST(HostTransport, MaxRetriesAbandonsTheFlow) {
   cfg.data_fault.max_retries = 2;
   const Nanos rto = base_rto(cfg);
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 900, 0);
   EXPECT_TRUE(t.on_timer(0, rto));  // retries = 1
   t.take_retx(1, 2, rto);
@@ -228,7 +247,8 @@ TEST(HostTransport, LateCopiesAfterAbandonmentStaySpurious) {
   const Nanos rto = base_rto(cfg);
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   for (int i = 0; i < 4; ++i) t.on_transmit(0, 1, 2, 100, 0);
   EXPECT_TRUE(t.on_deliver(0, 1, 100, 10));
   EXPECT_TRUE(t.on_deliver(0, 2, 100, 10));
@@ -266,7 +286,8 @@ TEST(HostTransport, StarvedRetransmissionsDoNotCountTowardAbandonment) {
   cfg.data_fault.rto_cap_epochs = cfg.data_fault.rto_epochs;
   const Nanos rto = base_rto(cfg);
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   // Two units: the first expiry queues only unit 1 (unit 2 is younger);
   // every later expiry finds unit 1 still waiting in the FIFO.
   t.on_transmit(0, 1, 2, 100, 0);
@@ -294,7 +315,8 @@ TEST(HostTransport, LateArrivalCancelsAQueuedRetransmission) {
   const Nanos rto = base_rto(cfg);
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   // Two pairs with pending retransmissions; flow 0 queues four units.
   for (int i = 0; i < 4; ++i) t.on_transmit(0, 0, 1, 100, 0);
   t.on_transmit(1, 2, 3, 200, 0);
@@ -328,7 +350,8 @@ TEST(HostTransport, CopyOfAReleasedUnitIsDiscardedAsSpurious) {
   NetworkConfig cfg = arq_config();
   const Nanos prop = cfg.propagation_delay_ns;
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
   t.set_recorder(&rec);
   for (int i = 0; i < 8; ++i) t.on_transmit(0, 1, 2, 100, 0);
@@ -359,6 +382,70 @@ TEST(HostTransport, CopyOfAReleasedUnitIsDiscardedAsSpurious) {
   EXPECT_EQ(t.unresolved_bytes(), 0);
 }
 
+TEST(HostTransport, FinishedFlowReturnsItsStateToThePool) {
+  // Flow 0 (200 B) is done once both its units land and finished once
+  // both are acked: its state goes back to the pool, and whatever still
+  // names it is stale. Flow 1 shares its pair, so flow 0's retransmit
+  // items sit in the FIFO ahead of a live one.
+  NetworkConfig cfg = arq_config();
+  const Nanos rto = base_rto(cfg);
+  const Nanos prop = cfg.propagation_delay_ns;
+  FlowTable table;
+  ASSERT_EQ(table.add(Flow{10, 1, 2, 200, 0, 0}), 0);
+  ASSERT_EQ(table.add(Flow{11, 1, 2, 100, 0, 0}), 1);
+  ASSERT_EQ(table.add(Flow{12, 1, 3, 100, 0, 0}), 2);
+  EventQueue q;
+  HostTransport t(cfg, &q, table);
+  auto deliver = [&](std::int32_t flow, std::uint32_t seq, Nanos now) {
+    const bool first = t.on_deliver(flow, seq, 100, now);
+    if (first) table.credit(flow, 100, now);  // as the delivery flush does
+    return first;
+  };
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 100, 0), 1u);
+  EXPECT_EQ(t.on_transmit(0, 1, 2, 100, 0), 2u);
+  EXPECT_EQ(t.on_transmit(1, 1, 2, 100, 1), 1u);
+  EXPECT_EQ(t.footprint().flows, 2u);
+  // Every unit times out; flow 0's queue ahead of flow 1's.
+  EXPECT_TRUE(t.on_timer(0, rto));
+  EXPECT_TRUE(t.on_timer(1, rto + 1));
+  // The originals land late after all: flow 0 is done, and finished once
+  // the acks mature.
+  EXPECT_TRUE(deliver(0, 1, rto + 2));
+  EXPECT_TRUE(deliver(0, 2, rto + 2));
+  EXPECT_TRUE(table.done(0));
+  EXPECT_TRUE(t.tracks(0)) << "done, but its acks have not matured";
+  t.flush_acks(rto + 2 + prop);
+  EXPECT_FALSE(t.tracks(0));
+  EXPECT_TRUE(t.tracks(1));
+  EXPECT_EQ(t.footprint().flows, 1u);
+
+  // A late copy is spurious; the stale retransmit items are skipped.
+  EXPECT_FALSE(t.on_deliver(0, 2, 100, rto + 3 + prop));
+  EXPECT_EQ(t.spurious_retx(), 1);
+  ASSERT_TRUE(t.has_retx(1, 2));
+  const HostTransport::RetxChunk r = t.take_retx(1, 2, rto + 4 + prop);
+  EXPECT_EQ(r.flow, 1);
+  EXPECT_EQ(r.seq, 1u);
+  EXPECT_FALSE(t.has_retx(1, 2));
+
+  // A timer of the finished flow still flushes the acks due: flow 1's
+  // retransmission lands, and the fire as its ack matures finishes it.
+  const Nanos landed = rto + 5 + prop;
+  EXPECT_TRUE(deliver(1, 1, landed));
+  EXPECT_FALSE(t.on_timer(0, landed + prop));
+  EXPECT_FALSE(t.tracks(1));
+  EXPECT_EQ(t.footprint().flows, 0u);
+  EXPECT_EQ(t.rto_fires(), 2);
+
+  // The pool hands the state to the next flow, fresh.
+  EXPECT_EQ(t.on_transmit(2, 1, 3, 100, landed + prop), 1u);
+  EXPECT_TRUE(t.tracks(2));
+  EXPECT_EQ(t.footprint().flows, 1u);
+  EXPECT_EQ(t.delivered_bytes(), 300);
+  EXPECT_EQ(t.unresolved_bytes(), 100);
+  EXPECT_DEATH(t.on_transmit(0, 1, 2, 100, landed + prop), "finished flow");
+}
+
 TEST(HostTransport, StorageTracksTheLiveWindowNotTheUnitsEverSent) {
   // One flow streams 2^17 units without its window ever draining: each
   // step sends a unit, delivers the one sent kLag steps earlier and
@@ -370,8 +457,9 @@ TEST(HostTransport, StorageTracksTheLiveWindowNotTheUnitsEverSent) {
   constexpr std::uint32_t kUnits = 1u << 17;
   constexpr std::uint32_t kLag = 8;
   EventQueue q;
-  HostTransport t(cfg, &q);
-  HostTransport::Footprint peak{0, 0, 0, 0};
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
+  HostTransport::Footprint peak{};
   for (std::uint32_t i = 0; i < kUnits + kLag; ++i) {
     const Nanos now = static_cast<Nanos>(i) * step;
     if (i < kUnits) t.on_transmit(0, 1, 2, 100, now);
@@ -659,9 +747,13 @@ class TimerLog final : public EventSink {
   void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
                       Nanos) override {}
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
+    if constexpr (requires { t_->tracks(e.flow_index); }) {
+      finished_fires += !t_->tracks(e.flow_index);
+    }
     fires.emplace_back(now, e.flow_index, t_->on_timer(e.flow_index, now));
   }
   std::vector<std::tuple<Nanos, std::int32_t, bool>> fires;
+  std::int64_t finished_fires{0};  // timers of flows already finished
 
  private:
   Transport* t_;
@@ -676,6 +768,9 @@ struct DiffCoverage {
   std::int64_t same_now_retx_then_fresh{0};
   std::int64_t spurious{0};
   std::int64_t abandoned{0};
+  std::int64_t finished{0};         // flows whose state was released
+  std::int64_t finished_copies{0};  // late copies of finished flows
+  std::int64_t finished_fires{0};   // timers of finished flows
 };
 
 /// Drives HostTransport and ReferenceTransport with one seeded random
@@ -691,7 +786,10 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
   const Nanos rto = base_rto(cfg);
   EventQueue q_real;
   EventQueue q_ref;
-  HostTransport real(cfg, &q_real);
+  // Only the real transport sees the flows' progress: it releases a
+  // finished flow's state, which the reference never does.
+  FlowTable table;
+  HostTransport real(cfg, &q_real, table);
   ReferenceTransport ref(cfg, &q_ref);
   TimerLog<HostTransport> log_real(&real);
   TimerLog<ReferenceTransport> log_ref(&ref);
@@ -710,22 +808,45 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
   auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
     return lo + rng.next_below(hi - lo + 1);
   };
-  constexpr int kFlows = 6;
-  auto endpoints = [](std::int32_t flow) {
-    // Flows 0/3, 1/4 and 2/5 share a pair: their retransmissions
-    // interleave in one FIFO.
-    const TorId src = flow % 3;
+  // Each lane carries one flow at a time and starts the next once the
+  // current one has sent all its bytes. Lanes 0-2 carry one flow for the
+  // whole run (1000 to 1800 units each: long windows, long side lists, tie
+  // stamps deep in the window); lanes 3-5 carry short flows that finish,
+  // and the real transport releases their state, while others still run.
+  constexpr int kLanes = 6;
+  constexpr int kLongLanes = 3;
+  auto endpoints = [](int lane) {
+    // Lanes 0/3, 1/4 and 2/5 share a pair: a long and a short flow's
+    // retransmissions interleave in one FIFO.
+    const TorId src = lane % 3;
     return std::pair<TorId, TorId>{src, static_cast<TorId>(src + 1)};
   };
+  std::vector<std::int32_t> lane_flow(kLanes);
+  std::vector<Bytes> lane_left(kLanes);  // the flow's bytes still unsent
+  std::vector<int> lane_of;              // per flow
+  Nanos now = 0;
+  auto start_flow = [&](int lane) {
+    const auto [src, dst] = endpoints(lane);
+    const Bytes size =
+        lane < kLongLanes ? Bytes{1'000'000'000} : uniform(1, 20'000);
+    const auto id = static_cast<FlowId>(table.size());
+    lane_flow[static_cast<std::size_t>(lane)] =
+        table.add(Flow{id, src, dst, size, now, 0});
+    lane_left[static_cast<std::size_t>(lane)] = size;
+    lane_of.push_back(lane);
+  };
+  for (int lane = 0; lane < kLanes; ++lane) start_flow(lane);
   // Loss rate, latency spread and duplication vary by seed so some runs
   // abandon flows and others recover everything.
   const double drop = 0.05 + 0.3 * rng.next_double();
-  // A flow in an outage loses every copy, so its expiries run up to
-  // max_retries and abandon it; copies already on the wire land later.
-  std::vector<Nanos> outage_until(kFlows, 0);
+  // A lane in an outage loses every copy, so its flows' expiries run up
+  // to max_retries and abandon them; copies already on the wire land
+  // later.
+  std::vector<Nanos> outage_until(kLanes, 0);
   auto send = [&](std::int32_t flow, std::uint32_t seq, Bytes bytes,
                   Nanos now) {
-    if (now < outage_until[static_cast<std::size_t>(flow)] ||
+    const int lane = lane_of[static_cast<std::size_t>(flow)];
+    if (now < outage_until[static_cast<std::size_t>(lane)] ||
         rng.next_double() < drop) {
       return;
     }
@@ -759,7 +880,6 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
     ASSERT_EQ(q_real.next_time(), q_ref.next_time()) << now;
   };
 
-  Nanos now = 0;
   for (int step = 0; step < 4'000; ++step) {
     now += static_cast<Nanos>(uniform(0, 3)) * (rto / 16);
     // Timers first, as the fabrics run every event due by now before
@@ -791,18 +911,23 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
                     0, static_cast<std::int64_t>(i) - 1))]);
     }
     for (const Copy& c : landed) {
+      const bool finished = !real.tracks(c.flow);
       const bool first = real.on_deliver(c.flow, c.seq, c.bytes, now);
       ASSERT_EQ(first, ref.on_deliver(c.flow, c.seq, c.bytes, now));
-      if (!first) ++cov.spurious;
+      if (first) {
+        table.credit(c.flow, c.bytes, now);  // as the delivery flush does
+      } else {
+        ++cov.spurious;
+        cov.finished_copies += finished;
+      }
     }
     // Sends at this instant, retransmissions and fresh units interleaved
-    // in random order, several per flow.
-    std::vector<bool> retx_now(kFlows, false);
+    // in random order, several per lane.
+    std::vector<bool> retx_now(table.size(), false);
     const int sends = static_cast<int>(uniform(0, 6));
     for (int k = 0; k < sends; ++k) {
-      const auto flow =
-          static_cast<std::int32_t>(uniform(0, kFlows - 1));
-      const auto [src, dst] = endpoints(flow);
+      const auto lane = static_cast<int>(uniform(0, kLanes - 1));
+      const auto [src, dst] = endpoints(lane);
       if (rng.next_double() < 0.5 && ref.has_retx(src, dst)) {
         ASSERT_TRUE(real.has_retx(src, dst));
         const HostTransport::RetxChunk a = real.take_retx(src, dst, now);
@@ -814,13 +939,18 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
         send(a.flow, a.seq, a.bytes, now);
         continue;
       }
-      const Bytes bytes = uniform(1, 1'500);
+      const std::int32_t flow = lane_flow[static_cast<std::size_t>(lane)];
+      Bytes& left = lane_left[static_cast<std::size_t>(lane)];
+      const Bytes bytes = std::min(uniform(1, 1'500), left);
       const std::uint32_t seq = real.on_transmit(flow, src, dst, bytes, now);
       ASSERT_EQ(seq, ref.on_transmit(flow, src, dst, bytes, now));
-      if (retx_now[static_cast<std::size_t>(flow)]) {
+      if (static_cast<std::size_t>(flow) < retx_now.size() &&
+          retx_now[static_cast<std::size_t>(flow)]) {
         ++cov.same_now_retx_then_fresh;
       }
       send(flow, seq, bytes, now);
+      left -= bytes;
+      if (left == 0) start_flow(lane);
     }
     check_state(now);
     if (::testing::Test::HasFatalFailure()) return;
@@ -829,6 +959,15 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
     ++(moved ? cov.genuine_fires : cov.stale_fires);
   }
   cov.abandoned += real.abandoned_units();
+  cov.finished_fires += log_real.finished_fires;
+  // The pool holds exactly the tracked flows; a released flow is done.
+  std::size_t tracked = 0;
+  for (std::size_t flow = 0; flow < table.size(); ++flow) {
+    const auto f = static_cast<std::int32_t>(flow);
+    tracked += real.tracks(f);
+    cov.finished += table.done(f) && !real.tracks(f);
+  }
+  EXPECT_EQ(real.footprint().flows, tracked);
 }
 
 TEST(HostTransport, MatchesThePerEntryInflightReference) {
@@ -845,13 +984,18 @@ TEST(HostTransport, MatchesThePerEntryInflightReference) {
   EXPECT_GT(total.same_now_retx_then_fresh, 0);
   EXPECT_GT(total.spurious, 0);
   EXPECT_GT(total.abandoned, 0);
+  // ... and every path a finished flow's released state takes.
+  EXPECT_GT(total.finished, 0);
+  EXPECT_GT(total.finished_copies, 0);
+  EXPECT_GT(total.finished_fires, 0);
 }
 
 TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
   NetworkConfig cfg = arq_config();
   const Nanos rto = base_rto(cfg);
   EventQueue q;
-  HostTransport t(cfg, &q);
+  const FlowTable flows = open_flows();
+  HostTransport t(cfg, &q, flows);
   t.on_transmit(0, 1, 2, 100, 0);
   t.on_transmit(3, 1, 2, 200, 0);  // same (src, dst) pair
   EXPECT_TRUE(t.on_timer(0, rto));
@@ -863,7 +1007,8 @@ TEST(HostTransport, RetxFifoIsServedInOrderAcrossFlowsOfAPair) {
 
 /// Integration bar (both fabrics): at moderate loss, ARQ re-delivers every
 /// dropped chunk — after a drain period every flow completes, nothing is
-/// abandoned, and the ledger returns to zero unresolved bytes. The
+/// abandoned, the ledger returns to zero unresolved bytes and the
+/// transport holds no flow state. The
 /// conservation auditor is armed throughout (validate_matching).
 void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   constexpr Nanos kArrivals = 200'000;
@@ -900,6 +1045,10 @@ void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   EXPECT_GT(t->rto_fires(), 0);
   EXPECT_EQ(t->abandoned_bytes(), 0);
   EXPECT_EQ(t->unresolved_bytes(), 0) << "drained: nothing left in flight";
+  const HostTransport::Footprint fp = t->footprint();
+  EXPECT_EQ(fp.flows, 0u) << "every flow finished, so no state is held";
+  EXPECT_EQ(fp.units, 0u);
+  EXPECT_EQ(fp.inflight, 0u);
   EXPECT_EQ(rec.retransmitted_bytes(), t->retransmitted_bytes());
   EXPECT_EQ(rec.rto_fires(), t->rto_fires());
   ASSERT_NE(fabric.conservation_auditor(), nullptr);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -136,6 +138,123 @@ TEST(FctRecorder, SummaryMatchesCopyingPercentiles) {
   EXPECT_EQ(s.p50_ns, percentile(fcts, 50.0));
   EXPECT_EQ(s.p99_ns, percentile(fcts, 99.0));
   EXPECT_EQ(s.max_ns, *std::max_element(fcts.begin(), fcts.end()));
+}
+
+/// The summary recipe spelled out: copy the measured FCTs in completion
+/// order, sum the mean in that order, and select each nearest-rank
+/// percentile with nth_element on a copy of its own.
+FctSummary reference_summary(const std::vector<FctSample>& log, Nanos from,
+                             bool mice_only, int group) {
+  std::vector<double> v;
+  for (const FctSample& s : log) {
+    if (s.arrival < from || (mice_only && s.size >= kMiceFlowBytes) ||
+        (group >= 0 && s.group != group)) {
+      continue;
+    }
+    v.push_back(static_cast<double>(s.fct));
+  }
+  FctSummary out;
+  out.count = v.size();
+  if (v.empty()) return out;
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  out.mean_ns = sum / static_cast<double>(v.size());
+  out.max_ns = *std::max_element(v.begin(), v.end());
+  const auto rank = [&v](double p) {
+    std::vector<double> c = v;
+    const double n = static_cast<double>(c.size());
+    const auto k = static_cast<std::size_t>(
+        std::clamp(std::ceil(p / 100.0 * n) - 1.0, 0.0, n - 1.0));
+    std::nth_element(c.begin(), c.begin() + static_cast<std::ptrdiff_t>(k),
+                     c.end());
+    return c[k];
+  };
+  out.p50_ns = rank(50.0);
+  out.p99_ns = rank(99.0);
+  return out;
+}
+
+TEST(FctRecorder, SummariesEqualTheCopyingReferenceBitForBit) {
+  // Randomized completion logs: mice and elephants on both sides of the
+  // mice cut, four groups, arrivals on both sides of a measure_from cut,
+  // FCTs from a small set (ties), completions in random order and some
+  // flows never completing.
+  std::uint64_t x = 0x5eed;
+  const auto next = [&x](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (x >> 33) % bound;
+  };
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    FlowTable table;
+    std::vector<Flow> flows;
+    const std::size_t n = 1 + next(3'000);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Bytes size = next(2) == 0
+                             ? static_cast<Bytes>(kMiceFlowBytes - 2 + next(4))
+                             : static_cast<Bytes>(1 + next(40'000));
+      const Flow f{static_cast<FlowId>(i), 0, 1, size,
+                   static_cast<Nanos>(next(1'000)),
+                   static_cast<int>(next(4))};
+      ASSERT_EQ(table.add(f), static_cast<int>(i));
+      flows.push_back(f);
+    }
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[next(i)]);
+    std::vector<FctSample> log;
+    for (const std::size_t i : order) {
+      if (next(10) == 0) continue;  // never completes
+      const Flow& f = flows[i];
+      const Nanos fct = 1'000 * static_cast<Nanos>(1 + next(50));
+      table.credit(static_cast<int>(i), f.size, f.arrival + fct);
+      log.push_back(FctSample{f.id, f.size, f.arrival, fct, f.group});
+    }
+    const Nanos from = next(2) == 0 ? 0 : static_cast<Nanos>(next(1'000));
+    table.fct().set_measure_from(from);
+    const FctRecorder& rec = table.fct();
+    ASSERT_EQ(rec.completed(), log.size());
+    for (int group = -1; group < 4; ++group) {
+      for (const bool mice : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "group " << group
+                                          << (mice ? " mice" : " all"));
+        const FctSummary want = reference_summary(log, from, mice, group);
+        const FctSummary got =
+            mice ? rec.mice_summary(group) : rec.all_summary(group);
+        EXPECT_EQ(got.count, want.count);
+        EXPECT_EQ(got.mean_ns, want.mean_ns);
+        EXPECT_EQ(got.max_ns, want.max_ns);
+        EXPECT_EQ(got.p50_ns, want.p50_ns);
+        EXPECT_EQ(got.p99_ns, want.p99_ns);
+      }
+      const std::vector<double> fcts = rec.mice_fcts(group);
+      EXPECT_EQ(fcts.size(), reference_summary(log, from, true, group).count);
+      EXPECT_EQ(fcts.capacity(), fcts.size()) << "an exact-size buffer";
+    }
+  }
+}
+
+TEST(FctRecorder, SummaryBufferIsOneExactSizeBlock) {
+  // Summaries and mice_fcts() count the matching completions first and
+  // fill one buffer of exactly that size. 70 000 FCTs take 560 000 B
+  // (35 000 in group 1), where doubling growth would end in a 1 MiB
+  // (512 KiB) block.
+  Completions c;
+  for (int i = 0; i < 70'000; ++i) c.complete(i, 500, 0, 1 + i % 977, i % 2);
+  auto allocated = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return m.uordblks + m.hblkhd;
+  };
+  for (const int group : {-1, 1}) {
+    const std::size_t before = allocated();
+    const std::vector<double> fcts = c.rec.mice_fcts(group);
+    const std::size_t grown = allocated() - before;
+    if (grown == 0) GTEST_SKIP() << "allocator does not report to mallinfo2";
+    ASSERT_EQ(fcts.size(), c.rec.mice_summary(group).count);
+    // One block plus the allocator's header and page rounding.
+    EXPECT_LE(grown, fcts.size() * sizeof(double) + 4'096 + 64)
+        << "group " << group;
+  }
 }
 
 TEST(GoodputMeter, NormalizedGoodput) {
