@@ -101,8 +101,6 @@ class TransportTimerSink final : public EventSink {
   explicit TransportTimerSink(HostTransport* t) : t_(t) {}
   void on_flow_arrival(const FlowArrivalEvent&, Nanos) override {}
   void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
-  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
-                      Nanos) override {}
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
     t_->on_timer(e.flow_index, now);
   }
@@ -170,8 +168,6 @@ class ArrivalCountSink final : public EventSink {
  public:
   void on_flow_arrival(const FlowArrivalEvent&, Nanos) override { ++count; }
   void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
-  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
-                      Nanos) override {}
   void on_transport_timer(const TransportTimerEvent&, Nanos) override {}
   std::int64_t count{0};
 };

@@ -114,8 +114,8 @@ struct PerfRun {
     return wall_seconds > 0 ? static_cast<double>(sim_ns) / wall_seconds
                             : 0.0;
   }
-  /// Logical (per-chunk) events per physical queue pop: the data plane's
-  /// mean batching factor (1.0 means no trains formed).
+  /// Logical (per-chunk) events per physical dispatch: the data plane's
+  /// mean batching factor (1.0 means no relay spans landed).
   double events_per_dispatch() const {
     return dispatches > 0
                ? static_cast<double>(events) / static_cast<double>(dispatches)
@@ -579,7 +579,7 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
   // Scaling: events/sec vs N per system (the asymptotic record). Each row
   // carries its result fingerprint (bit-identity witness at this N for
   // this sim_ns) and the physical dispatch count (events/dispatches = the
-  // chunk-train batching factor).
+  // relay-span batching factor).
   std::fprintf(f, "  \"scaling\": [\n");
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const PerfRun& r = scaling[i];

@@ -11,11 +11,12 @@ Gating:
   - the fresh scaling section must exist, be non-empty, and carry a result
     fingerprint per row;
   - every deterministic integer counter a section records (COUNTERS below:
-    scaling deliveries/delivery_dispatches, storm blackholed_bytes, the
-    control_loss drop and fallback counts, the data_loss drop, corruption,
-    ARQ and completion counts) must equal the committed row's under the
-    fingerprint rule below (same row identity and sim_ns). The counters
-    are simulated output the fingerprints do not hash;
+    scaling dispatches, deliveries and delivery_dispatches, storm
+    blackholed_bytes, the control_loss drop and fallback counts, the
+    data_loss drop, corruption, ARQ and completion counts) must equal the
+    committed row's under the fingerprint rule below (same row identity and
+    sim_ns). The counters are simulated output the fingerprints do not
+    hash;
   - a scaling row's fingerprint must match the committed baseline's row
     when both describe the same run (same system, num_tors AND sim_ns —
     fingerprints hash the simulated output, so they only compare across
@@ -104,7 +105,7 @@ def row_context(r):
 # Deterministic integer counters per section, gated for exact equality
 # against the committed row alongside the fingerprint.
 COUNTERS = {
-    "scaling": ("deliveries", "delivery_dispatches"),
+    "scaling": ("dispatches", "deliveries", "delivery_dispatches"),
     "storm": ("blackholed_bytes",),
     "control_loss": ("control_dropped", "degraded_slots", "fallback_bytes"),
     "data_loss": ("data_dropped_bytes", "data_corrupted_bytes",

@@ -35,33 +35,13 @@ using FlowId = std::int64_t;
 /// topology module.
 enum class LinkDirection { kEgress, kIngress };
 
-/// One relay chunk riding a batched chunk train: a slot's worth of
-/// first-hop relay data travels as one contiguous span of these records
-/// instead of one calendar event per chunk. Each record names its own
-/// intermediate, so a span can carry a whole slot (intermediates
-/// interleaved in scan order) or one (slot, intermediate) group. Lives
-/// here (like LinkDirection) so the event layer can carry train payloads
-/// and the relay queues can ingest spans without the two modules depending
-/// on each other.
-struct RelayTrainChunk {
-  TorId intermediate;
-  TorId final_dst;
-  FlowId flow;
-  Bytes bytes;
-  /// ARQ sequence number (see tor/host_transport.h). 0 when the host
-  /// transport is disabled; seq-carrying chunks are never coalesced or
-  /// split, so each one stays a retransmittable unit end to end.
-  std::uint32_t seq{0};
-};
-
 /// One staged final-destination delivery riding a slot's coalesced
 /// delivery walk: the fabrics dequeue inline (queue state must stay live
 /// for same-slot reads) but park the downstream effects — flow credit, FCT
 /// completion, goodput accounting — as one of these records, then flush the
 /// slot's records through FlowTable::credit_span /
-/// GoodputMeter::record_delivery_span in dequeue order. Lives here (like
-/// RelayTrainChunk) so the engine and stats layers can share spans without
-/// depending on each other.
+/// GoodputMeter::record_delivery_span in dequeue order. Lives here so the
+/// engine and stats layers can share spans without depending on each other.
 struct DeliveryRecord {
   FlowId flow;  // dense FlowTable index
   TorId dst;    // final destination ToR

@@ -37,7 +37,7 @@ struct ConservationLedger {
   Bytes injected{0};       ///< accepted into source ToR queues so far
   Bytes source_queued{0};  ///< fresh bytes still in ToR dest queues
   Bytes relay_parked{0};   ///< bytes parked at intermediates (non-ARQ)
-  Bytes in_transit{0};     ///< bytes inside in-flight chunk trains (non-ARQ)
+  Bytes in_transit{0};     ///< relay bytes on the delay line (non-ARQ)
   Bytes delivered{0};      ///< FlowTable credit total
   Bytes dropped{0};        ///< channel drops (terminal without ARQ)
   Bytes corrupted{0};      ///< channel corruptions (terminal without ARQ)

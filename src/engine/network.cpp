@@ -72,6 +72,16 @@ void FabricSim::audit(std::int64_t epoch) {
   plane_.audit(epoch, queued, parked);
 }
 
+void FabricSim::advance_to(Nanos t) {
+  sim_.advance_to(t);
+  relay_line_.land_until(t, [this](const RelayDelayLine::Chunk& c) {
+    relay_[static_cast<std::size_t>(c.intermediate)].enqueue(
+        c.final_dst, c.flow, c.bytes, c.seq);
+    on_relay_landed(c.intermediate);
+    plane_.on_landed(c.bytes);
+  });
+}
+
 void FabricSim::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
   if (e.fail) {
     links_.fail(e.tor, e.port, e.dir);
@@ -103,9 +113,6 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
       active_sources_(config.num_tors),
       relay_active_(config.num_tors) {
   Rng rng(config_.seed);
-  if (relay_enabled_) {
-    train_build_.resize(static_cast<std::size_t>(config_.num_tors));
-  }
   if (host_plane()) {
     pause_advertised_.assign(static_cast<std::size_t>(config_.num_tors),
                              false);
@@ -191,27 +198,6 @@ void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   }
 }
 
-void NegotiatorFabric::on_relay_train(const RelayTrainEvent& e,
-                                      const RelayTrainChunk* chunks,
-                                      Nanos /*now*/) {
-  NEG_ASSERT(relay_enabled_, "relay train without selective relay");
-  // The scheduled phase ships one train per (slot, intermediate), so a
-  // span is normally a single run; the run loop keeps mixed spans correct
-  // anyway. Each run lands through the relay queue's span ingest.
-  std::uint32_t i = 0;
-  while (i < e.count) {
-    const TorId inter = chunks[i].intermediate;
-    std::uint32_t j = i + 1;
-    while (j < e.count && chunks[j].intermediate == inter) ++j;
-    relay_[static_cast<std::size_t>(inter)].enqueue_span(chunks + i, j - i);
-    relay_active_.insert(inter);
-    i = j;
-  }
-  for (std::uint32_t k = 0; k < e.count; ++k) {
-    plane_.on_landed(chunks[k].bytes);
-  }
-}
-
 void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
                                                  double drop_floor) {
   // Tolerated without a channel (a loss-free fabric simply has no control
@@ -239,11 +225,11 @@ void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
 void NegotiatorFabric::run_until(Nanos t) {
   while (timing_.epoch_start(epoch_) < t) run_epoch();
   // The last epoch may have carried the clock past t already.
-  if (t > sim_.now()) sim_.advance_to(t);
+  if (t > sim_.now()) advance_to(t);
 }
 
 void NegotiatorFabric::run_epoch() {
-  sim_.advance_to(timing_.epoch_start(epoch_));
+  advance_to(timing_.epoch_start(epoch_));
   if (HostPlane* hosts = host_plane()) {
     // Pause bits ride the previous predefined phase's dummy messages; the
     // epoch-start snapshot is what senders know this epoch.
@@ -407,7 +393,7 @@ void NegotiatorFabric::run_predefined_phase() {
 
   for (int slot = 0; slot < timing_.predefined_slots(); ++slot) {
     predef_cursor_ = slot;
-    sim_.advance_to(timing_.predefined_slot_start(epoch_, slot));
+    advance_to(timing_.predefined_slot_start(epoch_, slot));
     const Nanos data_end = timing_.predefined_slot_data_end(epoch_, slot);
     // A slot's link events fired during advance_to, so health is stable
     // within the slot: on an all-up fabric with a quiescent fault plane,
@@ -543,11 +529,11 @@ void NegotiatorFabric::run_scheduled_phase() {
   // across pairs in visit order, relay matches share relay queues, the
   // fallback shares free ports and the host plane shares receive buffers,
   // so each keeps the per-slot walk. So does an epoch in which a link is
-  // down or a link toggle, timer or train fires before the last slot.
+  // down or a link toggle or timer fires before the last slot.
   const int slots = timing_.scheduled_slots();
   if (slots > 0 && !data_channel() && !relay_enabled_ && !host_plane() &&
       !(control_ && config_.control_fault.fallback)) {
-    sim_.advance_to(timing_.scheduled_slot_start(epoch_, 0));
+    advance_to(timing_.scheduled_slot_start(epoch_, 0));
     if (links_.all_up() &&
         sim_.events().next_non_arrival_time() >
             timing_.scheduled_slot_start(epoch_, slots - 1)) {
@@ -612,7 +598,7 @@ void NegotiatorFabric::drain_scheduled_phase() {
   // Dirty pairs follow the clock, so each slot's arrivals land before that
   // slot's draw exactly as in the per-slot walk.
   for (int slot = 0; slot < slots; ++slot) {
-    sim_.advance_to(timing_.scheduled_slot_start(epoch_, slot));
+    advance_to(timing_.scheduled_slot_start(epoch_, slot));
     if (dirty == 0) continue;
     for (const DrainPair& p : drain_pairs_) {
       if (p.dirty) drain_pair(p, slot, slot + 1);
@@ -701,7 +687,7 @@ void NegotiatorFabric::run_scheduled_slots() {
   if (fallback) prepare_fallback_epoch();
 
   for (int slot = 0; slot < timing_.scheduled_slots(); ++slot) {
-    sim_.advance_to(timing_.scheduled_slot_start(epoch_, slot));
+    advance_to(timing_.scheduled_slot_start(epoch_, slot));
     const Nanos arrival = timing_.scheduled_slot_end(epoch_, slot) + prop;
     const bool healthy = links_.all_up();
     std::size_t keep = 0;
@@ -771,14 +757,9 @@ void NegotiatorFabric::run_scheduled_slots() {
               plane_.relay_leg(static_cast<int>(pkt->flow), m.src,
                                m.relay_final_dst, pkt->bytes, sim_.now());
           if (leg.delivered) {
-            // Batched data plane: the chunk joins this slot's train
-            // towards the intermediate m.dst; the train ships once when
-            // the slot closes (same arrival time, same per-chunk order at
-            // the receiver's FIFO as the per-chunk events it replaces).
-            auto& train = train_build_[static_cast<std::size_t>(m.dst)];
-            if (train.empty()) train_touched_.push_back(m.dst);
-            train.push_back(RelayTrainChunk{m.dst, m.relay_final_dst,
-                                            pkt->flow, pkt->bytes, leg.seq});
+            goodput_.record_relay_reception(m.dst, pkt->bytes, arrival);
+            relay_line_.append(RelayDelayLine::Chunk{
+                m.dst, m.relay_final_dst, pkt->flow, pkt->bytes, leg.seq});
           }
         }
       }
@@ -793,18 +774,10 @@ void NegotiatorFabric::run_scheduled_slots() {
       run_fallback_slot();
       ++sched_slot_counter_;
     }
-    // Close the slot: deliveries flush first (the goodput meter books
-    // delivered bytes before relay receptions, matching the per-packet
-    // order the span replaces), then one train event per intermediate.
+    // Close the slot: staged deliveries land as one span, and the slot's
+    // relay chunks leave as one span of the delay line.
     plane_.flush(arrival);
-    for (const TorId inter : train_touched_) {
-      auto& train = train_build_[static_cast<std::size_t>(inter)];
-      goodput_.record_relay_train(inter, train.data(), train.size(), arrival);
-      sim_.events().schedule_relay_train(
-          arrival, train.data(), static_cast<std::uint32_t>(train.size()));
-      train.clear();
-    }
-    train_touched_.clear();
+    relay_line_.close_span(arrival);
   }
   in_scheduled_phase_ = false;
 }

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/config.h"
 #include "common/types.h"
 #include "core/control_channel.h"
@@ -19,6 +20,7 @@
 #include "core/matching_validator.h"
 #include "core/negotiator_scheduler.h"
 #include "engine/delivery_plane.h"
+#include "sim/relay_delay_line.h"
 #include "sim/simulation.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
@@ -65,16 +67,18 @@ class FabricSim : private EventSink {
   /// counts twice; the overlap is harmless for a drain signal.)
   Bytes total_backlog() const;
 
-  /// Logical (per-chunk) events executed by the simulation clock so far
-  /// (perf accounting for bench_perf_engine; representation-independent,
-  /// so it survives event-batching refactors).
-  std::uint64_t events_executed() const { return sim_.events().executed(); }
+  /// Logical events executed so far (perf accounting for
+  /// bench_perf_engine): every event the queue ran plus every relay chunk
+  /// that landed.
+  std::uint64_t events_executed() const {
+    return sim_.events().executed() + relay_line_.landed_chunks();
+  }
 
-  /// Physical queue pops behind events_executed(): one batched chunk
-  /// train counts once here but per chunk above, so executed/dispatched
-  /// is the data plane's mean batching factor.
+  /// Physical dispatches behind events_executed(): one per event the
+  /// queue ran and one per landed relay span, so executed/dispatched is
+  /// the data plane's mean batching factor.
   std::uint64_t events_dispatched() const {
-    return sim_.events().dispatched();
+    return sim_.events().executed() + relay_line_.landed_spans();
   }
 
   /// Final-destination packet deliveries that rode a coalesced per-slot
@@ -156,6 +160,16 @@ class FabricSim : private EventSink {
   /// armed.
   void audit(std::int64_t epoch);
 
+  /// Advances the clock to `t`: fires every event due by `t`, then lands
+  /// every relay span due by `t` at its intermediate's relay queues. No
+  /// event handler reads relay state, and the slot walks read it only
+  /// after advancing, so the two orders are indistinguishable.
+  void advance_to(Nanos t);
+
+  /// Marks `intermediate` as holding parked relay bytes after a chunk
+  /// landed there.
+  virtual void on_relay_landed(TorId intermediate) = 0;
+
   // EventSink: link toggles act the same on both fabrics.
   void on_link_toggle(const LinkToggleEvent& e, Nanos now) final;
 
@@ -164,6 +178,9 @@ class FabricSim : private EventSink {
   std::unique_ptr<FlatTopology> topo_;
   std::vector<TorSwitch> tors_;
   std::vector<RelayQueueSet> relay_;  // empty unless the fabric relays
+  /// First-hop relay chunks in flight; the slot walks append and close one
+  /// span per slot, advance_to() lands them.
+  RelayDelayLine relay_line_;
   GoodputMeter goodput_;
   LinkState links_;
   DeliveryPlane plane_;
@@ -229,9 +246,11 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
  private:
   // EventSink: typed events scheduled on the simulation clock.
   void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override;
-  void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
-                      Nanos now) override;
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;
+  void on_relay_landed(TorId intermediate) override {
+    NEG_ASSERT(relay_enabled_, "relay chunk without selective relay");
+    relay_active_.insert(intermediate);
+  }
 
   void run_epoch();
   void run_predefined_phase();
@@ -369,8 +388,8 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   //
   // The matching is fixed for the whole phase, so when nothing couples one
   // (src, dst) pair to another — no data channel, ARQ, relay, fallback or
-  // host plane; every link up at slot 0; no link toggle, timer or train
-  // due before the last slot starts — each pair is served for the whole
+  // host plane; every link up at slot 0; no link toggle or timer due
+  // before the last slot starts — each pair is served for the whole
   // phase in one pass, drawing whole runs of packets per queue segment
   // (TorSwitch::take_run). A pair with m matches moves up to m packets per
   // slot: packet j rides slot j / m on member j % m (members in ascending
@@ -415,14 +434,6 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   /// Dirty sets of ToRs with pending direct data / parked relay bytes.
   ActiveSet active_sources_;
   ActiveSet relay_active_;
-
-  /// Per-slot chunk-train assembly for the selective-relay variant: the
-  /// scheduled phase's first-hop relay chunks accumulate per intermediate
-  /// (in match-visit order) and leave as one RelayTrainEvent per
-  /// (slot, intermediate) when the slot closes. Empty unless
-  /// relay_enabled_.
-  std::vector<std::vector<RelayTrainChunk>> train_build_;  // [intermediate]
-  std::vector<TorId> train_touched_;
 
   // --- Lossy control plane (core/control_channel.h) ---
   //

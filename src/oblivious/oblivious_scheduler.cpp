@@ -44,22 +44,6 @@ void ObliviousFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   plane_.on_inject(f.size);
 }
 
-void ObliviousFabric::on_relay_train(const RelayTrainEvent& e,
-                                     const RelayTrainChunk* chunks,
-                                     Nanos /*now*/) {
-  // A slot train interleaves intermediates (chunks ride in the slot's
-  // (src, port) scan order), so the unpack is per chunk. Per-chunk FIFO
-  // order at every intermediate is the train's order, which is the order
-  // the slot spread the chunks in.
-  for (std::uint32_t i = 0; i < e.count; ++i) {
-    const RelayTrainChunk& c = chunks[i];
-    relay_[static_cast<std::size_t>(c.intermediate)].enqueue(
-        c.final_dst, c.flow, c.bytes, c.seq);
-    busy_.insert(c.intermediate);
-    plane_.on_landed(c.bytes);
-  }
-}
-
 void ObliviousFabric::on_transport_timer(const TransportTimerEvent& e,
                                          Nanos now) {
   if (plane_.on_timer(e.flow_index, now)) {
@@ -89,7 +73,7 @@ TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
 }
 
 void ObliviousFabric::run_slot(std::int64_t global_slot) {
-  sim_.advance_to(rotor_.slot_start(global_slot));
+  advance_to(rotor_.slot_start(global_slot));
   plane_.begin_epoch(sim_.now());
   const Bytes payload = config_.scheduled_payload_bytes();
   const Nanos arrival = rotor_.slot_end(global_slot) +
@@ -101,7 +85,7 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
   // Snapshot the dirty set: sources can go quiet mid-slot (queues drain),
   // and a conn of an already-quiet source replicates the dense scan's
   // no-op exactly. Nothing can *join* mid-slot — arrivals fired during
-  // advance_to, and handoffs land after the slot ends. Ascending order ==
+  // advance_to, and relay chunks land after the slot ends. Ascending order ==
   // the dense scan's (src, port) order restricted to the busy subset.
   busy_scratch_.assign(busy_.begin(), busy_.end());
   const SlotConn* const slot_base =
@@ -168,24 +152,18 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
             static_cast<int>(pkt->flow), s, d, pkt->bytes, sim_.now());
         if (leg.delivered) {
           goodput_.record_relay_reception(m, pkt->bytes, arrival);
-          // Batched data plane: the chunk rides this slot's train instead
-          // of becoming its own calendar event — appended straight into
-          // the event queue's arena (zero staging), in the scan order the
-          // per-chunk events used to fire in.
-          sim_.events().append_train_chunk(
-              RelayTrainChunk{m, d, pkt->flow, pkt->bytes, leg.seq});
+          relay_line_.append(
+              RelayDelayLine::Chunk{m, d, pkt->flow, pkt->bytes, leg.seq});
         }
       }
     }
     update_busy(s);
   }
-  // Close the slot: staged deliveries land as one span (deliveries book
-  // before the train's relay receptions unpack — separate accumulators,
-  // shared timestamp, so sums are unchanged), then everything appended
-  // above leaves as one train event at the shared arrival time (a no-op
-  // when nothing spread this slot).
+  // Close the slot: staged deliveries land as one span, and the slot's
+  // relay chunks leave as one span of the delay line (a no-op when nothing
+  // spread this slot).
   plane_.flush(arrival);
-  sim_.events().commit_train(arrival);
+  relay_line_.close_span(arrival);
   // Cycle boundary == the oblivious fabric's audit epoch boundary.
   if (slot == rotor_.cycle_slots() - 1) {
     audit(global_slot / rotor_.cycle_slots());
@@ -197,7 +175,7 @@ void ObliviousFabric::run_until(Nanos t) {
     run_slot(next_slot_);
     ++next_slot_;
   }
-  if (t > sim_.now()) sim_.advance_to(t);
+  if (t > sim_.now()) advance_to(t);
 }
 
 }  // namespace negotiator

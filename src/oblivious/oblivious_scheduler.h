@@ -39,9 +39,10 @@ class ObliviousFabric final : public FabricSim {
  private:
   // EventSink: typed events scheduled on the simulation clock.
   void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) override;
-  void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
-                      Nanos now) override;
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override;
+  void on_relay_landed(TorId intermediate) override {
+    busy_.insert(intermediate);
+  }
 
   /// One rotor slot. Rotor slots are this fabric's epochs for the delivery
   /// plane, and a rotor cycle is its audit epoch.

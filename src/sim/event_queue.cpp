@@ -256,42 +256,6 @@ void EventQueue::schedule_transport_timer(Nanos when,
   push_calendar_or_heap(when, Kind::kTransportTimer, payload);
 }
 
-void EventQueue::grow_arena() {
-  const std::size_t old_cap = train_arena_.size();
-  const std::size_t cap = old_cap == 0 ? 1024 : old_cap * 2;
-  std::vector<RelayTrainChunk> bigger(cap);
-  for (std::uint64_t i = arena_head_; i != arena_tail_; ++i) {
-    bigger[i & (cap - 1)] = train_arena_[i & (old_cap - 1)];
-  }
-  train_arena_ = std::move(bigger);
-}
-
-void EventQueue::schedule_relay_train(Nanos when,
-                                      const RelayTrainChunk* chunks,
-                                      std::uint32_t count) {
-  NEG_ASSERT(open_train_start_ == arena_tail_,
-             "schedule_relay_train while a train is being assembled");
-  NEG_ASSERT(count > 0, "a train carries at least one chunk");
-  for (std::uint32_t i = 0; i < count; ++i) append_train_chunk(chunks[i]);
-  open_train_start_ = arena_tail_;
-  schedule_train_span(when, arena_tail_ - count, count);
-}
-
-void EventQueue::commit_train(Nanos when) {
-  const std::uint64_t start = open_train_start_;
-  const std::uint64_t count = arena_tail_ - start;
-  if (count == 0) return;  // nothing appended since the last commit
-  open_train_start_ = arena_tail_;
-  schedule_train_span(when, start, static_cast<std::uint32_t>(count));
-}
-
-void EventQueue::schedule_train_span(Nanos when, std::uint64_t offset,
-                                     std::uint32_t count) {
-  Payload payload;
-  payload.train = RelayTrainEvent{offset, count};
-  push_calendar_or_heap(when, Kind::kRelayTrain, payload);
-}
-
 Nanos EventQueue::next_non_arrival_time() const {
   Nanos best = kNeverNs;
   if (!heap_.empty()) best = heap_.front().when;
@@ -314,53 +278,10 @@ void EventQueue::dispatch(const Item& item) {
       ++executed_;
       sink_->on_link_toggle(item.payload.link, item.when);
       break;
-    case Kind::kRelayTrain:
-      dispatch_train(item.payload.train, item.when);
-      break;
     case Kind::kTransportTimer:
       ++executed_;
       sink_->on_transport_timer(item.payload.timer, item.when);
       break;
-  }
-}
-
-void EventQueue::dispatch_train(const RelayTrainEvent& e, Nanos when) {
-  // One executed count per carried chunk: the train is representation,
-  // not behaviour (see executed()).
-  executed_ += e.count;
-  // Copy the span out before freeing: the sink may schedule new trains
-  // mid-callback, which can grow (re-lay-out) or recycle the ring. The
-  // span may also wrap the ring, which the copy flattens.
-  train_scratch_.resize(e.count);
-  const std::size_t mask = train_arena_.size() - 1;
-  for (std::uint32_t i = 0; i < e.count; ++i) {
-    train_scratch_[i] = train_arena_[(e.offset + i) & mask];
-  }
-  free_train_span(e.offset, e.count);
-  sink_->on_relay_train(e, train_scratch_.data(), when);
-}
-
-void EventQueue::free_train_span(std::uint64_t offset, std::uint32_t count) {
-  if (offset != arena_head_) {
-    // Dispatched ahead of an older pending span: defer until the head
-    // catches up (rare — only out-of-time-order train schedules do this).
-    arena_deferred_.emplace_back(offset, count);
-    return;
-  }
-  arena_head_ += count;
-  // Absorb any deferred spans now contiguous with the head.
-  bool advanced = true;
-  while (advanced && !arena_deferred_.empty()) {
-    advanced = false;
-    for (std::size_t i = 0; i < arena_deferred_.size(); ++i) {
-      if (arena_deferred_[i].first == arena_head_) {
-        arena_head_ += arena_deferred_[i].second;
-        arena_deferred_[i] = arena_deferred_.back();
-        arena_deferred_.pop_back();
-        advanced = true;
-        break;
-      }
-    }
   }
 }
 
@@ -400,7 +321,6 @@ int EventQueue::earliest_tier(Nanos& when_out) {
 }
 
 void EventQueue::run_tier(int tier) {
-  ++dispatched_;
   // Copy the entry out before dispatch: the sink may schedule new events,
   // which can recycle the tier's storage.
   if (tier == 1) {
@@ -436,10 +356,6 @@ void EventQueue::clear() {
   heap_.clear();
   arrivals_.clear();
   calendar_.clear();
-  arena_head_ = 0;
-  arena_tail_ = 0;
-  open_train_start_ = 0;
-  arena_deferred_.clear();  // ring storage is kept, like the calendar's
 }
 
 }  // namespace negotiator

@@ -20,25 +20,19 @@
 //    concatenated or multi-call trace stays out of the heap. Consumed
 //    entries are handed back to the OS as the cursor advances, so the
 //    stream holds memory for pending arrivals, not admitted history.
-//  - Heap: link toggles, plus any train or timer beyond the calendar
-//    horizon. Heap and calendar entries share one tagged-union record
-//    (Item).
-//  - Calendar: relay chunk trains and ARQ retransmission timers land in a
-//    ring of fixed-width time buckets covering a bounded horizon ahead of
-//    the queue's cursor. The common push is an append into a recycled
-//    bucket and the common pop is a cursor bump — both O(1), with bounded
-//    memory.
+//  - Heap: link toggles, plus any timer beyond the calendar horizon. Heap
+//    and calendar entries share one tagged-union record (Item).
+//  - Calendar: ARQ retransmission timers land in a ring of fixed-width
+//    time buckets covering a bounded horizon ahead of the queue's cursor.
+//    The common push is an append into a recycled bucket and the common
+//    pop is a cursor bump — both O(1), with bounded memory.
 //
-// A chunk *train* collapses a whole slot's relay traffic into a single
-// calendar entry: the chunks live as a contiguous span in a recycled arena
-// and the receiver unpacks them in one on_relay_train callback. The train
-// fires at the same (when, seq) position a per-chunk stream would, and
-// executed() still advances per chunk.
+// Relay chunks in flight are not events: they land through the fabric's
+// relay delay line (sim/relay_delay_line.h).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -65,25 +59,11 @@ struct TransportTimerEvent {
   std::int32_t flow_index;
 };
 
-/// A chunk *train*: a batch of relay chunks (typically one whole slot's
-/// worth, each chunk naming its own intermediate) travelling as a single
-/// calendar event. `offset`/`count` address a contiguous span in the
-/// queue's train arena; sinks receive the resolved span pointer alongside
-/// the event and never touch the arena directly.
-struct RelayTrainEvent {
-  std::uint64_t offset;  // absolute chunk index into the train arena ring
-  std::uint32_t count;
-};
-
 /// Receiver of typed events; implemented by the fabric engines.
 class EventSink {
  public:
   virtual void on_flow_arrival(const FlowArrivalEvent& e, Nanos now) = 0;
   virtual void on_link_toggle(const LinkToggleEvent& e, Nanos now) = 0;
-  /// One batched train of relay chunks (span order == schedule order).
-  /// `chunks` points at e.count records valid for the duration of the call.
-  virtual void on_relay_train(const RelayTrainEvent& e,
-                              const RelayTrainChunk* chunks, Nanos now) = 0;
   /// ARQ retransmission timer expiry.
   virtual void on_transport_timer(const TransportTimerEvent& e,
                                   Nanos now) = 0;
@@ -98,14 +78,14 @@ class EventQueue {
   /// fires.
   void set_sink(EventSink* sink) { sink_ = sink; }
 
-  /// Batch admission of flow arrivals, mirroring the train assembly
-  /// below: append_flow_arrival() stages arrivals in schedule order (each
-  /// takes the next seq) and commit_flow_arrivals() files everything
-  /// appended since the last commit — sorted stably by time, then merged
-  /// into the pending arrivals. Staged arrivals are invisible until the
-  /// commit. Pops stay in (when, seq) order, exactly as if each arrival
-  /// had been scheduled on its own. `flow_index` must exceed that of every
-  /// arrival still stored (pending or staged): the seq is derived from it.
+  /// Batch admission of flow arrivals: append_flow_arrival() stages
+  /// arrivals in schedule order (each takes the next seq) and
+  /// commit_flow_arrivals() files everything appended since the last
+  /// commit — sorted stably by time, then merged into the pending
+  /// arrivals. Staged arrivals are invisible until the commit. Pops stay
+  /// in (when, seq) order, exactly as if each arrival had been scheduled
+  /// on its own. `flow_index` must exceed that of every arrival still
+  /// stored (pending or staged): the seq is derived from it.
   void append_flow_arrival(Nanos when, std::int32_t flow_index);
   void commit_flow_arrivals();
   /// Makes room for `n` more arrivals ahead of a batch; the first
@@ -113,31 +93,10 @@ class EventQueue {
   void reserve_flow_arrivals(std::size_t n);
   /// Link toggles take the heap.
   void schedule_link_toggle(Nanos when, const LinkToggleEvent& e);
-  /// ARQ retransmission timers ride the calendar tier like trains; a
-  /// timer beyond the horizon (backoff pushes deadlines far out) falls
-  /// back to a heap entry with identical observable order.
+  /// ARQ retransmission timers ride the calendar tier; a timer beyond the
+  /// horizon (backoff pushes deadlines far out) falls back to a heap entry
+  /// with identical observable order.
   void schedule_transport_timer(Nanos when, const TransportTimerEvent& e);
-
-  /// Schedules one chunk train: the `count` chunks are copied into the
-  /// queue's train arena and delivered to the sink as one contiguous span
-  /// via on_relay_train. One calendar entry (one seq) regardless of train
-  /// length; executed() still advances by `count`, so per-chunk accounting
-  /// is representation-independent.
-  void schedule_relay_train(Nanos when, const RelayTrainChunk* chunks,
-                            std::uint32_t count);
-
-  /// Zero-copy train assembly for the hot path: append_train_chunk()
-  /// stages chunks directly in the arena (no fabric-side staging buffer)
-  /// and commit_train() turns everything appended since the last commit
-  /// into one scheduled train — a no-op when nothing was appended. The
-  /// oblivious fabric appends per spread decision and commits once per
-  /// rotor slot.
-  void append_train_chunk(const RelayTrainChunk& c) {
-    if (arena_tail_ - arena_head_ == train_arena_.size()) grow_arena();
-    train_arena_[arena_tail_ & (train_arena_.size() - 1)] = c;
-    ++arena_tail_;
-  }
-  void commit_train(Nanos when);
 
   bool empty() const {
     return heap_.empty() && arrivals_.drained() && calendar_.empty();
@@ -149,9 +108,8 @@ class EventQueue {
   /// Timestamp of the earliest pending event; kNeverNs when empty.
   Nanos next_time() const;
 
-  /// Timestamp of the earliest pending link toggle, ARQ timer or relay
-  /// train — every event but a flow arrival; kNeverNs when none is
-  /// pending.
+  /// Timestamp of the earliest pending link toggle or ARQ timer — every
+  /// event but a flow arrival; kNeverNs when none is pending.
   Nanos next_non_arrival_time() const;
 
   /// Read-only peek at the committed pending flow arrivals: calls
@@ -173,17 +131,8 @@ class EventQueue {
   /// Drops all pending events.
   void clear();
 
-  /// Logical events executed so far (perf accounting). Counts *simulated
-  /// per-chunk work*, independent of event representation: a chunk train
-  /// of k chunks advances this by k, exactly like the k per-chunk events
-  /// it replaces — so fixed-seed fingerprints that include this counter
-  /// survive the batching refactor.
+  /// Events executed so far (perf accounting).
   std::uint64_t executed() const { return executed_; }
-
-  /// Queue pops (calendar/stream/heap dispatches) so far. With chunk
-  /// trains this is the *physical* event count; executed() / dispatched()
-  /// is the mean batching factor.
-  std::uint64_t dispatched() const { return dispatched_; }
 
   /// Entries in the heap tier (exposed for the admission tests: flow
   /// arrivals never land there).
@@ -208,13 +157,11 @@ class EventQueue {
  private:
   enum class Kind : std::uint8_t {
     kLinkToggle,
-    kRelayTrain,
     kTransportTimer,
   };
 
   union Payload {
     LinkToggleEvent link;
-    RelayTrainEvent train;
     TransportTimerEvent timer;
     Payload() : timer{0} {}
   };
@@ -360,14 +307,6 @@ class EventQueue {
   /// tiers by (when, seq).
   void push_calendar_or_heap(Nanos when, Kind kind, const Payload& payload);
   void dispatch(const Item& item);
-  void dispatch_train(const RelayTrainEvent& e, Nanos when);
-  /// Schedules an already-arena-resident span as one train event.
-  void schedule_train_span(Nanos when, std::uint64_t offset,
-                           std::uint32_t count);
-  /// Returns the span's chunks to the arena ring (advances the head).
-  void free_train_span(std::uint64_t offset, std::uint32_t count);
-  /// Doubles the arena ring, re-laying live chunks out by absolute index.
-  void grow_arena();
   /// Tier (0 = heap, 1 = arrivals, 2 = calendar) holding the globally
   /// earliest (when, seq) event; requires !empty().
   int earliest_tier(Nanos& when_out);
@@ -376,28 +315,10 @@ class EventQueue {
 
   std::vector<Item> heap_;  // binary heap ordered by heap_later
   Stream arrivals_;         // flow arrivals, sorted at admission
-  Calendar calendar_;       // relay trains and transport timers (ring)
+  Calendar calendar_;       // transport timers (ring)
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
-  std::uint64_t dispatched_{0};
 
-  /// The train arena: chunk spans of pending RelayTrainEvents, appended at
-  /// schedule time, freed at dispatch. A power-of-two ring addressed by
-  /// *absolute* chunk indices (head/tail grow monotonically; position =
-  /// index & mask), because spans stay in flight for a propagation delay —
-  /// many slots — so a linear buffer could never recycle. Trains fire in
-  /// (when, seq) order while fabrics append with non-decreasing `when`, so
-  /// frees are FIFO in practice and the ring's footprint settles at one
-  /// propagation delay's worth of chunks. Out-of-append-order dispatches
-  /// (possible through the public API) park on a deferred-free list until
-  /// the head catches up, trading a little memory for unconditional
-  /// correctness.
-  std::vector<RelayTrainChunk> train_arena_;
-  std::uint64_t arena_head_{0};       // absolute index of oldest live chunk
-  std::uint64_t arena_tail_{0};       // absolute index one past the newest
-  std::uint64_t open_train_start_{0};  // where the assembling train begins
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> arena_deferred_;
-  std::vector<RelayTrainChunk> train_scratch_;  // dispatch-time span copy
   EventSink* sink_{nullptr};
 
  public:

@@ -68,17 +68,6 @@ class GoodputMeter {
     }
   }
 
-  /// Span form of record_relay_reception for one assembled chunk train:
-  /// every chunk shares the train's reception time, so the meter ingests
-  /// the span as a single byte total (identical arithmetic to n per-chunk
-  /// calls — same measure-interval check, same window bucket).
-  void record_relay_train(TorId intermediate, const RelayTrainChunk* chunks,
-                          std::size_t n, Nanos when) {
-    Bytes total = 0;
-    for (std::size_t i = 0; i < n; ++i) total += chunks[i].bytes;
-    record_relay_reception(intermediate, total, when);
-  }
-
   void set_measure_interval(Nanos from, Nanos to);
 
   Bytes delivered_bytes() const { return delivered_; }

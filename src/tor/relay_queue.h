@@ -60,15 +60,6 @@ class RelayQueueSet {
     total_bytes_ += bytes;
   }
 
-  /// Ingests one chunk train: `n` chunks, each bound for its own final
-  /// destination, enqueued in order.
-  void enqueue_span(const RelayTrainChunk* chunks, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      enqueue(chunks[i].final_dst, chunks[i].flow, chunks[i].bytes,
-              chunks[i].seq);
-    }
-  }
-
   /// At most `max_payload` bytes of one flow bound for `final_dst`.
   /// Inline: called once per second-hop packet.
   std::optional<RelayChunk> dequeue_packet(TorId final_dst,

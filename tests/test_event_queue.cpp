@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/relay_delay_line.h"
 #include "sim/simulation.h"
 
 namespace negotiator {
@@ -22,7 +23,7 @@ namespace {
 class RecordingSink : public EventSink {
  public:
   struct Fired {
-    char kind;  // 'f'low, 'l'ink, 't'rain chunk, 'x' transport timer
+    char kind;  // 'f'low, 'l'ink, 'x' transport timer
     std::int64_t tag;
     Nanos when;
   };
@@ -33,21 +34,11 @@ class RecordingSink : public EventSink {
   void on_link_toggle(const LinkToggleEvent& e, Nanos now) override {
     fired.push_back(Fired{'l', e.tor, now});
   }
-  void on_relay_train(const RelayTrainEvent& e, const RelayTrainChunk* chunks,
-                      Nanos now) override {
-    for (std::uint32_t i = 0; i < e.count; ++i) {
-      fired.push_back(Fired{'t', chunks[i].flow, now});
-      train_chunks.push_back(chunks[i]);
-    }
-    train_sizes.push_back(e.count);
-  }
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
     fired.push_back(Fired{'x', e.flow_index, now});
   }
 
   std::vector<Fired> fired;
-  std::vector<RelayTrainChunk> train_chunks;
-  std::vector<std::uint32_t> train_sizes;
 };
 
 /// A link toggle tagged `tag` (the heap tier; the tag rides in `tor`).
@@ -672,81 +663,8 @@ TEST(EventQueue, CalendarRecyclesBucketsAcrossManyHorizons) {
   }
 }
 
-TEST(EventQueue, TrainCarriesChunksInAppendOrder) {
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  q.append_train_chunk(RelayTrainChunk{3, 7, 100, 1'000});
-  q.append_train_chunk(RelayTrainChunk{5, 2, 101, 2'000});
-  q.append_train_chunk(RelayTrainChunk{3, 8, 102, 3'000});
-  q.commit_train(40);
-  EXPECT_EQ(q.size(), 1u) << "a train is one pending event";
-  q.run_until(100);
-  ASSERT_EQ(sink.train_chunks.size(), 3u);
-  EXPECT_EQ(sink.train_chunks[0].intermediate, 3);
-  EXPECT_EQ(sink.train_chunks[0].final_dst, 7);
-  EXPECT_EQ(sink.train_chunks[0].flow, 100);
-  EXPECT_EQ(sink.train_chunks[0].bytes, 1'000);
-  EXPECT_EQ(sink.train_chunks[1].flow, 101);
-  EXPECT_EQ(sink.train_chunks[2].flow, 102);
-  ASSERT_EQ(sink.train_sizes, (std::vector<std::uint32_t>{3}));
-  EXPECT_EQ(sink.fired[0].when, 40);
-}
-
-TEST(EventQueue, CommitWithNothingAppendedIsANoOp) {
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  q.commit_train(10);
-  EXPECT_TRUE(q.empty());
-  q.append_train_chunk(RelayTrainChunk{0, 1, 1, 1});
-  q.commit_train(10);
-  q.commit_train(11);  // nothing new since the last commit
-  EXPECT_EQ(q.size(), 1u);
-  q.run_until(20);
-  EXPECT_EQ(sink.train_sizes, (std::vector<std::uint32_t>{1}));
-}
-
-TEST(EventQueue, TrainsInterleaveWithOtherTiersByScheduleOrder) {
-  // Ties at one timestamp fire in schedule order whatever the tier — a
-  // train takes its (single) seq at commit time.
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  schedule_arrival(q, 5, 100);
-  q.append_train_chunk(RelayTrainChunk{0, 1, 101, 1});
-  q.append_train_chunk(RelayTrainChunk{0, 2, 102, 1});
-  q.commit_train(5);
-  q.schedule_transport_timer(5, timer(103));
-  q.run_until(5);
-  ASSERT_EQ(sink.fired.size(), 4u);
-  EXPECT_EQ(sink.fired[0].tag, 100);
-  EXPECT_EQ(sink.fired[1].tag, 101);  // the train fires as one unit...
-  EXPECT_EQ(sink.fired[2].tag, 102);
-  EXPECT_EQ(sink.fired[3].tag, 103);  // ...before later schedules
-}
-
-TEST(EventQueue, TrainBeyondHorizonFallsBackToHeap) {
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  // Pin the calendar window near t=0, then commit a train far beyond it.
-  q.schedule_transport_timer(10, timer(1));
-  q.append_train_chunk(RelayTrainChunk{0, 1, 2, 1});
-  q.commit_train(10 + 2 * kHorizon);
-  q.schedule_transport_timer(20, timer(3));
-  q.run_until(kNeverNs - 1);
-  ASSERT_EQ(sink.fired.size(), 3u);
-  EXPECT_EQ(sink.fired[0].tag, 1);
-  EXPECT_EQ(sink.fired[1].tag, 3);
-  EXPECT_EQ(sink.fired[2].tag, 2);
-  EXPECT_EQ(sink.fired[2].when, 10 + 2 * kHorizon);
-}
-
 TEST(EventQueue, TransportTimersCarryTheirPayloadAndInterleave) {
-  // Retransmit timers ride the calendar like trains and share the global
+  // Retransmit timers ride the calendar and share the global
   // (timestamp, schedule order) tie-break with every other tier.
   EventQueue q;
   RecordingSink sink;
@@ -849,112 +767,6 @@ TEST(EventQueue, TransportTimerHorizonFallbackIsDeterministic) {
   EXPECT_EQ(runs[0], runs[1]);
 }
 
-TEST(EventQueue, ScheduleRelayTrainCopiesTheSpan) {
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  std::vector<RelayTrainChunk> chunks = {RelayTrainChunk{4, 1, 7, 100},
-                                         RelayTrainChunk{4, 2, 8, 200}};
-  q.schedule_relay_train(30, chunks.data(),
-                         static_cast<std::uint32_t>(chunks.size()));
-  chunks.clear();  // the queue must not alias caller storage
-  chunks.shrink_to_fit();
-  q.run_until(30);
-  ASSERT_EQ(sink.train_chunks.size(), 2u);
-  EXPECT_EQ(sink.train_chunks[0].flow, 7);
-  EXPECT_EQ(sink.train_chunks[1].bytes, 200);
-}
-
-TEST(EventQueue, OutOfOrderTrainsFireByTimestampAndRecycleTheArena) {
-  // Committing a later train with an *earlier* timestamp exercises the
-  // deferred-free path: the early train dispatches first, its span is
-  // parked until the older span frees, and the ring keeps recycling
-  // correctly afterwards (verified by pushing many post-recovery trains).
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  q.append_train_chunk(RelayTrainChunk{0, 1, 1, 1});
-  q.append_train_chunk(RelayTrainChunk{0, 1, 2, 1});
-  q.commit_train(100);
-  q.append_train_chunk(RelayTrainChunk{0, 1, 3, 1});
-  q.commit_train(50);  // earlier than the pending train
-  q.run_until(200);
-  ASSERT_EQ(sink.fired.size(), 3u);
-  EXPECT_EQ(sink.fired[0].tag, 3);
-  EXPECT_EQ(sink.fired[1].tag, 1);
-  EXPECT_EQ(sink.fired[2].tag, 2);
-  // Long periodic stream afterwards: counts and order must stay exact.
-  std::int64_t id = 10;
-  Nanos now = 200;
-  for (int slot = 0; slot < 4000; ++slot) {
-    for (int k = 0; k < 3; ++k) {
-      q.append_train_chunk(RelayTrainChunk{0, 1, id++, 1});
-    }
-    q.commit_train(now + 2'000);
-    now += 500;
-    q.run_until(now);
-  }
-  q.run_until(kNeverNs - 1);
-  ASSERT_EQ(sink.fired.size(), 3u + 12'000u);
-  for (std::size_t i = 4; i < sink.fired.size(); ++i) {
-    ASSERT_TRUE(sink.fired[i - 1].when < sink.fired[i].when ||
-                (sink.fired[i - 1].when == sink.fired[i].when &&
-                 sink.fired[i - 1].tag < sink.fired[i].tag))
-        << "position " << i;
-  }
-}
-
-TEST(EventQueue, TrainArenaGrowsWhileWrapped) {
-  // Force ring growth with live wrapped spans: many pending trains, then
-  // a burst larger than the initial capacity.
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  std::int64_t id = 0;
-  for (int t = 0; t < 40; ++t) {
-    for (int k = 0; k < 100; ++k) {
-      q.append_train_chunk(RelayTrainChunk{0, 1, id++, 1});
-    }
-    q.commit_train(10 + t);
-  }
-  q.run_until(kNeverNs - 1);
-  ASSERT_EQ(sink.train_chunks.size(), 4'000u);
-  for (std::int64_t i = 0; i < 4'000; ++i) {
-    ASSERT_EQ(sink.train_chunks[static_cast<std::size_t>(i)].flow, i);
-  }
-}
-
-TEST(EventQueue, ExecutedCountsPerChunkDispatchedPerTrain) {
-  // The bit-identity contract: executed() is per-chunk (representation-
-  // independent), dispatched() is per queue pop.
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  q.append_train_chunk(RelayTrainChunk{0, 1, 1, 1});
-  q.append_train_chunk(RelayTrainChunk{0, 1, 2, 1});
-  q.append_train_chunk(RelayTrainChunk{0, 1, 3, 1});
-  q.commit_train(5);
-  schedule_arrival(q, 6, 9);
-  q.run_until(10);
-  EXPECT_EQ(q.executed(), 4u);
-  EXPECT_EQ(q.dispatched(), 2u);
-}
-
-TEST(EventQueue, ClearDropsPendingTrains) {
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  q.append_train_chunk(RelayTrainChunk{0, 1, 1, 1});
-  q.commit_train(5);
-  q.append_train_chunk(RelayTrainChunk{0, 1, 2, 1});  // still open
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  q.commit_train(7);  // the open chunk was dropped by clear too
-  EXPECT_TRUE(q.empty());
-  q.run_until(100);
-  EXPECT_TRUE(sink.fired.empty());
-}
-
 TEST(EventQueue, ExecutedCounterCountsEveryTier) {
   EventQueue q;
   RecordingSink sink;
@@ -965,6 +777,110 @@ TEST(EventQueue, ExecutedCounterCountsEveryTier) {
   EXPECT_EQ(q.executed(), 0u);
   q.run_until(10);
   EXPECT_EQ(q.executed(), 3u);
+}
+
+/// Lands every span of `line` due by `t` and returns the landed chunks'
+/// flow ids, in landing order.
+std::vector<FlowId> land(RelayDelayLine& line, Nanos t) {
+  std::vector<FlowId> out;
+  line.land_until(t, [&](const RelayDelayLine::Chunk& c) {
+    out.push_back(c.flow);
+  });
+  return out;
+}
+
+TEST(RelayDelayLine, SpansLandInAppendOrder) {
+  RelayDelayLine line;
+  line.append(RelayDelayLine::Chunk{3, 7, 100, 1'000, 4});
+  line.append(RelayDelayLine::Chunk{5, 2, 101, 2'000});
+  line.close_span(40);
+  line.append(RelayDelayLine::Chunk{3, 8, 102, 3'000});
+  line.close_span(40);  // a second span at the same time lands after
+  line.append(RelayDelayLine::Chunk{3, 8, 103, 3'000});
+  line.close_span(60);
+  std::vector<RelayDelayLine::Chunk> got;
+  line.land_until(50, [&](const RelayDelayLine::Chunk& c) {
+    got.push_back(c);
+  });
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].intermediate, 3);
+  EXPECT_EQ(got[0].final_dst, 7);
+  EXPECT_EQ(got[0].flow, 100);
+  EXPECT_EQ(got[0].bytes, 1'000);
+  EXPECT_EQ(got[0].seq, 4u);
+  EXPECT_EQ(got[1].flow, 101);
+  EXPECT_EQ(got[2].flow, 102);
+  EXPECT_EQ(land(line, 100), (std::vector<FlowId>{103}));
+  EXPECT_TRUE(land(line, 1'000).empty());
+
+  // A long periodic stream, as a slot walk drives it: each slot appends
+  // chunks and closes a span that lands 20 slots later, while the slot's
+  // clock advance lands what is due. Order must hold while the landed
+  // prefix is recycled.
+  std::vector<FlowId> landed;
+  FlowId id = 0;
+  Nanos now = 1'000;
+  for (int slot = 0; slot < 4'000; ++slot) {
+    const std::vector<FlowId> due = land(line, now);
+    landed.insert(landed.end(), due.begin(), due.end());
+    for (int k = 0; k < slot % 4; ++k) {
+      line.append(RelayDelayLine::Chunk{0, 1, id++, 1});
+    }
+    line.close_span(now + 20 * 100);
+    now += 100;
+  }
+  const std::vector<FlowId> rest = land(line, kNeverNs);
+  landed.insert(landed.end(), rest.begin(), rest.end());
+  ASSERT_EQ(landed.size(), static_cast<std::size_t>(id));
+  for (FlowId i = 0; i < id; ++i) {
+    ASSERT_EQ(landed[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(RelayDelayLine, LandingIsInclusiveOfT) {
+  RelayDelayLine line;
+  line.append(RelayDelayLine::Chunk{0, 1, 1, 1});
+  line.close_span(10);
+  EXPECT_TRUE(land(line, 9).empty());
+  EXPECT_EQ(land(line, 10), (std::vector<FlowId>{1}));
+}
+
+TEST(RelayDelayLine, CountsLandedChunksAndSpans) {
+  // FabricSim's events_executed() counts one event per landed chunk and
+  // its events_dispatched() one dispatch per landed span.
+  RelayDelayLine line;
+  for (FlowId f = 0; f < 3; ++f) {
+    line.append(RelayDelayLine::Chunk{0, 1, f, 1});
+  }
+  line.close_span(5);
+  line.append(RelayDelayLine::Chunk{0, 1, 3, 1});
+  line.close_span(6);
+  line.append(RelayDelayLine::Chunk{0, 1, 4, 1});
+  line.close_span(7);
+  land(line, 6);
+  EXPECT_EQ(line.landed_chunks(), 4u);
+  EXPECT_EQ(line.landed_spans(), 2u);
+  land(line, 7);
+  EXPECT_EQ(line.landed_chunks(), 5u);
+  EXPECT_EQ(line.landed_spans(), 3u);
+}
+
+TEST(RelayDelayLine, EmptyCloseIsANoOp) {
+  RelayDelayLine line;
+  line.close_span(10);
+  line.append(RelayDelayLine::Chunk{0, 1, 1, 1});
+  line.close_span(10);
+  line.close_span(11);  // nothing appended since the last close
+  EXPECT_EQ(land(line, 20), (std::vector<FlowId>{1}));
+  EXPECT_EQ(line.landed_spans(), 1u);
+}
+
+TEST(RelayDelayLine, SpanStampedBeforeTheTailDies) {
+  RelayDelayLine line;
+  line.append(RelayDelayLine::Chunk{0, 1, 1, 1});
+  line.close_span(100);
+  line.append(RelayDelayLine::Chunk{0, 1, 2, 1});
+  EXPECT_DEATH(line.close_span(50), "lands before the one ahead");
 }
 
 TEST(Simulation, AdvancesClockAndFiresEvents) {

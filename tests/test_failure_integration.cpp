@@ -142,17 +142,17 @@ TEST(Failure, ObliviousFabricAlsoSurvivesFailures) {
   EXPECT_EQ(fab->fct().completed(), 1u);
 }
 
-// --- Regression pins for the batched (chunk-train) relay data plane ---
+// --- Regression pins for the batched relay data plane (relay delay line) ---
 
-TEST(Failure, DenseFallbackStillObservesEveryLinkUnderTrains) {
+TEST(Failure, DenseFallbackStillObservesEveryLink) {
   // The predefined phase falls back to the dense N×P scan on unhealthy
   // slots so the fault detector observes *every* connection, not just the
-  // sparse interesting pairs. Pin that the fallback survived the train
-  // refactor: with traffic on only one pair, fail an unrelated ingress
-  // link — detection can only come from dense-scan dummy observations —
-  // then repair it; traffic must keep flowing the whole time and the
-  // unrelated pair's flow must complete (a stuck exclusion or a missed
-  // observation would strand the epoch pipeline).
+  // sparse interesting pairs. Pin the fallback: with traffic on only one
+  // pair, fail an unrelated ingress link — detection can only come from
+  // dense-scan dummy observations — then repair it; traffic must keep
+  // flowing the whole time and the unrelated pair's flow must complete (a
+  // stuck exclusion or a missed observation would strand the epoch
+  // pipeline).
   NetworkConfig cfg = cfg16();
   auto fab = make_fabric(cfg);
   fab->add_flow(backlogged_pair(300'000));
@@ -164,11 +164,11 @@ TEST(Failure, DenseFallbackStillObservesEveryLinkUnderTrains) {
   EXPECT_EQ(fab->total_backlog(), 0);
 }
 
-TEST(Failure, SelectiveRelayTrainsSurviveFailuresAndStayDeterministic) {
-  // The selective-relay variant ships first-hop chunks as per-(slot,
-  // intermediate) trains. Under mid-run fail + repair, the fabric must
-  // drain (no chunk lost in the batched representation) and two identical
-  // runs must agree event-for-event (per-chunk executed() accounting).
+TEST(Failure, SelectiveRelaySpansSurviveFailuresAndStayDeterministic) {
+  // The selective-relay variant ships first-hop chunks as one delay-line
+  // span per slot. Under mid-run fail + repair, the fabric must drain (no
+  // chunk lost in the batched representation) and two identical runs must
+  // agree event-for-event (per-chunk executed() accounting).
   auto run_once = [](std::uint64_t seed) {
     NetworkConfig cfg = cfg16();
     cfg.scheduler = SchedulerKind::kNegotiatorSelectiveRelay;
@@ -192,12 +192,12 @@ TEST(Failure, SelectiveRelayTrainsSurviveFailuresAndStayDeterministic) {
   EXPECT_GT(completed, 0u);
   EXPECT_EQ(backlog, 0) << "relay chunks stranded after fail/repair";
   EXPECT_EQ(run_once(77), std::make_tuple(completed, backlog, events))
-      << "train data plane broke fixed-seed determinism";
+      << "batched relay data plane broke fixed-seed determinism";
 }
 
-TEST(Failure, ObliviousTrainsUnderFailuresConserveEveryChunk) {
+TEST(Failure, ObliviousRelaySpansUnderFailuresConserveEveryChunk) {
   // Relay-heavy oblivious workload with links failing and recovering
-  // mid-run: whole slot trains must not lose or duplicate chunks across
+  // mid-run: whole slot spans must not lose or duplicate chunks across
   // the unhealthy window (delivered flows + residual backlog must account
   // for every injected byte).
   NetworkConfig cfg = cfg16();
@@ -229,7 +229,7 @@ TEST(Failure, ObliviousTrainsUnderFailuresConserveEveryChunk) {
   EXPECT_EQ(fab->fct().completed(), static_cast<std::size_t>(id))
       << "every flow must finish after repair";
   EXPECT_EQ(delivered + fab->total_backlog(), injected)
-      << "chunk train lost or duplicated bytes";
+      << "relay span lost or duplicated bytes";
 }
 
 }  // namespace

@@ -744,8 +744,6 @@ class TimerLog final : public EventSink {
   explicit TimerLog(Transport* t) : t_(t) {}
   void on_flow_arrival(const FlowArrivalEvent&, Nanos) override {}
   void on_link_toggle(const LinkToggleEvent&, Nanos) override {}
-  void on_relay_train(const RelayTrainEvent&, const RelayTrainChunk*,
-                      Nanos) override {}
   void on_transport_timer(const TransportTimerEvent& e, Nanos now) override {
     if constexpr (requires { t_->tracks(e.flow_index); }) {
       finished_fires += !t_->tracks(e.flow_index);

@@ -93,30 +93,6 @@ TEST(RelayQueue, TotalsConserved) {
   EXPECT_EQ(r.total_bytes(), 0);
 }
 
-TEST(RelayQueue, EnqueueSpanCoalescesIntoTheFifoTail) {
-  RelayQueueSet r(4);
-  r.enqueue(2, 7, 100);
-  const RelayTrainChunk chunks[] = {
-      {0, 2, 7, 50},   // merges into the tail chunk of flow 7
-      {0, 2, 7, 25},   // still the same tail
-      {0, 2, 9, 10},   // new chunk
-      {0, 1, 9, 30},   // different destination
-  };
-  r.enqueue_span(chunks, 4);
-  EXPECT_EQ(r.bytes_for(2), 185);
-  EXPECT_EQ(r.bytes_for(1), 30);
-  auto head = r.dequeue_packet(2, 10'000);
-  ASSERT_TRUE(head.has_value());
-  EXPECT_EQ(head->flow, 7);
-  EXPECT_EQ(head->bytes, 175) << "all three flow-7 chunks coalesced";
-}
-
-TEST(RelayQueue, EnqueueSpanEmptyIsANoOp) {
-  RelayQueueSet r(4);
-  r.enqueue_span(nullptr, 0);
-  EXPECT_EQ(r.total_bytes(), 0);
-}
-
 // --- Reference model: one std::deque of chunks per destination ---
 
 class RefRelayQueues {
@@ -166,7 +142,7 @@ void expect_same_chunk(const std::optional<RelayChunk>& got,
 }
 
 TEST(RelayQueueProperty, ArenaMatchesDequeReference) {
-  // A seeded mix of single enqueues, train ingests and packet draws over a
+  // A seeded mix of single enqueues, enqueue bursts and packet draws over a
   // multi-destination set: nodes freed by one destination's drains are
   // recycled through the shared free list into other destinations'
   // enqueues. Seq-carrying chunks get unique seqs and at most the
@@ -177,14 +153,19 @@ TEST(RelayQueueProperty, ArenaMatchesDequeReference) {
   RefRelayQueues ref(kTors);
   Rng rng(20261017);
   std::uint32_t next_seq = 1;
+  struct Chunk {
+    TorId final_dst;
+    FlowId flow;
+    Bytes bytes;
+    std::uint32_t seq;
+  };
   // Few flows so same-flow chunks meet at FIFO tails and coalesce.
   auto draw_chunk = [&](TorId d) {
     const FlowId flow = static_cast<FlowId>(rng.next_below(4));
     if (rng.next_below(4) == 0) {
-      return RelayTrainChunk{0, d, flow, 1 + rng.next_below(kMinPayload),
-                             next_seq++};
+      return Chunk{d, flow, 1 + rng.next_below(kMinPayload), next_seq++};
     }
-    return RelayTrainChunk{0, d, flow, 1 + rng.next_below(3'000), 0};
+    return Chunk{d, flow, 1 + rng.next_below(3'000), 0};
   };
   Bytes total = 0;
   for (std::size_t step = 0; step < 20'000; ++step) {
@@ -192,21 +173,18 @@ TEST(RelayQueueProperty, ArenaMatchesDequeReference) {
     // Draws outnumber enqueues so FIFOs keep draining to empty and back.
     switch (rng.next_below(10)) {
       case 0: {  // single enqueue
-        const RelayTrainChunk c = draw_chunk(d);
+        const Chunk c = draw_chunk(d);
         impl.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
         ref.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
         total += c.bytes;
         break;
       }
-      case 1: {  // one train, runs of destinations interleaved
-        std::vector<RelayTrainChunk> train;
+      case 1: {  // a burst, runs of destinations interleaved
         const int n = 1 + static_cast<int>(rng.next_below(12));
         for (int i = 0; i < n; ++i) {
-          train.push_back(draw_chunk(static_cast<TorId>(
-              rng.next_below(2) == 0 ? d : rng.next_below(kTors))));
-        }
-        impl.enqueue_span(train.data(), train.size());
-        for (const RelayTrainChunk& c : train) {
+          const Chunk c = draw_chunk(static_cast<TorId>(
+              rng.next_below(2) == 0 ? d : rng.next_below(kTors)));
+          impl.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
           ref.enqueue(c.final_dst, c.flow, c.bytes, c.seq);
           total += c.bytes;
         }

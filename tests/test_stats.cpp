@@ -4,18 +4,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "engine/flow_table.h"
-#include "stats/csv.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
 #include "stats/histogram.h"
 #include "stats/percentile.h"
 #include "stats/table.h"
-#include "stats/timeseries.h"
 
 namespace negotiator {
 namespace {
@@ -315,17 +310,6 @@ TEST(EmpiricalCdf, PointsAreMonotone) {
   EXPECT_DOUBLE_EQ(pts.back().cdf, 1.0);
 }
 
-TEST(TimeSeries, AccumulatesPerWindow) {
-  TimeSeries ts(1'000);
-  ts.add(100, 5.0);
-  ts.add(900, 7.0);
-  ts.add(1'500, 1.0);
-  EXPECT_DOUBLE_EQ(ts.sum_at(0), 12.0);
-  EXPECT_DOUBLE_EQ(ts.sum_at(1), 1.0);
-  EXPECT_DOUBLE_EQ(ts.sum_at(5), 0.0);
-  EXPECT_DOUBLE_EQ(ts.rate_at(0), 0.012);
-}
-
 TEST(ConsoleTable, RendersAlignedRows) {
   ConsoleTable t({"name", "value"});
   t.add_row({"alpha", "1"});
@@ -340,25 +324,6 @@ TEST(ConsoleTable, RendersAlignedRows) {
 TEST(ConsoleTable, NumFormatting) {
   EXPECT_EQ(ConsoleTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(ConsoleTable::num(10.0, 0), "10");
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "neg_csv_test.csv").string();
-  {
-    CsvWriter csv(path, {"a", "b"});
-    csv.add_row({"1", "2"});
-    csv.add_row({"x", "y"});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,2");
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
-  std::remove(path.c_str());
 }
 
 TEST(GoodputMeter, DeliverySpanMatchesSequentialDeliveries) {
