@@ -26,7 +26,7 @@ FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns,
       topo_(make_topology(config)),
       goodput_(config.num_tors, stats_window_ns),
       links_(config.num_tors, config.ports_per_tor),
-      plane_(config_, sim_.events(), goodput_, links_) {
+      plane_(config_, events_, goodput_, links_) {
   tors_.reserve(static_cast<std::size_t>(config_.num_tors));
   for (TorId t = 0; t < config_.num_tors; ++t) {
     tors_.emplace_back(t, config_.num_tors, config_.pias);
@@ -37,23 +37,22 @@ FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns,
       relay_.emplace_back(config_.num_tors);
     }
   }
-  sim_.set_sink(this);
+  events_.set_sink(this);
 }
 
 void FabricSim::add_flows(std::span<const Flow> flows) {
   const int num_tors = config_.num_tors;
   FlowTable& flow_table = plane_.flows();
   flow_table.reserve(flow_table.size() + flows.size());
-  EventQueue& events = sim_.events();
-  events.reserve_flow_arrivals(flows.size());
+  events_.reserve_flow_arrivals(flows.size());
   for (const Flow& f : flows) {
-    NEG_ASSERT(f.arrival >= sim_.now(), "flow arrives in the past");
+    NEG_ASSERT(f.arrival >= now_, "flow arrives in the past");
     NEG_ASSERT(f.src >= 0 && f.src < num_tors && f.dst >= 0 &&
                    f.dst < num_tors,
                "flow endpoints out of range");
-    events.append_flow_arrival(f.arrival, flow_table.add(f));
+    events_.append_flow_arrival(f.arrival, flow_table.add(f));
   }
-  events.commit_flow_arrivals();
+  events_.commit_flow_arrivals();
 }
 
 Bytes FabricSim::total_backlog() const {
@@ -73,7 +72,9 @@ void FabricSim::audit(std::int64_t epoch) {
 }
 
 void FabricSim::advance_to(Nanos t) {
-  sim_.advance_to(t);
+  NEG_ASSERT(t >= now_, "time must be monotonic");
+  events_.run_until(t);
+  now_ = t;
   relay_line_.land_until(t, [this](const RelayDelayLine::Chunk& c) {
     relay_[static_cast<std::size_t>(c.intermediate)].enqueue(
         c.final_dst, c.flow, c.bytes, c.seq);
@@ -178,8 +179,8 @@ void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   }
   // A flow landing mid-scheduled-phase refills its pair's queue:
   // reactivate any matches for (src, dst) that were dropped as drained.
-  // Sorted reinsertion keeps live_matches_ ascending, i.e. the dense visit
-  // order.
+  // Sorted reinsertion keeps live_matches_ ascending. (A timer that queues
+  // a retransmission mid-phase has no such hook; see network.h.)
   if (in_scheduled_phase_ &&
       dropped_stamp_[static_cast<std::size_t>(f.src)] == epoch_) {
     std::int32_t* link = &dropped_heads_[static_cast<std::size_t>(f.src)];
@@ -225,7 +226,7 @@ void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
 void NegotiatorFabric::run_until(Nanos t) {
   while (timing_.epoch_start(epoch_) < t) run_epoch();
   // The last epoch may have carried the clock past t already.
-  if (t > sim_.now()) advance_to(t);
+  if (t > now_) advance_to(t);
 }
 
 void NegotiatorFabric::run_epoch() {
@@ -235,12 +236,12 @@ void NegotiatorFabric::run_epoch() {
     // epoch-start snapshot is what senders know this epoch.
     for (TorId t = 0; t < config_.num_tors; ++t) {
       pause_advertised_[static_cast<std::size_t>(t)] =
-          hosts->rx_paused(t, sim_.now());
+          hosts->rx_paused(t, now_);
     }
   }
-  if (control_) control_->begin_epoch(sim_.now());
-  plane_.begin_epoch(sim_.now());
-  scheduler_->begin_epoch(epoch_, sim_.now(), *this, faults_);
+  if (control_) control_->begin_epoch(now_);
+  plane_.begin_epoch(now_);
+  scheduler_->begin_epoch(epoch_, now_, *this, faults_);
   if (validator_) {
     NEG_ASSERT(validator_->validate(scheduler_->matches(), epoch_),
                validator_->error().c_str());
@@ -260,7 +261,7 @@ void NegotiatorFabric::run_epoch() {
 
   run_predefined_phase();
   run_scheduled_phase();
-  faults_.end_epoch(resilience_, sim_.now());
+  faults_.end_epoch(resilience_, now_);
   audit(epoch_);
   ++epoch_;
 }
@@ -315,7 +316,7 @@ void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
       host_plane() && pause_advertised_[static_cast<std::size_t>(c.dst)];
   // Retransmissions outrank fresh piggyback data for the pair's slot
   // (selective repeat: the oldest lost unit is the flow's head of line).
-  if (up && !paused && plane_.try_retransmit(c.src, c.dst, sim_.now())) {
+  if (up && !paused && plane_.try_retransmit(c.src, c.dst, now_)) {
     return;  // slot consumed by the retransmission
   }
   if (!config_.piggyback || !tor.active_destinations().contains(c.dst) ||
@@ -328,7 +329,7 @@ void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
     ++piggyback_packets_;
     sync_source_activity(c.src);
     plane_.first_hop(static_cast<int>(pkt->flow), c.src, c.dst, pkt->bytes,
-                     sim_.now());
+                     now_);
   } else if (!faults_.tx_excluded(c.src, c.tx) &&
              !faults_.rx_excluded(c.dst, c.rx)) {
     // Undetected failure: the packet is transmitted into a dark fibre
@@ -496,8 +497,7 @@ void NegotiatorFabric::run_fallback_slot() {
       auto pkt = tor.dequeue_packet(d, payload);
       NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
       sync_source_activity(s);
-      plane_.first_hop(static_cast<int>(pkt->flow), s, d, pkt->bytes,
-                       sim_.now());
+      plane_.first_hop(static_cast<int>(pkt->flow), s, d, pkt->bytes, now_);
       fallback_bytes_ += pkt->bytes;
       if (resilience_) resilience_->on_fallback_delivery(pkt->bytes);
       sent = true;
@@ -535,7 +535,7 @@ void NegotiatorFabric::run_scheduled_phase() {
       !(control_ && config_.control_fault.fallback)) {
     advance_to(timing_.scheduled_slot_start(epoch_, 0));
     if (links_.all_up() &&
-        sim_.events().next_non_arrival_time() >
+        events_.next_non_arrival_time() >
             timing_.scheduled_slot_start(epoch_, slots - 1)) {
       drain_scheduled_phase();
       return;
@@ -570,7 +570,7 @@ void NegotiatorFabric::drain_scheduled_phase() {
 
   // A pair is dirty when one of its flows lands before the last slot
   // starts: its queue changes mid-phase, so it drains slot by slot.
-  sim_.events().for_each_arrival_until(
+  events_.for_each_arrival_until(
       timing_.scheduled_slot_start(epoch_, slots - 1),
       [this, n](std::int32_t flow_index) {
         const Flow f = plane_.flows().flow(flow_index);
@@ -704,7 +704,7 @@ void NegotiatorFabric::run_scheduled_slots() {
       // 0. A pending retransmission for the matched pair outranks fresh
       // data (selective repeat: the lost unit is the pair's oldest debt).
       // The match stays live — its queue state is unchanged.
-      if (plane_.try_retransmit(m.src, m.dst, sim_.now())) {
+      if (plane_.try_retransmit(m.src, m.dst, now_)) {
         ++match_slots_used_;
         live_matches_[keep++] = index;
         continue;
@@ -719,7 +719,7 @@ void NegotiatorFabric::run_scheduled_slots() {
         ++match_slots_used_;
         sync_source_activity(m.src);
         plane_.first_hop(static_cast<int>(pkt->flow), m.src, m.dst,
-                         pkt->bytes, sim_.now());
+                         pkt->bytes, now_);
         live_matches_[keep++] = index;
         continue;
       }
@@ -755,7 +755,7 @@ void NegotiatorFabric::run_scheduled_slots() {
           sync_source_activity(m.src);
           const DeliveryPlane::RelayLeg leg =
               plane_.relay_leg(static_cast<int>(pkt->flow), m.src,
-                               m.relay_final_dst, pkt->bytes, sim_.now());
+                               m.relay_final_dst, pkt->bytes, now_);
           if (leg.delivered) {
             goodput_.record_relay_reception(m.dst, pkt->bytes, arrival);
             relay_line_.append(RelayDelayLine::Chunk{
@@ -840,7 +840,7 @@ bool NegotiatorFabric::rx_paused(TorId tor) const {
   // Grant-time gating uses the destination's own (current) buffer state —
   // the pause decision is local to the destination ToR.
   HostPlane* hosts = host_plane();
-  return hosts != nullptr && hosts->rx_paused(tor, sim_.now());
+  return hosts != nullptr && hosts->rx_paused(tor, now_);
 }
 
 // ------------------------------------------------------------- make_fabric

@@ -20,8 +20,8 @@
 #include "core/matching_validator.h"
 #include "core/negotiator_scheduler.h"
 #include "engine/delivery_plane.h"
+#include "sim/event_queue.h"
 #include "sim/relay_delay_line.h"
-#include "sim/simulation.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
 #include "topo/link_state.h"
@@ -51,7 +51,7 @@ class FabricSim : private EventSink {
 
   /// Advances simulated time to `t` (whole epochs/slots are processed).
   virtual void run_until(Nanos t) = 0;
-  Nanos now() const { return sim_.now(); }
+  Nanos now() const { return now_; }
 
   FctRecorder& fct() { return plane_.flows().fct(); }
   const FlowTable& flows() const { return plane_.flows(); }
@@ -71,14 +71,14 @@ class FabricSim : private EventSink {
   /// bench_perf_engine): every event the queue ran plus every relay chunk
   /// that landed.
   std::uint64_t events_executed() const {
-    return sim_.events().executed() + relay_line_.landed_chunks();
+    return events_.executed() + relay_line_.landed_chunks();
   }
 
   /// Physical dispatches behind events_executed(): one per event the
   /// queue ran and one per landed relay span, so executed/dispatched is
   /// the data plane's mean batching factor.
   std::uint64_t events_dispatched() const {
-    return sim_.events().executed() + relay_line_.landed_spans();
+    return events_.executed() + relay_line_.landed_spans();
   }
 
   /// Final-destination packet deliveries that rode a coalesced per-slot
@@ -99,8 +99,7 @@ class FabricSim : private EventSink {
   /// `when`.
   void schedule_link_event(Nanos when, TorId tor, PortId port,
                            LinkDirection dir, bool fail) {
-    sim_.events().schedule_link_toggle(when,
-                                       LinkToggleEvent{tor, port, dir, fail});
+    events_.schedule_link_toggle(when, LinkToggleEvent{tor, port, dir, fail});
   }
 
   /// Schedules a control-plane brownout window [start, end) with an
@@ -160,10 +159,11 @@ class FabricSim : private EventSink {
   /// armed.
   void audit(std::int64_t epoch);
 
-  /// Advances the clock to `t`: fires every event due by `t`, then lands
-  /// every relay span due by `t` at its intermediate's relay queues. No
-  /// event handler reads relay state, and the slot walks read it only
-  /// after advancing, so the two orders are indistinguishable.
+  /// Advances the clock to `t` (never backwards): fires every event due by
+  /// `t`, then lands every relay span due by `t` at its intermediate's
+  /// relay queues. No event handler reads relay state, and the slot walks
+  /// read it only after advancing, so the two orders are
+  /// indistinguishable.
   void advance_to(Nanos t);
 
   /// Marks `intermediate` as holding parked relay bytes after a chunk
@@ -173,7 +173,10 @@ class FabricSim : private EventSink {
   // EventSink: link toggles act the same on both fabrics.
   void on_link_toggle(const LinkToggleEvent& e, Nanos now) final;
 
-  Simulation sim_;
+  /// Flow arrivals, link toggles and ARQ timers (sim/event_queue.h);
+  /// declared first, since plane_ holds a reference to it.
+  EventQueue events_;
+  Nanos now_{0};
   NetworkConfig config_;
   std::unique_ptr<FlatTopology> topo_;
   std::vector<TorSwitch> tors_;
@@ -366,11 +369,14 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   // An over-scheduled match spends most of its 30 slots with a drained
   // queue (§3.5). Instead of re-checking every match every slot, the walk
   // iterates a compact ascending index list of *live* matches; a match
-  // whose queue is found empty is dropped from the list and reactivated —
-  // at its original position, preserving the dense visit order exactly —
-  // only when a flow for its (src, dst) pair arrives mid-phase. Only the
-  // plain-negotiator path drops (relay matches and relay-enabled fabrics
-  // keep full iteration: their other data sources refill invisibly).
+  // whose queue is found empty is dropped from the list and reactivated,
+  // at its original position, only when a flow for its (src, dst) pair
+  // arrives mid-phase. Only the plain-negotiator path drops (relay matches
+  // and relay-enabled fabrics keep full iteration: their other data
+  // sources refill invisibly). Under ARQ this is not the dense visit
+  // order: a retransmission that a timer queues for a dropped pair later
+  // in the phase does not reactivate it, so the pair's retransmit slot
+  // waits for the next epoch.
   struct ActiveMatch {
     Match m;
     Bytes relay_remaining;

@@ -18,7 +18,6 @@
 #include "common/rng.h"         // deterministic randomness
 #include "common/types.h"       // Nanos, Bytes, TorId, ...
 #include "common/units.h"       // Rate, byte literals
-#include "core/clock_sync.h"    // §3.6.3 guardband sizing
 #include "engine/fault_scenario.h"  // §4.3 fault drills
 #include "engine/network.h"     // FabricSim / make_fabric
 #include "engine/runner.h"      // Runner / RunResult

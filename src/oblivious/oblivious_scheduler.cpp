@@ -74,7 +74,7 @@ TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
 
 void ObliviousFabric::run_slot(std::int64_t global_slot) {
   advance_to(rotor_.slot_start(global_slot));
-  plane_.begin_epoch(sim_.now());
+  plane_.begin_epoch(now_);
   const Bytes payload = config_.scheduled_payload_bytes();
   const Nanos arrival = rotor_.slot_end(global_slot) +
                         config_.propagation_delay_ns;
@@ -116,7 +116,7 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
       // slot could otherwise carry (selective repeat: the lost unit is
       // the pair's oldest debt). Retransmissions go direct — never back
       // through a relay queue.
-      if (plane_.try_retransmit(s, m, sim_.now())) continue;
+      if (plane_.try_retransmit(s, m, now_)) continue;
       // 1. Second hop: deliver relayed data whose final destination is m.
       // The dequeue mutates the relay queue inline (congestion adverts
       // later this slot must see the drain); the delivery's downstream
@@ -141,7 +141,7 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
         if (auto pkt = tor.dequeue_packet(m, payload)) {
           // The lucky 1/N direct case: a plain first-hop transmission.
           plane_.first_hop(static_cast<int>(pkt->flow), s, m, pkt->bytes,
-                           sim_.now());
+                           now_);
         }
         continue;
       }
@@ -149,7 +149,7 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
         // VLB leg 1 rides the lossy channel too; a chunk lost here never
         // reaches the intermediate (ARQ retransmits it direct later).
         const DeliveryPlane::RelayLeg leg = plane_.relay_leg(
-            static_cast<int>(pkt->flow), s, d, pkt->bytes, sim_.now());
+            static_cast<int>(pkt->flow), s, d, pkt->bytes, now_);
         if (leg.delivered) {
           goodput_.record_relay_reception(m, pkt->bytes, arrival);
           relay_line_.append(
@@ -175,7 +175,7 @@ void ObliviousFabric::run_until(Nanos t) {
     run_slot(next_slot_);
     ++next_slot_;
   }
-  if (t > sim_.now()) advance_to(t);
+  if (t > now_) advance_to(t);
 }
 
 }  // namespace negotiator

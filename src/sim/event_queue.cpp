@@ -4,128 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 
 #include "common/assert.h"
 
 namespace negotiator {
-
-// ----------------------------------------------------------- calendar tier
-
-void EventQueue::Calendar::mark(int bucket, bool nonempty) {
-  const auto word = static_cast<std::size_t>(bucket) / 64;
-  const std::uint64_t bit = 1ULL << (static_cast<std::size_t>(bucket) % 64);
-  if (nonempty) {
-    occupied[word] |= bit;
-  } else {
-    occupied[word] &= ~bit;
-  }
-}
-
-void EventQueue::Calendar::push(Nanos when, std::uint64_t seq, Kind kind,
-                                const Payload& payload) {
-  if (empty()) {
-    // Snap the cursor to the pushed item's window.
-    window_start_ = (when / kCalendarBucketNs) * kCalendarBucketNs;
-    cursor_ = static_cast<int>((when / kCalendarBucketNs) % kCalendarBuckets);
-  }
-  NEG_ASSERT(accepts(when), "calendar push outside the horizon");
-  const int b =
-      static_cast<int>((when / kCalendarBucketNs) % kCalendarBuckets);
-  Bucket& bucket = buckets[static_cast<std::size_t>(b)];
-  if (bucket.items.empty()) mark(b, true);
-  const Item item{when, seq, kind, payload};
-  if (b != cursor_ || bucket.items.empty() ||
-      bucket.items.back().when < when ||
-      (bucket.items.back().when == when && bucket.items.back().seq < seq)) {
-    // Future buckets are plain append logs (sorted lazily when the cursor
-    // reaches them); in-order appends to the cursor bucket stay sorted.
-    if (b != cursor_ && !bucket.items.empty() &&
-        (bucket.items.back().when > when ||
-         (bucket.items.back().when == when && bucket.items.back().seq > seq))) {
-      bucket.sorted = false;
-    }
-    bucket.items.push_back(item);
-  } else {
-    // Out-of-order push into the partially consumed cursor bucket: insert
-    // in (when, seq) position, clamped past the consumed prefix.
-    auto pos = std::upper_bound(
-        bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.head),
-        bucket.items.end(), item, [](const Item& a, const Item& x) {
-          if (a.when != x.when) return a.when < x.when;
-          return a.seq < x.seq;
-        });
-    bucket.items.insert(pos, item);
-  }
-  ++size_;
-}
-
-void EventQueue::Calendar::advance_cursor() {
-  NEG_ASSERT(size_ > 0, "advance on empty calendar");
-  constexpr int kWords = kCalendarBuckets / 64;
-  int next = -1;
-  // Scan the occupancy bitmap starting just past the cursor, wrapping.
-  for (int step = 0; step <= kWords && next < 0; ++step) {
-    const int word_index = ((cursor_ + 1) / 64 + step) % kWords;
-    std::uint64_t word = occupied[static_cast<std::size_t>(word_index)];
-    if (step == 0) {
-      const int offset = (cursor_ + 1) % 64;
-      word &= ~((1ULL << offset) - 1);
-    }
-    if (word != 0) {
-      next = word_index * 64 + std::countr_zero(word);
-    }
-  }
-  NEG_ASSERT(next >= 0, "occupancy bitmap disagrees with size");
-  const int dist = (next - cursor_ + kCalendarBuckets) % kCalendarBuckets;
-  NEG_ASSERT(dist > 0, "cursor did not move");
-  window_start_ += static_cast<Nanos>(dist) * kCalendarBucketNs;
-  cursor_ = next;
-  Bucket& bucket = buckets[static_cast<std::size_t>(cursor_)];
-  if (!bucket.sorted) {
-    std::sort(bucket.items.begin(), bucket.items.end(),
-              [](const Item& a, const Item& b) {
-                if (a.when != b.when) return a.when < b.when;
-                return a.seq < b.seq;
-              });
-    bucket.sorted = true;
-  }
-}
-
-const EventQueue::Item& EventQueue::Calendar::front() const {
-  NEG_ASSERT(!empty(), "front of empty calendar");
-  const Bucket& bucket = buckets[static_cast<std::size_t>(cursor_)];
-  NEG_ASSERT(bucket.head < bucket.items.size(),
-             "cursor bucket drained without advancing");
-  return bucket.items[bucket.head];
-}
-
-void EventQueue::Calendar::pop_front() {
-  Bucket& bucket = buckets[static_cast<std::size_t>(cursor_)];
-  ++bucket.head;
-  --size_;
-  if (bucket.head == bucket.items.size()) {
-    bucket.items.clear();  // recycle the storage
-    bucket.head = 0;
-    bucket.sorted = true;
-    mark(cursor_, false);
-    if (size_ > 0) advance_cursor();
-  }
-}
-
-void EventQueue::Calendar::clear() {
-  for (Bucket& b : buckets) {
-    b.items.clear();
-    b.head = 0;
-    b.sorted = true;
-  }
-  occupied.fill(0);
-  size_ = 0;
-  window_start_ = 0;
-  cursor_ = 0;
-}
 
 // -------------------------------------------------------------- event queue
 
@@ -143,16 +27,6 @@ EventQueue::Item EventQueue::pop_heap_item() {
   const Item item = heap_.back();
   heap_.pop_back();
   return item;
-}
-
-void EventQueue::push_calendar_or_heap(Nanos when, Kind kind,
-                                       const Payload& payload) {
-  NEG_ASSERT(when >= 0, "event time must be non-negative");
-  if (calendar_.accepts(when)) {
-    calendar_.push(when, next_seq_++, kind, payload);
-  } else {
-    push_heap_item(Item{when, next_seq_++, kind, payload});
-  }
 }
 
 void EventQueue::reserve_flow_arrivals(std::size_t n) {
@@ -251,16 +125,10 @@ void EventQueue::schedule_link_toggle(Nanos when, const LinkToggleEvent& ev) {
 
 void EventQueue::schedule_transport_timer(Nanos when,
                                           const TransportTimerEvent& ev) {
+  NEG_ASSERT(when >= 0, "event time must be non-negative");
   Payload payload;
   payload.timer = ev;
-  push_calendar_or_heap(when, Kind::kTransportTimer, payload);
-}
-
-Nanos EventQueue::next_non_arrival_time() const {
-  Nanos best = kNeverNs;
-  if (!heap_.empty()) best = heap_.front().when;
-  if (!calendar_.empty()) best = std::min(best, calendar_.front().when);
-  return best;
+  push_heap_item(Item{when, next_seq_++, Kind::kTransportTimer, payload});
 }
 
 Nanos EventQueue::next_time() const {
@@ -292,20 +160,11 @@ int EventQueue::earliest_tier(Nanos& when_out) {
   // only on an exact time tie. Requires !empty().
   Nanos best_when = kNeverNs;
   std::uint64_t best_seq = ~0ULL;
-  int tier = -1;  // 0 = heap, 1 = arrivals, 2 = calendar
+  int tier = -1;  // 0 = heap, 1 = arrivals
   if (!heap_.empty()) {
     best_when = heap_.front().when;
     best_seq = heap_.front().seq;
     tier = 0;
-  }
-  if (!calendar_.empty()) {
-    const Item& it = calendar_.front();
-    if (tier < 0 || it.when < best_when ||
-        (it.when == best_when && it.seq < best_seq)) {
-      best_when = it.when;
-      best_seq = it.seq;
-      tier = 2;
-    }
   }
   if (!arrivals_.drained()) {
     const Arrival& it = arrivals_.front();
@@ -331,9 +190,7 @@ void EventQueue::run_tier(int tier) {
     sink_->on_flow_arrival(FlowArrivalEvent{a.flow_index}, a.when);
     return;
   }
-  const Item item = tier == 2 ? calendar_.front() : pop_heap_item();
-  if (tier == 2) calendar_.pop_front();
-  dispatch(item);
+  dispatch(pop_heap_item());
 }
 
 void EventQueue::run_next() {
@@ -350,12 +207,6 @@ void EventQueue::run_until(Nanos until) {
     if (when > until) return;
     run_tier(tier);
   }
-}
-
-void EventQueue::clear() {
-  heap_.clear();
-  arrivals_.clear();
-  calendar_.clear();
 }
 
 }  // namespace negotiator

@@ -6,7 +6,7 @@
 // entry point), which keeps runs reproducible regardless of heap internals.
 //
 // Every event is a plain record dispatched to an EventSink — no
-// std::function, no per-event heap allocation. Three storage tiers hold
+// std::function, no per-event heap allocation. Two storage tiers hold
 // the records; pops merge the tier heads by (timestamp, seq), so
 // observable order is always identical to a single binary heap:
 //
@@ -20,18 +20,14 @@
 //    concatenated or multi-call trace stays out of the heap. Consumed
 //    entries are handed back to the OS as the cursor advances, so the
 //    stream holds memory for pending arrivals, not admitted history.
-//  - Heap: link toggles, plus any timer beyond the calendar horizon. Heap
-//    and calendar entries share one tagged-union record (Item).
-//  - Calendar: ARQ retransmission timers land in a ring of fixed-width
-//    time buckets covering a bounded horizon ahead of the queue's cursor.
-//    The common push is an append into a recycled bucket and the common
-//    pop is a cursor bump — both O(1), with bounded memory.
+//  - Heap: every other event — link toggles and ARQ retransmission
+//    timers — in one tagged-union record (Item). Both are few: the lossy
+//    benchmark workload keeps at most a few hundred timers pending.
 //
 // Relay chunks in flight are not events: they land through the fabric's
 // relay delay line (sim/relay_delay_line.h).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -91,26 +87,21 @@ class EventQueue {
   /// Makes room for `n` more arrivals ahead of a batch; the first
   /// reservation is exact, so admitting a whole trace allocates once.
   void reserve_flow_arrivals(std::size_t n);
-  /// Link toggles take the heap.
+  /// Link toggles and ARQ retransmission timers take the heap.
   void schedule_link_toggle(Nanos when, const LinkToggleEvent& e);
-  /// ARQ retransmission timers ride the calendar tier; a timer beyond the
-  /// horizon (backoff pushes deadlines far out) falls back to a heap entry
-  /// with identical observable order.
   void schedule_transport_timer(Nanos when, const TransportTimerEvent& e);
 
-  bool empty() const {
-    return heap_.empty() && arrivals_.drained() && calendar_.empty();
-  }
-  std::size_t size() const {
-    return heap_.size() + arrivals_.pending() + calendar_.size();
-  }
+  bool empty() const { return heap_.empty() && arrivals_.drained(); }
+  std::size_t size() const { return heap_.size() + arrivals_.pending(); }
 
   /// Timestamp of the earliest pending event; kNeverNs when empty.
   Nanos next_time() const;
 
   /// Timestamp of the earliest pending link toggle or ARQ timer — every
   /// event but a flow arrival; kNeverNs when none is pending.
-  Nanos next_non_arrival_time() const;
+  Nanos next_non_arrival_time() const {
+    return heap_.empty() ? kNeverNs : heap_.front().when;
+  }
 
   /// Read-only peek at the committed pending flow arrivals: calls
   /// `visit(flow_index)` for each with timestamp <= `t`, in firing order.
@@ -127,9 +118,6 @@ class EventQueue {
 
   /// Runs every event with timestamp <= `until` (inclusive).
   void run_until(Nanos until);
-
-  /// Drops all pending events.
-  void clear();
 
   /// Events executed so far (perf accounting).
   std::uint64_t executed() const { return executed_; }
@@ -148,12 +136,6 @@ class EventQueue {
   /// 64 KiB keeps the calls rare and the unreleased prefix small.
   static constexpr std::size_t kArrivalReleaseBytes = 64 * 1024;
 
-  /// Calendar-tier geometry (exposed for the property tests): entries more
-  /// than `kCalendarBucketNs * kCalendarBuckets` ns ahead of the calendar
-  /// cursor fall back to the heap.
-  static constexpr Nanos kCalendarBucketNs = 256;
-  static constexpr int kCalendarBuckets = 1024;  // 262 us horizon
-
  private:
   enum class Kind : std::uint8_t {
     kLinkToggle,
@@ -166,7 +148,7 @@ class EventQueue {
     Payload() : timer{0} {}
   };
 
-  /// The event record of the heap and calendar tiers.
+  /// The event record of the heap tier.
   struct Item {
     Nanos when;
     std::uint64_t seq;
@@ -256,58 +238,10 @@ class EventQueue {
     }
   };
 
-  /// The bucketed calendar tier. Invariants:
-  ///  - every pending item lies in [window_start_, window_start_ +
-  ///    kCalendarBuckets * kCalendarBucketNs);
-  ///  - the cursor bucket (the ring slot whose window is window_start_) is
-  ///    sorted by (when, seq) and consumed through its head cursor; later
-  ///    buckets are unsorted append logs, sorted once when the cursor
-  ///    reaches them;
-  ///  - occupied_ mirrors bucket non-emptiness so advancing the cursor
-  ///    over empty buckets is a count-trailing-zeros word scan, not a
-  ///    bucket-by-bucket walk.
-  struct Calendar {
-    struct Bucket {
-      std::vector<Item> items;
-      std::size_t head{0};
-      bool sorted{true};
-    };
-    std::array<Bucket, static_cast<std::size_t>(kCalendarBuckets)> buckets;
-    std::array<std::uint64_t, static_cast<std::size_t>(kCalendarBuckets) / 64>
-        occupied{};
-    Nanos window_start_{0};  // window of the cursor bucket
-    int cursor_{0};          // ring index of the cursor bucket
-    std::size_t size_{0};
-
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-    bool accepts(Nanos when) const {
-      return empty() ||
-             (when >= window_start_ &&
-              when < window_start_ + kCalendarBucketNs * kCalendarBuckets);
-    }
-    void push(Nanos when, std::uint64_t seq, Kind kind,
-              const Payload& payload);
-    /// Earliest pending item. Requires !empty(); the cursor bucket is
-    /// kept sorted and non-empty by push/pop, so this is a plain read.
-    const Item& front() const;
-    void pop_front();
-    void clear();
-
-   private:
-    void mark(int bucket, bool nonempty);
-    /// Moves the cursor to the next non-empty bucket and sorts it.
-    void advance_cursor();
-  };
-
   void push_heap_item(const Item& item);
   Item pop_heap_item();
-  /// Files an event in the calendar when its time is within the horizon,
-  /// else in the heap. Ordering is unchanged either way — pops merge all
-  /// tiers by (when, seq).
-  void push_calendar_or_heap(Nanos when, Kind kind, const Payload& payload);
   void dispatch(const Item& item);
-  /// Tier (0 = heap, 1 = arrivals, 2 = calendar) holding the globally
+  /// Tier (0 = heap, 1 = arrivals) holding the globally
   /// earliest (when, seq) event; requires !empty().
   int earliest_tier(Nanos& when_out);
   /// Pops and dispatches the head of `tier`.
@@ -315,7 +249,6 @@ class EventQueue {
 
   std::vector<Item> heap_;  // binary heap ordered by heap_later
   Stream arrivals_;         // flow arrivals, sorted at admission
-  Calendar calendar_;       // transport timers (ring)
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
 

@@ -39,14 +39,4 @@ bool LinkState::is_up(TorId tor, PortId port, LinkDirection dir) const {
   return up_[index(tor, port, dir)];
 }
 
-bool LinkState::path_up(TorId src, PortId tx, TorId dst, PortId rx) const {
-  return is_up(src, tx, LinkDirection::kEgress) &&
-         is_up(dst, rx, LinkDirection::kIngress);
-}
-
-void LinkState::repair_all() {
-  up_.assign(up_.size(), true);
-  failed_count_ = 0;
-}
-
 }  // namespace negotiator

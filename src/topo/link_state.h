@@ -19,14 +19,8 @@ class LinkState {
   void repair(TorId tor, PortId port, LinkDirection dir);
   bool is_up(TorId tor, PortId port, LinkDirection dir) const;
 
-  /// A transmission src(tx) -> dst(rx) succeeds only when both the source's
-  /// egress fibre and the destination's ingress fibre are healthy.
-  bool path_up(TorId src, PortId tx, TorId dst, PortId rx) const;
-
   int failed_count() const { return failed_count_; }
   int total_links() const { return 2 * num_tors_ * ports_per_tor_; }
-
-  void repair_all();
 
   /// Raw-index fast path for precomputed hot loops: resolve the flat index
   /// of a directed link once, then poll its health with a plain bit read.

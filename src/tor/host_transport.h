@@ -2,7 +2,7 @@
 // (core/data_channel.h): per-flow sequence numbering, receiver-side
 // duplicate suppression over a reassembly bitmap, cumulative+selective
 // acks returned on the host plane, and retransmit timers with
-// exponential backoff riding the EventQueue calendar tier.
+// exponential backoff riding the EventQueue heap.
 //
 // Placement: the transport wraps every data transmission the fabrics
 // make when DataFaultConfig::arq is on. on_transmit() stamps the chunk

@@ -204,6 +204,34 @@ TEST(Engine, RejectsFlowsArrivingInThePast) {
   EXPECT_DEATH(fab->add_flow(one_flow(0, 1, 100, 50)), "past");
 }
 
+TEST(Engine, RunUntilNeverMovesTheClockBackOnBothFabrics) {
+  // run_until(t) leaves now() at or past t (a fabric finishes the epoch or
+  // slot it is in), never moves the clock back, and has fired every event
+  // due by now(): a link toggle due exactly at t included.
+  for (auto kind : {SchedulerKind::kNegotiator, SchedulerKind::kOblivious}) {
+    NetworkConfig cfg = small(TopologyKind::kParallel);
+    cfg.scheduler = kind;
+    auto fab = make_fabric(cfg);
+    // An epoch boundary, so run_until(t - 1) stops short of it.
+    const Nanos t = 2 * cfg.epoch_length_ns();
+    fab->schedule_link_event(t, 3, 1, LinkDirection::kEgress, true);
+    fab->run_until(t - 1);
+    ASSERT_LT(fab->now(), t) << to_string(kind);
+    EXPECT_TRUE(fab->links().is_up(3, 1, LinkDirection::kEgress));
+    Nanos last = fab->now();
+    for (const Nanos target : {t, t / 2, t, t + 5'000}) {
+      fab->run_until(target);
+      EXPECT_GE(fab->now(), target) << to_string(kind) << " at " << target;
+      EXPECT_GE(fab->now(), last) << to_string(kind) << " at " << target;
+      EXPECT_EQ(fab->links().is_up(3, 1, LinkDirection::kEgress),
+                fab->now() < t)
+          << to_string(kind) << " at " << target;
+      last = fab->now();
+    }
+    EXPECT_FALSE(fab->links().is_up(3, 1, LinkDirection::kEgress));
+  }
+}
+
 /// Every completion a run reports, plus its event count: two runs with
 /// equal outcomes behaved identically.
 struct Outcome {

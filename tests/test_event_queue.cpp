@@ -13,7 +13,6 @@
 
 #include "common/rng.h"
 #include "sim/relay_delay_line.h"
-#include "sim/simulation.h"
 
 namespace negotiator {
 namespace {
@@ -53,7 +52,7 @@ void schedule_arrival(EventQueue& q, Nanos when, std::int32_t flow_index) {
   q.commit_flow_arrivals();
 }
 
-/// A transport timer tagged `tag` (the calendar tier).
+/// A transport timer tagged `tag` (the heap tier).
 TransportTimerEvent timer(std::int64_t tag) {
   return TransportTimerEvent{static_cast<std::int32_t>(tag)};
 }
@@ -138,19 +137,6 @@ TEST(EventQueue, SinkMayScheduleMoreEvents) {
   EXPECT_EQ(sink.fired[3].when, 2);
 }
 
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  schedule_arrival(q, 1, 1);
-  q.schedule_link_toggle(1, toggle(2));
-  q.schedule_transport_timer(1, timer(3));
-  q.clear();
-  q.run_until(100);
-  EXPECT_TRUE(sink.fired.empty());
-  EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, EventsCarryTheirPayloads) {
   EventQueue q;
   RecordingSink sink;
@@ -171,7 +157,7 @@ TEST(EventQueue, EventsCarryTheirPayloads) {
 
 TEST(EventQueue, EveryTierSharesTheFifoTieBreak) {
   // Ties at the same timestamp fire in schedule order no matter which tier
-  // (arrival stream, heap, calendar) carries the event.
+  // (arrival stream or heap) carries the event.
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
@@ -390,11 +376,10 @@ TEST(EventQueue, ReleasePropertyRandomizedInterleavingsMatchReference) {
   // as a reference ordered set predicts. Batches are big enough to cross
   // release steps, are staged and committed after pages went back, grow
   // the stream past a consumed prefix (with and without a reservation),
-  // tie heavily in time, and interleave with calendar timers, timers past
-  // the horizon and heap link toggles. The stream never retains more than
-  // one release step beyond its live entries.
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
+  // tie heavily in time, and interleave with near timers, timers a long
+  // span out and link toggles. The stream never retains more than one
+  // release step beyond its live entries.
+  constexpr Nanos kFar = 262'144;  // ns
   Rng rng(4242);
   for (int round = 0; round < 8; ++round) {
     EventQueue q;
@@ -441,10 +426,10 @@ TEST(EventQueue, ReleasePropertyRandomizedInterleavingsMatchReference) {
           pending.insert(staged.begin(), staged.end());
           staged.clear();
           break;
-        case 2: {  // a calendar timer, a far timer or a link toggle
+        case 2: {  // a near timer, a far timer or a link toggle
           const std::int64_t kind = rng.next_below(3);
           const Nanos when = now + rng.next_below(2000) +
-                             (kind == 1 ? kHorizon : 0);
+                             (kind == 1 ? kFar : 0);
           if (kind == 2) {
             q.schedule_link_toggle(when, toggle(seq));
             pending.emplace(when, seq++, 'l');
@@ -482,10 +467,8 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
   // events, on any tier, tied or not — the firing order is exactly the
   // (timestamp, schedule order) sort. The reference order is tracked with
   // a monotonically increasing schedule counter. The mix covers the
-  // arrival stream (and its out-of-order heap fallback), heap-only link
-  // toggles, calendar timers, and timers past the calendar horizon.
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
+  // arrival stream, link toggles, near timers and timers a long span out.
+  constexpr Nanos kFar = 262'144;  // ns
   Rng rng(2024);
   for (int round = 0; round < 20; ++round) {
     EventQueue q;
@@ -507,7 +490,7 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
           q.schedule_link_toggle(when, toggle(id));
           break;
         default:
-          when += kHorizon;  // beyond the calendar horizon: heap fallback
+          when += kFar;  // a backed-off timer
           q.schedule_transport_timer(when, timer(id));
           break;
       }
@@ -551,14 +534,12 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
   }
 }
 
-TEST(EventQueue, CalendarPropertyRandomizedTimersMatchHeapOrder) {
-  // Property: calendar-tier timers — whatever mix of in-bucket ties, bucket
-  // boundaries, horizon overflows (heap fallback) and ring wraparound the
-  // schedule produces — fire in exactly (timestamp, schedule order), i.e.
-  // indistinguishable from a single binary heap. Spans are drawn around
-  // the bucket width and the full horizon to hit every calendar path.
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
+TEST(EventQueue, TimerPropertyRandomizedSpansMatchStableSort) {
+  // Property: transport timers — whatever mix of ties, near, mid-range and
+  // far deadlines the schedule produces, interleaved with pops — fire in
+  // exactly (timestamp, schedule order).
+  constexpr Nanos kNear = 256;     // ns
+  constexpr Nanos kFar = 262'144;  // ns
   Rng rng(777);
   for (int round = 0; round < 15; ++round) {
     EventQueue q;
@@ -576,20 +557,20 @@ TEST(EventQueue, CalendarPropertyRandomizedTimersMatchHeapOrder) {
 
     for (int i = 0; i < 100; ++i) {
       switch (rng.next_below(4)) {
-        case 0:  // same-bucket ties and near-future entries
-          schedule_one(now + rng.next_below(EventQueue::kCalendarBucketNs));
+        case 0:  // ties and near-future entries
+          schedule_one(now + rng.next_below(kNear));
           break;
-        case 1:  // across bucket boundaries
-          schedule_one(now + rng.next_below(16 * EventQueue::kCalendarBucketNs));
+        case 1:  // a few near spans out
+          schedule_one(now + rng.next_below(16 * kNear));
           break;
-        case 2:  // anywhere inside the horizon (ring wraparound)
-          schedule_one(now + rng.next_below(kHorizon));
+        case 2:
+          schedule_one(now + rng.next_below(kFar));
           break;
-        default:  // beyond the horizon: heap fallback
-          schedule_one(now + kHorizon + rng.next_below(kHorizon));
+        default:  // backed-off deadlines
+          schedule_one(now + kFar + rng.next_below(kFar));
           break;
       }
-      // Interleave pops so the cursor moves and buckets recycle.
+      // Interleave pops so timers are scheduled behind popped ones.
       while (!q.empty() && rng.next_below(3) == 0) {
         now = std::max(now, q.next_time());
         q.run_next();
@@ -611,61 +592,9 @@ TEST(EventQueue, CalendarPropertyRandomizedTimersMatchHeapOrder) {
   }
 }
 
-TEST(EventQueue, CalendarPushBehindCursorStillFiresInOrder) {
-  // After the calendar cursor has moved forward, a timer scheduled
-  // behind it falls back to the heap and still fires before everything
-  // later — exactly like a pure heap would surface it.
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  q.schedule_transport_timer(10'000, timer(1));
-  q.schedule_transport_timer(20'000, timer(2));
-  q.run_until(10'000);  // cursor now sits at the 20'000 entry's bucket
-  q.schedule_transport_timer(15'000, timer(3));
-  q.schedule_transport_timer(12'000, timer(4));
-  q.run_until(30'000);
-  ASSERT_EQ(sink.fired.size(), 4u);
-  EXPECT_EQ(sink.fired[0].tag, 1);
-  EXPECT_EQ(sink.fired[1].tag, 4);  // 12'000
-  EXPECT_EQ(sink.fired[2].tag, 3);  // 15'000
-  EXPECT_EQ(sink.fired[3].tag, 2);  // 20'000
-}
-
-TEST(EventQueue, CalendarRecyclesBucketsAcrossManyHorizons) {
-  // A long periodic timer stream (a steady retransmit shape) must
-  // reuse ring storage: schedule/pop far more events than the ring holds,
-  // sweeping many full horizons, and verify count and order.
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  const int kSlots = 3000;
-  const Nanos slot_ns = kHorizon / 100;  // 30 horizons overall
-  std::int64_t id = 0;
-  Nanos now = 0;
-  for (int slot = 0; slot < kSlots; ++slot) {
-    const Nanos when = now + 2'000;  // "propagation delay" ahead
-    for (int k = 0; k < 3; ++k) {
-      q.schedule_transport_timer(when, timer(id++));
-    }
-    now += slot_ns;
-    q.run_until(now);
-  }
-  q.run_until(kNeverNs - 1);
-  ASSERT_EQ(sink.fired.size(), static_cast<std::size_t>(id));
-  for (std::size_t i = 1; i < sink.fired.size(); ++i) {
-    const bool ordered =
-        sink.fired[i - 1].when < sink.fired[i].when ||
-        (sink.fired[i - 1].when == sink.fired[i].when &&
-         sink.fired[i - 1].tag < sink.fired[i].tag);
-    ASSERT_TRUE(ordered) << "position " << i;
-  }
-}
-
 TEST(EventQueue, TransportTimersCarryTheirPayloadAndInterleave) {
-  // Retransmit timers ride the calendar and share the global
-  // (timestamp, schedule order) tie-break with every other tier.
+  // Retransmit timers ride the heap and share the global
+  // (timestamp, schedule order) tie-break with the arrival stream.
   EventQueue q;
   RecordingSink sink;
   q.set_sink(&sink);
@@ -685,44 +614,12 @@ TEST(EventQueue, TransportTimersCarryTheirPayloadAndInterleave) {
   EXPECT_EQ(sink.fired[3].tag, 102);
 }
 
-TEST(EventQueue, TransportTimerBeyondHorizonFallsBackToHeap) {
-  // A backed-off RTO can land past the 1024-bucket calendar window. The
-  // fallback to the heap must preserve the exact global order: in-window
-  // timers ride the calendar, the far one surfaces from the heap at its
-  // timestamp, and a timer at the horizon boundary still fires in place.
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
-  EventQueue q;
-  RecordingSink sink;
-  q.set_sink(&sink);
-  // Pin the calendar window near t=0.
-  q.schedule_transport_timer(100, TransportTimerEvent{1});
-  // Exponential backoff shape: doubling RTOs, the last two beyond horizon.
-  q.schedule_transport_timer(100 + 2 * kHorizon, TransportTimerEvent{2});
-  q.schedule_transport_timer(100, TransportTimerEvent{3});  // tie with #1
-  q.schedule_transport_timer(kHorizon - 1, TransportTimerEvent{4});
-  q.schedule_transport_timer(kHorizon, TransportTimerEvent{5});  // boundary
-  q.schedule_transport_timer(4 * kHorizon, TransportTimerEvent{6});
-  q.run_until(kNeverNs - 1);
-  ASSERT_EQ(sink.fired.size(), 6u);
-  EXPECT_EQ(sink.fired[0].tag, 1);
-  EXPECT_EQ(sink.fired[1].tag, 3);  // same timestamp -> schedule order
-  EXPECT_EQ(sink.fired[2].tag, 4);
-  EXPECT_EQ(sink.fired[2].when, kHorizon - 1);
-  EXPECT_EQ(sink.fired[3].tag, 5);
-  EXPECT_EQ(sink.fired[3].when, kHorizon);
-  EXPECT_EQ(sink.fired[4].tag, 2);
-  EXPECT_EQ(sink.fired[4].when, 100 + 2 * kHorizon);
-  EXPECT_EQ(sink.fired[5].tag, 6);
-}
-
-TEST(EventQueue, TransportTimerHorizonFallbackIsDeterministic) {
-  // Property at the calendar/heap boundary: a randomized mix of timers
-  // straddling the horizon — re-armed from inside firing events, exactly
-  // the lazy re-arm shape HostTransport produces — fires in the exact
-  // (timestamp, schedule order) sort, twice over with identical results.
-  constexpr Nanos kHorizon =
-      EventQueue::kCalendarBucketNs * EventQueue::kCalendarBuckets;
+TEST(EventQueue, TransportTimerRearmPropertyIsDeterministic) {
+  // Property: a randomized mix of timers clustered around one deadline
+  // span — re-armed from inside firing events, exactly the lazy re-arm
+  // shape HostTransport produces — fires in the exact (timestamp, schedule
+  // order) sort, twice over with identical results.
+  constexpr Nanos kSpan = 262'144;  // ns
   std::vector<std::vector<std::int64_t>> runs;
   for (int run = 0; run < 2; ++run) {
     Rng rng(4242);  // same seed both runs: the order must be identical
@@ -737,19 +634,19 @@ TEST(EventQueue, TransportTimerHorizonFallbackIsDeterministic) {
       expected.emplace_back(when, sched);
       ++sched;
     };
-    // Seed timers clustered around the horizon from t=0.
+    // Seed timers clustered around the span from t=0.
     for (int i = 0; i < 60; ++i) {
-      schedule_one(kHorizon - 8 + rng.next_below(16));
+      schedule_one(kSpan - 8 + rng.next_below(16));
     }
-    // Drain, re-arming with doubling spans that hop across the boundary.
+    // Drain, re-arming with spans up to twice as long.
     std::int64_t processed = 0;
     while (!q.empty()) {
       const Nanos now = q.next_time();
       q.run_next();
       if (++processed % 3 == 0 && sched < 200) {
         schedule_one(now + (rng.next_below(2) == 0
-                                ? rng.next_below(kHorizon)
-                                : kHorizon + rng.next_below(kHorizon)));
+                                ? rng.next_below(kSpan)
+                                : kSpan + rng.next_below(kSpan)));
       }
     }
     std::stable_sort(
@@ -881,35 +778,6 @@ TEST(RelayDelayLine, SpanStampedBeforeTheTailDies) {
   line.close_span(100);
   line.append(RelayDelayLine::Chunk{0, 1, 2, 1});
   EXPECT_DEATH(line.close_span(50), "lands before the one ahead");
-}
-
-TEST(Simulation, AdvancesClockAndFiresEvents) {
-  Simulation sim;
-  RecordingSink sink;
-  sim.set_sink(&sink);
-  EXPECT_EQ(sim.now(), 0);
-  sim.events().schedule_link_toggle(50, toggle(1));
-  sim.advance_to(49);
-  EXPECT_TRUE(sink.fired.empty());
-  sim.advance_to(50);
-  ASSERT_EQ(sink.fired.size(), 1u);
-  EXPECT_EQ(sim.now(), 50);
-}
-
-TEST(Simulation, EventsFireAtTheirTimestampNotTheAdvanceTarget) {
-  Simulation sim;
-  RecordingSink sink;
-  sim.set_sink(&sink);
-  sim.advance_to(100);
-  schedule_arrival(sim.events(), 105, 1);
-  sim.events().schedule_transport_timer(103, timer(2));
-  sim.advance_to(200);
-  ASSERT_EQ(sink.fired.size(), 2u);
-  EXPECT_EQ(sink.fired[0].tag, 2);
-  EXPECT_EQ(sink.fired[0].when, 103);
-  EXPECT_EQ(sink.fired[1].tag, 1);
-  EXPECT_EQ(sink.fired[1].when, 105);
-  EXPECT_EQ(sim.now(), 200);
 }
 
 }  // namespace

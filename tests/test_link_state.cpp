@@ -10,23 +10,26 @@ TEST(LinkState, AllUpInitially) {
   EXPECT_EQ(links.failed_count(), 0);
   EXPECT_EQ(links.total_links(), 16);
   EXPECT_TRUE(links.is_up(0, 0, LinkDirection::kEgress));
-  EXPECT_TRUE(links.path_up(0, 0, 1, 1));
+  EXPECT_TRUE(links.is_up(1, 1, LinkDirection::kIngress));
 }
 
 TEST(LinkState, EgressFailureBreaksOnlyOutboundPaths) {
   LinkState links(4, 2);
   links.fail(0, 1, LinkDirection::kEgress);
-  EXPECT_FALSE(links.path_up(0, 1, 2, 0));
-  EXPECT_TRUE(links.path_up(0, 0, 2, 0)) << "other port unaffected";
-  EXPECT_TRUE(links.path_up(2, 1, 0, 1)) << "ingress direction unaffected";
+  EXPECT_FALSE(links.is_up(0, 1, LinkDirection::kEgress));
+  EXPECT_TRUE(links.is_up(0, 0, LinkDirection::kEgress))
+      << "other port unaffected";
+  EXPECT_TRUE(links.is_up(0, 1, LinkDirection::kIngress))
+      << "ingress direction unaffected";
 }
 
 TEST(LinkState, IngressFailureBreaksOnlyInboundPaths) {
   LinkState links(4, 2);
   links.fail(3, 0, LinkDirection::kIngress);
-  EXPECT_FALSE(links.path_up(1, 0, 3, 0));
-  EXPECT_TRUE(links.path_up(1, 0, 3, 1));
-  EXPECT_TRUE(links.path_up(3, 0, 1, 0)) << "egress of same port unaffected";
+  EXPECT_FALSE(links.is_up(3, 0, LinkDirection::kIngress));
+  EXPECT_TRUE(links.is_up(3, 1, LinkDirection::kIngress));
+  EXPECT_TRUE(links.is_up(3, 0, LinkDirection::kEgress))
+      << "egress of same port unaffected";
 }
 
 TEST(LinkState, RepairRestores) {
@@ -35,7 +38,7 @@ TEST(LinkState, RepairRestores) {
   EXPECT_EQ(links.failed_count(), 1);
   links.repair(0, 0, LinkDirection::kEgress);
   EXPECT_EQ(links.failed_count(), 0);
-  EXPECT_TRUE(links.path_up(0, 0, 1, 0));
+  EXPECT_TRUE(links.is_up(0, 0, LinkDirection::kEgress));
 }
 
 TEST(LinkState, FailIsIdempotent) {
@@ -46,17 +49,6 @@ TEST(LinkState, FailIsIdempotent) {
   links.repair(0, 0, LinkDirection::kIngress);
   links.repair(0, 0, LinkDirection::kIngress);
   EXPECT_EQ(links.failed_count(), 0);
-}
-
-TEST(LinkState, RepairAll) {
-  LinkState links(4, 2);
-  links.fail(0, 0, LinkDirection::kEgress);
-  links.fail(1, 1, LinkDirection::kIngress);
-  links.fail(3, 0, LinkDirection::kEgress);
-  EXPECT_EQ(links.failed_count(), 3);
-  links.repair_all();
-  EXPECT_EQ(links.failed_count(), 0);
-  EXPECT_TRUE(links.path_up(0, 0, 1, 1));
 }
 
 }  // namespace

@@ -19,10 +19,4 @@ TEST(PublicApi, UmbrellaHeaderRunsAnExperiment) {
   EXPECT_GT(result.goodput, 0.0);
 }
 
-TEST(PublicApi, ClockSyncReachableFromUmbrella) {
-  negotiator::ClockSyncModel model(8, negotiator::ClockSyncConfig{},
-                                   negotiator::Rng(2));
-  EXPECT_LE(model.required_guardband_ns(), 10);
-}
-
 }  // namespace
