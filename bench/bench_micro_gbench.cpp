@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the scheduler hot paths: ring
 // arbitration, the GRANT and ACCEPT steps, queue operations, workload
-// sampling, the end-host ARQ's per-unit cycle, the flow-arrival stream's
+// sampling and set-up (building a size distribution, drawing the incast
+// mix), the end-host ARQ's per-unit cycle, the flow-arrival stream's
 // admit-and-drain, and a full fabric epoch.
 // These back §3.6.2's practicality argument with concrete per-operation
 // costs.
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/units.h"
 #include "core/matching.h"
 #include "core/ring.h"
 #include "engine/flow_table.h"
@@ -19,6 +21,7 @@
 #include "tor/dest_queue.h"
 #include "tor/host_transport.h"
 #include "workload/generator.h"
+#include "workload/incast.h"
 #include "workload/size_distribution.h"
 
 namespace {
@@ -93,6 +96,31 @@ void BM_WorkloadSampling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorkloadSampling);
+
+void BM_SizeDistributionBuild(benchmark::State& state) {
+  // The preset's anchors plus its 200 000-step mean integration.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SizeDistribution::hadoop().mean_bytes());
+  }
+}
+BENCHMARK(BM_SizeDistributionBuild)->Unit(benchmark::kMillisecond);
+
+void BM_IncastMix(benchmark::State& state) {
+  // The incast benchmark workload's mix: Fig. 13a's degree-20 incasts of
+  // 1 KB flows at 2% of the bandwidth of 128 ToRs for 4 ms (~511 k flows).
+  NetworkConfig cfg;
+  cfg.num_tors = 128;
+  std::int64_t flows = 0;
+  for (auto _ : state) {
+    Rng rng(10);
+    const auto mix = make_incast_mix(cfg.num_tors, 20, 1_KB, 0.02,
+                                     cfg.host_rate(), 0, 4 * kMilli, rng);
+    flows += static_cast<std::int64_t>(mix.size());
+    benchmark::DoNotOptimize(mix.data());
+  }
+  state.SetItemsProcessed(flows);
+}
+BENCHMARK(BM_IncastMix)->Unit(benchmark::kMillisecond);
 
 /// Forwards ARQ timer expiries to the transport; no other event kind is
 /// scheduled here.

@@ -30,4 +30,3 @@
 #include "workload/generator.h"
 #include "workload/incast.h"
 #include "workload/size_distribution.h"
-#include "workload/trace.h"

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "workload/flow.h"
 
 namespace negotiator {
 namespace {
@@ -34,10 +33,22 @@ SizeDistribution::SizeDistribution(std::vector<Point> points, std::string name)
   if (points_.back().cdf != 1.0) {
     throw std::invalid_argument("SizeDistribution: last cdf must be 1");
   }
+  log_sizes_.reserve(points_.size());
+  for (const Point& p : points_) {
+    log_sizes_.push_back(std::log(static_cast<double>(p.size)));
+  }
+  // The midpoints only grow, so the bracketing anchor only moves forward.
+  // Same sums as quantile(u) per step; a single anchor has cdf 1 > u.
   double acc = 0.0;
+  std::size_t hi = 1;
   for (int i = 1; i <= kMeanIntegrationSteps; ++i) {
     const double u = (static_cast<double>(i) - 0.5) / kMeanIntegrationSteps;
-    acc += static_cast<double>(quantile(u));
+    Bytes q = points_[0].size;
+    if (u > points_[0].cdf) {
+      while (points_[hi].cdf < u) ++hi;
+      q = interpolate(hi, u);
+    }
+    acc += static_cast<double>(q);
   }
   mean_bytes_ = acc / kMeanIntegrationSteps;
 }
@@ -52,37 +63,20 @@ Bytes SizeDistribution::quantile(double u) const {
       points_.begin(), points_.end(), u,
       [](const Point& p, double v) { return p.cdf < v; });
   NEG_ASSERT(it != points_.end(), "quantile anchor lookup failed");
-  const Point& hi = *it;
-  const Point& lo = *(it - 1);
-  const double t = (u - lo.cdf) / (hi.cdf - lo.cdf);
-  const double log_size = std::log(static_cast<double>(lo.size)) +
-                          t * (std::log(static_cast<double>(hi.size)) -
-                               std::log(static_cast<double>(lo.size)));
+  return interpolate(static_cast<std::size_t>(it - points_.begin()), u);
+}
+
+Bytes SizeDistribution::interpolate(std::size_t hi, double u) const {
+  const Point& lo = points_[hi - 1];
+  const double log_lo = log_sizes_[hi - 1];
+  const double t = (u - lo.cdf) / (points_[hi].cdf - lo.cdf);
+  const double log_size = log_lo + t * (log_sizes_[hi] - log_lo);
   const auto size = static_cast<Bytes>(std::llround(std::exp(log_size)));
   return std::max<Bytes>(1, size);
 }
 
 Bytes SizeDistribution::sample(Rng& rng) const {
   return quantile(rng.next_double());
-}
-
-double SizeDistribution::mice_fraction() const {
-  if (points_.size() == 1) {
-    return points_[0].size < kMiceFlowBytes ? 1.0 : 0.0;
-  }
-  if (kMiceFlowBytes <= points_.front().size) return 0.0;
-  if (kMiceFlowBytes >= points_.back().size) return 1.0;
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), kMiceFlowBytes,
-      [](const Point& p, Bytes v) { return p.size < v; });
-  const Point& hi = *it;
-  const Point& lo = *(it - 1);
-  const double t =
-      (std::log(static_cast<double>(kMiceFlowBytes)) -
-       std::log(static_cast<double>(lo.size))) /
-      (std::log(static_cast<double>(hi.size)) -
-       std::log(static_cast<double>(lo.size)));
-  return lo.cdf + t * (hi.cdf - lo.cdf);
 }
 
 SizeDistribution SizeDistribution::hadoop() {

@@ -40,18 +40,16 @@ class SizeDistribution {
 
   const std::string& name() const { return name_; }
 
-  /// Inverse-CDF sample (log-linear interpolation between anchors).
+  /// Inverse-CDF sample (log-linear interpolation between anchors); one
+  /// `exp` per call.
   Bytes sample(Rng& rng) const;
 
   /// Quantile (u in [0,1]) without consuming randomness.
   Bytes quantile(double u) const;
 
-  /// Mean flow size of the interpolated distribution, computed numerically.
-  /// Used by the load model L = F / (R * N * tau) (§4.1).
+  /// Mean flow size of the interpolated distribution, integrated once at
+  /// construction. Used by the load model L = F / (R * N * tau) (§4.1).
   double mean_bytes() const { return mean_bytes_; }
-
-  /// Fraction of flows that are mice (< kMiceFlowBytes).
-  double mice_fraction() const;
 
   const std::vector<Point>& points() const { return points_; }
 
@@ -61,7 +59,11 @@ class SizeDistribution {
   }
 
  private:
+  /// Quantile of u in (points_[hi - 1].cdf, points_[hi].cdf].
+  Bytes interpolate(std::size_t hi, double u) const;
+
   std::vector<Point> points_;
+  std::vector<double> log_sizes_;  // std::log of each anchor's size
   std::string name_;
   double mean_bytes_;
 };

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "workload/all_to_all.h"
 #include "workload/generator.h"
@@ -108,6 +111,77 @@ TEST(IncastMix, BandwidthFractionRespected) {
   const double fraction = bytes / (50.0 * 128 * dur);
   EXPECT_NEAR(fraction, 0.02, 0.004);
   EXPECT_EQ(flows.size() % 20, 0u) << "whole incast events";
+}
+
+/// The incast mix as first written: a fresh candidate list and a fresh
+/// burst vector per event, appended to an output grown without a reserve.
+std::vector<Flow> reference_incast_mix(int num_tors, int degree,
+                                       Bytes flow_size,
+                                       double bandwidth_fraction,
+                                       Rate host_rate, Nanos start,
+                                       Nanos duration, Rng& rng,
+                                       FlowId first_id, int group) {
+  const double bytes_per_ns =
+      bandwidth_fraction * host_rate.bytes_per_ns * num_tors;
+  const double event_rate =
+      bytes_per_ns / (static_cast<double>(degree) * flow_size);
+  PoissonProcess events(event_rate, rng.fork());
+  std::vector<Flow> flows;
+  FlowId id = first_id;
+  for (;;) {
+    const Nanos t = events.next_arrival();
+    if (t >= duration) break;
+    const TorId dst = static_cast<TorId>(rng.next_below(num_tors));
+    std::vector<TorId> candidates;
+    for (TorId s = 0; s < num_tors; ++s) {
+      if (s != dst) candidates.push_back(s);
+    }
+    std::vector<Flow> burst;
+    for (int i = 0; i < degree; ++i) {
+      const auto j = static_cast<std::size_t>(
+          i + rng.next_below(static_cast<std::int64_t>(candidates.size()) -
+                             i));
+      std::swap(candidates[static_cast<std::size_t>(i)], candidates[j]);
+      burst.push_back(Flow{id + i, candidates[static_cast<std::size_t>(i)],
+                           dst, flow_size, start + t, group});
+    }
+    id += static_cast<FlowId>(burst.size());
+    flows.insert(flows.end(), burst.begin(), burst.end());
+  }
+  return flows;
+}
+
+TEST(IncastMix, MatchesFreshBufferReferenceExactly) {
+  struct Shape {
+    int num_tors;
+    int degree;
+  };
+  for (const Shape shape : {Shape{16, 15}, Shape{128, 20}, Shape{128, 127}}) {
+    for (const std::uint64_t seed : {9ULL, 20261ULL}) {
+      SCOPED_TRACE(::testing::Message() << "N=" << shape.num_tors << " degree="
+                                        << shape.degree << " seed=" << seed);
+      Rng rng(seed);
+      Rng ref_rng = rng;
+      const Nanos dur = 2'000'000;
+      const auto flows =
+          make_incast_mix(shape.num_tors, shape.degree, 1'000, 0.02,
+                          Rate::from_gbps(400), 300, dur, rng, 11, 3);
+      const auto ref =
+          reference_incast_mix(shape.num_tors, shape.degree, 1'000, 0.02,
+                               Rate::from_gbps(400), 300, dur, ref_rng, 11, 3);
+      ASSERT_EQ(flows.size(), ref.size());
+      ASSERT_FALSE(flows.empty());
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        ASSERT_EQ(flows[i].id, ref[i].id) << "flow " << i;
+        ASSERT_EQ(flows[i].src, ref[i].src) << "flow " << i;
+        ASSERT_EQ(flows[i].dst, ref[i].dst) << "flow " << i;
+        ASSERT_EQ(flows[i].size, ref[i].size) << "flow " << i;
+        ASSERT_EQ(flows[i].arrival, ref[i].arrival) << "flow " << i;
+        ASSERT_EQ(flows[i].group, ref[i].group) << "flow " << i;
+      }
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64()) << "same draws consumed";
+    }
+  }
 }
 
 TEST(AllToAll, FullMesh) {
