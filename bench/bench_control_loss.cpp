@@ -84,6 +84,10 @@ int main() {
           runner.add_flows(load_workload(cfg, SizeDistribution::hadoop(),
                                          kLoad, duration, cfg.seed));
           const RunResult r = runner.run(duration, duration / 2);
+          // The oblivious reference has no control plane: its counters
+          // read 0.
+          const auto* neg =
+              dynamic_cast<const NegotiatorFabric*>(&runner.fabric());
           SweepOutcome out;
           out.metrics = {rec.control_grants() > 0 ? rec.control_match_ratio()
                                                   : r.mean_match_ratio,
@@ -91,9 +95,8 @@ int main() {
                          r.mice.p99_ns,
                          r.all_flows.mean_ns,
                          static_cast<double>(r.backlog),
-                         static_cast<double>(rec.fallback_bytes()),
-                         static_cast<double>(rec.degraded_slots()),
-                         static_cast<double>(rec.control_dropped())};
+                         neg ? static_cast<double>(neg->fallback_bytes()) : 0,
+                         neg ? static_cast<double>(neg->degraded_slots()) : 0};
           return out;
         },
         std::string(name) + " drop " + fmt(drop, 2) +
@@ -163,10 +166,12 @@ int main() {
                 }
               }
               const RunResult r = runner.run(duration, duration / 2);
+              const auto& neg =
+                  dynamic_cast<const NegotiatorFabric&>(runner.fabric());
               SweepOutcome out;
               out.metrics = {static_cast<double>(r.backlog),
-                             static_cast<double>(rec.fallback_bytes()),
-                             static_cast<double>(rec.degraded_slots()),
+                             static_cast<double>(neg.fallback_bytes()),
+                             static_cast<double>(neg.degraded_slots()),
                              rec.control_match_ratio()};
               return out;
             },

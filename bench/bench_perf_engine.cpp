@@ -77,6 +77,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,14 +206,11 @@ std::vector<SweepPoint> sweep_grid(int num_tors, Nanos duration) {
 /// Order-sensitive fingerprint of a sweep's merged results, for the
 /// determinism check across thread counts.
 std::uint64_t fingerprint(const std::vector<SweepOutcome>& outcomes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the raw doubles
+  std::uint64_t h = kFnv1aBasis;  // FNV-1a over the raw doubles
   auto mix = [&h](double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
+    h = fnv1a_mix(h, bits);
   };
   for (const SweepOutcome& o : outcomes) {
     mix(o.result.mice.p99_ns);
@@ -237,42 +235,43 @@ struct SweepPerf {
   }
 };
 
-/// FNV-1a over the run's complete observable output (every FCT sample plus
-/// the summary metrics) — the same recipe test_seed_equivalence pins, so a
-/// scaling row's fingerprint doubles as a bit-identity witness at the Ns
-/// the goldens don't cover.
-std::uint64_t result_fingerprint(Runner& runner, const RunResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t bits) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  auto mix_double = [&mix](double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  };
-  for (const FctSample& s : runner.fabric().fct().samples()) {
-    mix(static_cast<std::uint64_t>(s.flow));
-    mix(static_cast<std::uint64_t>(s.size));
-    mix(static_cast<std::uint64_t>(s.arrival));
-    mix(static_cast<std::uint64_t>(s.fct));
-    mix(static_cast<std::uint64_t>(s.group));
-  }
-  mix(static_cast<std::uint64_t>(r.completed));
-  mix(static_cast<std::uint64_t>(r.backlog));
-  mix_double(r.goodput);
-  mix_double(r.mean_match_ratio);
-  mix_double(r.mice.p99_ns);
-  mix_double(r.mice.mean_ns);
-  mix_double(r.all_flows.p99_ns);
-  mix_double(r.all_flows.p50_ns);
-  mix_double(r.all_flows.mean_ns);
-  mix_double(r.all_flows.max_ns);
-  mix(runner.fabric().events_executed());
-  return h;
+/// The step every section shares: admits the Fig. 9 workload (Hadoop
+/// sizes at `load`, seed 9), calls `prepare` (the storm installs its
+/// scenario there), times runner.run() over `duration` (metrics over its
+/// second half) and fills the row's PerfRun. Its fingerprint is
+/// result_fingerprint (engine/runner.h), the recipe the seed-equivalence
+/// goldens pin, so a row doubles as a bit-identity witness at the Ns the
+/// goldens don't cover. The run's result goes to `*result` when set.
+PerfRun timed_run(Runner& runner, const char* name, double load,
+                  Nanos duration, const std::function<void()>& prepare = {},
+                  RunResult* result = nullptr) {
+  const NetworkConfig& cfg = runner.config();
+  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
+                        cfg.host_rate(), load, Rng(9));
+  const auto flows = gen.generate(0, duration);
+  runner.add_flows(flows);
+  if (prepare) prepare();
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r = runner.run(duration, duration / 2);
+  const auto t1 = std::chrono::steady_clock::now();
+  const FabricSim& fab = runner.fabric();
+  PerfRun out;
+  out.name = name;
+  out.num_tors = cfg.num_tors;
+  out.topology = to_string(cfg.topology);
+  out.scheduler = to_string(cfg.scheduler);
+  out.load = load;
+  out.sim_ns = duration;
+  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  out.events = fab.events_executed();
+  out.dispatches = fab.events_dispatched();
+  out.deliveries = fab.deliveries();
+  out.delivery_dispatches = fab.delivery_dispatches();
+  out.result_fingerprint = result_fingerprint(fab, r);
+  out.flows = flows.size();
+  out.completed = r.completed;
+  if (result != nullptr) *result = r;
+  return out;
 }
 
 PerfRun measure_engine(const char* name, TopologyKind topo,
@@ -281,29 +280,7 @@ PerfRun measure_engine(const char* name, TopologyKind topo,
   NetworkConfig cfg = paper_config(topo, sched);
   cfg.num_tors = n;
   Runner runner(cfg);
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), load, Rng(9));
-  const auto flows = gen.generate(0, duration);
-  runner.add_flows(flows);
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunResult r = runner.run(duration, duration / 2);
-  const auto t1 = std::chrono::steady_clock::now();
-  PerfRun out;
-  out.name = name;
-  out.num_tors = n;
-  out.topology = to_string(topo);
-  out.scheduler = to_string(sched);
-  out.load = load;
-  out.sim_ns = duration;
-  out.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.events = runner.fabric().events_executed();
-  out.dispatches = runner.fabric().events_dispatched();
-  out.deliveries = runner.fabric().deliveries();
-  out.delivery_dispatches = runner.fabric().delivery_dispatches();
-  out.result_fingerprint = result_fingerprint(runner, r);
-  out.flows = flows.size();
-  out.completed = r.completed;
-  return out;
+  return timed_run(runner, name, load, duration);
 }
 
 /// One fig9 system under a mid-run ToR-group storm: events/sec on the
@@ -338,44 +315,25 @@ StormRun measure_storm(const char* name, TopologyKind topo,
   Runner runner(cfg, /*stats_window=*/100 * kMicro);
   ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
   runner.fabric().set_resilience(&rec);
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), load, Rng(9));
-  const auto flows = gen.generate(0, duration);
-  runner.add_flows(flows);
-  // One ToR-group burst in the middle third; every victim repairs (with
-  // stagger) before the final third, so the run ends converged.
   const Nanos phase = duration / 3;
-  StormSpec storm;
-  storm.zone = StormSpec::Zone::kTorGroup;
-  storm.group_size = 4;
-  storm.bursts = 1;
-  storm.first_burst_at = phase;
-  storm.burst_window = 10 * kMicro;
-  storm.outage_ns = std::max<Nanos>(phase - 40 * kMicro, 50 * kMicro);
-  storm.repair_stagger = 10 * kMicro;
-  FaultScenario scenario;
-  scenario.storm(storm);
-  Rng storm_rng(static_cast<std::uint64_t>(n) * 1017 + 5);
-  scenario.install(runner.fabric(), storm_rng);
-  runner.fabric().goodput().set_measure_interval(0, duration);
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunResult r = runner.run(duration, duration / 2);
-  const auto t1 = std::chrono::steady_clock::now();
   StormRun out;
-  out.run.name = name;
-  out.run.num_tors = n;
-  out.run.topology = to_string(topo);
-  out.run.scheduler = to_string(sched);
-  out.run.load = load;
-  out.run.sim_ns = duration;
-  out.run.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.run.events = runner.fabric().events_executed();
-  out.run.dispatches = runner.fabric().events_dispatched();
-  out.run.deliveries = runner.fabric().deliveries();
-  out.run.delivery_dispatches = runner.fabric().delivery_dispatches();
-  out.run.result_fingerprint = result_fingerprint(runner, r);
-  out.run.flows = flows.size();
-  out.run.completed = r.completed;
+  out.run = timed_run(runner, name, load, duration, [&] {
+    // One ToR-group burst in the middle third; every victim repairs (with
+    // stagger) before the final third, so the run ends converged.
+    StormSpec storm;
+    storm.zone = StormSpec::Zone::kTorGroup;
+    storm.group_size = 4;
+    storm.bursts = 1;
+    storm.first_burst_at = phase;
+    storm.burst_window = 10 * kMicro;
+    storm.outage_ns = std::max<Nanos>(phase - 40 * kMicro, 50 * kMicro);
+    storm.repair_stagger = 10 * kMicro;
+    FaultScenario scenario;
+    scenario.storm(storm);
+    Rng storm_rng(static_cast<std::uint64_t>(n) * 1017 + 5);
+    scenario.install(runner.fabric(), storm_rng);
+    runner.fabric().goodput().set_measure_interval(0, duration);
+  });
   const auto& g = runner.fabric().goodput();
   const double pre =
       goodput_window_sum(g, cfg.num_tors, phase / 3, phase);
@@ -399,7 +357,7 @@ struct ControlLossRun {
   std::uint64_t stranded_bytes;
   std::uint64_t fallback_bytes;
   std::int64_t degraded_slots;
-  std::uint64_t control_dropped;
+  std::uint64_t control_dropped{0};
 };
 
 ControlLossRun measure_control_loss(const char* name, TopologyKind topo,
@@ -424,35 +382,19 @@ ControlLossRun measure_control_loss(const char* name, TopologyKind topo,
   Runner runner(cfg);
   ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
   runner.fabric().set_resilience(&rec);
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), load, Rng(9));
-  const auto flows = gen.generate(0, duration);
-  runner.add_flows(flows);
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunResult r = runner.run(duration, duration / 2);
-  const auto t1 = std::chrono::steady_clock::now();
+  RunResult r;
   ControlLossRun out;
-  out.run.name = name;
-  out.run.num_tors = n;
-  out.run.topology = to_string(topo);
-  out.run.scheduler = to_string(sched);
-  out.run.load = load;
-  out.run.sim_ns = duration;
-  out.run.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.run.events = runner.fabric().events_executed();
-  out.run.dispatches = runner.fabric().events_dispatched();
-  out.run.deliveries = runner.fabric().deliveries();
-  out.run.delivery_dispatches = runner.fabric().delivery_dispatches();
-  out.run.result_fingerprint = result_fingerprint(runner, r);
-  out.run.flows = flows.size();
-  out.run.completed = r.completed;
+  out.run = timed_run(runner, name, load, duration, {}, &r);
+  const auto& fab = dynamic_cast<const NegotiatorFabric&>(runner.fabric());
   out.label = label;
   out.match_ratio = rec.control_grants() > 0 ? rec.control_match_ratio()
                                              : r.mean_match_ratio;
   out.stranded_bytes = static_cast<std::uint64_t>(r.backlog);
-  out.fallback_bytes = static_cast<std::uint64_t>(rec.fallback_bytes());
-  out.degraded_slots = rec.degraded_slots();
-  out.control_dropped = static_cast<std::uint64_t>(rec.control_dropped());
+  out.fallback_bytes = static_cast<std::uint64_t>(fab.fallback_bytes());
+  out.degraded_slots = fab.degraded_slots();
+  if (const ControlChannel* c = fab.control_channel()) {
+    out.control_dropped = static_cast<std::uint64_t>(c->dropped());
+  }
   return out;
 }
 
@@ -469,12 +411,13 @@ ControlLossRun measure_control_loss(const char* name, TopologyKind topo,
 struct DataLossRun {
   PerfRun run;
   std::string label;
-  std::uint64_t data_dropped_bytes;
-  std::uint64_t data_corrupted_bytes;
-  std::uint64_t retransmitted_bytes;
-  std::int64_t spurious_retx;
-  std::int64_t rto_fires;
-  std::int64_t max_backoff_reached;
+  // 0 where the run has no channel (lossless) or no transport (ARQ off).
+  std::uint64_t data_dropped_bytes{0};
+  std::uint64_t data_corrupted_bytes{0};
+  std::uint64_t retransmitted_bytes{0};
+  std::int64_t spurious_retx{0};
+  std::int64_t rto_fires{0};
+  std::int64_t max_backoff_reached{0};
 };
 
 DataLossRun measure_data_loss(const char* name, TopologyKind topo,
@@ -494,40 +437,21 @@ DataLossRun measure_data_loss(const char* name, TopologyKind topo,
     cfg.data_fault.arq = arq;
   }
   Runner runner(cfg);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
-  WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                        cfg.host_rate(), load, Rng(9));
-  const auto flows = gen.generate(0, duration);
-  runner.add_flows(flows);
-  const auto t0 = std::chrono::steady_clock::now();
-  const RunResult r = runner.run(duration, duration / 2);
-  const auto t1 = std::chrono::steady_clock::now();
   DataLossRun out;
-  out.run.name = name;
-  out.run.num_tors = n;
-  out.run.topology = to_string(topo);
-  out.run.scheduler = to_string(sched);
-  out.run.load = load;
-  out.run.sim_ns = duration;
-  out.run.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.run.events = runner.fabric().events_executed();
-  out.run.dispatches = runner.fabric().events_dispatched();
-  out.run.deliveries = runner.fabric().deliveries();
-  out.run.delivery_dispatches = runner.fabric().delivery_dispatches();
-  out.run.result_fingerprint = result_fingerprint(runner, r);
-  out.run.flows = flows.size();
-  out.run.completed = r.completed;
+  out.run = timed_run(runner, name, load, duration);
   out.label = label;
-  out.data_dropped_bytes =
-      static_cast<std::uint64_t>(rec.data_dropped_bytes());
-  out.data_corrupted_bytes =
-      static_cast<std::uint64_t>(rec.data_corrupted_bytes());
-  out.retransmitted_bytes =
-      static_cast<std::uint64_t>(rec.retransmitted_bytes());
-  out.spurious_retx = rec.spurious_retx();
-  out.rto_fires = rec.rto_fires();
-  out.max_backoff_reached = rec.max_backoff_reached();
+  if (const DataChannel* d = runner.fabric().data_channel()) {
+    out.data_dropped_bytes = static_cast<std::uint64_t>(d->dropped_bytes());
+    out.data_corrupted_bytes =
+        static_cast<std::uint64_t>(d->corrupted_bytes());
+  }
+  if (const HostTransport* t = runner.fabric().host_transport()) {
+    out.retransmitted_bytes =
+        static_cast<std::uint64_t>(t->retransmitted_bytes());
+    out.spurious_retx = t->spurious_retx();
+    out.rto_fires = t->rto_fires();
+    out.max_backoff_reached = t->max_backoff_reached();
+  }
   return out;
 }
 

@@ -12,8 +12,9 @@ Gating:
     fingerprint per row;
   - every deterministic integer counter a section records (COUNTERS below:
     scaling dispatches, deliveries and delivery_dispatches, storm
-    blackholed_bytes, the control_loss drop and fallback counts, the
-    data_loss drop, corruption, ARQ and completion counts) must equal the
+    blackholed_bytes and exclusion_churn, the control_loss drop, fallback
+    and stranded-byte counts, the data_loss drop, corruption, ARQ
+    (max_backoff_reached included) and completion counts) must equal the
     committed row's under the fingerprint rule below (same row identity and
     sim_ns). The counters are simulated output the fingerprints do not
     hash;
@@ -106,11 +107,12 @@ def row_context(r):
 # against the committed row alongside the fingerprint.
 COUNTERS = {
     "scaling": ("dispatches", "deliveries", "delivery_dispatches"),
-    "storm": ("blackholed_bytes",),
-    "control_loss": ("control_dropped", "degraded_slots", "fallback_bytes"),
+    "storm": ("blackholed_bytes", "exclusion_churn"),
+    "control_loss": ("control_dropped", "degraded_slots", "fallback_bytes",
+                     "stranded_bytes"),
     "data_loss": ("data_dropped_bytes", "data_corrupted_bytes",
                   "retransmitted_bytes", "rto_fires", "spurious_retx",
-                  "completed"),
+                  "max_backoff_reached", "completed"),
 }
 
 

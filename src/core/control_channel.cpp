@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "stats/resilience_recorder.h"
 
 namespace negotiator {
 
@@ -33,7 +32,6 @@ ControlChannel::Fate ControlChannel::classify(ControlClass cls) {
   // Draw order is part of the determinism contract (see header).
   if (rng_.next_double() < effective_drop_[static_cast<int>(cls)]) {
     ++dropped_;
-    if (recorder_) recorder_->on_control_dropped();
     fate.deliver = false;
     return fate;
   }
@@ -43,14 +41,12 @@ ControlChannel::Fate ControlChannel::classify(ControlClass cls) {
             ? 1 + static_cast<int>(rng_.next_below(config_.max_delay_epochs))
             : 1;
     ++delayed_;
-    if (recorder_) recorder_->on_control_delayed();
     return fate;
   }
   if (config_.duplicate_prob > 0.0 &&
       rng_.next_double() < config_.duplicate_prob) {
     fate.duplicate = true;
     ++duplicated_;
-    if (recorder_) recorder_->on_control_duplicated();
   }
   return fate;
 }

@@ -41,8 +41,6 @@
 
 namespace negotiator {
 
-class ResilienceRecorder;  // stats/resilience_recorder.h
-
 /// Salt mixed into NetworkConfig::seed for the channel's private stream.
 inline constexpr std::uint64_t kControlChannelSeedSalt =
     0xc0117a0b10550000ULL;
@@ -79,9 +77,6 @@ class ControlChannel {
   /// the highest floor wins.
   void add_brownout(Nanos start, Nanos end, double drop_floor);
 
-  /// Optional metrics sink (control counters mirror into it); may be null.
-  void set_recorder(ResilienceRecorder* recorder) { recorder_ = recorder; }
-
   std::int64_t dropped() const { return dropped_; }
   std::int64_t delayed() const { return delayed_; }
   std::int64_t duplicated() const { return duplicated_; }
@@ -107,7 +102,6 @@ class ControlChannel {
   std::int64_t delayed_{0};
   std::int64_t duplicated_{0};
   std::int64_t classified_{0};
-  ResilienceRecorder* recorder_{nullptr};
 };
 
 }  // namespace negotiator

@@ -38,8 +38,6 @@
 
 namespace negotiator {
 
-class ResilienceRecorder;  // stats/resilience_recorder.h
-
 /// Salt mixed into NetworkConfig::seed for the channel's private stream.
 inline constexpr std::uint64_t kDataChannelSeedSalt = 0xda7a0b10550000ULL;
 
@@ -76,9 +74,6 @@ class DataChannel {
   /// highest floor wins.
   void add_loss_window(Nanos start, Nanos end, double drop_floor);
 
-  /// Optional metrics sink (data counters mirror into it); may be null.
-  void set_recorder(ResilienceRecorder* recorder) { recorder_ = recorder; }
-
   std::int64_t dropped() const { return dropped_; }
   std::int64_t corrupted() const { return corrupted_; }
   std::int64_t classified() const { return classified_; }
@@ -106,7 +101,6 @@ class DataChannel {
   std::int64_t classified_{0};
   Bytes dropped_bytes_{0};
   Bytes corrupted_bytes_{0};
-  ResilienceRecorder* recorder_{nullptr};
 };
 
 }  // namespace negotiator

@@ -8,7 +8,6 @@ EpochTiming::EpochTiming(const NetworkConfig& config)
     : predefined_slots_(config.predefined_slots()),
       scheduled_slots_(config.epoch.scheduled_slots),
       predefined_slot_ns_(config.epoch.predefined_slot_ns()),
-      guardband_ns_(config.epoch.guardband_ns),
       scheduled_slot_ns_(config.epoch.scheduled_slot_ns) {
   predefined_length_ = static_cast<Nanos>(predefined_slots_) *
                        predefined_slot_ns_;
@@ -39,12 +38,6 @@ Nanos EpochTiming::scheduled_slot_start(std::int64_t epoch, int slot) const {
 
 Nanos EpochTiming::scheduled_slot_end(std::int64_t epoch, int slot) const {
   return scheduled_slot_start(epoch, slot) + scheduled_slot_ns_;
-}
-
-double EpochTiming::guardband_fraction() const {
-  const double guard_total = static_cast<double>(guardband_ns_) *
-                             static_cast<double>(predefined_slots_);
-  return guard_total / static_cast<double>(epoch_length_);
 }
 
 }  // namespace negotiator

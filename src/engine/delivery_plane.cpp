@@ -87,10 +87,4 @@ bool DeliveryPlane::on_timer(std::int32_t flow, Nanos now) {
   return transport_->on_timer(flow, now);
 }
 
-void DeliveryPlane::set_resilience(ResilienceRecorder* recorder) {
-  resilience_ = recorder;
-  if (data_) data_->set_recorder(recorder);
-  if (transport_) transport_->set_recorder(recorder);
-}
-
 }  // namespace negotiator

@@ -155,7 +155,7 @@ class DeliveryPlane {
   void add_loss_window(Nanos start, Nanos end, double drop_floor) {
     if (data_) data_->add_loss_window(start, end, drop_floor);
   }
-  void set_resilience(ResilienceRecorder* recorder);
+  void set_resilience(ResilienceRecorder* recorder) { resilience_ = recorder; }
 
   FlowTable& flows() { return flows_; }
   const FlowTable& flows() const { return flows_; }

@@ -207,11 +207,6 @@ void NegotiatorFabric::schedule_control_brownout(Nanos start, Nanos end,
   if (control_) control_->add_brownout(start, end, drop_floor);
 }
 
-void NegotiatorFabric::set_resilience(ResilienceRecorder* recorder) {
-  FabricSim::set_resilience(recorder);
-  if (control_) control_->set_recorder(recorder);
-}
-
 void NegotiatorFabric::on_transport_timer(const TransportTimerEvent& e,
                                           Nanos now) {
   if (plane_.on_timer(e.flow_index, now) && in_predefined_phase_) {
@@ -499,14 +494,10 @@ void NegotiatorFabric::run_fallback_slot() {
       sync_source_activity(s);
       plane_.first_hop(static_cast<int>(pkt->flow), s, d, pkt->bytes, now_);
       fallback_bytes_ += pkt->bytes;
-      if (resilience_) resilience_->on_fallback_delivery(pkt->bytes);
       sent = true;
     }
   }
-  if (sent) {
-    ++degraded_slots_;
-    if (resilience_) resilience_->on_degraded_slot();
-  }
+  if (sent) ++degraded_slots_;
 }
 
 void NegotiatorFabric::run_scheduled_phase() {

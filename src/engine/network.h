@@ -126,14 +126,15 @@ class FabricSim : private EventSink {
   /// Attaches an optional resilience-metrics sink (see
   /// stats/resilience_recorder.h). The recorder must outlive the fabric
   /// or be detached with set_resilience(nullptr). Null — the default —
-  /// keeps every hot path byte-identical to a recorder-free build.
-  /// Virtual so a fabric can also hand the sink to its own components
-  /// (the negotiator fabric forwards it to its lossy control channel).
-  virtual void set_resilience(ResilienceRecorder* recorder) {
+  /// keeps every hot path byte-identical to a recorder-free build. The
+  /// drop, retransmission and fallback counters are kept by their owners
+  /// instead: data_channel(), host_transport(),
+  /// NegotiatorFabric::control_channel(), degraded_slots() and
+  /// fallback_bytes().
+  void set_resilience(ResilienceRecorder* recorder) {
     resilience_ = recorder;
     plane_.set_resilience(recorder);
   }
-  ResilienceRecorder* resilience() const { return resilience_; }
 
   /// Lossy data channel (null when data_fault is disabled).
   const DataChannel* data_channel() const { return plane_.data_channel(); }
@@ -203,7 +204,6 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   }
   void schedule_control_brownout(Nanos start, Nanos end,
                                  double drop_floor) override;
-  void set_resilience(ResilienceRecorder* recorder) override;
   int excluded_ports() const override { return faults_.excluded_count(); }
 
   // DemandView:

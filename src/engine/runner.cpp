@@ -1,11 +1,39 @@
 #include "engine/runner.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/assert.h"
 #include "stats/percentile.h"
 
 namespace negotiator {
+
+std::uint64_t result_fingerprint(const FabricSim& fabric, const RunResult& r) {
+  std::uint64_t h = kFnv1aBasis;
+  auto mix_double = [&h](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    h = fnv1a_mix(h, bits);
+  };
+  for (const FctSample& s : fabric.flows().fct().samples()) {
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.flow));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.size));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.arrival));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.fct));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(s.group));
+  }
+  h = fnv1a_mix(h, static_cast<std::uint64_t>(r.completed));
+  h = fnv1a_mix(h, static_cast<std::uint64_t>(r.backlog));
+  mix_double(r.goodput);
+  mix_double(r.mean_match_ratio);
+  mix_double(r.mice.p99_ns);
+  mix_double(r.mice.mean_ns);
+  mix_double(r.all_flows.p99_ns);
+  mix_double(r.all_flows.p50_ns);
+  mix_double(r.all_flows.mean_ns);
+  mix_double(r.all_flows.max_ns);
+  return fnv1a_mix(h, fabric.events_executed());
+}
 
 Runner::Runner(const NetworkConfig& config, Nanos stats_window_ns)
     : fabric_(make_fabric(config, stats_window_ns)) {}

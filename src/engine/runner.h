@@ -2,6 +2,7 @@
 // fabric, feed flows, run for a duration, collect the paper's metrics.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -23,6 +24,25 @@ struct RunResult {
   /// horizon: the samples the summaries above are missing.
   std::size_t censored{0};
 };
+
+/// FNV-1a offset basis: the starting value of every fingerprint.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// One FNV-1a step per byte of `bits`, least significant byte first.
+inline std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t bits) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over a run's complete observable output: every FCT sample
+/// (flow, size, arrival, fct, group), then `r`'s completed count,
+/// backlog, goodput, match ratio and FCT summaries, then the fabric's
+/// events_executed(). The seed-equivalence goldens and the
+/// BENCH_perf.json row fingerprints pin this recipe.
+std::uint64_t result_fingerprint(const FabricSim& fabric, const RunResult& r);
 
 class Runner {
  public:

@@ -1,27 +1,29 @@
 #include "oblivious/oblivious_scheduler.h"
 
+#include "topo/predefined_schedule.h"
+
 namespace negotiator {
 
 ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
                                  Nanos stats_window_ns)
     : FabricSim(config, stats_window_ns, /*relay=*/true),
-      rotor_(config.topology, config.num_tors, config.ports_per_tor,
-             config.epoch.guardband_ns + config.epoch.scheduled_slot_ns),
+      slot_ns_(config.epoch.guardband_ns + config.epoch.scheduled_slot_ns),
       spread_ptr_(static_cast<std::size_t>(config.num_tors), 0),
       busy_(config.num_tors),
       advertised_congested_(
           static_cast<std::size_t>(config.num_tors) * config.num_tors, 0),
       peers_believe_congested_(static_cast<std::size_t>(config.num_tors),
                                0) {
-  const int cycle = rotor_.cycle_slots();
   const int n = config_.num_tors;
   const int ports = config_.ports_per_tor;
-  conn_table_.assign(static_cast<std::size_t>(cycle) * n * ports,
+  const PredefinedSchedule rotor(config_.topology, n, ports);
+  cycle_slots_ = rotor.slots();
+  conn_table_.assign(static_cast<std::size_t>(cycle_slots_) * n * ports,
                      SlotConn{kInvalidTor, kInvalidPort, 0, 0});
-  for (int slot = 0; slot < cycle; ++slot) {
+  for (int slot = 0; slot < cycle_slots_; ++slot) {
     for (TorId s = 0; s < n; ++s) {
       for (PortId p = 0; p < ports; ++p) {
-        const TorId m = rotor_.dst_of(s, p, slot);
+        const TorId m = rotor.dst_of(s, p, slot, /*rotation=*/0);
         if (m == kInvalidTor) continue;
         const PortId rx = topo_->rx_port(s, p, m);
         conn_table_[(static_cast<std::size_t>(slot) * n + s) * ports + p] =
@@ -73,14 +75,14 @@ TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
 }
 
 void ObliviousFabric::run_slot(std::int64_t global_slot) {
-  advance_to(rotor_.slot_start(global_slot));
+  advance_to(slot_start(global_slot));
   plane_.begin_epoch(now_);
   const Bytes payload = config_.scheduled_payload_bytes();
-  const Nanos arrival = rotor_.slot_end(global_slot) +
-                        config_.propagation_delay_ns;
+  const Nanos arrival =
+      slot_start(global_slot) + slot_ns_ + config_.propagation_delay_ns;
   const int n = config_.num_tors;
   const int ports = config_.ports_per_tor;
-  const int slot = static_cast<int>(global_slot % rotor_.cycle_slots());
+  const int slot = static_cast<int>(global_slot % cycle_slots_);
   const bool healthy = links_.all_up();
   // Snapshot the dirty set: sources can go quiet mid-slot (queues drain),
   // and a conn of an already-quiet source replicates the dense scan's
@@ -165,13 +167,13 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
   plane_.flush(arrival);
   relay_line_.close_span(arrival);
   // Cycle boundary == the oblivious fabric's audit epoch boundary.
-  if (slot == rotor_.cycle_slots() - 1) {
-    audit(global_slot / rotor_.cycle_slots());
+  if (slot == cycle_slots_ - 1) {
+    audit(global_slot / cycle_slots_);
   }
 }
 
 void ObliviousFabric::run_until(Nanos t) {
-  while (rotor_.slot_start(next_slot_) < t) {
+  while (slot_start(next_slot_) < t) {
     run_slot(next_slot_);
     ++next_slot_;
   }

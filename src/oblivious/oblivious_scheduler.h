@@ -23,7 +23,6 @@
 
 #include "common/config.h"
 #include "engine/network.h"
-#include "oblivious/rotor_schedule.h"
 
 namespace negotiator {
 
@@ -33,8 +32,6 @@ class ObliviousFabric final : public FabricSim {
                            Nanos stats_window_ns = 0);
 
   void run_until(Nanos t) override;
-
-  Nanos cycle_length_ns() const { return rotor_.cycle_length_ns(); }
 
  private:
   // EventSink: typed events scheduled on the simulation clock.
@@ -93,14 +90,23 @@ class ObliviousFabric final : public FabricSim {
     }
   }
 
-  RotorSchedule rotor_;
+  Nanos slot_start(std::int64_t global_slot) const {
+    return global_slot * slot_ns_;
+  }
+
+  /// The rotor: the predefined round-robin rule of §3.3.1 at rotation 0,
+  /// applied to every slot and cycling forever. One cycle gives every
+  /// ordered pair at least one connection.
+  int cycle_slots_{0};  // slots per cycle
+  Nanos slot_ns_;       // guardband + one scheduled slot
   std::int64_t next_slot_{0};
   std::vector<TorId> spread_ptr_;
 
   /// Rotor connectivity is a fixed cycle (rotation never changes), so the
   /// whole (slot-in-cycle, src, port) -> (dst, rx, link indices) table is
-  /// resolved once at construction; run_slot indexes flat records directly
-  /// at [slot * N * P + src * P + port] (dst == kInvalidTor for idle).
+  /// resolved once at construction from the predefined schedule; run_slot
+  /// indexes flat records directly at [slot * N * P + src * P + port]
+  /// (dst == kInvalidTor for idle).
   struct SlotConn {
     TorId dst;
     PortId rx;

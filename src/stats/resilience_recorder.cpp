@@ -1,7 +1,6 @@
 #include "stats/resilience_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/assert.h"
 
@@ -56,52 +55,6 @@ void ResilienceRecorder::on_include(Nanos now, TorId tor, PortId port,
   ++recovery_.count;
   recovery_.sum += latency;
   recovery_.max = std::max(recovery_.max, latency);
-}
-
-std::string ResilienceRecorder::json() const {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"schema_version\": %d, "
-      "\"failures\": %lld, \"repairs\": %lld, \"exclusions\": %lld, "
-      "\"inclusions\": %lld, \"exclusion_churn\": %lld, "
-      "\"detection_ns\": {\"count\": %lld, \"mean\": %.1f, \"max\": %lld}, "
-      "\"recovery_ns\": {\"count\": %lld, \"mean\": %.1f, \"max\": %lld}, "
-      "\"blackholed_bytes\": %lld, \"degraded_delivered_bytes\": %lld, "
-      "\"control_dropped\": %lld, \"control_delayed\": %lld, "
-      "\"control_duplicated\": %lld, \"degraded_slots\": %lld, "
-      "\"fallback_bytes\": %lld, \"control_grants\": %lld, "
-      "\"control_accepts\": %lld, \"control_match_ratio\": %.4f, "
-      "\"data_dropped\": %lld, \"data_corrupted\": %lld, "
-      "\"data_dropped_bytes\": %lld, \"data_corrupted_bytes\": %lld, "
-      "\"retransmitted_bytes\": %lld, \"spurious_retx\": %lld, "
-      "\"rto_fires\": %lld, \"max_backoff_reached\": %lld}",
-      kSchemaVersion, static_cast<long long>(failures_),
-      static_cast<long long>(repairs_), static_cast<long long>(exclusions_),
-      static_cast<long long>(inclusions_),
-      static_cast<long long>(exclusion_churn()),
-      static_cast<long long>(detection_.count), detection_.mean(),
-      static_cast<long long>(detection_.max),
-      static_cast<long long>(recovery_.count), recovery_.mean(),
-      static_cast<long long>(recovery_.max),
-      static_cast<long long>(blackholed_bytes_),
-      static_cast<long long>(degraded_delivered_bytes_),
-      static_cast<long long>(control_dropped_),
-      static_cast<long long>(control_delayed_),
-      static_cast<long long>(control_duplicated_),
-      static_cast<long long>(degraded_slots_),
-      static_cast<long long>(fallback_bytes_),
-      static_cast<long long>(control_grants_),
-      static_cast<long long>(control_accepts_), control_match_ratio(),
-      static_cast<long long>(data_dropped_),
-      static_cast<long long>(data_corrupted_),
-      static_cast<long long>(data_dropped_bytes_),
-      static_cast<long long>(data_corrupted_bytes_),
-      static_cast<long long>(retransmitted_bytes_),
-      static_cast<long long>(spurious_retx_),
-      static_cast<long long>(rto_fires_),
-      static_cast<long long>(max_backoff_reached_));
-  return std::string(buf);
 }
 
 }  // namespace negotiator

@@ -2,13 +2,20 @@
 // scenario (engine/fault_scenario.h).
 //
 // A recorder is attached to a fabric with FabricSim::set_resilience and
-// then fed from three places:
+// then fed from four places:
 //   - the fabric's link-toggle handler (injection / repair timestamps per
 //     directed link),
 //   - FaultPlane::end_epoch via the Listener interface (confirmed
-//     exclusion / re-inclusion transitions), and
+//     exclusion / re-inclusion transitions),
 //   - the data plane (bytes transmitted into dark fibre before detection,
-//     bytes delivered while some link was down).
+//     bytes delivered while some link was down), and
+//   - the negotiator fabric's epoch start (grants and the accepts that
+//     answered them, under a lossy control plane).
+//
+// It keeps only what no component counts itself. The drop, delay,
+// duplication, retransmission and fallback counters live with their
+// owners: ControlChannel, DataChannel, HostTransport and NegotiatorFabric
+// (degraded_slots(), fallback_bytes()).
 //
 // Derived metrics:
 //   - detection latency  = exclusion confirmed − most recent failure of
@@ -30,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -60,17 +66,6 @@ class ResilienceRecorder final : public FaultPlane::Listener {
     degraded_delivered_bytes_ += bytes;
   }
 
-  // Control-plane fault hooks (core/control_channel.h + the fallback path
-  // in engine/network.cpp). All incremental; zero-cost when the lossy
-  // channel is absent because nothing calls them.
-  void on_control_dropped() { ++control_dropped_; }
-  void on_control_delayed() { ++control_delayed_; }
-  void on_control_duplicated() { ++control_duplicated_; }
-  /// A scheduled slot in which at least one unmatched source delivered via
-  /// the oblivious fallback.
-  void on_degraded_slot() { ++degraded_slots_; }
-  /// Bytes delivered through the fallback (rotor) path.
-  void on_fallback_delivery(Bytes bytes) { fallback_bytes_ += bytes; }
   /// Per-epoch matching outcome under loss: `grants` issued in epoch e-1,
   /// `accepts` that answered them in epoch e (Fig. 14 semantics).
   void on_control_match(std::size_t grants, std::size_t accepts) {
@@ -78,25 +73,6 @@ class ResilienceRecorder final : public FaultPlane::Listener {
     control_accepts_ += static_cast<std::int64_t>(accepts);
   }
 
-  // Data-plane fault hooks (core/data_channel.h + tor/host_transport.h).
-  // Same contract as the control hooks: incremental, and zero-cost when
-  // the lossy data plane is absent because nothing calls them.
-  void on_data_dropped(Bytes bytes) {
-    ++data_dropped_;
-    data_dropped_bytes_ += bytes;
-  }
-  void on_data_corrupted(Bytes bytes) {
-    ++data_corrupted_;
-    data_corrupted_bytes_ += bytes;
-  }
-  /// One chunk handed back to the fabric for retransmission.
-  void on_retransmit(Bytes bytes) { retransmitted_bytes_ += bytes; }
-  /// A retransmitted copy arrived for a chunk the receiver already had.
-  void on_spurious_retx() { ++spurious_retx_; }
-  /// One genuine RTO expiry (stale timer wakeups are not counted).
-  void on_rto_fire() { ++rto_fires_; }
-  /// An RTO expiry found the flow already at its backoff cap.
-  void on_max_backoff() { ++max_backoff_reached_; }
 
   struct LatencyStats {
     std::int64_t count{0};
@@ -119,11 +95,6 @@ class ResilienceRecorder final : public FaultPlane::Listener {
   Bytes blackholed_bytes() const { return blackholed_bytes_; }
   Bytes degraded_delivered_bytes() const { return degraded_delivered_bytes_; }
 
-  std::int64_t control_dropped() const { return control_dropped_; }
-  std::int64_t control_delayed() const { return control_delayed_; }
-  std::int64_t control_duplicated() const { return control_duplicated_; }
-  std::int64_t degraded_slots() const { return degraded_slots_; }
-  Bytes fallback_bytes() const { return fallback_bytes_; }
   std::int64_t control_grants() const { return control_grants_; }
   std::int64_t control_accepts() const { return control_accepts_; }
   /// Accepts / grants over the run under loss (0 when no grant was seen).
@@ -132,26 +103,6 @@ class ResilienceRecorder final : public FaultPlane::Listener {
                                      static_cast<double>(control_grants_)
                                : 0.0;
   }
-
-  std::int64_t data_dropped() const { return data_dropped_; }
-  std::int64_t data_corrupted() const { return data_corrupted_; }
-  Bytes data_dropped_bytes() const { return data_dropped_bytes_; }
-  Bytes data_corrupted_bytes() const { return data_corrupted_bytes_; }
-  Bytes retransmitted_bytes() const { return retransmitted_bytes_; }
-  std::int64_t spurious_retx() const { return spurious_retx_; }
-  std::int64_t rto_fires() const { return rto_fires_; }
-  std::int64_t max_backoff_reached() const { return max_backoff_reached_; }
-
-  /// Version of the json() schema below. Bump whenever a field is added,
-  /// removed, or reordered so nightly chaos-JSON diffs can tell a schema
-  /// change from a metrics change.
-  static constexpr int kSchemaVersion = 2;
-
-  /// One-line JSON object with the full metrics schema (see README
-  /// "Fault model" for field meanings). Field order is fixed — the
-  /// emission is a single snprintf, so it cannot vary across compilers —
-  /// and `schema_version` leads the object.
-  std::string json() const;
 
  private:
   struct DirState {
@@ -171,21 +122,8 @@ class ResilienceRecorder final : public FaultPlane::Listener {
   LatencyStats recovery_;
   Bytes blackholed_bytes_{0};
   Bytes degraded_delivered_bytes_{0};
-  std::int64_t control_dropped_{0};
-  std::int64_t control_delayed_{0};
-  std::int64_t control_duplicated_{0};
-  std::int64_t degraded_slots_{0};
-  Bytes fallback_bytes_{0};
   std::int64_t control_grants_{0};
   std::int64_t control_accepts_{0};
-  std::int64_t data_dropped_{0};
-  std::int64_t data_corrupted_{0};
-  Bytes data_dropped_bytes_{0};
-  Bytes data_corrupted_bytes_{0};
-  Bytes retransmitted_bytes_{0};
-  std::int64_t spurious_retx_{0};
-  std::int64_t rto_fires_{0};
-  std::int64_t max_backoff_reached_{0};
 };
 
 }  // namespace negotiator

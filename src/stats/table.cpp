@@ -17,12 +17,6 @@ void ConsoleTable::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-std::string ConsoleTable::num(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
 std::string ConsoleTable::to_string() const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {

@@ -17,9 +17,6 @@ class ConsoleTable {
   std::string to_string() const;
   void print() const;
 
-  /// Formats a double with `precision` decimals.
-  static std::string num(double v, int precision = 2);
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

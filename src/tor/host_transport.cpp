@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "engine/flow_table.h"
-#include "stats/resilience_recorder.h"
 
 namespace negotiator {
 namespace {
@@ -119,7 +118,6 @@ bool HostTransport::on_deliver(std::int32_t flow, std::uint32_t seq,
     // copy of a unit the sender already gave up on: the receiver
     // discards it.
     ++spurious_retx_;
-    if (recorder_) recorder_->on_spurious_retx();
     return false;
   }
   FlowState& f = *fs;
@@ -306,11 +304,7 @@ bool HostTransport::on_timer(std::int32_t flow, Nanos now) {
     return false;
   }
   ++rto_fires_;
-  if (recorder_) recorder_->on_rto_fire();
-  if (f.rto >= rto_cap_ns_) {
-    ++max_backoff_reached_;
-    if (recorder_) recorder_->on_max_backoff();
-  }
+  if (f.rto >= rto_cap_ns_) ++max_backoff_reached_;
   // Escalate toward abandonment only when every earlier retransmission
   // has actually been attempted: an expiry with units still waiting in
   // the pair FIFO means the fabric never got to the repair (starved
@@ -362,7 +356,6 @@ HostTransport::RetxChunk HostTransport::take_retx(TorId src, TorId dst,
     f.resent.push_back(
         ResentEntry{e.idx, static_cast<std::uint32_t>(f.end()), now});
     retransmitted_bytes_ += u->bytes;
-    if (recorder_) recorder_->on_retransmit(u->bytes);
     if (!f.timer_armed) arm_timer(f, e.flow, now + f.rto);
     return RetxChunk{e.flow, f.dst, u->bytes, e.idx + 1};
   }

@@ -82,8 +82,7 @@
 
 namespace negotiator {
 
-class FlowTable;           // engine/flow_table.h
-class ResilienceRecorder;  // stats/resilience_recorder.h
+class FlowTable;  // engine/flow_table.h
 
 class HostTransport {
  public:
@@ -166,9 +165,6 @@ class HostTransport {
     return static_cast<std::size_t>(flow) < slot_.size() &&
            slot_[static_cast<std::size_t>(flow)] >= 0;
   }
-
-  /// Optional metrics sink; may be null.
-  void set_recorder(ResilienceRecorder* recorder) { recorder_ = recorder; }
 
   // Conservation ledger (engine/conservation_auditor.h). Every
   // transmitted unit is in exactly one bucket: unresolved (somewhere
@@ -326,7 +322,6 @@ class HostTransport {
   int max_retries_;
   EventQueue* events_;
   const FlowTable& flow_table_;
-  ResilienceRecorder* recorder_{nullptr};
 
   /// Per flow: its pool index, kNoState or kFinished.
   std::vector<std::int32_t> slot_;

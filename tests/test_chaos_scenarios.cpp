@@ -373,6 +373,18 @@ struct ChaosOutcome {
   std::uint64_t events{0};
   std::int64_t conservation_checks{0};
   ResilienceRecorder rec;
+  // Counters the fabric's components own, copied out before the fabric
+  // is destroyed (0 where the component is absent).
+  std::int64_t control_dropped{0};
+  std::int64_t control_delayed{0};
+  std::int64_t control_duplicated{0};
+  std::int64_t degraded_slots{0};
+  Bytes fallback_bytes{0};
+  std::int64_t data_dropped{0};
+  std::int64_t data_corrupted{0};
+  Bytes retransmitted_bytes{0};
+  std::int64_t spurious_retx{0};
+  std::int64_t rto_fires{0};
 
   explicit ChaosOutcome(const NetworkConfig& cfg)
       : rec(cfg.num_tors, cfg.ports_per_tor) {}
@@ -410,6 +422,24 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   out.completed = fab.fct().completed();
   out.backlog = fab.total_backlog();
   out.events = fab.events_executed();
+  if (const auto* neg = dynamic_cast<const NegotiatorFabric*>(&fab)) {
+    if (const ControlChannel* c = neg->control_channel()) {
+      out.control_dropped = c->dropped();
+      out.control_delayed = c->delayed();
+      out.control_duplicated = c->duplicated();
+    }
+    out.degraded_slots = neg->degraded_slots();
+    out.fallback_bytes = neg->fallback_bytes();
+  }
+  if (const DataChannel* d = fab.data_channel()) {
+    out.data_dropped = d->dropped();
+    out.data_corrupted = d->corrupted();
+  }
+  if (const HostTransport* t = fab.host_transport()) {
+    out.retransmitted_bytes = t->retransmitted_bytes();
+    out.spurious_retx = t->spurious_retx();
+    out.rto_fires = t->rto_fires();
+  }
 
   // Invariant 1: byte conservation — everything injected was delivered.
   EXPECT_EQ(out.backlog, 0)
@@ -455,8 +485,8 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   return out;
 }
 
-/// Folds one case's recorder into the binary-wide aggregate the
-/// NEG_CHAOS_JSON artifact is written from.
+/// Folds one case's recorder and component counters into the binary-wide
+/// aggregate the NEG_CHAOS_JSON artifact is written from.
 void accumulate(const ChaosOutcome& out) {
   g_totals.failures += out.rec.failures();
   g_totals.exclusion_churn += out.rec.exclusion_churn();
@@ -464,18 +494,18 @@ void accumulate(const ChaosOutcome& out) {
   g_totals.injected += out.injected;
   g_totals.detection_count += out.rec.detection().count;
   g_totals.detection_sum += static_cast<double>(out.rec.detection().sum);
-  g_totals.control_dropped += out.rec.control_dropped();
-  g_totals.control_delayed += out.rec.control_delayed();
-  g_totals.control_duplicated += out.rec.control_duplicated();
-  g_totals.degraded_slots += out.rec.degraded_slots();
-  g_totals.fallback_bytes += out.rec.fallback_bytes();
+  g_totals.control_dropped += out.control_dropped;
+  g_totals.control_delayed += out.control_delayed;
+  g_totals.control_duplicated += out.control_duplicated;
+  g_totals.degraded_slots += out.degraded_slots;
+  g_totals.fallback_bytes += out.fallback_bytes;
   g_totals.control_grants += out.rec.control_grants();
   g_totals.control_accepts += out.rec.control_accepts();
-  g_totals.data_dropped += out.rec.data_dropped();
-  g_totals.data_corrupted += out.rec.data_corrupted();
-  g_totals.retransmitted_bytes += out.rec.retransmitted_bytes();
-  g_totals.spurious_retx += out.rec.spurious_retx();
-  g_totals.rto_fires += out.rec.rto_fires();
+  g_totals.data_dropped += out.data_dropped;
+  g_totals.data_corrupted += out.data_corrupted;
+  g_totals.retransmitted_bytes += out.retransmitted_bytes;
+  g_totals.spurious_retx += out.spurious_retx;
+  g_totals.rto_fires += out.rto_fires;
   g_totals.conservation_checks += out.conservation_checks;
 }
 
@@ -570,7 +600,7 @@ TEST(ChaosScenarios, LossyControlPlaneSweepHoldsInvariants) {
     const ChaosCase cc = build_lossy_case(i);
     const ChaosOutcome out = run_case(cc, i);
     accumulate(out);
-    dropped += out.rec.control_dropped();
+    dropped += out.control_dropped;
     if (cc.cfg.control_fault.fallback) ++fallback_cases;
     if (::testing::Test::HasFailure()) {
       FAIL() << "stopping the lossy sweep at case " << i << " ("
@@ -599,8 +629,8 @@ TEST(ChaosScenarios, CombinedFaultDataLossSweepHoldsInvariants) {
     const ChaosCase cc = build_data_loss_case(i);
     const ChaosOutcome out = run_case(cc, i);
     accumulate(out);
-    dropped += out.rec.data_dropped();
-    retransmitted += static_cast<std::int64_t>(out.rec.retransmitted_bytes());
+    dropped += out.data_dropped;
+    retransmitted += out.retransmitted_bytes;
     checks += out.conservation_checks;
     if (out.rec.failures() > 0) ++triple_fault_cases;
     if (::testing::Test::HasFailure()) {

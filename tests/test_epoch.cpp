@@ -12,7 +12,6 @@ TEST(EpochTiming, PaperDefaults) {
   EXPECT_EQ(t.scheduled_slots(), 30);
   EXPECT_EQ(t.predefined_phase_length(), 960);
   EXPECT_EQ(t.epoch_length(), 3'660);
-  EXPECT_NEAR(t.guardband_fraction(), 0.0437, 0.0003);
 }
 
 TEST(EpochTiming, SlotBoundaries) {

@@ -488,9 +488,11 @@ TEST(ResilienceRecorder, LatencyAccountingFromRawCalls) {
   rec.on_degraded_delivery(9'000);
   EXPECT_EQ(rec.blackholed_bytes(), 1'500);
   EXPECT_EQ(rec.degraded_delivered_bytes(), 9'000);
-  const std::string j = rec.json();
-  EXPECT_NE(j.find("\"detection_ns\""), std::string::npos);
-  EXPECT_NE(j.find("\"blackholed_bytes\": 1500"), std::string::npos);
+  EXPECT_DOUBLE_EQ(rec.control_match_ratio(), 0.0) << "no grant seen yet";
+  rec.on_control_match(10, 7);
+  EXPECT_EQ(rec.control_grants(), 10);
+  EXPECT_EQ(rec.control_accepts(), 7);
+  EXPECT_DOUBLE_EQ(rec.control_match_ratio(), 0.7);
 }
 
 TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
@@ -531,9 +533,28 @@ TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
 
 TEST(ResilienceRecorder, NullRecorderKeepsOutputIdentical) {
   // The recorder is observational: attaching one must not change any
-  // simulated behaviour.
-  auto run = [](bool attach) {
-    NetworkConfig cfg = cfg16();
+  // simulated behaviour, nor any counter the fabric's components own —
+  // under a lossless storm, and with a lossy control plane (fallback on)
+  // or a lossy data plane (ARQ on) riding the same storm.
+  NetworkConfig storm = cfg16();
+  NetworkConfig lossy_control = cfg16();
+  lossy_control.control_fault.enabled = true;
+  lossy_control.control_fault.request_drop = 0.25;
+  lossy_control.control_fault.grant_drop = 0.25;
+  lossy_control.control_fault.accept_drop = 0.25;
+  lossy_control.control_fault.delay_prob = 0.1;
+  lossy_control.control_fault.max_delay_epochs = 2;
+  lossy_control.control_fault.duplicate_prob = 0.05;
+  lossy_control.control_fault.fallback = true;
+  NetworkConfig lossy_data = cfg16();
+  lossy_data.data_fault.enabled = true;
+  lossy_data.data_fault.first_hop_drop = 0.05;
+  lossy_data.data_fault.relay_drop = 0.05;
+  lossy_data.data_fault.second_hop_drop = 0.05;
+  lossy_data.data_fault.corrupt_prob = 0.01;
+  lossy_data.data_fault.arq = true;
+
+  auto run = [](const NetworkConfig& cfg, bool attach) {
     Runner runner(cfg);
     ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
     if (attach) runner.fabric().set_resilience(&rec);
@@ -543,11 +564,26 @@ TEST(ResilienceRecorder, NullRecorderKeepsOutputIdentical) {
     Rng rng(42);
     uniform_burst(runner.fabric(), 0.15, 50'000, 300'000, rng);
     runner.fabric().run_until(800'000);
-    return std::tuple(runner.fabric().fct().completed(),
-                      runner.fabric().total_backlog(),
-                      runner.fabric().events_executed());
+    const FabricSim& fab = runner.fabric();
+    const auto& neg = dynamic_cast<const NegotiatorFabric&>(fab);
+    const ControlChannel* ctl = neg.control_channel();
+    const DataChannel* data = fab.data_channel();
+    const HostTransport* arq = fab.host_transport();
+    return std::tuple(fab.flows().fct().completed(), fab.total_backlog(),
+                      fab.events_executed(), ctl ? ctl->dropped() : 0,
+                      data ? data->dropped() : 0,
+                      arq ? arq->retransmitted_bytes() : 0,
+                      neg.degraded_slots());
   };
-  EXPECT_EQ(run(false), run(true));
+  EXPECT_EQ(run(storm, false), run(storm, true));
+  const auto control = run(lossy_control, true);
+  EXPECT_EQ(run(lossy_control, false), control);
+  EXPECT_GT(std::get<3>(control), 0) << "the control plane dropped nothing";
+  EXPECT_GT(std::get<6>(control), 0) << "the fallback never engaged";
+  const auto data = run(lossy_data, true);
+  EXPECT_EQ(run(lossy_data, false), data);
+  EXPECT_GT(std::get<4>(data), 0) << "the data plane dropped nothing";
+  EXPECT_GT(std::get<5>(data), 0) << "ARQ retransmitted nothing";
 }
 
 }  // namespace

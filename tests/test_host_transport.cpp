@@ -23,7 +23,6 @@
 #include "engine/network.h"
 #include "engine/runner.h"
 #include "sim/event_queue.h"
-#include "stats/resilience_recorder.h"
 #include "tor/host_transport.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
@@ -138,8 +137,6 @@ TEST(HostTransport, RtoRoundTripsThroughTheRetxFifo) {
   EventQueue q;
   const FlowTable flows = open_flows();
   HostTransport t(cfg, &q, flows);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  t.set_recorder(&rec);
   t.on_transmit(0, 1, 2, 700, 0);
   EXPECT_TRUE(t.on_timer(0, rto)) << "genuine RTO moves the unit";
   EXPECT_EQ(t.rto_fires(), 1);
@@ -156,8 +153,6 @@ TEST(HostTransport, RtoRoundTripsThroughTheRetxFifo) {
   EXPECT_FALSE(t.has_retx(1, 2));
   EXPECT_EQ(t.retx_backlog_bytes(), 0);
   EXPECT_EQ(t.retransmitted_bytes(), 700);
-  EXPECT_EQ(rec.retransmitted_bytes(), 700);
-  EXPECT_EQ(rec.rto_fires(), 1);
 
   // The retransmitted copy lands: first arrival, normal credit.
   EXPECT_TRUE(t.on_deliver(0, r.seq, r.bytes, rto + 500));
@@ -352,8 +347,6 @@ TEST(HostTransport, CopyOfAReleasedUnitIsDiscardedAsSpurious) {
   EventQueue q;
   const FlowTable flows = open_flows();
   HostTransport t(cfg, &q, flows);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  t.set_recorder(&rec);
   for (int i = 0; i < 8; ++i) t.on_transmit(0, 1, 2, 100, 0);
   for (std::uint32_t seq = 1; seq <= 4; ++seq) {
     EXPECT_TRUE(t.on_deliver(0, seq, 100, 10));
@@ -364,7 +357,6 @@ TEST(HostTransport, CopyOfAReleasedUnitIsDiscardedAsSpurious) {
   // A spurious retransmission's copy of released unit 2 straggles in.
   EXPECT_FALSE(t.on_deliver(0, 2, 100, 20));
   EXPECT_EQ(t.spurious_retx(), 1);
-  EXPECT_EQ(rec.spurious_retx(), 1);
   EXPECT_EQ(t.delivered_bytes(), 400);
   EXPECT_EQ(t.unresolved_bytes(), 400);
 
@@ -1025,8 +1017,6 @@ void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   cfg.data_fault.corrupt_prob = 0.01;
 
   Runner runner(cfg);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), 0.5, Rng(cfg.seed));
   const auto flows = gen.generate(0, kArrivals);
@@ -1038,7 +1028,9 @@ void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   const FabricSim& fabric = runner.fabric();
   const HostTransport* t = fabric.host_transport();
   ASSERT_NE(t, nullptr);
-  EXPECT_GT(rec.data_dropped(), 0) << "the channel really dropped chunks";
+  ASSERT_NE(fabric.data_channel(), nullptr);
+  EXPECT_GT(fabric.data_channel()->dropped(), 0)
+      << "the channel really dropped chunks";
   EXPECT_GT(t->retransmitted_bytes(), 0);
   EXPECT_GT(t->rto_fires(), 0);
   EXPECT_EQ(t->abandoned_bytes(), 0);
@@ -1047,8 +1039,6 @@ void run_arq_recovers(SchedulerKind kind, std::uint64_t seed) {
   EXPECT_EQ(fp.flows, 0u) << "every flow finished, so no state is held";
   EXPECT_EQ(fp.units, 0u);
   EXPECT_EQ(fp.inflight, 0u);
-  EXPECT_EQ(rec.retransmitted_bytes(), t->retransmitted_bytes());
-  EXPECT_EQ(rec.rto_fires(), t->rto_fires());
   ASSERT_NE(fabric.conservation_auditor(), nullptr);
   EXPECT_GT(fabric.conservation_auditor()->checks(), 0);
 }

@@ -3,7 +3,6 @@
 
 #include "engine/runner.h"
 #include "oblivious/oblivious_scheduler.h"
-#include "oblivious/rotor_schedule.h"
 #include "workload/generator.h"
 #include "workload/incast.h"
 #include "workload/size_distribution.h"
@@ -28,31 +27,6 @@ Flow one_flow(TorId src, TorId dst, Bytes size, Nanos arrival, FlowId id = 1) {
   f.size = size;
   f.arrival = arrival;
   return f;
-}
-
-TEST(RotorSchedule, CycleCoversAllPairs) {
-  RotorSchedule rotor(TopologyKind::kThinClos, 16, 4, 100);
-  EXPECT_EQ(rotor.cycle_slots(), 4);
-  EXPECT_EQ(rotor.cycle_length_ns(), 400);
-  std::set<std::pair<TorId, TorId>> pairs;
-  for (std::int64_t slot = 0; slot < rotor.cycle_slots(); ++slot) {
-    for (TorId s = 0; s < 16; ++s) {
-      for (PortId p = 0; p < 4; ++p) {
-        const TorId d = rotor.dst_of(s, p, slot);
-        if (d != kInvalidTor) pairs.insert({s, d});
-      }
-    }
-  }
-  EXPECT_EQ(pairs.size(), 16u * 15u);
-}
-
-TEST(RotorSchedule, PeriodicAcrossCycles) {
-  RotorSchedule rotor(TopologyKind::kThinClos, 16, 4, 100);
-  for (TorId s = 0; s < 16; ++s) {
-    for (PortId p = 0; p < 4; ++p) {
-      EXPECT_EQ(rotor.dst_of(s, p, 1), rotor.dst_of(s, p, 1 + 4));
-    }
-  }
 }
 
 TEST(Oblivious, SingleFlowDeliveredViaRelay) {

@@ -6,9 +6,10 @@
 // Each scenario runs a small fabric on a deterministic workload and hashes
 // the *complete* observable output — every FCT sample (flow id, size,
 // arrival, fct, group) plus the end-of-run summary metrics — into one
-// FNV-1a fingerprint. The golden values below were captured from the
-// pre-sparse-pipeline engine (PR 3 state); any diff means simulated
-// behaviour changed, not just performance.
+// FNV-1a fingerprint (result_fingerprint, engine/runner.h). The golden
+// values below were captured from the pre-sparse-pipeline engine (PR 3
+// state); any diff means simulated behaviour changed, not just
+// performance.
 //
 // To regenerate after an *intentional* behaviour change:
 //   NEG_PRINT_GOLDENS=1 ./test_seed_equivalence --gtest_filter='*Golden*'
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -187,20 +187,6 @@ FaultScenario canned_chaos(const char* kind) {
   return fs;
 }
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t bits) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (bits >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix_double(std::uint64_t h, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fnv_mix(h, bits);
-}
-
 std::uint64_t run_fingerprint(const Scenario& sc) {
   NetworkConfig cfg;
   cfg.topology = sc.topo;
@@ -277,27 +263,7 @@ std::uint64_t run_fingerprint(const Scenario& sc) {
   }
 
   const RunResult r = runner.run(kDuration, kDuration / 4);
-
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const FctSample& s : runner.fabric().fct().samples()) {
-    h = fnv_mix(h, static_cast<std::uint64_t>(s.flow));
-    h = fnv_mix(h, static_cast<std::uint64_t>(s.size));
-    h = fnv_mix(h, static_cast<std::uint64_t>(s.arrival));
-    h = fnv_mix(h, static_cast<std::uint64_t>(s.fct));
-    h = fnv_mix(h, static_cast<std::uint64_t>(s.group));
-  }
-  h = fnv_mix(h, static_cast<std::uint64_t>(r.completed));
-  h = fnv_mix(h, static_cast<std::uint64_t>(r.backlog));
-  h = fnv_mix_double(h, r.goodput);
-  h = fnv_mix_double(h, r.mean_match_ratio);
-  h = fnv_mix_double(h, r.mice.p99_ns);
-  h = fnv_mix_double(h, r.mice.mean_ns);
-  h = fnv_mix_double(h, r.all_flows.p99_ns);
-  h = fnv_mix_double(h, r.all_flows.p50_ns);
-  h = fnv_mix_double(h, r.all_flows.mean_ns);
-  h = fnv_mix_double(h, r.all_flows.max_ns);
-  h = fnv_mix(h, runner.fabric().events_executed());
-  return h;
+  return result_fingerprint(runner.fabric(), r);
 }
 
 const Scenario kScenarios[] = {

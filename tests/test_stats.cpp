@@ -321,11 +321,6 @@ TEST(ConsoleTable, RendersAlignedRows) {
   EXPECT_NE(s.find("----"), std::string::npos);
 }
 
-TEST(ConsoleTable, NumFormatting) {
-  EXPECT_EQ(ConsoleTable::num(3.14159, 2), "3.14");
-  EXPECT_EQ(ConsoleTable::num(10.0, 0), "10");
-}
-
 TEST(GoodputMeter, DeliverySpanMatchesSequentialDeliveries) {
   // One slot's span: every record shares the arrival time; the span form
   // must land identical totals and identical per-ToR window series, with
