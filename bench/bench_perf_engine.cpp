@@ -103,6 +103,7 @@ struct PerfRun {
   std::uint64_t dispatches;
   std::uint64_t deliveries;
   std::uint64_t delivery_dispatches;
+  std::uint64_t predefined_visits;
   std::uint64_t result_fingerprint;
   std::size_t flows;
   std::size_t completed;
@@ -267,6 +268,7 @@ PerfRun timed_run(Runner& runner, const char* name, double load,
   out.dispatches = fab.events_dispatched();
   out.deliveries = fab.deliveries();
   out.delivery_dispatches = fab.delivery_dispatches();
+  out.predefined_visits = fab.predefined_visits();
   out.result_fingerprint = result_fingerprint(fab, r);
   out.flows = flows.size();
   out.completed = r.completed;
@@ -502,8 +504,9 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
                    : 0.0);
   // Scaling: events/sec vs N per system (the asymptotic record). Each row
   // carries its result fingerprint (bit-identity witness at this N for
-  // this sim_ns) and the physical dispatch count (events/dispatches = the
-  // relay-span batching factor).
+  // this sim_ns), the physical dispatch count (events/dispatches = the
+  // relay-span batching factor) and the predefined-phase connections the
+  // run visited (a deterministic work count).
   std::fprintf(f, "  \"scaling\": [\n");
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const PerfRun& r = scaling[i];
@@ -513,6 +516,7 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
                  "\"dispatches\": %llu, \"events_per_dispatch\": %.2f, "
                  "\"deliveries\": %llu, \"delivery_dispatches\": %llu, "
                  "\"deliveries_per_dispatch\": %.2f, "
+                 "\"predefined_visits\": %llu, "
                  "\"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
                  "\"fingerprint\": \"%016llx\"}%s\n",
                  r.name.c_str(), r.num_tors,
@@ -522,7 +526,9 @@ void write_json(const char* path, const std::vector<PerfRun>& runs,
                  r.events_per_dispatch(),
                  static_cast<unsigned long long>(r.deliveries),
                  static_cast<unsigned long long>(r.delivery_dispatches),
-                 r.deliveries_per_dispatch(), r.wall_seconds,
+                 r.deliveries_per_dispatch(),
+                 static_cast<unsigned long long>(r.predefined_visits),
+                 r.wall_seconds,
                  r.events_per_sec(),
                  static_cast<unsigned long long>(r.result_fingerprint),
                  i + 1 < scaling.size() ? "," : "");

@@ -11,7 +11,8 @@ Gating:
   - the fresh scaling section must exist, be non-empty, and carry a result
     fingerprint per row;
   - every deterministic integer counter a section records (COUNTERS below:
-    scaling dispatches, deliveries and delivery_dispatches, storm
+    scaling dispatches, deliveries, delivery_dispatches and
+    predefined_visits (predefined-phase connections visited), storm
     blackholed_bytes and exclusion_churn, the control_loss drop, fallback
     and stranded-byte counts, the data_loss drop, corruption, ARQ
     (max_backoff_reached included) and completion counts) must equal the
@@ -106,7 +107,8 @@ def row_context(r):
 # Deterministic integer counters per section, gated for exact equality
 # against the committed row alongside the fingerprint.
 COUNTERS = {
-    "scaling": ("dispatches", "deliveries", "delivery_dispatches"),
+    "scaling": ("dispatches", "deliveries", "delivery_dispatches",
+                "predefined_visits"),
     "storm": ("blackholed_bytes", "exclusion_churn"),
     "control_loss": ("control_dropped", "degraded_slots", "fallback_bytes",
                      "stranded_bytes"),

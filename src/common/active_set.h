@@ -1,11 +1,13 @@
-// Dense set of ToR ids tuned for the fabric hot path: a word bitmap and a
-// member count, nothing else. Membership, insert and erase are O(1) bit
+// Dense set of small ids — ToR ids, or the predefined phase's connection
+// keys — tuned for the fabric hot path: a word bitmap and a member count,
+// nothing else. Membership, insert and erase are O(1) bit
 // operations; ascending iteration and successor queries (the VLB
 // spreader's round-robin pick) are count-trailing-zeros word scans, so
 // iteration costs O(words + size) and yields the stable ascending view
 // schedulers rely on.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -86,6 +88,13 @@ class ActiveSet {
     if ((word & bit) != 0) return;
     word |= bit;
     ++size_;
+  }
+
+  /// Empties the set, keeping its capacity; O(1) when already empty.
+  void clear() {
+    if (size_ == 0) return;
+    std::fill(words_.begin(), words_.end(), std::uint64_t{0});
+    size_ = 0;
   }
 
   void erase(TorId id) {

@@ -16,28 +16,4 @@ EpochTiming::EpochTiming(const NetworkConfig& config)
   NEG_ASSERT(epoch_length_ > 0, "degenerate epoch");
 }
 
-Nanos EpochTiming::predefined_slot_start(std::int64_t epoch, int slot) const {
-  NEG_ASSERT(slot >= 0 && slot < predefined_slots_, "slot out of range");
-  return epoch_start(epoch) + static_cast<Nanos>(slot) * predefined_slot_ns_;
-}
-
-Nanos EpochTiming::predefined_slot_data_end(std::int64_t epoch,
-                                            int slot) const {
-  return predefined_slot_start(epoch, slot) + predefined_slot_ns_;
-}
-
-Nanos EpochTiming::scheduled_phase_start(std::int64_t epoch) const {
-  return epoch_start(epoch) + predefined_length_;
-}
-
-Nanos EpochTiming::scheduled_slot_start(std::int64_t epoch, int slot) const {
-  NEG_ASSERT(slot >= 0 && slot < scheduled_slots_, "slot out of range");
-  return scheduled_phase_start(epoch) +
-         static_cast<Nanos>(slot) * scheduled_slot_ns_;
-}
-
-Nanos EpochTiming::scheduled_slot_end(std::int64_t epoch, int slot) const {
-  return scheduled_slot_start(epoch, slot) + scheduled_slot_ns_;
-}
-
 }  // namespace negotiator

@@ -5,6 +5,7 @@
 //   [ scheduled phase:  K slots of scheduled_slot_ns, no guardbands ]
 #pragma once
 
+#include "common/assert.h"
 #include "common/config.h"
 #include "common/types.h"
 
@@ -23,12 +24,26 @@ class EpochTiming {
     return epoch * epoch_length_;
   }
   /// Slot start (guardband begins here).
-  Nanos predefined_slot_start(std::int64_t epoch, int slot) const;
+  Nanos predefined_slot_start(std::int64_t epoch, int slot) const {
+    NEG_ASSERT(slot >= 0 && slot < predefined_slots_, "slot out of range");
+    return epoch_start(epoch) +
+           static_cast<Nanos>(slot) * predefined_slot_ns_;
+  }
   /// Instant the slot's payload is fully on the wire.
-  Nanos predefined_slot_data_end(std::int64_t epoch, int slot) const;
-  Nanos scheduled_phase_start(std::int64_t epoch) const;
-  Nanos scheduled_slot_start(std::int64_t epoch, int slot) const;
-  Nanos scheduled_slot_end(std::int64_t epoch, int slot) const;
+  Nanos predefined_slot_data_end(std::int64_t epoch, int slot) const {
+    return predefined_slot_start(epoch, slot) + predefined_slot_ns_;
+  }
+  Nanos scheduled_phase_start(std::int64_t epoch) const {
+    return epoch_start(epoch) + predefined_length_;
+  }
+  Nanos scheduled_slot_start(std::int64_t epoch, int slot) const {
+    NEG_ASSERT(slot >= 0 && slot < scheduled_slots_, "slot out of range");
+    return scheduled_phase_start(epoch) +
+           static_cast<Nanos>(slot) * scheduled_slot_ns_;
+  }
+  Nanos scheduled_slot_end(std::int64_t epoch, int slot) const {
+    return scheduled_slot_start(epoch, slot) + scheduled_slot_ns_;
+  }
 
   std::int64_t epoch_containing(Nanos t) const { return t / epoch_length_; }
 

@@ -106,9 +106,8 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
       faults_(config.num_tors, config.ports_per_tor),
       arrived_(static_cast<std::size_t>(config.num_tors) * config.num_tors,
                0),
-      predef_buckets_(static_cast<std::size_t>(schedule_.slots())),
-      predef_gather_stamp_(
-          static_cast<std::size_t>(config.num_tors) * config.num_tors, -1),
+      predef_marks_(static_cast<std::size_t>(schedule_.slots()),
+                    ActiveSet(config.num_tors * config.ports_per_tor)),
       dropped_heads_(static_cast<std::size_t>(config.num_tors), -1),
       dropped_stamp_(static_cast<std::size_t>(config.num_tors), -1),
       active_sources_(config.num_tors),
@@ -261,84 +260,84 @@ void NegotiatorFabric::run_epoch() {
   ++epoch_;
 }
 
-NegotiatorFabric::PredefConn NegotiatorFabric::resolve_predef_conn(
-    TorId src, PortId tx, TorId dst) const {
-  const PortId rx =
-      rx_port_table_[static_cast<std::size_t>(src) * config_.ports_per_tor +
-                     tx];
-  return PredefConn{src,
-                    tx,
-                    dst,
-                    rx,
-                    static_cast<std::uint32_t>(
-                        links_.raw_index(src, tx, LinkDirection::kEgress)),
-                    static_cast<std::uint32_t>(
-                        links_.raw_index(dst, rx, LinkDirection::kIngress))};
-}
-
 void NegotiatorFabric::gather_predefined_pair(TorId src, TorId dst) {
-  const std::size_t index =
-      static_cast<std::size_t>(src) * config_.num_tors + dst;
-  if (predef_gather_stamp_[index] == epoch_) return;  // already bucketed
-  predef_gather_stamp_[index] = epoch_;
-  pair_conn_scratch_.clear();
-  schedule_.pair_connections(src, dst, predef_rotation_, pair_conn_scratch_);
-  for (const PredefinedSchedule::Connection& conn : pair_conn_scratch_) {
-    if (conn.slot < predef_cursor_) continue;  // this slot already ran
-    // Appended unsorted; run_predefined_phase sorts the bucket right
-    // before it visits the slot.
-    predef_buckets_[static_cast<std::size_t>(conn.slot)].push_back(
-        resolve_predef_conn(src, conn.tx_port, dst));
-  }
+  const int row = src * config_.ports_per_tor;
+  schedule_.for_each_pair_connection(
+      src, dst, predef_rotation_,
+      [&](const PredefinedSchedule::Connection& conn) {
+        if (conn.slot < predef_cursor_) return;  // this slot already ran
+        predef_marks_[static_cast<std::size_t>(conn.slot)].insert(
+            row + conn.tx_port);
+      });
 }
 
-void NegotiatorFabric::visit_predefined_conn(const PredefConn& c,
+void NegotiatorFabric::visit_predefined_conn(TorId src, PortId tx, TorId dst,
                                              bool healthy) {
+  ++predefined_visits_;
+  // A healthy slot has every link up and a quiescent fault plane, so only
+  // an unhealthy visit needs the rx port and the link health bits.
   bool up = true;
+  PortId rx = kInvalidPort;
   if (!healthy) {
-    up = links_.up_raw(c.tx_link) && links_.up_raw(c.rx_link);
+    rx = rx_port_table_[static_cast<std::size_t>(src) * config_.ports_per_tor +
+                        tx];
+    up = links_.up_raw(links_.raw_index(src, tx, LinkDirection::kEgress)) &&
+         links_.up_raw(links_.raw_index(dst, rx, LinkDirection::kIngress));
   }
-  scheduler_->deliver_pair(c.src, c.dst, up);
+  scheduler_->deliver_pair(src, dst, up);
   if (!healthy) {
-    faults_.observe_ingress(c.dst, c.rx, up);
-    faults_.observe_egress(c.src, c.tx, up);
+    faults_.observe_ingress(dst, rx, up);
+    faults_.observe_egress(src, tx, up);
   }
   // Bitmap membership == "queue non-empty": one bit read instead of a
   // pointer chase into the per-destination queue.
-  TorSwitch& tor = tors_[static_cast<std::size_t>(c.src)];
+  TorSwitch& tor = tors_[static_cast<std::size_t>(src)];
   // §3.6.5: withhold data towards a paused receiver.
   const bool paused =
-      host_plane() && pause_advertised_[static_cast<std::size_t>(c.dst)];
+      host_plane() && pause_advertised_[static_cast<std::size_t>(dst)];
   // Retransmissions outrank fresh piggyback data for the pair's slot
   // (selective repeat: the oldest lost unit is the flow's head of line).
-  if (up && !paused && plane_.try_retransmit(c.src, c.dst, now_)) {
+  if (up && !paused && plane_.try_retransmit(src, dst, now_)) {
     return;  // slot consumed by the retransmission
   }
-  if (!config_.piggyback || !tor.active_destinations().contains(c.dst) ||
+  if (!config_.piggyback || !tor.active_destinations().contains(dst) ||
       paused) {
     return;
   }
   if (up) {
-    auto pkt = tor.dequeue_packet(c.dst, config_.piggyback_payload_bytes());
+    auto pkt = tor.dequeue_packet(dst, config_.piggyback_payload_bytes());
     NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
     ++piggyback_packets_;
-    sync_source_activity(c.src);
-    plane_.first_hop(static_cast<int>(pkt->flow), c.src, c.dst, pkt->bytes,
-                     now_);
-  } else if (!faults_.tx_excluded(c.src, c.tx) &&
-             !faults_.rx_excluded(c.dst, c.rx)) {
+    sync_source_activity(src);
+    plane_.first_hop(static_cast<int>(pkt->flow), src, dst, pkt->bytes, now_);
+  } else if (!faults_.tx_excluded(src, tx) && !faults_.rx_excluded(dst, rx)) {
     // Undetected failure: the packet is transmitted into a dark fibre
     // and retransmitted by the upper layer — model as a wasted slot
     // with the bytes back at the queue head.
-    auto pkt = tor.dequeue_packet(c.dst, config_.piggyback_payload_bytes());
+    auto pkt = tor.dequeue_packet(dst, config_.piggyback_payload_bytes());
     if (pkt) {
-      tor.requeue_front(c.dst, *pkt);
+      tor.requeue_front(dst, *pkt);
       if (resilience_) resilience_->on_blackholed(pkt->bytes);
     }
   }
 }
 
-void NegotiatorFabric::run_predefined_slot_dense(int slot) {
+void NegotiatorFabric::run_predefined_slot_sparse(
+    int slot, const PredefinedSchedule::SlotRule& rule) {
+  ActiveSet& marks = predef_marks_[static_cast<std::size_t>(slot)];
+  if (marks.empty()) return;
+  const int ports = config_.ports_per_tor;
+  for (const int key : marks) {
+    const TorId src = key / ports;
+    const PortId tx = key - src * ports;
+    visit_predefined_conn(src, tx, schedule_.dst_of(rule, src, tx),
+                          /*healthy=*/true);
+  }
+  marks.clear();
+}
+
+void NegotiatorFabric::run_predefined_slot_dense(
+    const PredefinedSchedule::SlotRule& rule) {
   // Unhealthy slot: the fault detector must observe every connection, so
   // resolve the full N×P slot on the fly (this path only runs while links
   // are down or the fault plane is settling).
@@ -346,9 +345,9 @@ void NegotiatorFabric::run_predefined_slot_dense(int slot) {
   const int ports = config_.ports_per_tor;
   for (TorId s = 0; s < n; ++s) {
     for (PortId p = 0; p < ports; ++p) {
-      const TorId d = schedule_.dst_of(s, p, slot, predef_rotation_);
+      const TorId d = schedule_.dst_of(rule, s, p);
       if (d == kInvalidTor) continue;
-      visit_predefined_conn(resolve_predef_conn(s, p, d), /*healthy=*/false);
+      visit_predefined_conn(s, p, d, /*healthy=*/false);
     }
   }
 }
@@ -367,9 +366,10 @@ void NegotiatorFabric::run_predefined_phase() {
 
   // Gather the epoch's interesting pairs: control messages first, then
   // piggyback-data pairs. Cost is O(messages + active pairs), not O(N^2).
+  // Every slot's marks are empty here: the previous phase cleared each
+  // slot it ran.
   predef_cursor_ = 0;
   in_predefined_phase_ = true;
-  for (auto& bucket : predef_buckets_) bucket.clear();
   for (const auto& [from, to] : scheduler_->epoch_out_pairs()) {
     gather_predefined_pair(from, to);
   }
@@ -391,27 +391,19 @@ void NegotiatorFabric::run_predefined_phase() {
     predef_cursor_ = slot;
     advance_to(timing_.predefined_slot_start(epoch_, slot));
     const Nanos data_end = timing_.predefined_slot_data_end(epoch_, slot);
+    const PredefinedSchedule::SlotRule rule =
+        schedule_.slot_rule(slot, predef_rotation_);
     // A slot's link events fired during advance_to, so health is stable
     // within the slot: on an all-up fabric with a quiescent fault plane,
     // per-pair health reads and all-healthy observations are skipped (see
     // FaultPlane::quiescent()).
-    const bool healthy = links_.all_up() && faults_.quiescent();
-    if (!healthy) {
-      run_predefined_slot_dense(slot);
+    if (links_.all_up() && faults_.quiescent()) {
+      run_predefined_slot_sparse(slot, rule);
     } else {
-      // Every gather into this slot's bucket happened before this point
-      // (at epoch start, or during the advance_to above), and (src, tx)
-      // is unique within a slot, so one sort yields the dense scan's
-      // visit order.
-      auto& bucket = predef_buckets_[static_cast<std::size_t>(slot)];
-      std::sort(bucket.begin(), bucket.end(),
-                [](const PredefConn& a, const PredefConn& b) {
-                  if (a.src != b.src) return a.src < b.src;
-                  return a.tx < b.tx;
-                });
-      for (const PredefConn& c : bucket) {
-        visit_predefined_conn(c, /*healthy=*/true);
-      }
+      // The dense scan visits every marked connection anyway; drop the
+      // marks so none leaks into the next epoch.
+      predef_marks_[static_cast<std::size_t>(slot)].clear();
+      run_predefined_slot_dense(rule);
     }
     // Close the slot: every piggyback delivery staged above shares this
     // arrival time, so the whole slot lands as one span.
@@ -460,8 +452,9 @@ void NegotiatorFabric::run_fallback_slot() {
   // The rotor rule for a fixed (slot, rotation) is a port-to-port
   // matching, so fallback senders never collide with each other; the
   // epoch stamps exclude the ports real matches booked.
-  const int slot =
-      static_cast<int>(sched_slot_counter_ % schedule_.slots());
+  const PredefinedSchedule::SlotRule rule = schedule_.slot_rule(
+      static_cast<int>(sched_slot_counter_ % schedule_.slots()),
+      predef_rotation_);
   const bool healthy = links_.all_up();
   bool sent = false;
   for (const TorId s : fb_sources_) {
@@ -471,7 +464,7 @@ void NegotiatorFabric::run_fallback_slot() {
       if (fb_tx_stamp_[static_cast<std::size_t>(s) * ports + p] == epoch_) {
         continue;
       }
-      const TorId d = schedule_.dst_of(s, p, slot, predef_rotation_);
+      const TorId d = schedule_.dst_of(rule, s, p);
       if (d == kInvalidTor) continue;
       const PortId rx =
           rx_port_table_[static_cast<std::size_t>(s) * ports + p];

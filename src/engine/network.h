@@ -95,6 +95,11 @@ class FabricSim : private EventSink {
   /// fabric, which has no matching step.
   virtual std::vector<double> match_ratio_series() const { return {}; }
 
+  /// Predefined-phase connections visited so far, sparse and dense slots
+  /// alike (deterministic work count); 0 for the oblivious fabric, which
+  /// has no predefined phase.
+  virtual std::uint64_t predefined_visits() const { return 0; }
+
   /// Schedules a link failure (fail=true) or repair at absolute time
   /// `when`.
   void schedule_link_event(Nanos when, TorId tor, PortId port,
@@ -202,6 +207,9 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::vector<double> match_ratio_series() const override {
     return ratio_series_;
   }
+  std::uint64_t predefined_visits() const override {
+    return predefined_visits_;
+  }
   void schedule_control_brownout(Nanos start, Nanos end,
                                  double drop_floor) override;
   int excluded_ports() const override { return faults_.excluded_count(); }
@@ -306,63 +314,58 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::int64_t match_slots_offered_{0};
   std::int64_t match_slots_used_{0};
   std::int64_t piggyback_packets_{0};
+  std::uint64_t predefined_visits_{0};
   /// Pause state advertised to senders during the previous predefined
   /// phase; refreshed once per epoch.
   std::vector<bool> pause_advertised_;
-
-  /// One live predefined-phase connection, fully resolved, so the slot
-  /// loop reads flat records instead of re-deriving dst/rx/link health
-  /// indices through virtual calls.
-  struct PredefConn {
-    TorId src;
-    PortId tx;
-    TorId dst;
-    PortId rx;
-    std::uint32_t tx_link;  // LinkState raw index, egress at (src, tx)
-    std::uint32_t rx_link;  // LinkState raw index, ingress at (dst, rx)
-  };
 
   // --- Sparse predefined phase (the demand-driven epoch pipeline) ---
   //
   // Instead of scanning all slots×N×P connections (O(N^2) per epoch), each
   // epoch gathers only the *interesting* pairs — pairs with outgoing
   // control messages (scheduler_->epoch_out_pairs()) plus pairs with
-  // piggyback data (active_sources_ × their active destinations) — and
-  // resolves each pair's connection(s) under this epoch's rotation via
-  // PredefinedSchedule::pair_connections, appended to per-slot buckets.
-  // Just before it visits slot k, run_predefined_phase sorts slot k's
-  // bucket by (src, tx) once, so the visit order matches the dense scan
-  // exactly. That is sound because every append to slot k's bucket
-  // happens before the visit (epoch start, or a handler dispatched by
-  // the slot's advance_to), and (src, tx) is unique within a slot.
+  // piggyback data (active_sources_ × their active destinations) and
+  // pairs owed a retransmission — and marks each pair's connection(s)
+  // under this epoch's rotation (PredefinedSchedule::
+  // for_each_pair_connection) in one occupancy bitmap per slot
+  // (predef_marks_). A connection's key src * ports_per_tor + tx is unique
+  // within a slot, so marking a pair twice is harmless and the ascending
+  // key order of a bitmap walk is exactly the dense scan's (src, tx) visit
+  // order: no sort, no per-pair dedupe. Every mark into slot k lands
+  // before slot k is visited (at epoch start, or from a handler that the
+  // slot's advance_to dispatches); marks into slots already run are
+  // skipped, and a visit never marks.
   //
   // Dirty-set invariants:
   //  - who marks: gather_predefined_pair() (at epoch start, and from
-  //    on_flow_arrival / on_transport_timer for work landing mid-phase),
-  //    stamped once per pair per epoch in predef_gather_stamp_;
-  //  - who clears: run_predefined_phase() resets the buckets each epoch;
+  //    on_flow_arrival / on_transport_timer for work landing mid-phase);
+  //  - who clears: run_predefined_phase(), slot by slot — a healthy slot
+  //    after visiting its marks, an unhealthy slot without visiting them —
+  //    so every bitmap is empty again when the phase ends. Clearing or
+  //    walking an empty slot costs O(1) (ActiveSet's member count);
   //  - a slot whose links are unhealthy falls back to the dense scan so
   //    the fault detector still observes every connection.
 
-  /// Resolves one predefined connection's rx port and link indices — the
-  /// single definition the sparse gather and the dense fallback share.
-  PredefConn resolve_predef_conn(TorId src, PortId tx, TorId dst) const;
-  /// Adds pair (src, dst)'s connections for the current epoch/rotation to
-  /// the per-slot buckets (only slots still ahead of the cursor).
+  /// Marks pair (src, dst)'s connections for the current epoch/rotation
+  /// in the per-slot bitmaps (only slots still ahead of the cursor).
   void gather_predefined_pair(TorId src, TorId dst);
+  /// Sparse walk of one healthy slot: visits its marked connections in
+  /// ascending (src, tx) order, then clears them.
+  void run_predefined_slot_sparse(int slot,
+                                  const PredefinedSchedule::SlotRule& rule);
   /// Dense fallback for one slot: visits all N×P connections (unhealthy
   /// slots, where every link must be observed).
-  void run_predefined_slot_dense(int slot);
-  /// Visits one resolved connection (shared by sparse and dense paths).
+  void run_predefined_slot_dense(const PredefinedSchedule::SlotRule& rule);
+  /// Visits one connection (shared by sparse and dense paths). Only an
+  /// unhealthy visit resolves the rx port and reads link health.
   /// Deliveries are staged; the slot's close flushes them as one span.
-  void visit_predefined_conn(const PredefConn& c, bool healthy);
+  void visit_predefined_conn(TorId src, PortId tx, TorId dst, bool healthy);
 
-  std::vector<std::vector<PredefConn>> predef_buckets_;  // one per slot
-  std::vector<std::int64_t> predef_gather_stamp_;  // [src*N+dst] -> epoch
-  int predef_rotation_{0};        // rotation of the epoch being gathered
-  int predef_cursor_{0};          // slot currently being processed
+  /// [slot] -> marked connection keys src * ports_per_tor + tx.
+  std::vector<ActiveSet> predef_marks_;
+  int predef_rotation_{0};  // rotation of the epoch being gathered
+  int predef_cursor_{0};    // slot currently being processed
   bool in_predefined_phase_{false};
-  std::vector<PredefinedSchedule::Connection> pair_conn_scratch_;
 
   // --- Scheduled phase, per-slot walk: the live-match list ---
   //

@@ -3,11 +3,6 @@
 #include "common/assert.h"
 
 namespace negotiator {
-namespace {
-
-int positive_mod(int v, int m) { return ((v % m) + m) % m; }
-
-}  // namespace
 
 PredefinedSchedule::PredefinedSchedule(TopologyKind kind, int num_tors,
                                        int ports_per_tor)
@@ -22,6 +17,10 @@ PredefinedSchedule::PredefinedSchedule(TopologyKind kind, int num_tors,
                "thin-clos requires N divisible by S");
     block_size_ = num_tors_ / ports_per_tor_;
     slots_ = block_size_;
+    lane_.resize(static_cast<std::size_t>(num_tors_));
+    for (TorId src = 0; src < num_tors_; ++src) {
+      lane_[static_cast<std::size_t>(src)] = src % block_size_;
+    }
   }
 }
 
@@ -60,41 +59,6 @@ TorId PredefinedSchedule::src_of(TorId dst, PortId rx, int slot,
   const TorId src = static_cast<TorId>(
       rx * block_size_ + positive_mod(dst - slot - rotation, block_size_));
   return src == dst ? kInvalidTor : src;
-}
-
-PredefinedSchedule::Connection PredefinedSchedule::pair_connection(
-    TorId src, TorId dst, int rotation) const {
-  NEG_ASSERT(src != dst, "no connection for self traffic");
-  NEG_ASSERT(src >= 0 && src < num_tors_ && dst >= 0 && dst < num_tors_,
-             "tor out of range");
-  if (kind_ == TopologyKind::kParallel) {
-    const int offset = positive_mod(dst - src, num_tors_);
-    const int index = positive_mod(offset - 1 - rotation, num_tors_ - 1);
-    const PortId tx = static_cast<PortId>(index / slots_);
-    return Connection{index % slots_, tx, tx};
-  }
-  const PortId tx = static_cast<PortId>(dst / block_size_);
-  const PortId rx = static_cast<PortId>(src / block_size_);
-  const int slot = positive_mod(dst - src - rotation, block_size_);
-  return Connection{slot, tx, rx};
-}
-
-void PredefinedSchedule::pair_connections(TorId src, TorId dst, int rotation,
-                                          std::vector<Connection>& out) const {
-  NEG_ASSERT(src != dst, "no connection for self traffic");
-  if (kind_ != TopologyKind::kParallel) {
-    out.push_back(pair_connection(src, dst, rotation));
-    return;
-  }
-  // Parallel: offsets repeat every N-1 connection opportunities, so the
-  // pair meets at indices index0, index0 + (N-1), ... below S*slots.
-  const int offset = positive_mod(dst - src, num_tors_);
-  const int index0 = positive_mod(offset - 1 - rotation, num_tors_ - 1);
-  const int capacity = ports_per_tor_ * slots_;
-  for (int index = index0; index < capacity; index += num_tors_ - 1) {
-    const PortId tx = static_cast<PortId>(index / slots_);
-    out.push_back(Connection{index % slots_, tx, tx});
-  }
 }
 
 }  // namespace negotiator

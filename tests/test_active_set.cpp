@@ -104,6 +104,21 @@ TEST(ActiveSet, InsertPastCapacityGrows) {
   EXPECT_EQ(members(grown), (std::vector<TorId>{64}));
 }
 
+TEST(ActiveSet, ClearEmptiesAndKeepsCapacity) {
+  ActiveSet set(200);
+  set.clear();  // already empty: a no-op
+  EXPECT_TRUE(set.empty());
+  for (TorId t : {0, 63, 64, 199}) set.insert(t);
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(members(set).empty());
+  for (TorId t : {0, 63, 64, 199}) EXPECT_FALSE(set.contains(t));
+  set.insert(130);
+  set.insert(5);
+  EXPECT_EQ(members(set), (std::vector<TorId>{5, 130}));
+  EXPECT_EQ(set.next_member_after(5), 130);
+}
+
 TEST(ActiveSetProperty, MatchesStdSetReference) {
   // A seeded insert/erase mix over ids that straddle the 63/64 and
   // 127/128 word edges, occasionally past capacity (growth) and below

@@ -36,7 +36,9 @@
 // fabric still completes every flow byte-for-byte.
 //
 // NEG_CHAOS_SCENARIOS overrides the scenario count (default 108; the
-// nightly chaos job sweeps several hundred). NEG_CHAOS_JSON, when set,
+// nightly chaos job sweeps several hundred). The three case counts are
+// parsed strictly (common/env.h): anything but a positive integer exits 2
+// naming the variable. NEG_CHAOS_JSON, when set,
 // writes an aggregate resilience-metrics JSON artifact after ALL sweeps
 // (a gtest Environment tear-down), so the control-plane counters from the
 // lossy sweep are part of the artifact.
@@ -48,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "engine/fault_scenario.h"
 #include "engine/runner.h"
 #include "stats/resilience_recorder.h"
@@ -72,8 +75,7 @@ constexpr std::size_t kSchedulerCount = std::size(kAllSchedulers);
 
 int scenario_count() {
   if (const char* env = std::getenv("NEG_CHAOS_SCENARIOS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    return parse_env_int("NEG_CHAOS_SCENARIOS", env, 1);
   }
   return 108;  // 12 per scheduler kind by default
 }
@@ -82,8 +84,7 @@ int scenario_count() {
 /// sweep: the nightly job raises it alongside NEG_CHAOS_SCENARIOS.
 int lossy_case_count() {
   if (const char* env = std::getenv("NEG_LOSSY_CASES")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    return parse_env_int("NEG_LOSSY_CASES", env, 1);
   }
   return 24;  // 4 per negotiator variant by default
 }
@@ -92,8 +93,7 @@ int lossy_case_count() {
 /// chaos job raises it to 96.
 int data_loss_case_count() {
   if (const char* env = std::getenv("NEG_DATA_LOSS_CASES")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    return parse_env_int("NEG_DATA_LOSS_CASES", env, 1);
   }
   return 24;
 }

@@ -2,12 +2,15 @@
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "engine/runner.h"
+#include "topo/predefined_schedule.h"
 #include "workload/all_to_all.h"
 #include "workload/generator.h"
 #include "workload/incast.h"
@@ -229,6 +232,96 @@ TEST(Engine, RunUntilNeverMovesTheClockBackOnBothFabrics) {
       last = fab->now();
     }
     EXPECT_FALSE(fab->links().is_up(3, 1, LinkDirection::kEgress));
+  }
+}
+
+TEST(Engine, PredefinedPhaseVisitsNoStaleConnections) {
+  // An otherwise idle fabric gets one mouse mid-way through epoch 2's
+  // predefined phase, after its scheduler ran, so nothing but piggyback
+  // carries it and nothing else is ever gathered. The flow's pair marks
+  // its connections in the slots still ahead. Dense-scan oracle per
+  // epoch: an unhealthy slot visits every non-idle connection; a healthy
+  // slot visits exactly the marked ones, i.e. the pair's connections from
+  // the arrival's slot on in epoch 2 and none after it. With a link down
+  // through epoch 2's predefined phase, the dense scan carries the mouse
+  // and must drop the marks: the epochs after it run dense slots while
+  // the fault plane settles, then healthy slots that visit nothing.
+  constexpr std::int64_t kEpoch = 2;
+  constexpr int kArrivalSlot = 1;  // the flow fires before slot 1 starts
+  for (auto topo : {TopologyKind::kParallel, TopologyKind::kThinClos}) {
+    const NetworkConfig cfg = small(topo);
+    const PredefinedSchedule sched(topo, cfg.num_tors, cfg.ports_per_tor);
+    const auto rotation_of = [](std::int64_t e) {
+      return static_cast<int>((e * 17) & 0x3fffffff);
+    };
+    // dense[j]: visits of a dense scan over slots [0, j) under `rotation`.
+    const auto dense_prefix = [&](int rotation) {
+      std::vector<std::uint64_t> dense(1, 0);
+      for (int slot = 0; slot < sched.slots(); ++slot) {
+        std::uint64_t visits = dense.back();
+        for (TorId s = 0; s < cfg.num_tors; ++s) {
+          for (PortId p = 0; p < cfg.ports_per_tor; ++p) {
+            visits += sched.dst_of(s, p, slot, rotation) != kInvalidTor;
+          }
+        }
+        dense.push_back(visits);
+      }
+      return dense;
+    };
+    // A pair that meets after the arrival slot under epoch 2's rotation.
+    const int rotation = rotation_of(kEpoch);
+    const TorId src = 0;
+    TorId dst = 1;
+    while (sched.pair_connection(src, dst, rotation).slot <= kArrivalSlot) {
+      ++dst;
+    }
+    std::uint64_t marked = 0;
+    sched.for_each_pair_connection(
+        src, dst, rotation, [&](const PredefinedSchedule::Connection& c) {
+          marked += c.slot >= kArrivalSlot ? 1 : 0;
+        });
+    ASSERT_GE(marked, 1u);
+
+    for (const bool link_down : {false, true}) {
+      auto fab = make_fabric(cfg);
+      const Nanos epoch_ns = cfg.epoch_length_ns();
+      const Nanos phase_ns = static_cast<Nanos>(cfg.predefined_slots()) *
+                             cfg.epoch.predefined_slot_ns();
+      fab->add_flow(one_flow(src, dst, 400, kEpoch * epoch_ns + 1));
+      if (link_down) {
+        // A link neither endpoint uses, down for the predefined phase.
+        fab->schedule_link_event(kEpoch * epoch_ns, cfg.num_tors - 1, 0,
+                                 LinkDirection::kEgress, true);
+        fab->schedule_link_event(kEpoch * epoch_ns + phase_ns,
+                                 cfg.num_tors - 1, 0, LinkDirection::kEgress,
+                                 false);
+      }
+      int quiet_epochs = 0;
+      for (std::int64_t e = 0; e < kEpoch + 12; ++e) {
+        const std::uint64_t before = fab->predefined_visits();
+        fab->run_until((e + 1) * epoch_ns);
+        const std::uint64_t visits = fab->predefined_visits() - before;
+        const std::string where = std::string(to_string(topo)) + " epoch " +
+                                  std::to_string(e) +
+                                  (link_down ? " (link down)" : "");
+        const std::vector<std::uint64_t> dense = dense_prefix(rotation_of(e));
+        if (!link_down || e < kEpoch) {
+          EXPECT_EQ(visits, e == kEpoch ? marked : 0u) << where;
+        } else if (e == kEpoch) {
+          EXPECT_EQ(visits, dense.back()) << where;
+        } else {
+          // Dense slots first (the fault plane settling), then healthy
+          // slots with nothing marked.
+          EXPECT_NE(std::find(dense.begin(), dense.end(), visits),
+                    dense.end())
+              << where << ": " << visits << " visits";
+        }
+        quiet_epochs = visits == 0 ? quiet_epochs + 1 : 0;
+      }
+      EXPECT_GE(quiet_epochs, 5) << to_string(topo);
+      ASSERT_EQ(fab->fct().completed(), 1u) << to_string(topo);
+      EXPECT_LT(fab->fct().samples()[0].fct, epoch_ns) << to_string(topo);
+    }
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include <set>
 #include <tuple>
-#include <vector>
 
 namespace negotiator {
 namespace {
@@ -90,13 +89,37 @@ TEST_P(PredefinedScheduleTest, PairConnectionIsConsistent) {
   }
 }
 
-TEST_P(PredefinedScheduleTest, PairConnectionsCoverTheDenseScanOnce) {
-  // The sparse predefined phase gathers pair_connections per pair and
-  // sorts each slot's bucket by (src, tx). That reproduces the dense scan
-  // only if the union over all pairs is exactly the dense scan's non-idle
-  // (slot, src, tx) set, each connection listed once.
+TEST_P(PredefinedScheduleTest, SlotRuleMatchesDstOf) {
+  // The sparse and dense predefined walks resolve destinations through the
+  // per-slot rule; it must agree with dst_of everywhere, idle slots
+  // included.
   const auto [kind, n, s] = GetParam();
   PredefinedSchedule sched(kind, n, s);
+  for (int rotation : {0, 17, 34, 17 * 127}) {
+    for (int slot = 0; slot < sched.slots(); ++slot) {
+      const PredefinedSchedule::SlotRule rule =
+          sched.slot_rule(slot, rotation);
+      for (TorId src = 0; src < n; ++src) {
+        for (PortId p = 0; p < s; ++p) {
+          ASSERT_EQ(sched.dst_of(rule, src, p),
+                    sched.dst_of(src, p, slot, rotation))
+              << "src " << src << " tx " << p << " slot " << slot
+              << " rotation " << rotation;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(PredefinedScheduleTest, PairConnectionsCoverTheDenseScanOnce) {
+  // The sparse predefined phase marks for_each_pair_connection per pair in
+  // one bitmap per slot and visits each slot in (src, tx) order. That
+  // reproduces the dense scan only if the union over all pairs is exactly
+  // the dense scan's non-idle (slot, src, tx) set, each connection listed
+  // once.
+  const auto [kind, n, s] = GetParam();
+  PredefinedSchedule sched(kind, n, s);
+  const int capacity = s * sched.slots();
   for (int rotation : {0, 17, 34, 17 * 127}) {
     using Conn = std::tuple<int, TorId, PortId, TorId>;  // slot, src, tx, dst
     std::set<Conn> dense;
@@ -110,19 +133,28 @@ TEST_P(PredefinedScheduleTest, PairConnectionsCoverTheDenseScanOnce) {
     }
     std::set<Conn> sparse;
     std::size_t listed = 0;
-    std::vector<PredefinedSchedule::Connection> conns;
+    int pairs_meeting_twice = 0;
     for (TorId src = 0; src < n; ++src) {
       for (TorId dst = 0; dst < n; ++dst) {
         if (src == dst) continue;
-        conns.clear();
-        sched.pair_connections(src, dst, rotation, conns);
-        listed += conns.size();
-        for (const auto& c : conns) sparse.insert({c.slot, src, c.tx_port, dst});
+        int meets = 0;
+        sched.for_each_pair_connection(
+            src, dst, rotation,
+            [&](const PredefinedSchedule::Connection& c) {
+              ++meets;
+              sparse.insert({c.slot, src, c.tx_port, dst});
+            });
+        listed += static_cast<std::size_t>(meets);
+        if (meets == 2) ++pairs_meeting_twice;
       }
     }
     EXPECT_EQ(listed, sparse.size())
         << "a connection is listed twice at rotation " << rotation;
     EXPECT_EQ(sparse, dense) << "rotation " << rotation;
+    // Parallel capacity S*slots beyond the N-1 offsets makes every source
+    // meet capacity - (N-1) destinations twice; thin-clos pairs meet once.
+    const int extra = kind == TopologyKind::kParallel ? capacity - (n - 1) : 0;
+    EXPECT_EQ(pairs_meeting_twice, n * extra) << "rotation " << rotation;
   }
 }
 
