@@ -16,8 +16,7 @@
 #include "engine/flow_table.h"
 #include "engine/network.h"
 #include "sim/event_queue.h"
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 #include "tor/dest_queue.h"
 #include "tor/host_transport.h"
 #include "workload/generator.h"
@@ -40,9 +39,18 @@ void BM_RingPick(benchmark::State& state) {
 }
 BENCHMARK(BM_RingPick)->Arg(16)->Arg(128);
 
+/// The topology of a GRANT/ACCEPT benchmark: range(0) picks the kind
+/// (0 parallel, 1 thin-clos), range(1) the ToR count; 8 ports per ToR.
+FlatTopology step_topology(benchmark::State& state) {
+  const TopologyKind kind = state.range(0) == 0 ? TopologyKind::kParallel
+                                                : TopologyKind::kThinClos;
+  state.SetLabel(to_string(kind));
+  return FlatTopology(kind, static_cast<int>(state.range(1)), 8);
+}
+
 void BM_GrantStep(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  ParallelTopology topo(n, 8);
+  const FlatTopology topo = step_topology(state);
+  const int n = topo.num_tors();
   Rng rng(2);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   std::vector<RequestMsg> requests;
@@ -56,10 +64,12 @@ void BM_GrantStep(benchmark::State& state) {
     benchmark::DoNotOptimize(eng.grant(0, requests, eligible, 33'450));
   }
 }
-BENCHMARK(BM_GrantStep)->Arg(32)->Arg(128)->Arg(512);
+BENCHMARK(BM_GrantStep)
+    ->ArgNames({"thin_clos", "tors"})
+    ->ArgsProduct({{0, 1}, {32, 128, 512}});
 
 void BM_AcceptStep(benchmark::State& state) {
-  ParallelTopology topo(static_cast<int>(state.range(0)), 8);
+  const FlatTopology topo = step_topology(state);
   Rng rng(3);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   std::vector<GrantMsg> grants;
@@ -74,7 +84,9 @@ void BM_AcceptStep(benchmark::State& state) {
     benchmark::DoNotOptimize(eng.accept(0, grants, eligible));
   }
 }
-BENCHMARK(BM_AcceptStep)->Arg(128)->Arg(512);
+BENCHMARK(BM_AcceptStep)
+    ->ArgNames({"thin_clos", "tors"})
+    ->ArgsProduct({{0, 1}, {128, 512}});
 
 void BM_DestQueuePacketCycle(benchmark::State& state) {
   DestQueueSet q(1, 3);

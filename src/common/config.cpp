@@ -42,13 +42,16 @@ Bytes NetworkConfig::scheduled_payload_bytes() const {
   return std::max<Bytes>(0, slot - epoch.data_header_bytes);
 }
 
-int NetworkConfig::predefined_slots() const {
-  if (topology == TopologyKind::kParallel) {
-    // ceil((N-1)/S) slots give every pair one connection (§3.3.1).
+int predefined_slot_count(TopologyKind kind, int num_tors,
+                          int ports_per_tor) {
+  if (kind == TopologyKind::kParallel) {
     return (num_tors - 1 + ports_per_tor - 1) / ports_per_tor;
   }
-  // Thin-clos: W = N/S slots, W being the AWGR port count (§3.3.1).
   return num_tors / ports_per_tor;
+}
+
+int NetworkConfig::predefined_slots() const {
+  return predefined_slot_count(topology, num_tors, ports_per_tor);
 }
 
 Nanos NetworkConfig::epoch_length_ns() const {

@@ -36,6 +36,11 @@ enum class SchedulerKind {
 const char* to_string(TopologyKind kind);
 const char* to_string(SchedulerKind kind);
 
+/// Timeslots one predefined phase needs for an all-to-all round on
+/// `kind` (§3.3.1): ceil((N-1)/S) in the parallel network, W = N/S (the
+/// AWGR port count) in thin-clos.
+int predefined_slot_count(TopologyKind kind, int num_tors, int ports_per_tor);
+
 /// Timing/framing of one NegotiaToR epoch (§3.3, §4.1).
 struct EpochConfig {
   /// Reconfiguration guardband before each predefined-phase timeslot.

@@ -19,6 +19,10 @@ class EpochTiming {
   int scheduled_slots() const { return scheduled_slots_; }
   Nanos epoch_length() const { return epoch_length_; }
   Nanos predefined_phase_length() const { return predefined_length_; }
+  /// NetworkConfig::piggyback_payload_bytes() and
+  /// scheduled_payload_bytes(), read once: the per-packet paths use these.
+  Bytes piggyback_payload_bytes() const { return piggyback_payload_; }
+  Bytes scheduled_payload_bytes() const { return scheduled_payload_; }
 
   Nanos epoch_start(std::int64_t epoch) const {
     return epoch * epoch_length_;
@@ -54,6 +58,8 @@ class EpochTiming {
   Nanos scheduled_slot_ns_;
   Nanos predefined_length_;
   Nanos epoch_length_;
+  Bytes piggyback_payload_;
+  Bytes scheduled_payload_;
 };
 
 }  // namespace negotiator

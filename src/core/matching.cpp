@@ -11,7 +11,7 @@ MatchingEngine::MatchingEngine(const FlatTopology& topo,
     : topo_(topo), policy_(policy) {
   const int n = topo_.num_tors();
   const int s = topo_.ports_per_tor();
-  if (topo_.kind() == TopologyKind::kParallel) {
+  if (topo_.parallel()) {
     grant_rings_.reserve(static_cast<std::size_t>(n));
     for (TorId d = 0; d < n; ++d) {
       grant_rings_.emplace_back(topo_.rx_sources(d, 0), rng);
@@ -30,22 +30,12 @@ MatchingEngine::MatchingEngine(const FlatTopology& topo,
       accept_rings_.emplace_back(topo_.tx_destinations(t, p), rng);
     }
   }
-  if (topo_.kind() != TopologyKind::kParallel) {
-    // Thin-clos rx ports depend only on the source's block; resolve each
-    // source's group once so grant() never needs a virtual call per check.
-    rx_group_of_src_.resize(static_cast<std::size_t>(n));
-    for (TorId src = 0; src < n; ++src) {
-      const TorId probe = src == 0 ? 1 : 0;  // any dst != src works
-      rx_group_of_src_[static_cast<std::size_t>(src)] =
-          topo_.rx_port(src, topo_.fixed_tx_port(src, probe), probe);
-    }
-  }
   slot_of_tor_.assign(static_cast<std::size_t>(n), -1);
   touched_.reserve(static_cast<std::size_t>(n));
 }
 
 RoundRobinRing& MatchingEngine::grant_ring(TorId dst, PortId rx) {
-  if (topo_.kind() == TopologyKind::kParallel) {
+  if (topo_.parallel()) {
     return grant_rings_[static_cast<std::size_t>(dst)];
   }
   return grant_rings_[static_cast<std::size_t>(dst) * topo_.ports_per_tor() +
@@ -102,7 +92,7 @@ const MatchingEngine::GrantResult& MatchingEngine::grant(
       }
       case SelectionPolicy::kLargestSize: {
         for (Work& w : work) {
-          if (w.remaining <= 0 || !eligible_for_port(w.src, p)) continue;
+          if (w.remaining <= 0 || !topo_.lands_on(w.src, p)) continue;
           if (chosen == nullptr || w.remaining > chosen->remaining) {
             chosen = &w;
           }
@@ -116,7 +106,7 @@ const MatchingEngine::GrantResult& MatchingEngine::grant(
         auto pick_round = [&]() -> Work* {
           Work* best = nullptr;
           for (Work& w : work) {
-            if (w.granted_round || !eligible_for_port(w.src, p)) continue;
+            if (w.granted_round || !topo_.lands_on(w.src, p)) continue;
             if (best == nullptr || w.delay > best->delay) best = &w;
           }
           return best;
@@ -160,14 +150,12 @@ const MatchingEngine::AcceptResult& MatchingEngine::accept(
   // Group the grants by the tx port they pin (index chains, no per-call
   // vector-of-vectors): head/next form per-port singly linked lists in
   // arrival order.
-  const bool parallel = topo_.kind() == TopologyKind::kParallel;
   by_port_head_.assign(static_cast<std::size_t>(ports), -1);
   by_port_tail_.assign(static_cast<std::size_t>(ports), -1);
   next_in_port_.assign(grants.size(), -1);
   for (std::size_t i = 0; i < grants.size(); ++i) {
     const GrantMsg& g = grants[i];
-    const PortId tx =
-        parallel ? g.rx_port : topo_.fixed_tx_port(src, g.dst);
+    const PortId tx = topo_.grant_tx_port(g.dst, g.rx_port);
     NEG_ASSERT(tx >= 0 && tx < ports, "grant pins an invalid tx port");
     const auto t = static_cast<std::size_t>(tx);
     if (by_port_head_[t] < 0) {

@@ -73,23 +73,12 @@ class MatchingEngine {
   RoundRobinRing& grant_ring(TorId dst, PortId rx);
   RoundRobinRing& accept_ring(TorId src, PortId tx);
 
-  /// True when (src -> dst) traffic can land on rx port `p` — always, in
-  /// the parallel network; only for src's own group port in thin-clos.
-  bool eligible_for_port(TorId src, PortId p) const {
-    return rx_group_of_src_.empty() ||
-           rx_group_of_src_[static_cast<std::size_t>(src)] == p;
-  }
-
   const FlatTopology& topo_;
   SelectionPolicy policy_;
   // Parallel network: one grant ring per destination; thin-clos: one per
   // (destination, rx port).
   std::vector<RoundRobinRing> grant_rings_;
   std::vector<RoundRobinRing> accept_rings_;
-  /// Thin-clos: the rx port (src -> anywhere) traffic lands on, resolved
-  /// through the virtual topology interface once at construction. Empty
-  /// for the parallel network (every port eligible).
-  std::vector<PortId> rx_group_of_src_;
 
   /// grant()'s working copy of one request's policy metadata.
   struct Work {

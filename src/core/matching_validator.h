@@ -56,7 +56,7 @@ class MatchingValidator {
       if (!topo_.reachable(m.src, m.tx_port, m.dst)) {
         return fail(epoch, m, "tx port does not reach dst");
       }
-      if (topo_.rx_port(m.src, m.tx_port, m.dst) != m.rx_port) {
+      if (topo_.rx_port(m.src, m.tx_port) != m.rx_port) {
         return fail(epoch, m, "rx port inconsistent with topology");
       }
       const std::size_t tx =

@@ -137,26 +137,6 @@ void NegotiatorScheduler::deliver_accept_lossy(TorId dst,
   // is not materialized.
 }
 
-void NegotiatorScheduler::deliver_pair_lossy(TorId src, TorId dst, bool ok) {
-  const std::size_t index =
-      static_cast<std::size_t>(src) * topo_.num_tors() + dst;
-  if (out_stamp_[index] != epoch_) return;
-  if (!ok) return;
-  const PairOut& entry = out_[index];
-  if (entry.has_request) deliver_request_lossy(dst, entry.request);
-  for (std::int32_t i = entry.relay_head; i >= 0;) {
-    const auto& logged = relay_log_[static_cast<std::size_t>(i)];
-    deliver_request_lossy(dst, logged.msg);
-    i = logged.next;
-  }
-  for (std::int32_t i = entry.grant_head; i >= 0;) {
-    const auto& logged = grant_log_[static_cast<std::size_t>(i)];
-    deliver_grant_lossy(dst, logged.msg);
-    i = logged.next;
-  }
-  if (entry.has_accept) deliver_accept_lossy(dst, entry.accept);
-}
-
 void NegotiatorScheduler::flush_delayed_messages() {
   auto flush = [this](auto& buffer, auto& inbox) {
     std::size_t keep = 0;

@@ -62,38 +62,31 @@ class NegotiatorScheduler {
   virtual void begin_epoch(std::int64_t epoch, Nanos now,
                            const DemandView& demand, const FaultPlane& faults);
 
-  /// Predefined-phase exchange for pair (src -> dst). When `ok` is false
-  /// (link failure) the queued messages are lost. Inline: the fabric calls
-  /// this for every predefined-phase slot connection. With a lossy control
-  /// channel attached, every message instead runs the classify() gauntlet
-  /// (drop / delay / duplicate) in deliver_pair_lossy; the channel-free
-  /// path below is byte-identical to the historical exchange.
+  /// Predefined-phase exchange for pair (src -> dst): the request, the
+  /// relay requests, the grants and the accept, in that order. When `ok`
+  /// is false (link failure) the queued messages are lost. Inline: the
+  /// fabric calls this for every predefined-phase slot connection. With a
+  /// lossy control channel attached, each message runs the classify()
+  /// gauntlet (drop / delay / duplicate) on its way; without one, none
+  /// does and no draw is made.
   void deliver_pair(TorId src, TorId dst, bool ok) {
-    if (control_ != nullptr) {
-      deliver_pair_lossy(src, dst, ok);
-      return;
-    }
     const std::size_t index =
         static_cast<std::size_t>(src) * topo_.num_tors() + dst;
     if (out_stamp_[index] != epoch_) return;
     if (!ok) return;
     const PairOut& entry = out_[index];
-    if (entry.has_request) {
-      inbox_requests_.push(dst, entry.request);
-    }
+    if (entry.has_request) deliver_request(dst, entry.request);
     for (std::int32_t i = entry.relay_head; i >= 0;) {
       const auto& logged = relay_log_[static_cast<std::size_t>(i)];
-      inbox_requests_.push(dst, logged.msg);
+      deliver_request(dst, logged.msg);
       i = logged.next;
     }
     for (std::int32_t i = entry.grant_head; i >= 0;) {
       const auto& logged = grant_log_[static_cast<std::size_t>(i)];
-      inbox_grants_.push(dst, logged.msg);
+      deliver_grant(dst, logged.msg);
       i = logged.next;
     }
-    if (entry.has_accept) {
-      inbox_accepts_.push(dst, entry.accept);
-    }
+    if (entry.has_accept) deliver_accept(dst, entry.accept);
   }
 
   /// Attaches the lossy control channel (core/control_channel.h); the
@@ -174,19 +167,41 @@ class NegotiatorScheduler {
 
   void clear_inboxes();
 
-  /// Lossy-exchange slow path behind deliver_pair: per-message classify()
-  /// with the fates applied — dropped messages vanish, delayed ones park
-  /// in the delayed_* buffers (flushed into the inboxes at the top of
-  /// begin_epoch once due), duplicated requests/grants push twice
-  /// (duplicate accepts are counted by the channel but collapse at the
-  /// receiver, which is idempotent).
-  void deliver_pair_lossy(TorId src, TorId dst, bool ok);
+  /// One message of deliver_pair's walk into `dst`'s inbox: a plain push
+  /// without a control channel, the lossy path below with one.
+  void deliver_request(TorId dst, const RequestMsg& msg) {
+    if (control_ != nullptr) {
+      deliver_request_lossy(dst, msg);
+    } else {
+      inbox_requests_.push(dst, msg);
+    }
+  }
+  void deliver_grant(TorId dst, const GrantMsg& msg) {
+    if (control_ != nullptr) {
+      deliver_grant_lossy(dst, msg);
+    } else {
+      inbox_grants_.push(dst, msg);
+    }
+  }
+  void deliver_accept(TorId dst, const AcceptMsg& msg) {
+    if (control_ != nullptr) {
+      deliver_accept_lossy(dst, msg);
+    } else {
+      inbox_accepts_.push(dst, msg);
+    }
+  }
   /// Moves due delayed messages into the inboxes, preserving insertion
   /// order per class. Called at the top of begin_epoch (before
   /// compute_accepts) so a message delayed k epochs is consumed exactly
   /// k epochs after its on-time siblings.
   void flush_delayed_messages();
 
+  /// Lossy-exchange slow path: classify() the message and apply its
+  /// fate. Dropped messages vanish, delayed ones park in the delayed_*
+  /// buffers (flushed into the inboxes at the top of begin_epoch once
+  /// due), duplicated requests/grants push twice (duplicate accepts are
+  /// counted by the channel but collapse at the receiver, which is
+  /// idempotent).
   void deliver_request_lossy(TorId dst, const RequestMsg& msg);
   void deliver_grant_lossy(TorId dst, const GrantMsg& msg);
   void deliver_accept_lossy(TorId dst, const AcceptMsg& msg);

@@ -30,7 +30,7 @@ std::vector<Match> CentralizedScheduler::solve(
       if (tx_used[static_cast<std::size_t>(s) * ports + p]) continue;
       if (faults.tx_excluded(s, p)) continue;
       if (!topo_.reachable(s, p, d)) continue;
-      const PortId rx = topo_.rx_port(s, p, d);
+      const PortId rx = topo_.rx_port(s, p);
       if (rx_used[static_cast<std::size_t>(d) * ports + rx]) continue;
       if (faults.rx_excluded(d, rx)) continue;
       tx_used[static_cast<std::size_t>(s) * ports + p] = true;

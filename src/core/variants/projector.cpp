@@ -56,8 +56,7 @@ void ProjectorScheduler::compute_grants(const DemandView& /*demand*/,
       // on the pinned rx port (thin-clos).
       const RequestMsg* best = nullptr;
       for (const RequestMsg& r : requests) {
-        const PortId rx = topo_.rx_port(r.src, r.tx_port, d);
-        if (rx != p) continue;
+        if (topo_.rx_port(r.src, r.tx_port) != p) continue;
         if (best == nullptr || r.weighted_delay > best->weighted_delay) {
           best = &r;
         }
@@ -84,10 +83,7 @@ void ProjectorScheduler::compute_accepts(const DemandView& /*demand*/,
       if (faults.tx_excluded(s, p)) continue;
       const GrantMsg* best = nullptr;
       for (const GrantMsg& g : grants) {
-        const PortId tx = topo_.kind() == TopologyKind::kParallel
-                              ? g.rx_port
-                              : topo_.fixed_tx_port(s, g.dst);
-        if (tx != p) continue;
+        if (topo_.grant_tx_port(g.dst, g.rx_port) != p) continue;
         if (best == nullptr || g.weighted_delay > best->weighted_delay) {
           best = &g;
         }

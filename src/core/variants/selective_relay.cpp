@@ -10,8 +10,7 @@ namespace negotiator {
 SelectiveRelayScheduler::SelectiveRelayScheduler(const NetworkConfig& config,
                                                  const FlatTopology& topo,
                                                  Rng rng)
-    : NegotiatorScheduler(config, topo, rng),
-      block_size_(topo.num_tors() / topo.ports_per_tor()) {
+    : NegotiatorScheduler(config, topo, rng) {
   NEG_ASSERT(topo.kind() == TopologyKind::kThinClos,
              "selective relay targets the thin-clos topology (A.2.2)");
 }
@@ -19,9 +18,9 @@ SelectiveRelayScheduler::SelectiveRelayScheduler(const NetworkConfig& config,
 Bytes SelectiveRelayScheduler::direct_load_on_port(const DemandView& demand,
                                                    TorId src,
                                                    PortId port) const {
+  const int block = topo_.block_size();
   Bytes load = 0;
-  for (int i = 0; i < block_size_; ++i) {
-    const TorId d = port * block_size_ + i;
+  for (TorId d = port * block; d < (port + 1) * block; ++d) {
     if (d != src) load += demand.pending_bytes(src, d);
   }
   return load;
@@ -90,8 +89,8 @@ void SelectiveRelayScheduler::sample_requests(const DemandView& demand,
       for (PortId p : blocks) {
         if (sent >= 2) break;
         // Rotate inside the block so intermediates take turns.
-        const TorId m = p * block_size_ +
-                        static_cast<TorId>((epoch_ + s) % block_size_);
+        const int block = topo_.block_size();
+        const TorId m = p * block + static_cast<TorId>((epoch_ + s) % block);
         if (m == s || m == d) continue;
         RequestMsg r;
         r.src = s;
@@ -134,8 +133,7 @@ void SelectiveRelayScheduler::compute_grants(const DemandView& demand,
                   demand.relay_queue_total(d);
     for (const RequestMsg& r : requests) {
       if (!r.relay || space <= 0) continue;
-      const PortId rx =
-          topo_.rx_port(r.src, topo_.fixed_tx_port(r.src, d), d);
+      const PortId rx = topo_.rx_port(r.src, topo_.fixed_tx_port(r.src, d));
       if (result.port_used[static_cast<std::size_t>(rx)]) continue;
       if (!rx_eligible[static_cast<std::size_t>(rx)]) continue;
       const PortId second_hop_port = topo_.fixed_tx_port(d, r.relay_final_dst);

@@ -31,8 +31,6 @@ class SelectiveRelayScheduler final : public NegotiatorScheduler {
   /// Direct bytes `src` has pending towards ToRs sharing tx port `port`.
   Bytes direct_load_on_port(const DemandView& demand, TorId src,
                             PortId port) const;
-
-  int block_size_;
 };
 
 }  // namespace negotiator

@@ -13,10 +13,6 @@ std::size_t ScenarioTimeline::failure_count() const {
                     [](const ScenarioEvent& e) { return e.fail; }));
 }
 
-std::size_t ScenarioTimeline::repair_count() const {
-  return link_events.size() - failure_count();
-}
-
 FaultScenario& FaultScenario::uniform_burst(const UniformBurstSpec& spec) {
   NEG_ASSERT(spec.fraction >= 0.0 && spec.fraction <= 1.0,
              "fraction out of range");

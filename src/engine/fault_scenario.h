@@ -177,7 +177,6 @@ struct ScenarioTimeline {
   bool repairs_everything{true};  ///< false iff some fail has no repair
 
   std::size_t failure_count() const;
-  std::size_t repair_count() const;
 };
 
 /// A composable, deterministic fault timeline. Build with the fluent

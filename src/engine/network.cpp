@@ -5,7 +5,6 @@
 #include "common/assert.h"
 #include "oblivious/oblivious_scheduler.h"
 #include "stats/resilience_recorder.h"
-#include "topo/topology_factory.h"
 
 namespace negotiator {
 
@@ -23,7 +22,7 @@ const NetworkConfig& validated(const NetworkConfig& config) {
 FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns,
                      bool relay)
     : config_(validated(config)),
-      topo_(make_topology(config)),
+      topo_(config_),
       goodput_(config.num_tors, stats_window_ns),
       links_(config.num_tors, config.ports_per_tor),
       plane_(config_, events_, goodput_, links_) {
@@ -100,7 +99,7 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
                                    Nanos stats_window_ns)
     : FabricSim(config, stats_window_ns,
                 config.scheduler == SchedulerKind::kNegotiatorSelectiveRelay),
-      schedule_(config.topology, config.num_tors, config.ports_per_tor),
+      schedule_(topo_),
       timing_(config),
       relay_enabled_(!relay_.empty()),
       faults_(config.num_tors, config.ports_per_tor),
@@ -117,7 +116,7 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
     pause_advertised_.assign(static_cast<std::size_t>(config_.num_tors),
                              false);
   }
-  scheduler_ = make_negotiator_scheduler(config_, *topo_, rng.fork());
+  scheduler_ = make_negotiator_scheduler(config_, topo_, rng.fork());
 
   // Lossy control plane: the channel's stream derives from the run seed
   // with a fixed salt, NOT from the fork chain above — forking would
@@ -137,25 +136,7 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
     }
   }
   if (invariants_armed(config_)) {
-    validator_ = std::make_unique<MatchingValidator>(*topo_);
-  }
-
-  // rx ports are destination-independent in both topologies (parallel:
-  // plane-preserving rx == tx; thin-clos: rx pinned by the source's
-  // block), so resolve them through the virtual interface once instead of
-  // per slot in the predefined hot loop.
-  rx_port_table_.assign(
-      static_cast<std::size_t>(config_.num_tors) * config_.ports_per_tor,
-      kInvalidPort);
-  for (TorId s = 0; s < config_.num_tors; ++s) {
-    for (PortId p = 0; p < config_.ports_per_tor; ++p) {
-      for (TorId d = 0; d < config_.num_tors; ++d) {
-        if (d == s || !topo_->reachable(s, p, d)) continue;
-        rx_port_table_[static_cast<std::size_t>(s) * config_.ports_per_tor +
-                       p] = topo_->rx_port(s, p, d);
-        break;
-      }
-    }
+    validator_ = std::make_unique<MatchingValidator>(topo_);
   }
 }
 
@@ -279,8 +260,7 @@ void NegotiatorFabric::visit_predefined_conn(TorId src, PortId tx, TorId dst,
   bool up = true;
   PortId rx = kInvalidPort;
   if (!healthy) {
-    rx = rx_port_table_[static_cast<std::size_t>(src) * config_.ports_per_tor +
-                        tx];
+    rx = topo_.rx_port(src, tx);
     up = links_.up_raw(links_.raw_index(src, tx, LinkDirection::kEgress)) &&
          links_.up_raw(links_.raw_index(dst, rx, LinkDirection::kIngress));
   }
@@ -305,7 +285,7 @@ void NegotiatorFabric::visit_predefined_conn(TorId src, PortId tx, TorId dst,
     return;
   }
   if (up) {
-    auto pkt = tor.dequeue_packet(dst, config_.piggyback_payload_bytes());
+    auto pkt = tor.dequeue_packet(dst, timing_.piggyback_payload_bytes());
     NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
     ++piggyback_packets_;
     sync_source_activity(src);
@@ -314,7 +294,7 @@ void NegotiatorFabric::visit_predefined_conn(TorId src, PortId tx, TorId dst,
     // Undetected failure: the packet is transmitted into a dark fibre
     // and retransmitted by the upper layer — model as a wasted slot
     // with the bytes back at the queue head.
-    auto pkt = tor.dequeue_packet(dst, config_.piggyback_payload_bytes());
+    auto pkt = tor.dequeue_packet(dst, timing_.piggyback_payload_bytes());
     if (pkt) {
       tor.requeue_front(dst, *pkt);
       if (resilience_) resilience_->on_blackholed(pkt->bytes);
@@ -447,7 +427,7 @@ void NegotiatorFabric::prepare_fallback_epoch() {
 }
 
 void NegotiatorFabric::run_fallback_slot() {
-  const Bytes payload = config_.scheduled_payload_bytes();
+  const Bytes payload = timing_.scheduled_payload_bytes();
   const int ports = config_.ports_per_tor;
   // The rotor rule for a fixed (slot, rotation) is a port-to-port
   // matching, so fallback senders never collide with each other; the
@@ -466,9 +446,7 @@ void NegotiatorFabric::run_fallback_slot() {
       }
       const TorId d = schedule_.dst_of(rule, s, p);
       if (d == kInvalidTor) continue;
-      const PortId rx =
-          rx_port_table_[static_cast<std::size_t>(s) * ports + p];
-      if (rx == kInvalidPort) continue;
+      const PortId rx = topo_.rx_port(s, p);
       if (fb_rx_stamp_[static_cast<std::size_t>(d) * ports + rx] == epoch_) {
         continue;
       }
@@ -610,7 +588,7 @@ void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
   const auto n = static_cast<std::uint32_t>(config_.num_tors);
   const auto src = static_cast<TorId>(p.pair / n);
   const auto dst = static_cast<TorId>(p.pair % n);
-  const Bytes payload = config_.scheduled_payload_bytes();
+  const Bytes payload = timing_.scheduled_payload_bytes();
   TorSwitch& tor = tors_[static_cast<std::size_t>(src)];
   // Packet j rides slot first_slot + j / m on member j % m.
   const std::uint32_t m = p.members;
@@ -653,7 +631,7 @@ void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
 }
 
 void NegotiatorFabric::run_scheduled_slots() {
-  const Bytes payload = config_.scheduled_payload_bytes();
+  const Bytes payload = timing_.scheduled_payload_bytes();
   const Nanos prop = config_.propagation_delay_ns;
   live_matches_.resize(sched_matches_.size());
   for (std::size_t i = 0; i < live_matches_.size(); ++i) {

@@ -60,11 +60,14 @@ class FabricSim : private EventSink {
   const NetworkConfig& config() const { return config_; }
 
   /// Bytes the fabric still owes service to: queued at sources and relays,
-  /// plus every ARQ unit between first transmit and first arrival (in
-  /// flight, dropped and awaiting its RTO, or queued for a retransmit
+  /// plus, under ARQ, every unit between first transmit and first arrival
+  /// (in flight, dropped and awaiting its RTO, or queued for a retransmit
   /// slot), so drain loops keep simulated time moving until the pending
-  /// timers fire and the retransmissions land. (A chunk parked at a relay
-  /// counts twice; the overlap is harmless for a drain signal.)
+  /// timers fire and the retransmissions land. (Under ARQ a chunk parked
+  /// at a relay counts twice; the overlap is harmless for a drain signal.)
+  /// With ARQ off, first-hop relay chunks still on the delay line are in
+  /// none of these terms: the sum can read 0 up to one propagation delay
+  /// before the last relayed bytes land (ROADMAP item 11).
   Bytes total_backlog() const;
 
   /// Logical events executed so far (perf accounting for
@@ -184,7 +187,7 @@ class FabricSim : private EventSink {
   EventQueue events_;
   Nanos now_{0};
   NetworkConfig config_;
-  std::unique_ptr<FlatTopology> topo_;
+  FlatTopology topo_;
   std::vector<TorSwitch> tors_;
   std::vector<RelayQueueSet> relay_;  // empty unless the fabric relays
   /// First-hop relay chunks in flight; the slot walks append and close one
@@ -434,11 +437,6 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::int64_t drain_epochs_{0};
   std::int64_t drain_clean_pairs_{0};
   std::int64_t drain_dirty_pairs_{0};
-
-  /// rx port of a transmission leaving (src, tx) — destination-independent
-  /// in both topologies, precomputed once. kInvalidPort for a port that
-  /// reaches no one (thin-clos self block of size 1).
-  std::vector<PortId> rx_port_table_;  // [src * ports_per_tor + tx]
 
   /// Dirty sets of ToRs with pending direct data / parked relay bytes.
   ActiveSet active_sources_;

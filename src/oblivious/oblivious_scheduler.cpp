@@ -16,7 +16,7 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
                                0) {
   const int n = config_.num_tors;
   const int ports = config_.ports_per_tor;
-  const PredefinedSchedule rotor(config_.topology, n, ports);
+  const PredefinedSchedule rotor(topo_);
   cycle_slots_ = rotor.slots();
   conn_table_.assign(static_cast<std::size_t>(cycle_slots_) * n * ports,
                      SlotConn{kInvalidTor, kInvalidPort, 0, 0});
@@ -25,7 +25,7 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
       for (PortId p = 0; p < ports; ++p) {
         const TorId m = rotor.dst_of(s, p, slot, /*rotation=*/0);
         if (m == kInvalidTor) continue;
-        const PortId rx = topo_->rx_port(s, p, m);
+        const PortId rx = topo_.rx_port(s, p);
         conn_table_[(static_cast<std::size_t>(slot) * n + s) * ports + p] =
             SlotConn{m, rx,
                      static_cast<std::uint32_t>(

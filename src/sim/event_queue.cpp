@@ -131,14 +131,6 @@ void EventQueue::schedule_transport_timer(Nanos when,
   push_heap_item(Item{when, next_seq_++, Kind::kTransportTimer, payload});
 }
 
-Nanos EventQueue::next_time() const {
-  Nanos best = next_non_arrival_time();
-  if (!arrivals_.drained() && arrivals_.front().when < best) {
-    best = arrivals_.front().when;
-  }
-  return best;
-}
-
 void EventQueue::dispatch(const Item& item) {
   NEG_ASSERT(sink_ != nullptr, "event without a sink");
   switch (item.kind) {
@@ -193,14 +185,8 @@ void EventQueue::run_tier(int tier) {
   dispatch(pop_heap_item());
 }
 
-void EventQueue::run_next() {
-  NEG_ASSERT(!empty(), "run_next on empty queue");
-  Nanos when;
-  run_tier(earliest_tier(when));
-}
-
 void EventQueue::run_until(Nanos until) {
-  // One tier-merge comparison per event (not next_time() + run_next()).
+  // One tier-merge comparison per event.
   while (!empty()) {
     Nanos when;
     const int tier = earliest_tier(when);

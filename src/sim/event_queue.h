@@ -94,9 +94,6 @@ class EventQueue {
   bool empty() const { return heap_.empty() && arrivals_.drained(); }
   std::size_t size() const { return heap_.size() + arrivals_.pending(); }
 
-  /// Timestamp of the earliest pending event; kNeverNs when empty.
-  Nanos next_time() const;
-
   /// Timestamp of the earliest pending link toggle or ARQ timer — every
   /// event but a flow arrival; kNeverNs when none is pending.
   Nanos next_non_arrival_time() const {
@@ -112,9 +109,6 @@ class EventQueue {
       visit(arrivals_.items[i].flow_index);
     }
   }
-
-  /// Pops and runs the earliest event. Requires !empty().
-  void run_next();
 
   /// Runs every event with timestamp <= `until` (inclusive).
   void run_until(Nanos until);

@@ -9,20 +9,20 @@
 // shifts the slot, not the link.
 #pragma once
 
-#include <vector>
-
 #include "common/assert.h"
-#include "common/config.h"
 #include "common/types.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 
 class PredefinedSchedule {
  public:
-  PredefinedSchedule(TopologyKind kind, int num_tors, int ports_per_tor);
+  /// The rule on `topo`, which must outlive the schedule.
+  explicit PredefinedSchedule(const FlatTopology& topo) : topo_(topo) {}
+  explicit PredefinedSchedule(FlatTopology&&) = delete;
 
   /// Timeslots per predefined phase.
-  int slots() const { return slots_; }
+  int slots() const { return topo_.predefined_slots(); }
 
   /// Destination that (src, tx_port) connects to in slot `slot` under
   /// rotation `rotation`; kInvalidTor for an idle (self) slot.
@@ -37,24 +37,27 @@ class PredefinedSchedule {
     int base;
   };
   SlotRule slot_rule(int slot, int rotation) const {
-    NEG_ASSERT(slot >= 0 && slot < slots_, "slot out of range");
-    if (kind_ == TopologyKind::kParallel) {
-      return SlotRule{slot + positive_mod(rotation, num_tors_ - 1)};
+    NEG_ASSERT(slot >= 0 && slot < slots(), "slot out of range");
+    if (topo_.parallel()) {
+      return SlotRule{slot + positive_mod(rotation, topo_.num_tors() - 1)};
     }
-    return SlotRule{positive_mod(slot + rotation, block_size_)};
+    return SlotRule{positive_mod(slot + rotation, topo_.block_size())};
   }
   /// dst_of(src, tx, slot, rotation) for the slot and rotation `rule` was
   /// made from.
   TorId dst_of(const SlotRule& rule, TorId src, PortId tx) const {
-    if (kind_ == TopologyKind::kParallel) {
-      int index = tx * slots_ + rule.base;
-      while (index >= num_tors_ - 1) index -= num_tors_ - 1;
+    const int n = topo_.num_tors();
+    if (topo_.parallel()) {
+      int index = tx * slots() + rule.base;
+      while (index >= n - 1) index -= n - 1;
       const TorId dst = src + 1 + index;
-      return dst >= num_tors_ ? dst - num_tors_ : dst;
+      return dst >= n ? dst - n : dst;
     }
-    int lane = lane_[static_cast<std::size_t>(src)] + rule.base;
-    if (lane >= block_size_) lane -= block_size_;
-    const TorId dst = tx * block_size_ + lane;
+    // A source's lane is its position inside its block.
+    const int block = topo_.block_size();
+    int lane = src - topo_.block_of(src) * block + rule.base;
+    if (lane >= block) lane -= block;
+    const TorId dst = tx * block + lane;
     return dst == src ? kInvalidTor : dst;
   }
 
@@ -71,17 +74,17 @@ class PredefinedSchedule {
   };
   Connection pair_connection(TorId src, TorId dst, int rotation) const {
     NEG_ASSERT(src != dst, "no connection for self traffic");
-    NEG_ASSERT(src >= 0 && src < num_tors_ && dst >= 0 && dst < num_tors_,
+    NEG_ASSERT(src >= 0 && src < topo_.num_tors() && dst >= 0 &&
+                   dst < topo_.num_tors(),
                "tor out of range");
-    if (kind_ == TopologyKind::kParallel) {
+    if (topo_.parallel()) {
       const int index = first_index(src, dst, rotation);
-      const PortId tx = static_cast<PortId>(index / slots_);
-      return Connection{index % slots_, tx, tx};
+      const PortId tx = static_cast<PortId>(index / slots());
+      return Connection{index % slots(), tx, topo_.rx_port(src, tx)};
     }
-    const PortId tx = static_cast<PortId>(dst / block_size_);
-    const PortId rx = static_cast<PortId>(src / block_size_);
-    const int slot = positive_mod(dst - src - rotation, block_size_);
-    return Connection{slot, tx, rx};
+    const PortId tx = topo_.fixed_tx_port(src, dst);
+    const int slot = positive_mod(dst - src - rotation, topo_.block_size());
+    return Connection{slot, tx, topo_.rx_port(src, tx)};
   }
 
   /// Calls `fn(connection)` for *every* connection opportunity pair
@@ -93,18 +96,18 @@ class PredefinedSchedule {
   template <typename Fn>
   void for_each_pair_connection(TorId src, TorId dst, int rotation,
                                 Fn&& fn) const {
-    if (kind_ != TopologyKind::kParallel) {
+    if (!topo_.parallel()) {
       fn(pair_connection(src, dst, rotation));
       return;
     }
     NEG_ASSERT(src != dst, "no connection for self traffic");
     // Offsets repeat every N-1 connection opportunities, so the pair
     // meets at indices index0, index0 + (N-1), ... below S*slots.
-    const int capacity = ports_per_tor_ * slots_;
+    const int capacity = topo_.ports_per_tor() * slots();
     for (int index = first_index(src, dst, rotation); index < capacity;
-         index += num_tors_ - 1) {
-      const PortId tx = static_cast<PortId>(index / slots_);
-      fn(Connection{index % slots_, tx, tx});
+         index += topo_.num_tors() - 1) {
+      const PortId tx = static_cast<PortId>(index / slots());
+      fn(Connection{index % slots(), tx, topo_.rx_port(src, tx)});
     }
   }
 
@@ -114,18 +117,13 @@ class PredefinedSchedule {
   /// Parallel: the first connection-opportunity index (tx * slots + slot)
   /// that reaches dst - src under `rotation`.
   int first_index(TorId src, TorId dst, int rotation) const {
-    const int offset = positive_mod(dst - src, num_tors_);
-    return positive_mod(offset - 1 - rotation, num_tors_ - 1);
+    const int n = topo_.num_tors();
+    return positive_mod(positive_mod(dst - src, n) - 1 - rotation, n - 1);
   }
 
-  TopologyKind kind_;
-  int num_tors_;
-  int ports_per_tor_;
-  int block_size_;  // thin-clos only
-  int slots_;
-  std::vector<int> lane_;  // thin-clos: [src] -> src mod block size
-
   int offset_of(PortId tx, int slot, int rotation) const;  // parallel
+
+  const FlatTopology& topo_;
 };
 
 }  // namespace negotiator

@@ -46,12 +46,6 @@ void HostPlane::on_delivery(TorId dst, Bytes bytes, Nanos when) {
   }
 }
 
-Bytes HostPlane::rx_occupancy(TorId tor, Nanos when) {
-  RxState& state = rx_[static_cast<std::size_t>(tor)];
-  drain(state, when);
-  return static_cast<Bytes>(state.occupancy);
-}
-
 bool HostPlane::rx_paused(TorId tor, Nanos when) {
   RxState& state = rx_[static_cast<std::size_t>(tor)];
   drain(state, when);

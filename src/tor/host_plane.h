@@ -33,9 +33,6 @@ class HostPlane {
   /// Fabric delivered `bytes` into `dst`'s receive buffer at `when`.
   void on_delivery(TorId dst, Bytes bytes, Nanos when);
 
-  /// Occupancy of `tor`'s receive buffer at `when` (monotonic per ToR).
-  Bytes rx_occupancy(TorId tor, Nanos when);
-
   /// True when `tor` has signalled receivers-side pause (§3.6.5): sources
   /// should stop directing new data at it.
   bool rx_paused(TorId tor, Nanos when);

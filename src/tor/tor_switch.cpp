@@ -22,15 +22,6 @@ void TorSwitch::accept_flow(const Flow& flow, Nanos now) {
   note_enqueued(flow.dst, was_empty);
 }
 
-void TorSwitch::enqueue_bytes(TorId dst, FlowId flow, Bytes bytes, Nanos now,
-                              int level) {
-  check_dst(dst);
-  const bool was_empty = store_.empty(dst);
-  store_.enqueue_bytes(dst, flow, bytes, now, level);
-  total_pending_ += bytes;
-  note_enqueued(dst, was_empty);
-}
-
 std::optional<QueuedPacket> TorSwitch::dequeue_elephant_packet(
     TorId dst, Bytes max_payload) {
   check_dst(dst);

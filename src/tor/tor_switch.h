@@ -28,10 +28,6 @@ class TorSwitch {
   /// Buffers a flow that the hosts below pushed up (flow.src == id()).
   void accept_flow(const Flow& flow, Nanos now);
 
-  /// Buffers raw bytes towards `dst` at `level` (retransmits, relay input).
-  void enqueue_bytes(TorId dst, FlowId flow, Bytes bytes, Nanos now,
-                     int level);
-
   /// Draws one packet bound for `dst` (highest priority first). Inline:
   /// called once per transmitted packet.
   std::optional<QueuedPacket> dequeue_packet(TorId dst, Bytes max_payload) {

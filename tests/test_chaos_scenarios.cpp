@@ -457,7 +457,8 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   EXPECT_EQ(fab.excluded_ports(), 0)
       << "case " << index << ": exclusions did not converge";
   EXPECT_EQ(out.rec.failures(), static_cast<std::int64_t>(tl.failure_count()));
-  EXPECT_EQ(out.rec.repairs(), static_cast<std::int64_t>(tl.repair_count()));
+  EXPECT_EQ(out.rec.repairs(), static_cast<std::int64_t>(
+                                  tl.link_events.size() - tl.failure_count()));
   EXPECT_EQ(out.rec.exclusions(), out.rec.inclusions())
       << "case " << index << ": exclusion churn did not settle";
 

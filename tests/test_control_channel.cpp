@@ -19,7 +19,7 @@
 #include "core/negotiator_scheduler.h"
 #include "engine/runner.h"
 #include "stats/resilience_recorder.h"
-#include "topo/parallel.h"
+#include "topo/topology.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
@@ -104,7 +104,7 @@ TEST(ControlChannel, TotalLossStarvesTheMatching) {
   NetworkConfig cfg;
   cfg.num_tors = 16;
   cfg.ports_per_tor = 4;
-  ParallelTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   FaultPlane faults(16, 4);
   ControlFaultConfig f = lossy(1.0);
   ControlChannel channel(f, Rng(7 ^ kControlChannelSeedSalt));
@@ -212,7 +212,7 @@ TEST(ControlChannel, CountsEachFateOnce) {
 }
 
 TEST(MatchingValidator, AcceptsLegalAndRejectsConflictingMatches) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   MatchingValidator validator(topo);
 
   // Find two legal matches from distinct sources out of distinct tx ports.
@@ -223,7 +223,7 @@ TEST(MatchingValidator, AcceptsLegalAndRejectsConflictingMatches) {
     for (TorId d = 0; d < 8; ++d) {
       if (d != src && topo.reachable(src, tx, d)) {
         m.dst = d;
-        m.rx_port = topo.rx_port(src, tx, d);
+        m.rx_port = topo.rx_port(src, tx);
         return m;
       }
     }

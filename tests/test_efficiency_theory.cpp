@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "core/matching.h"
-#include "topo/parallel.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 namespace {
@@ -52,7 +52,7 @@ TEST(EfficiencyTheory, MatchingEngineSaturatedRatioNearTheory) {
   // E[Y] (the Fig. 14 match ratio).
   const int n = 64;
   const int ports = 8;
-  ParallelTopology topo(n, ports);
+  const FlatTopology topo(TopologyKind::kParallel, n, ports);
   Rng rng(11);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   const std::vector<bool> eligible(ports, true);

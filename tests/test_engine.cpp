@@ -250,7 +250,8 @@ TEST(Engine, PredefinedPhaseVisitsNoStaleConnections) {
   constexpr int kArrivalSlot = 1;  // the flow fires before slot 1 starts
   for (auto topo : {TopologyKind::kParallel, TopologyKind::kThinClos}) {
     const NetworkConfig cfg = small(topo);
-    const PredefinedSchedule sched(topo, cfg.num_tors, cfg.ports_per_tor);
+    const FlatTopology flat(cfg);
+    const PredefinedSchedule sched(flat);
     const auto rotation_of = [](std::int64_t e) {
       return static_cast<int>((e * 17) & 0x3fffffff);
     };

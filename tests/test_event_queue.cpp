@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -66,7 +67,8 @@ std::vector<std::int64_t> tags(const RecordingSink& sink) {
 TEST(EventQueue, EmptyByDefault) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), kNeverNs);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.next_non_arrival_time(), kNeverNs);
 }
 
 TEST(EventQueue, RunsInTimeOrder) {
@@ -98,7 +100,7 @@ TEST(EventQueue, RunUntilIsInclusive) {
   q.schedule_link_toggle(11, toggle(2));
   q.run_until(10);
   EXPECT_EQ(sink.fired.size(), 1u);
-  EXPECT_EQ(q.next_time(), 11);
+  EXPECT_EQ(q.next_non_arrival_time(), 11);
 }
 
 TEST(EventQueue, EventReceivesItsTimestamp) {
@@ -106,7 +108,7 @@ TEST(EventQueue, EventReceivesItsTimestamp) {
   RecordingSink sink;
   q.set_sink(&sink);
   q.schedule_link_toggle(77, toggle(1));
-  q.run_next();
+  q.run_until(77);
   ASSERT_EQ(sink.fired.size(), 1u);
   EXPECT_EQ(sink.fired[0].when, 77);
 }
@@ -328,9 +330,12 @@ TEST(EventQueue, StagedArrivalsAreInvisibleUntilCommitted) {
   q.run_until(10);
   EXPECT_TRUE(sink.fired.empty());
   q.commit_flow_arrivals();
-  EXPECT_EQ(q.next_time(), 5);
-  q.run_until(10);
+  EXPECT_EQ(q.size(), 1u);
+  q.run_until(4);
+  EXPECT_TRUE(sink.fired.empty());
+  q.run_until(5);
   EXPECT_EQ(tags(sink), (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(sink.fired[0].when, 5);
 }
 
 /// Most bytes the arrival stream may retain beyond its `live` (pending or
@@ -357,8 +362,11 @@ TEST(EventQueue, ConsumedArrivalsAreReleasedAsTheyPop) {
   q.commit_flow_arrivals();
   std::size_t last = q.arrival_bytes_retained();
   EXPECT_EQ(last, kArrivals * EventQueue::kBytesPerArrival);
-  for (std::size_t popped = 1; popped <= kArrivals; ++popped) {
-    q.run_next();
+  // Three arrivals share each timestamp; pop one timestamp at a time.
+  for (Nanos t = 0; sink.fired.size() < kArrivals; ++t) {
+    q.run_until(t);
+    const std::size_t popped = sink.fired.size();
+    ASSERT_EQ(popped, std::min<std::size_t>(kArrivals, 3 * (t + 1)));
     const std::size_t retained = q.arrival_bytes_retained();
     ASSERT_LE(retained, last) << "after " << popped << " pops";
     ASSERT_LE(retained, retained_bound(kArrivals - popped))
@@ -393,18 +401,27 @@ TEST(EventQueue, ReleasePropertyRandomizedInterleavingsMatchReference) {
     std::int64_t seq = 0;
     Nanos now = 0;
 
-    auto pop_one = [&] {
+    // Runs every event of the earliest pending timestamp and checks each
+    // against the reference, in order; adds the count to `popped`.
+    auto pop_earliest = [&](std::int64_t& popped) {
       ASSERT_FALSE(pending.empty());
-      const Ref want = *pending.begin();
-      pending.erase(pending.begin());
-      if (std::get<2>(want) == 'f') --live_arrivals;
-      q.run_next();
-      ASSERT_FALSE(sink.fired.empty());
-      const RecordingSink::Fired& got = sink.fired.back();
-      ASSERT_EQ(got.kind, std::get<2>(want)) << "seq " << std::get<1>(want);
-      ASSERT_EQ(got.tag, std::get<1>(want));
-      ASSERT_EQ(got.when, std::get<0>(want));
-      now = got.when;
+      const Nanos when = std::get<0>(*pending.begin());
+      const std::size_t first = sink.fired.size();
+      q.run_until(when);
+      for (std::size_t i = first; i < sink.fired.size(); ++i) {
+        ASSERT_FALSE(pending.empty());
+        const Ref want = *pending.begin();
+        pending.erase(pending.begin());
+        if (std::get<2>(want) == 'f') --live_arrivals;
+        const RecordingSink::Fired& got = sink.fired[i];
+        ASSERT_EQ(got.kind, std::get<2>(want)) << "seq " << std::get<1>(want);
+        ASSERT_EQ(got.tag, std::get<1>(want));
+        ASSERT_EQ(got.when, std::get<0>(want));
+        ++popped;
+      }
+      ASSERT_TRUE(pending.empty() || std::get<0>(*pending.begin()) > when)
+          << "an event due at " << when << " did not fire";
+      now = when;
     };
 
     for (int op = 0; op < 300; ++op) {
@@ -439,10 +456,10 @@ TEST(EventQueue, ReleasePropertyRandomizedInterleavingsMatchReference) {
           }
           break;
         }
-        default: {  // pop a run of events
+        default: {  // pop a run of events, whole timestamps at a time
           const auto k = rng.next_below(3000);
-          for (std::int64_t i = 0; i < k && !pending.empty(); ++i) {
-            ASSERT_NO_FATAL_FAILURE(pop_one()) << "round " << round;
+          for (std::int64_t popped = 0; popped < k && !pending.empty();) {
+            ASSERT_NO_FATAL_FAILURE(pop_earliest(popped)) << "round " << round;
           }
           break;
         }
@@ -454,8 +471,8 @@ TEST(EventQueue, ReleasePropertyRandomizedInterleavingsMatchReference) {
     q.commit_flow_arrivals();
     pending.insert(staged.begin(), staged.end());
     staged.clear();
-    while (!pending.empty()) {
-      ASSERT_NO_FATAL_FAILURE(pop_one()) << "round " << round;
+    for (std::int64_t popped = 0; !pending.empty();) {
+      ASSERT_NO_FATAL_FAILURE(pop_earliest(popped)) << "round " << round;
     }
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.arrival_bytes_retained(), 0u) << "round " << round;
@@ -475,6 +492,7 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
     RecordingSink sink;
     q.set_sink(&sink);
     std::vector<std::pair<Nanos, std::int64_t>> expected;  // (when, sched#)
+    std::multiset<Nanos> pending;  // times of the events not yet fired
     std::int64_t sched = 0;
 
     auto schedule_one = [&](Nanos when) {
@@ -494,6 +512,7 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
           q.schedule_transport_timer(when, timer(id));
           break;
       }
+      pending.insert(when);
       expected.emplace_back(when, id);
     };
 
@@ -508,18 +527,26 @@ TEST(EventQueue, DeterminismPropertyRandomizedMixedSchedule) {
       }
     }
 
-    // During-run: every 7th event schedules 0-2 future events.
+    // During-run: every 7th event schedules 0-2 future events. The queue
+    // runs one timestamp at a time; an event scheduled at that timestamp
+    // fires after every event already due there, either way.
     std::int64_t processed = 0;
-    while (!q.empty()) {
-      const Nanos now = q.next_time();
-      q.run_next();
-      if (++processed % 7 == 0) {
-        const std::int64_t extra = rng.next_below(3);
-        for (std::int64_t e = 0; e < extra; ++e) {
-          schedule_one(now + rng.next_below(4));  // may tie with pending
+    while (!pending.empty()) {
+      const Nanos now = *pending.begin();
+      const std::size_t fired = sink.fired.size();
+      q.run_until(now);
+      const std::size_t due = pending.erase(now);
+      ASSERT_EQ(sink.fired.size() - fired, due) << "round " << round;
+      for (std::size_t i = 0; i < due; ++i) {
+        if (++processed % 7 == 0) {
+          const std::int64_t extra = rng.next_below(3);
+          for (std::int64_t e = 0; e < extra; ++e) {
+            schedule_one(now + rng.next_below(4));  // may tie with pending
+          }
         }
       }
     }
+    EXPECT_TRUE(q.empty()) << "round " << round;
 
     // Reference: stable sort by timestamp == sort by (when, sched#).
     std::stable_sort(expected.begin(), expected.end(),
@@ -570,10 +597,11 @@ TEST(EventQueue, TimerPropertyRandomizedSpansMatchStableSort) {
           schedule_one(now + kFar + rng.next_below(kFar));
           break;
       }
-      // Interleave pops so timers are scheduled behind popped ones.
+      // Interleave pops, one timestamp at a time, so timers are
+      // scheduled behind popped ones.
       while (!q.empty() && rng.next_below(3) == 0) {
-        now = std::max(now, q.next_time());
-        q.run_next();
+        now = std::max(now, q.next_non_arrival_time());
+        q.run_until(now);
       }
     }
     q.run_until(kNeverNs - 1);
@@ -620,11 +648,21 @@ TEST(EventQueue, TransportTimerRearmPropertyIsDeterministic) {
   // shape HostTransport produces — fires in the exact (timestamp, schedule
   // order) sort, twice over with identical results.
   constexpr Nanos kSpan = 262'144;  // ns
+  /// Calls `on_fire` from inside every timer's dispatch.
+  class RearmSink : public RecordingSink {
+   public:
+    void on_transport_timer(const TransportTimerEvent& e,
+                            Nanos now) override {
+      RecordingSink::on_transport_timer(e, now);
+      on_fire(now);
+    }
+    std::function<void(Nanos)> on_fire;
+  };
   std::vector<std::vector<std::int64_t>> runs;
   for (int run = 0; run < 2; ++run) {
     Rng rng(4242);  // same seed both runs: the order must be identical
     EventQueue q;
-    RecordingSink sink;
+    RearmSink sink;
     q.set_sink(&sink);
     std::vector<std::pair<Nanos, std::int64_t>> expected;  // (when, sched#)
     std::int64_t sched = 0;
@@ -638,17 +676,18 @@ TEST(EventQueue, TransportTimerRearmPropertyIsDeterministic) {
     for (int i = 0; i < 60; ++i) {
       schedule_one(kSpan - 8 + rng.next_below(16));
     }
-    // Drain, re-arming with spans up to twice as long.
+    // Drain, every third firing timer re-arming one with a span up to
+    // twice as long.
     std::int64_t processed = 0;
-    while (!q.empty()) {
-      const Nanos now = q.next_time();
-      q.run_next();
+    sink.on_fire = [&](Nanos now) {
       if (++processed % 3 == 0 && sched < 200) {
         schedule_one(now + (rng.next_below(2) == 0
                                 ? rng.next_below(kSpan)
                                 : kSpan + rng.next_below(kSpan)));
       }
-    }
+    };
+    q.run_until(kNeverNs - 1);
+    EXPECT_TRUE(q.empty());
     std::stable_sort(
         expected.begin(), expected.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -867,7 +867,8 @@ void run_differential(std::uint64_t seed, DiffCoverage* out) {
     }
     ASSERT_EQ(log_real.fires, log_ref.fires) << now;
     ASSERT_EQ(q_real.size(), q_ref.size()) << now;
-    ASSERT_EQ(q_real.next_time(), q_ref.next_time()) << now;
+    ASSERT_EQ(q_real.next_non_arrival_time(), q_ref.next_non_arrival_time())
+        << now;
   };
 
   for (int step = 0; step < 4'000; ++step) {

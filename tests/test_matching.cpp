@@ -4,8 +4,7 @@
 
 #include <set>
 
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 namespace {
@@ -24,7 +23,7 @@ std::vector<RequestMsg> requests_from(std::initializer_list<TorId> srcs) {
 std::vector<bool> all_true(int n) { return std::vector<bool>(n, true); }
 
 TEST(MatchingGrant, ParallelAllocatesEveryPortUnderContention) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(1);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   const auto result =
@@ -43,7 +42,7 @@ TEST(MatchingGrant, ParallelAllocatesEveryPortUnderContention) {
 
 TEST(MatchingGrant, ParallelMultiGrantsWhenRequestersScarce) {
   // Fig. 3a: with 2 requesters and 4 ports, each source gets 2 ports.
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(2);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   const auto result =
@@ -59,7 +58,7 @@ TEST(MatchingGrant, ParallelMultiGrantsWhenRequestersScarce) {
 }
 
 TEST(MatchingGrant, RespectsPortEligibility) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(3);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   std::vector<bool> eligible{true, false, true, false};
@@ -74,7 +73,7 @@ TEST(MatchingGrant, RespectsPortEligibility) {
 }
 
 TEST(MatchingGrant, NoRequestsNoGrants) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(4);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   EXPECT_TRUE(eng.grant(0, {}, all_true(4), 33'450).grants.empty());
@@ -82,7 +81,7 @@ TEST(MatchingGrant, NoRequestsNoGrants) {
 
 TEST(MatchingGrant, ThinClosOnlyGroupSourcesPerPort) {
   // 16 ToRs, 4 ports, block size 4: rx port g hears sources 4g..4g+3.
-  ThinClosTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kThinClos, 16, 4);
   Rng rng(5);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   // Requests from group 0 (ToRs 1,2) and group 2 (ToR 9).
@@ -95,7 +94,7 @@ TEST(MatchingGrant, ThinClosOnlyGroupSourcesPerPort) {
 }
 
 TEST(MatchingAccept, OneGrantPerPort) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(6);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   // Three destinations all granted our port 2.
@@ -113,7 +112,7 @@ TEST(MatchingAccept, OneGrantPerPort) {
 }
 
 TEST(MatchingAccept, DifferentPlanesAllAccepted) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(7);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   std::vector<GrantMsg> grants;
@@ -129,7 +128,7 @@ TEST(MatchingAccept, DifferentPlanesAllAccepted) {
 
 TEST(MatchingAccept, SameDstMayWinMultiplePlanes) {
   // §3.6.5: data for one pair can flow through several ports at once.
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(8);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   std::vector<GrantMsg> grants;
@@ -145,7 +144,7 @@ TEST(MatchingAccept, SameDstMayWinMultiplePlanes) {
 }
 
 TEST(MatchingAccept, ThinClosPinsTxPort) {
-  ThinClosTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kThinClos, 16, 4);
   Rng rng(9);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   GrantMsg g;
@@ -158,7 +157,7 @@ TEST(MatchingAccept, ThinClosPinsTxPort) {
 }
 
 TEST(MatchingAccept, RespectsTxEligibility) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(10);
   MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
   GrantMsg g;
@@ -170,7 +169,7 @@ TEST(MatchingAccept, RespectsTxEligibility) {
 }
 
 TEST(MatchingPolicy, LargestSizeWinsPorts) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(11);
   MatchingEngine eng(topo, SelectionPolicy::kLargestSize, rng);
   std::vector<RequestMsg> reqs;
@@ -192,7 +191,7 @@ TEST(MatchingPolicy, LargestSizeWinsPorts) {
 }
 
 TEST(MatchingPolicy, LargestSizeDecrementsByEpochCapacity) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(12);
   MatchingEngine eng(topo, SelectionPolicy::kLargestSize, rng);
   std::vector<RequestMsg> reqs;
@@ -218,7 +217,7 @@ TEST(MatchingPolicy, LargestSizeDecrementsByEpochCapacity) {
 }
 
 TEST(MatchingPolicy, LongestDelayPrefersOldest) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(13);
   MatchingEngine eng(topo, SelectionPolicy::kLongestDelay, rng);
   std::vector<RequestMsg> reqs;
@@ -239,7 +238,7 @@ TEST(MatchingPolicy, LongestDelayPrefersOldest) {
 }
 
 TEST(MatchingPolicy, LongestDelayAcceptPicksMaxDelayGrant) {
-  ParallelTopology topo(8, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 8, 4);
   Rng rng(14);
   MatchingEngine eng(topo, SelectionPolicy::kLongestDelay, rng);
   std::vector<GrantMsg> grants;

@@ -5,9 +5,10 @@
 //
 // The reference below is a faithful transcription of the original
 // algorithm: linear `w.src == member` rescans inside the ring pick,
-// virtual-topology `eligible_for_port` checks, and vector-of-vectors grant
-// grouping. Both engines are constructed from identically seeded RNGs, so
-// their rings start at the same pointers and must stay in lockstep.
+// per-check `eligible_for_port` derivations through fixed_tx_port, and
+// vector-of-vectors grant grouping. Both engines are constructed from
+// identically seeded RNGs, so their rings start at the same pointers and
+// must stay in lockstep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +16,7 @@
 
 #include "common/rng.h"
 #include "core/matching.h"
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 namespace {
@@ -67,7 +67,7 @@ class ReferenceEngine {
     }
     auto eligible_for_port = [&](TorId src, PortId p) {
       if (topo_.kind() == TopologyKind::kParallel) return true;
-      return topo_.rx_port(src, topo_.fixed_tx_port(src, dst), dst) == p;
+      return topo_.rx_port(src, topo_.fixed_tx_port(src, dst)) == p;
     };
 
     for (PortId p = 0; p < ports; ++p) {
@@ -300,37 +300,37 @@ void run_equivalence(const FlatTopology& topo, SelectionPolicy policy,
 }
 
 TEST(MatchingEquivalence, ParallelRoundRobin) {
-  ParallelTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   run_equivalence(topo, SelectionPolicy::kRoundRobin, 1);
 }
 
 TEST(MatchingEquivalence, ParallelLargestSize) {
-  ParallelTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   run_equivalence(topo, SelectionPolicy::kLargestSize, 2);
 }
 
 TEST(MatchingEquivalence, ParallelLongestDelay) {
-  ParallelTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   run_equivalence(topo, SelectionPolicy::kLongestDelay, 3);
 }
 
 TEST(MatchingEquivalence, ThinClosRoundRobin) {
-  ThinClosTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kThinClos, 16, 4);
   run_equivalence(topo, SelectionPolicy::kRoundRobin, 4);
 }
 
 TEST(MatchingEquivalence, ThinClosLargestSize) {
-  ThinClosTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kThinClos, 16, 4);
   run_equivalence(topo, SelectionPolicy::kLargestSize, 5);
 }
 
 TEST(MatchingEquivalence, ThinClosLongestDelay) {
-  ThinClosTopology topo(16, 4);
+  const FlatTopology topo(TopologyKind::kThinClos, 16, 4);
   run_equivalence(topo, SelectionPolicy::kLongestDelay, 6);
 }
 
 TEST(MatchingEquivalence, LargerParallelFabric) {
-  ParallelTopology topo(32, 8);
+  const FlatTopology topo(TopologyKind::kParallel, 32, 8);
   run_equivalence(topo, SelectionPolicy::kRoundRobin, 7);
 }
 

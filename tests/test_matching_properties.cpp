@@ -10,8 +10,7 @@
 
 #include "core/matching.h"
 #include "topo/awgr.h"
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 namespace {
@@ -26,20 +25,17 @@ struct Shape {
 
 class MatchingPropertyTest : public ::testing::TestWithParam<Shape> {
  protected:
-  std::unique_ptr<FlatTopology> make() const {
+  FlatTopology make() const {
     const Shape& s = GetParam();
-    if (s.kind == TopologyKind::kParallel) {
-      return std::make_unique<ParallelTopology>(s.tors, s.ports);
-    }
-    return std::make_unique<ThinClosTopology>(s.tors, s.ports);
+    return FlatTopology(s.kind, s.tors, s.ports);
   }
 };
 
 TEST_P(MatchingPropertyTest, EndToEndMatchingIsConflictFree) {
   const Shape& shape = GetParam();
-  auto topo = make();
+  const FlatTopology topo = make();
   Rng rng(shape.seed);
-  MatchingEngine eng(*topo, SelectionPolicy::kRoundRobin, rng);
+  MatchingEngine eng(topo, SelectionPolicy::kRoundRobin, rng);
 
   for (int round = 0; round < 20; ++round) {
     // Random binary demand.
@@ -89,8 +85,8 @@ TEST_P(MatchingPropertyTest, EndToEndMatchingIsConflictFree) {
 
     // Property 2: every match respects topology reachability.
     for (const Match& m : matches) {
-      EXPECT_TRUE(topo->reachable(m.src, m.tx_port, m.dst));
-      EXPECT_EQ(topo->rx_port(m.src, m.tx_port, m.dst), m.rx_port);
+      EXPECT_TRUE(topo.reachable(m.src, m.tx_port, m.dst));
+      EXPECT_EQ(topo.rx_port(m.src, m.tx_port), m.rx_port);
     }
 
     // Property 3: the matching is physically realizable on the AWGRs —

@@ -9,8 +9,7 @@
 #include <set>
 
 #include "core/negotiator_scheduler.h"
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 namespace {
@@ -63,15 +62,10 @@ TEST_P(LossyPipelineTest, ConflictFreeAndLive) {
   cfg.num_tors = 16;
   cfg.ports_per_tor = 4;
   cfg.topology = c.kind;
-  std::unique_ptr<FlatTopology> topo;
-  if (c.kind == TopologyKind::kParallel) {
-    topo = std::make_unique<ParallelTopology>(16, 4);
-  } else {
-    topo = std::make_unique<ThinClosTopology>(16, 4);
-  }
+  const FlatTopology topo(cfg);
   FaultPlane faults(16, 4);
   LossyDemand demand(16);
-  auto scheduler = make_negotiator_scheduler(cfg, *topo, Rng(c.seed));
+  auto scheduler = make_negotiator_scheduler(cfg, topo, Rng(c.seed));
   Rng loss_rng(c.seed + 1);
 
   std::size_t total_matches = 0;
@@ -83,7 +77,7 @@ TEST_P(LossyPipelineTest, ConflictFreeAndLive) {
     for (const Match& m : scheduler->matches()) {
       EXPECT_TRUE(tx.insert({m.src, m.tx_port}).second);
       EXPECT_TRUE(rx.insert({m.dst, m.rx_port}).second);
-      EXPECT_TRUE(topo->reachable(m.src, m.tx_port, m.dst));
+      EXPECT_TRUE(topo.reachable(m.src, m.tx_port, m.dst));
     }
     total_matches += scheduler->matches().size();
     for (TorId s = 0; s < 16; ++s) {

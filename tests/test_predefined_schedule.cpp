@@ -9,11 +9,19 @@ namespace negotiator {
 namespace {
 
 class PredefinedScheduleTest
-    : public ::testing::TestWithParam<std::tuple<TopologyKind, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<TopologyKind, int, int>> {
+ protected:
+  PredefinedScheduleTest()
+      : topo(std::get<0>(GetParam()), std::get<1>(GetParam()),
+             std::get<2>(GetParam())),
+        sched(topo) {}
+
+  const FlatTopology topo;
+  const PredefinedSchedule sched;
+};
 
 TEST_P(PredefinedScheduleTest, EveryPairConnectsAtLeastOncePerEpoch) {
   const auto [kind, n, s] = GetParam();
-  PredefinedSchedule sched(kind, n, s);
   for (int rotation : {0, 1, 7, 1000}) {
     std::set<std::pair<TorId, TorId>> pairs;
     for (int slot = 0; slot < sched.slots(); ++slot) {
@@ -35,8 +43,6 @@ TEST_P(PredefinedScheduleTest, NoReceiverCollisionWithinSlot) {
   // Per slot each (dst, rx port) hears at most one source — i.e. the
   // predefined phase itself is collision-free.
   const auto [kind, n, s] = GetParam();
-  PredefinedSchedule sched(kind, n, s);
-  const int block = kind == TopologyKind::kThinClos ? n / s : 0;
   for (int rotation : {0, 3}) {
     for (int slot = 0; slot < sched.slots(); ++slot) {
       std::set<std::pair<TorId, PortId>> receivers;
@@ -44,10 +50,7 @@ TEST_P(PredefinedScheduleTest, NoReceiverCollisionWithinSlot) {
         for (PortId p = 0; p < s; ++p) {
           const TorId dst = sched.dst_of(src, p, slot, rotation);
           if (dst == kInvalidTor) continue;
-          const PortId rx = kind == TopologyKind::kParallel
-                                ? p
-                                : static_cast<PortId>(src / block);
-          EXPECT_TRUE(receivers.insert({dst, rx}).second)
+          EXPECT_TRUE(receivers.insert({dst, topo.rx_port(src, p)}).second)
               << "collision at slot " << slot;
         }
       }
@@ -57,18 +60,14 @@ TEST_P(PredefinedScheduleTest, NoReceiverCollisionWithinSlot) {
 
 TEST_P(PredefinedScheduleTest, SrcOfInvertsDstOf) {
   const auto [kind, n, s] = GetParam();
-  PredefinedSchedule sched(kind, n, s);
-  const int block = kind == TopologyKind::kThinClos ? n / s : 0;
   for (int rotation : {0, 5}) {
     for (int slot = 0; slot < sched.slots(); ++slot) {
       for (TorId src = 0; src < n; ++src) {
         for (PortId p = 0; p < s; ++p) {
           const TorId dst = sched.dst_of(src, p, slot, rotation);
           if (dst == kInvalidTor) continue;
-          const PortId rx = kind == TopologyKind::kParallel
-                                ? p
-                                : static_cast<PortId>(src / block);
-          EXPECT_EQ(sched.src_of(dst, rx, slot, rotation), src);
+          EXPECT_EQ(sched.src_of(dst, topo.rx_port(src, p), slot, rotation),
+                    src);
         }
       }
     }
@@ -77,13 +76,14 @@ TEST_P(PredefinedScheduleTest, SrcOfInvertsDstOf) {
 
 TEST_P(PredefinedScheduleTest, PairConnectionIsConsistent) {
   const auto [kind, n, s] = GetParam();
-  PredefinedSchedule sched(kind, n, s);
   for (int rotation : {0, 11}) {
     for (TorId src = 0; src < n; ++src) {
       for (TorId dst = 0; dst < n; ++dst) {
         if (src == dst) continue;
         const auto c = sched.pair_connection(src, dst, rotation);
         EXPECT_EQ(sched.dst_of(src, c.tx_port, c.slot, rotation), dst);
+        EXPECT_TRUE(topo.reachable(src, c.tx_port, dst));
+        EXPECT_EQ(c.rx_port, topo.rx_port(src, c.tx_port));
       }
     }
   }
@@ -94,7 +94,6 @@ TEST_P(PredefinedScheduleTest, SlotRuleMatchesDstOf) {
   // per-slot rule; it must agree with dst_of everywhere, idle slots
   // included.
   const auto [kind, n, s] = GetParam();
-  PredefinedSchedule sched(kind, n, s);
   for (int rotation : {0, 17, 34, 17 * 127}) {
     for (int slot = 0; slot < sched.slots(); ++slot) {
       const PredefinedSchedule::SlotRule rule =
@@ -118,7 +117,6 @@ TEST_P(PredefinedScheduleTest, PairConnectionsCoverTheDenseScanOnce) {
   // the dense scan's non-idle (slot, src, tx) set, each connection listed
   // once.
   const auto [kind, n, s] = GetParam();
-  PredefinedSchedule sched(kind, n, s);
   const int capacity = s * sched.slots();
   for (int rotation : {0, 17, 34, 17 * 127}) {
     using Conn = std::tuple<int, TorId, PortId, TorId>;  // slot, src, tx, dst
@@ -164,24 +162,29 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(TopologyKind::kParallel, 128, 8),
         std::make_tuple(TopologyKind::kParallel, 16, 4),
         std::make_tuple(TopologyKind::kParallel, 8, 3),
+        std::make_tuple(TopologyKind::kParallel, 13, 4),
         std::make_tuple(TopologyKind::kThinClos, 128, 8),
         std::make_tuple(TopologyKind::kThinClos, 16, 4),
-        std::make_tuple(TopologyKind::kThinClos, 64, 4)));
+        std::make_tuple(TopologyKind::kThinClos, 64, 4),
+        std::make_tuple(TopologyKind::kThinClos, 24, 4)));
 
 TEST(PredefinedSchedule, ParallelPaperShapeUses16Slots) {
-  PredefinedSchedule sched(TopologyKind::kParallel, 128, 8);
+  const FlatTopology topo(TopologyKind::kParallel, 128, 8);
+  const PredefinedSchedule sched(topo);
   EXPECT_EQ(sched.slots(), 16);
 }
 
 TEST(PredefinedSchedule, ThinClosPaperShapeUses16Slots) {
-  PredefinedSchedule sched(TopologyKind::kThinClos, 128, 8);
+  const FlatTopology topo(TopologyKind::kThinClos, 128, 8);
+  const PredefinedSchedule sched(topo);
   EXPECT_EQ(sched.slots(), 16);
 }
 
 TEST(PredefinedSchedule, RotationMovesPairsAcrossPorts) {
   // §3.6.1: rotating the rule lets a pair exchange messages through
   // different port-to-port links over time (parallel network).
-  PredefinedSchedule sched(TopologyKind::kParallel, 128, 8);
+  const FlatTopology topo(TopologyKind::kParallel, 128, 8);
+  const PredefinedSchedule sched(topo);
   std::set<PortId> ports;
   for (int rotation = 0; rotation < 127; ++rotation) {
     ports.insert(sched.pair_connection(3, 77, rotation).tx_port);
@@ -190,7 +193,8 @@ TEST(PredefinedSchedule, RotationMovesPairsAcrossPorts) {
 }
 
 TEST(PredefinedSchedule, ThinClosRotationKeepsPortsPinned) {
-  PredefinedSchedule sched(TopologyKind::kThinClos, 128, 8);
+  const FlatTopology topo(TopologyKind::kThinClos, 128, 8);
+  const PredefinedSchedule sched(topo);
   for (int rotation = 0; rotation < 16; ++rotation) {
     const auto c = sched.pair_connection(3, 77, rotation);
     EXPECT_EQ(c.tx_port, 77 / 16);

@@ -6,8 +6,7 @@
 #include <memory>
 
 #include "core/negotiator_scheduler.h"
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 
 namespace negotiator {
 namespace {
@@ -64,14 +63,9 @@ class FakeDemand : public DemandView {
 struct Harness {
   explicit Harness(NetworkConfig cfg_in)
       : cfg(cfg_in),
-        topo_parallel(cfg.num_tors, cfg.ports_per_tor),
-        topo_thin(cfg.num_tors, cfg.ports_per_tor),
+        topo(cfg),
         faults(cfg.num_tors, cfg.ports_per_tor),
         demand(cfg.num_tors) {
-    const FlatTopology& topo =
-        cfg.topology == TopologyKind::kParallel
-            ? static_cast<const FlatTopology&>(topo_parallel)
-            : static_cast<const FlatTopology&>(topo_thin);
     scheduler = make_negotiator_scheduler(cfg, topo, Rng(1));
   }
 
@@ -90,8 +84,7 @@ struct Harness {
   }
 
   NetworkConfig cfg;
-  ParallelTopology topo_parallel;
-  ThinClosTopology topo_thin;
+  FlatTopology topo;
   FaultPlane faults;
   FakeDemand demand;
   std::unique_ptr<NegotiatorScheduler> scheduler;

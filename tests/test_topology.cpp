@@ -1,14 +1,13 @@
 #include <gtest/gtest.h>
 
-#include "topo/parallel.h"
-#include "topo/thin_clos.h"
+#include "topo/topology.h"
 #include "topo/topology_factory.h"
 
 namespace negotiator {
 namespace {
 
-TEST(ParallelTopology, EveryPortReachesEveryOtherTor) {
-  ParallelTopology topo(16, 4);
+TEST(ParallelNetwork, EveryPortReachesEveryOtherTor) {
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   for (TorId s = 0; s < 16; ++s) {
     for (PortId p = 0; p < 4; ++p) {
       for (TorId d = 0; d < 16; ++d) {
@@ -18,27 +17,29 @@ TEST(ParallelTopology, EveryPortReachesEveryOtherTor) {
   }
 }
 
-TEST(ParallelTopology, RxPortEqualsTxPort) {
-  ParallelTopology topo(16, 4);
+TEST(ParallelNetwork, RxPortEqualsTxPort) {
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   for (PortId p = 0; p < 4; ++p) {
-    EXPECT_EQ(topo.rx_port(0, p, 5), p);
+    EXPECT_EQ(topo.rx_port(0, p), p);
+    EXPECT_TRUE(topo.lands_on(0, p));
+    EXPECT_EQ(topo.grant_tx_port(5, p), p) << "a grant keeps its plane";
   }
 }
 
-TEST(ParallelTopology, NoFixedTxPort) {
-  ParallelTopology topo(16, 4);
+TEST(ParallelNetwork, NoFixedTxPort) {
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   EXPECT_EQ(topo.fixed_tx_port(0, 1), kInvalidPort);
 }
 
-TEST(ParallelTopology, RxSourcesAreAllOthers) {
-  ParallelTopology topo(16, 4);
+TEST(ParallelNetwork, RxSourcesAreAllOthers) {
+  const FlatTopology topo(TopologyKind::kParallel, 16, 4);
   const auto sources = topo.rx_sources(3, 0);
   EXPECT_EQ(sources.size(), 15u);
   for (TorId s : sources) EXPECT_NE(s, 3);
 }
 
-TEST(ThinClosTopology, BlockStructure) {
-  ThinClosTopology topo(128, 8);
+TEST(ThinClos, BlockStructure) {
+  const FlatTopology topo(TopologyKind::kThinClos, 128, 8);
   EXPECT_EQ(topo.block_size(), 16);
   EXPECT_EQ(topo.block_of(0), 0);
   EXPECT_EQ(topo.block_of(15), 0);
@@ -46,29 +47,30 @@ TEST(ThinClosTopology, BlockStructure) {
   EXPECT_EQ(topo.block_of(127), 7);
 }
 
-TEST(ThinClosTopology, PairPinnedToIdenticalPorts) {
+TEST(ThinClos, PairPinnedToIdenticalPorts) {
   // §3.6.1: one source-destination pair communicates through one fixed
   // port pair: tx = block(dst), rx = block(src).
-  ThinClosTopology topo(128, 8);
+  const FlatTopology topo(TopologyKind::kThinClos, 128, 8);
   for (TorId s : {0, 17, 100, 127}) {
     for (TorId d : {1, 31, 64, 126}) {
       if (s == d) continue;
       const PortId tx = topo.fixed_tx_port(s, d);
       EXPECT_EQ(tx, d / 16);
       EXPECT_TRUE(topo.reachable(s, tx, d));
-      EXPECT_EQ(topo.rx_port(s, tx, d), s / 16);
-      // No other tx port reaches d.
+      EXPECT_EQ(topo.rx_port(s, tx), s / 16);
+      EXPECT_EQ(topo.grant_tx_port(d, s / 16), tx);
+      // No other tx port reaches d, and traffic from s lands on no other
+      // rx port.
       for (PortId p = 0; p < 8; ++p) {
-        if (p != tx) {
-          EXPECT_FALSE(topo.reachable(s, p, d));
-        }
+        EXPECT_EQ(topo.reachable(s, p, d), p == tx);
+        EXPECT_EQ(topo.lands_on(s, p), p == s / 16);
       }
     }
   }
 }
 
-TEST(ThinClosTopology, UnionOfPortsCoversNetwork) {
-  ThinClosTopology topo(128, 8);
+TEST(ThinClos, UnionOfPortsCoversNetwork) {
+  const FlatTopology topo(TopologyKind::kThinClos, 128, 8);
   for (TorId s : {0, 63, 127}) {
     std::vector<bool> covered(128, false);
     for (PortId p = 0; p < 8; ++p) {
@@ -84,8 +86,8 @@ TEST(ThinClosTopology, UnionOfPortsCoversNetwork) {
   }
 }
 
-TEST(ThinClosTopology, RxSourcesAreTheGroup) {
-  ThinClosTopology topo(128, 8);
+TEST(ThinClos, RxSourcesAreTheGroup) {
+  const FlatTopology topo(TopologyKind::kThinClos, 128, 8);
   const auto sources = topo.rx_sources(5, 2);  // group 2 = ToRs 32..47
   EXPECT_EQ(sources.size(), 16u);
   for (TorId s : sources) {
@@ -98,14 +100,14 @@ TEST(ThinClosTopology, RxSourcesAreTheGroup) {
   for (TorId s : own) EXPECT_NE(s, 5);
 }
 
-TEST(ThinClosTopology, RxSourcesConsistentWithReachability) {
-  ThinClosTopology topo(64, 4);
+TEST(ThinClos, RxSourcesConsistentWithReachability) {
+  const FlatTopology topo(TopologyKind::kThinClos, 64, 4);
   for (TorId d = 0; d < 64; ++d) {
     for (PortId rx = 0; rx < 4; ++rx) {
       for (TorId s : topo.rx_sources(d, rx)) {
         const PortId tx = topo.fixed_tx_port(s, d);
         EXPECT_TRUE(topo.reachable(s, tx, d));
-        EXPECT_EQ(topo.rx_port(s, tx, d), rx);
+        EXPECT_EQ(topo.rx_port(s, tx), rx);
       }
     }
   }
@@ -126,6 +128,7 @@ TEST(TopologyFactory, PropagatesDimensions) {
   const auto topo = make_topology(c);
   EXPECT_EQ(topo->num_tors(), 64);
   EXPECT_EQ(topo->ports_per_tor(), 4);
+  EXPECT_EQ(topo->predefined_slots(), c.predefined_slots());
 }
 
 }  // namespace
