@@ -22,10 +22,10 @@ const NetworkConfig& validated(const NetworkConfig& config) {
 FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns,
                      bool relay)
     : config_(validated(config)),
-      topo_(config_),
       goodput_(config.num_tors, stats_window_ns),
       links_(config.num_tors, config.ports_per_tor),
-      plane_(config_, events_, goodput_, links_) {
+      plane_(config_, events_, goodput_, links_),
+      topo_(config_) {
   tors_.reserve(static_cast<std::size_t>(config_.num_tors));
   for (TorId t = 0; t < config_.num_tors; ++t) {
     tors_.emplace_back(t, config_.num_tors, config_.pias);

@@ -187,7 +187,6 @@ class FabricSim : private EventSink {
   EventQueue events_;
   Nanos now_{0};
   NetworkConfig config_;
-  FlatTopology topo_;
   std::vector<TorSwitch> tors_;
   std::vector<RelayQueueSet> relay_;  // empty unless the fabric relays
   /// First-hop relay chunks in flight; the slot walks append and close one
@@ -197,6 +196,10 @@ class FabricSim : private EventSink {
   LinkState links_;
   DeliveryPlane plane_;
   ResilienceRecorder* resilience_{nullptr};
+  /// Last, so the members the slot walks touch keep their places: declared
+  /// right after config_, it slowed fig9_oblivious_thinclos by ~2 % (30
+  /// interleaved negbench pairs on a 4-core VM).
+  FlatTopology topo_;
 };
 
 /// NegotiaToR fabric: predefined + scheduled phases per epoch.
