@@ -24,6 +24,7 @@
 #include "common/env.h"
 #include "engine/runner.h"
 #include "engine/sweep.h"
+#include "stats/goodput_meter.h"
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
@@ -49,6 +50,51 @@ inline NetworkConfig paper_config(TopologyKind topo, SchedulerKind sched,
   c.scheduler = sched;
   c.pias.enabled = priority_queues;
   return c;
+}
+
+/// Installs the seeded lossy control plane: `drop` on requests, grants and
+/// accepts, plus the delay (0.1, up to 2 epochs) and duplicate (0.05) mix
+/// the lossy goldens pin, so a bench change and a golden change always
+/// move together.
+inline void enable_control_loss(NetworkConfig& cfg, double drop,
+                                bool fallback) {
+  cfg.control_fault.enabled = true;
+  cfg.control_fault.request_drop = drop;
+  cfg.control_fault.grant_drop = drop;
+  cfg.control_fault.accept_drop = drop;
+  cfg.control_fault.delay_prob = 0.1;
+  cfg.control_fault.max_delay_epochs = 2;
+  cfg.control_fault.duplicate_prob = 0.05;
+  cfg.control_fault.fallback = fallback;
+}
+
+/// Installs the seeded lossy data plane: `drop` on every hop (first hop,
+/// relay, second hop) plus per-chunk corruption `corrupt`, with or without
+/// the end-host ARQ — the mix the data-loss goldens pin.
+inline void enable_data_loss(NetworkConfig& cfg, double drop, double corrupt,
+                             bool arq) {
+  cfg.data_fault.enabled = true;
+  cfg.data_fault.first_hop_drop = drop;
+  cfg.data_fault.relay_drop = drop;
+  cfg.data_fault.second_hop_drop = drop;
+  cfg.data_fault.corrupt_prob = corrupt;
+  cfg.data_fault.arq = arq;
+}
+
+/// Bytes delivered to all `num_tors` ToRs in the goodput windows that
+/// start in [from, to); the meter must record windows (stats_window > 0).
+inline double window_sum(const GoodputMeter& g, int num_tors, Nanos from,
+                         Nanos to) {
+  const Nanos w = g.window_ns();
+  double bytes = 0;
+  for (TorId t = 0; t < num_tors; ++t) {
+    const auto& series = g.tor_window_series(t);
+    for (std::size_t i = static_cast<std::size_t>(from / w);
+         i < static_cast<std::size_t>(to / w) && i < series.size(); ++i) {
+      bytes += static_cast<double>(series[i]);
+    }
+  }
+  return bytes;
 }
 
 /// Poisson Hadoop-style workload at `load` (fraction of host-aggregate).

@@ -67,14 +67,7 @@ int main() {
     rows.push_back({name, drop, fallback, reference});
     NetworkConfig cfg = paper_config(topo, sched);
     if (!reference) {
-      cfg.control_fault.enabled = true;
-      cfg.control_fault.request_drop = drop;
-      cfg.control_fault.grant_drop = drop;
-      cfg.control_fault.accept_drop = drop;
-      cfg.control_fault.delay_prob = 0.1;
-      cfg.control_fault.max_delay_epochs = 2;
-      cfg.control_fault.duplicate_prob = 0.05;
-      cfg.control_fault.fallback = fallback;
+      enable_control_loss(cfg, drop, fallback);
     }
     points.push_back(custom_point(
         [cfg, duration, kLoad](const SweepPoint&) {
@@ -139,14 +132,7 @@ int main() {
       for (const bool fallback : {false, true}) {
         sat_rows.push_back({sys.name, drop, fallback, false});
         NetworkConfig cfg = paper_config(sys.topo, sys.sched);
-        cfg.control_fault.enabled = true;
-        cfg.control_fault.request_drop = drop;
-        cfg.control_fault.grant_drop = drop;
-        cfg.control_fault.accept_drop = drop;
-        cfg.control_fault.delay_prob = 0.1;
-        cfg.control_fault.max_delay_epochs = 2;
-        cfg.control_fault.duplicate_prob = 0.05;
-        cfg.control_fault.fallback = fallback;
+        enable_control_loss(cfg, drop, fallback);
         sat_points.push_back(custom_point(
             [cfg, duration](const SweepPoint&) {
               Runner runner(cfg);

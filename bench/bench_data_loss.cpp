@@ -39,12 +39,7 @@ NetworkConfig lossy_config(TopologyKind topo, SchedulerKind sched,
                            double drop, bool arq) {
   NetworkConfig cfg = paper_config(topo, sched);
   if (drop > 0.0) {
-    cfg.data_fault.enabled = true;
-    cfg.data_fault.first_hop_drop = drop;
-    cfg.data_fault.relay_drop = drop;
-    cfg.data_fault.second_hop_drop = drop;
-    cfg.data_fault.corrupt_prob = 0.01;
-    cfg.data_fault.arq = arq;
+    enable_data_loss(cfg, drop, /*corrupt=*/0.01, arq);
   }
   return cfg;
 }

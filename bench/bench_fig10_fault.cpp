@@ -11,23 +11,6 @@
 
 using namespace negbench;
 
-namespace {
-
-double window_sum(const GoodputMeter& g, int num_tors, Nanos from, Nanos to) {
-  const Nanos w = g.window_ns();
-  double bytes = 0;
-  for (TorId t = 0; t < num_tors; ++t) {
-    const auto& series = g.tor_window_series(t);
-    for (std::size_t i = static_cast<std::size_t>(from / w);
-         i < static_cast<std::size_t>(to / w) && i < series.size(); ++i) {
-      bytes += static_cast<double>(series[i]);
-    }
-  }
-  return bytes;
-}
-
-}  // namespace
-
 int main() {
   print_header("Fig. 10: bandwidth usage across link failure and recovery");
   const Nanos phase = bench_duration(1.5);  // per phase

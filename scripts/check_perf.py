@@ -51,9 +51,10 @@ Gating:
   Exit code 1 on any of these.
 
 Non-gating (::warning:: only — runner hardware varies, a human decides):
-  - aggregate events/sec over the runs common to both files (matched by
-    system name and num_tors; wall-clock noise on shared CI runners makes
-    per-run comparisons meaningless) regressed more than 30%;
+  - aggregate events/sec over the scaling rows common to both files
+    (matched by system name, num_tors and sim_ns, like every other
+    comparison here; wall-clock noise on shared CI runners makes per-run
+    comparisons meaningless) regressed more than 30%;
   - any individual scaling row regressed more than 30% vs its matched
     baseline row (per-N trend, noisier than the aggregate);
   - a system's scaling *shape* — its N=256 events/sec divided by its N=16
@@ -76,12 +77,17 @@ def load(path):
         return json.load(f)
 
 
+def run_key(r):
+    """A scaling row's identity: system, size and duration."""
+    return (r["name"], r["num_tors"], r.get("sim_ns"))
+
+
 def matched_aggregate(fresh, baseline):
-    base_runs = {(r["name"], r["num_tors"]): r for r in baseline.get("runs", [])}
+    base_runs = {run_key(r): r for r in baseline.get("scaling", [])}
     events = wall = base_events = base_wall = 0.0
     matched = 0
-    for r in fresh.get("runs", []):
-        key = (r["name"], r["num_tors"])
+    for r in fresh.get("scaling", []):
+        key = run_key(r)
         if key not in base_runs:
             continue
         matched += 1
@@ -195,8 +201,7 @@ WITNESS_LABELS = ("lossless", "zero loss")
 def check_witness_rows(fresh):
     """Gates the fresh file's lossless and zero-loss data_loss rows against
     its own scaling rows; returns True when gating failed."""
-    scaling = {(r["name"], r["num_tors"], r.get("sim_ns")): r
-               for r in fresh.get("scaling", [])}
+    scaling = {run_key(r): r for r in fresh.get("scaling", [])}
     failed = False
     compared = 0
     zero_loss_rows = 0
@@ -204,7 +209,7 @@ def check_witness_rows(fresh):
         if r.get("label") not in WITNESS_LABELS:
             continue
         zero_loss_rows += r.get("label") == "zero loss"
-        s = scaling.get((r["name"], r["num_tors"], r.get("sim_ns")))
+        s = scaling.get(run_key(r))
         if s is None:
             continue
         compared += 1
@@ -225,7 +230,7 @@ def check_witness_rows(fresh):
 
 def scaling_shapes(rows):
     """Per (system, sim_ns): events/sec at N=256 over events/sec at N=16."""
-    by_key = {(r["name"], r["num_tors"], r.get("sim_ns")): r for r in rows}
+    by_key = {run_key(r): r for r in rows}
     shapes = {}
     for (name, n, sim_ns), small in by_key.items():
         if n != SHAPE_SMALL_N:
@@ -318,12 +323,12 @@ def main():
 
     agg = matched_aggregate(fresh, baseline)
     if agg is None:
-        print("no runs in common with the committed baseline; "
+        print("no scaling rows in common with the committed baseline; "
               "skipping the regression comparison")
     else:
         matched, fresh_eps, base_eps = agg
         ratio = fresh_eps / base_eps if base_eps > 0 else float("inf")
-        print(f"aggregate events/sec over {matched} matched runs: "
+        print(f"aggregate events/sec over {matched} matched scaling rows: "
               f"{fresh_eps:,.0f} vs baseline {base_eps:,.0f} "
               f"({ratio:.2f}x)")
         if ratio < 1.0 - REGRESSION_THRESHOLD:

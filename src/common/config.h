@@ -58,8 +58,6 @@ struct EpochConfig {
 
   /// Full length of one predefined-phase timeslot.
   Nanos predefined_slot_ns() const { return guardband_ns + predefined_data_ns; }
-
-  bool operator==(const EpochConfig&) const = default;
 };
 
 /// PIAS-style multi-level feedback queue settings (§3.4.2). With the
@@ -70,8 +68,6 @@ struct PiasConfig {
   Bytes first_threshold{1_KB};
   Bytes second_threshold{9_KB};
   static constexpr int kLevels = 3;
-
-  bool operator==(const PiasConfig&) const = default;
 };
 
 /// Knobs for the appendix design-space variants.
@@ -90,8 +86,6 @@ struct VariantConfig {
   /// kNegotiatorSelectiveRelay: a candidate intermediate is excluded when
   /// the direct traffic sharing its links exceeds this volume.
   Bytes relay_heavy_direct_threshold{64_KB};
-
-  bool operator==(const VariantConfig&) const = default;
 };
 
 /// Traffic management below the ToRs (§3.6.5): receiver-side buffering
@@ -105,8 +99,6 @@ struct HostPlaneConfig {
   Bytes rx_high_watermark{3'000'000};
   /// ...resume below this one.
   Bytes rx_low_watermark{1'500'000};
-
-  bool operator==(const HostPlaneConfig&) const = default;
 };
 
 /// Control-plane fault model (see core/control_channel.h): seeded drop /
@@ -133,8 +125,6 @@ struct ControlFaultConfig {
   /// Graceful degradation: a source left unmatched by a lossy negotiation
   /// falls back to oblivious/rotor spreading during the scheduled phase.
   bool fallback{false};
-
-  bool operator==(const ControlFaultConfig&) const = default;
 };
 
 /// Lossy data plane (core/data_channel.h) and end-host selective-repeat
@@ -169,8 +159,6 @@ struct DataFaultConfig {
   /// Consecutive RTO expiries without ack progress before the flow's
   /// outstanding chunks are abandoned (terminal, like a non-ARQ drop).
   int max_retries{16};
-
-  bool operator==(const DataFaultConfig&) const = default;
 };
 
 /// Sirius-style traffic-oblivious baseline knobs.
@@ -182,8 +170,6 @@ struct ObliviousConfig {
   /// intermediate head-of-line blocking the paper attributes mice FCT
   /// damage to).
   Bytes relay_queue_capacity{8_MB};
-
-  bool operator==(const ObliviousConfig&) const = default;
 };
 
 /// Complete description of one simulated network.
@@ -251,10 +237,6 @@ struct NetworkConfig {
   int predefined_slots() const;
   /// Full epoch length (predefined + scheduled phase).
   Nanos epoch_length_ns() const;
-
-  /// Field-wise equality (used by the sweep engine's workload cache to
-  /// prove two points may share one generated trace).
-  bool operator==(const NetworkConfig&) const = default;
 
   /// Throws std::invalid_argument on inconsistent settings.
   void validate() const;

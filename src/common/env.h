@@ -1,5 +1,5 @@
 // Strict parsing of numeric settings — environment variables
-// (NEG_BENCH_THREADS, NEG_DURATION_MS, the NEG_PERF_* lists) and the
+// (NEG_BENCH_THREADS, NEG_DURATION_MS, NEG_PERF_SCALING_TORS) and the
 // examples' positional arguments: a malformed or out-of-range value is a
 // usage error that names the setting, never a silent fallback to the
 // default.

@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "core/variants/centralized.h"
-#include "core/variants/informative.h"
 #include "core/variants/iterative.h"
 #include "core/variants/projector.h"
 #include "core/variants/selective_relay.h"
@@ -12,11 +11,28 @@
 
 namespace negotiator {
 
+namespace {
+
+/// The A.2.3 informative-request variants only swap the rings' selection
+/// policy (core/matching.h); every other kind selects round-robin.
+SelectionPolicy selection_policy(SchedulerKind kind) {
+  switch (kind) {
+    case SchedulerKind::kNegotiatorInformativeSize:
+      return SelectionPolicy::kLargestSize;
+    case SchedulerKind::kNegotiatorInformativeHol:
+      return SelectionPolicy::kLongestDelay;
+    default:
+      return SelectionPolicy::kRoundRobin;
+  }
+}
+
+}  // namespace
+
 NegotiatorScheduler::NegotiatorScheduler(const NetworkConfig& config,
                                          const FlatTopology& topo, Rng rng)
     : config_(config),
       topo_(topo),
-      matching_(topo, informative_policy(config.scheduler), rng),
+      matching_(topo, selection_policy(config.scheduler), rng),
       rng_(rng.fork()),
       out_(static_cast<std::size_t>(topo.num_tors()) * topo.num_tors()),
       out_stamp_(static_cast<std::size_t>(topo.num_tors()) * topo.num_tors(),

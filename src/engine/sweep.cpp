@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
-#include <memory>
-#include <mutex>
 #include <thread>
 
 #include "common/env.h"
@@ -16,49 +14,11 @@ namespace negotiator {
 
 namespace {
 
-/// One workload trace shared by a run of points that are identical except
-/// for `measure_from`/`label`. Generated once, by whichever worker gets
-/// there first (call_once keeps that race deterministic in outcome).
-struct SharedWorkload {
-  std::once_flag once;
-  std::vector<Flow> flows;
-};
-
-std::vector<Flow> generate_workload(const SweepPoint& point) {
-  WorkloadGenerator gen(point.sizes, point.config.num_tors,
-                        point.config.host_rate(), point.load,
-                        Rng(point.seed));
-  return gen.generate(0, point.duration);
-}
-
-/// The standard measurement applied to an already generated trace — the
-/// single definition both the cached and uncached paths go through, so
-/// they cannot drift apart.
-RunResult run_with_flows(const SweepPoint& point,
-                         const std::vector<Flow>& flows) {
-  Runner runner(point.config);
-  runner.add_flows(flows);
-  return runner.run(point.duration, point.measure_from);
-}
-
-/// True when the two standard points would generate byte-identical
-/// workload traces *and* run them on identical fabrics — i.e. they may
-/// differ only in `measure_from` and `label`. Custom bodies are never
-/// shared (they own their workload generation).
-bool may_share_workload(const SweepPoint& a, const SweepPoint& b) {
-  return !a.body && !b.body && a.config == b.config && a.seed == b.seed &&
-         a.duration == b.duration && a.load == b.load && a.sizes == b.sizes;
-}
-
-SweepOutcome execute_point(const SweepPoint& point, SharedWorkload* shared) {
+SweepOutcome execute_point(const SweepPoint& point) {
   SweepOutcome outcome;
   try {
     if (point.body) {
       outcome = point.body(point);
-    } else if (shared != nullptr) {
-      std::call_once(shared->once,
-                     [&] { shared->flows = generate_workload(point); });
-      outcome.result = run_with_flows(point, shared->flows);
     } else {
       outcome.result = run_standard_point(point);
     }
@@ -72,31 +32,16 @@ SweepOutcome execute_point(const SweepPoint& point, SharedWorkload* shared) {
   return outcome;
 }
 
-/// shared[i] is non-null iff point i belongs to a maximal run of >= 2
-/// consecutive points that may share one generated workload.
-std::vector<std::shared_ptr<SharedWorkload>> plan_workload_cache(
-    const std::vector<SweepPoint>& points) {
-  std::vector<std::shared_ptr<SharedWorkload>> shared(points.size());
-  std::size_t i = 0;
-  while (i < points.size()) {
-    std::size_t j = i + 1;
-    while (j < points.size() &&
-           may_share_workload(points[i], points[j])) {
-      ++j;
-    }
-    if (j - i >= 2) {
-      auto cache = std::make_shared<SharedWorkload>();
-      for (std::size_t k = i; k < j; ++k) shared[k] = cache;
-    }
-    i = j;
-  }
-  return shared;
-}
-
 }  // namespace
 
 RunResult run_standard_point(const SweepPoint& point) {
-  return run_with_flows(point, generate_workload(point));
+  WorkloadGenerator gen(point.sizes, point.config.num_tors,
+                        point.config.host_rate(), point.load,
+                        Rng(point.seed));
+  const std::vector<Flow> flows = gen.generate(0, point.duration);
+  Runner runner(point.config);
+  runner.add_flows(flows);
+  return runner.run(point.duration, point.measure_from);
 }
 
 SweepEngine::SweepEngine(unsigned threads)
@@ -113,14 +58,9 @@ unsigned SweepEngine::default_threads() {
 std::vector<SweepOutcome> SweepEngine::run(
     const std::vector<SweepPoint>& points) const {
   std::vector<SweepOutcome> outcomes(points.size());
-  // Consecutive points that differ only in measure_from/label (e.g. a
-  // warm-up-window study) share one generated workload trace instead of
-  // regenerating it per point. Results are bit-identical either way: the
-  // trace is a pure function of (sizes, config, load, seed, duration).
-  const auto shared = plan_workload_cache(points);
   if (threads_ <= 1 || points.size() <= 1) {
     for (std::size_t i = 0; i < points.size(); ++i) {
-      outcomes[i] = execute_point(points[i], shared[i].get());
+      outcomes[i] = execute_point(points[i]);
     }
     return outcomes;
   }
@@ -128,8 +68,8 @@ std::vector<SweepOutcome> SweepEngine::run(
   ThreadPool pool(static_cast<unsigned>(
       std::min<std::size_t>(threads_, points.size())));
   for (std::size_t i = 0; i < points.size(); ++i) {
-    pool.submit([&points, &outcomes, &shared, i] {
-      outcomes[i] = execute_point(points[i], shared[i].get());
+    pool.submit([&points, &outcomes, i] {
+      outcomes[i] = execute_point(points[i]);
     });
   }
   pool.drain();

@@ -19,7 +19,7 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
   const PredefinedSchedule rotor(topo_);
   cycle_slots_ = rotor.slots();
   conn_table_.assign(static_cast<std::size_t>(cycle_slots_) * n * ports,
-                     SlotConn{kInvalidTor, kInvalidPort, 0, 0});
+                     SlotConn{kInvalidTor, 0, 0});
   for (int slot = 0; slot < cycle_slots_; ++slot) {
     for (TorId s = 0; s < n; ++s) {
       for (PortId p = 0; p < ports; ++p) {
@@ -27,7 +27,7 @@ ObliviousFabric::ObliviousFabric(const NetworkConfig& config,
         if (m == kInvalidTor) continue;
         const PortId rx = topo_.rx_port(s, p);
         conn_table_[(static_cast<std::size_t>(slot) * n + s) * ports + p] =
-            SlotConn{m, rx,
+            SlotConn{m,
                      static_cast<std::uint32_t>(
                          links_.raw_index(s, p, LinkDirection::kEgress)),
                      static_cast<std::uint32_t>(
@@ -55,23 +55,16 @@ void ObliviousFabric::on_transport_timer(const TransportTimerEvent& e,
   }
 }
 
-TorId ObliviousFabric::next_spread_dst(TorId src, TorId exclude) {
+TorId ObliviousFabric::next_spread_dst(TorId src) {
   const auto& active =
       tors_[static_cast<std::size_t>(src)].active_destinations();
   if (active.empty()) return kInvalidTor;
   TorId& ptr = spread_ptr_[static_cast<std::size_t>(src)];
   // Bitmap successor scan: this runs once per potential spread, i.e.
   // millions of times.
-  TorId d = active.next_member_after(ptr);
-  for (std::size_t step = 0; step < active.size() + 1; ++step) {
-    if (d == kInvalidTor) d = active.first_member();  // wrap around
-    if (d != exclude) {
-      ptr = d;
-      return d;
-    }
-    d = active.next_member_after(d);
-  }
-  return kInvalidTor;
+  const TorId d = active.next_member_after(ptr);
+  ptr = d != kInvalidTor ? d : active.first_member();  // wrap around
+  return ptr;
 }
 
 void ObliviousFabric::run_slot(std::int64_t global_slot) {
@@ -137,7 +130,7 @@ void ObliviousFabric::run_slot(std::int64_t global_slot) {
       const bool room =
           advertised_congested_[static_cast<std::size_t>(s) * n + m] == 0;
       if (!room) continue;
-      const TorId d = next_spread_dst(s, kInvalidTor);
+      const TorId d = next_spread_dst(s);
       if (d == kInvalidTor) continue;
       if (d == m) {
         if (auto pkt = tor.dequeue_packet(m, payload)) {

@@ -12,7 +12,8 @@
 //      §4.1): the next backlogged destination d in round-robin order is
 //      detoured through m (delivered directly in the lucky d == m case),
 //      gated by m's last advertised relay occupancy (the baseline's
-//      congestion control, with direct transmission to m as the fallback).
+//      congestion control: while m advertises a full relay buffer the
+//      connection idles; there is no fallback to direct transmission).
 // One packet per slot per port, 2x speedup as configured. This reproduces
 // the baseline's signature behaviour: relay doubles the traffic volume and
 // competes for receiver bandwidth (worst-case goodput 50%), and mice FCT is
@@ -44,9 +45,9 @@ class ObliviousFabric final : public FabricSim {
   /// One rotor slot. Rotor slots are this fabric's epochs for the delivery
   /// plane, and a rotor cycle is its audit epoch.
   void run_slot(std::int64_t global_slot);
-  /// Next backlogged destination after the spread pointer, skipping
-  /// `exclude`; kInvalidTor when none.
-  TorId next_spread_dst(TorId src, TorId exclude);
+  /// Next backlogged destination after the spread pointer (wrapping to
+  /// the first), which becomes the new pointer; kInvalidTor when none.
+  TorId next_spread_dst(TorId src);
 
   // --- Sparse slot scan (the demand-driven pipeline, oblivious side) ---
   //
@@ -103,13 +104,12 @@ class ObliviousFabric final : public FabricSim {
   std::vector<TorId> spread_ptr_;
 
   /// Rotor connectivity is a fixed cycle (rotation never changes), so the
-  /// whole (slot-in-cycle, src, port) -> (dst, rx, link indices) table is
+  /// whole (slot-in-cycle, src, port) -> (dst, link indices) table is
   /// resolved once at construction from the predefined schedule; run_slot
-  /// indexes flat records directly at [slot * N * P + src * P + port]
+  /// indexes flat 12 B records directly at [slot * N * P + src * P + port]
   /// (dst == kInvalidTor for idle).
   struct SlotConn {
     TorId dst;
-    PortId rx;
     std::uint32_t tx_link;  // LinkState raw index, egress
     std::uint32_t rx_link;  // LinkState raw index, ingress
   };
@@ -119,7 +119,8 @@ class ObliviousFabric final : public FabricSim {
   std::vector<TorId> busy_scratch_;  // per-slot snapshot of busy_
   /// advertised_congested_[observer * N + peer]: did the peer's last
   /// advertisement to the observer signal a full relay buffer? (The
-  /// boolean form of last_occupancy_ — the only part room checks can see.)
+  /// boolean form of the advertised occupancy — the only part room checks
+  /// can see, so the byte count is never stored.)
   std::vector<std::uint8_t> advertised_congested_;
   std::vector<std::int32_t> peers_believe_congested_;  // [tor]
 };

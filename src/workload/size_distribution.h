@@ -24,8 +24,6 @@ class SizeDistribution {
   struct Point {
     Bytes size;
     double cdf;  // P(flow size <= size)
-
-    bool operator==(const Point&) const = default;
   };
 
   /// Points must be strictly increasing in both size and cdf, with the last
@@ -52,11 +50,6 @@ class SizeDistribution {
   double mean_bytes() const { return mean_bytes_; }
 
   const std::vector<Point>& points() const { return points_; }
-
-  /// Same anchors and name — same sampling behaviour for a given Rng.
-  bool operator==(const SizeDistribution& other) const {
-    return name_ == other.name_ && points_ == other.points_;
-  }
 
  private:
   /// Quantile of u in (points_[hi - 1].cdf, points_[hi].cdf].

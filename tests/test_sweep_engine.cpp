@@ -188,50 +188,6 @@ TEST(SweepEngine, EmptyGrid) {
   EXPECT_TRUE(SweepEngine(4).run({}).empty());
 }
 
-TEST(SweepEngine, WorkloadCacheIsBitIdenticalToUncachedRuns) {
-  // A run of points identical except for measure_from/label triggers the
-  // shared-workload cache (the trace is generated once). The merged
-  // results must be bit-identical to executing every point standalone.
-  const NetworkConfig cfg = small(TopologyKind::kParallel,
-                                  SchedulerKind::kNegotiator);
-  std::vector<SweepPoint> points;
-  for (int i = 0; i < 4; ++i) {
-    SweepPoint p = grid_point(cfg, 0.5, 42);
-    p.measure_from = p.duration * i / 5;  // the only difference
-    p.label = "warmup-window-" + std::to_string(i);
-    points.push_back(p);
-  }
-  // A non-cacheable tail point (different seed) after the cached run.
-  points.push_back(grid_point(cfg, 0.5, 43));
-
-  for (const unsigned threads : {1u, 4u}) {
-    const auto outcomes = SweepEngine(threads).run(points);
-    ASSERT_EQ(outcomes.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
-      // Reference: the standard measurement executed standalone, which
-      // generates its own private workload.
-      const RunResult reference = run_standard_point(points[i]);
-      expect_identical(outcomes[i].result, reference);
-    }
-  }
-}
-
-TEST(SweepEngine, WorkloadCacheRespectsConfigDifferences) {
-  // Neighbouring points that differ in anything beyond measure_from/label
-  // (here: load) must NOT share a trace — results must match their own
-  // standalone runs.
-  const NetworkConfig cfg = small(TopologyKind::kThinClos,
-                                  SchedulerKind::kNegotiator);
-  std::vector<SweepPoint> points = {grid_point(cfg, 0.25, 7),
-                                    grid_point(cfg, 0.75, 7)};
-  const auto outcomes = SweepEngine(1).run(points);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok);
-    expect_identical(outcomes[i].result, run_standard_point(points[i]));
-  }
-}
-
 TEST(SweepEngine, CustomBodiesRunConcurrently) {
   // With 4 workers, 4 tasks that each block until all 4 have started can
   // only finish if they really run in parallel.
