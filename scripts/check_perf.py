@@ -11,8 +11,10 @@ Gating:
   - the fresh scaling section must exist, be non-empty, and carry a result
     fingerprint per row;
   - every deterministic integer counter a section records (COUNTERS below:
-    scaling dispatches, deliveries, delivery_dispatches and
-    predefined_visits (predefined-phase connections visited), storm
+    scaling dispatches, deliveries, delivery_dispatches,
+    predefined_visits (predefined-phase connections visited),
+    total_matches and the per-segment drain's drain_epochs,
+    drain_clean_pairs and drain_dirty_pairs, storm
     blackholed_bytes and exclusion_churn, the control_loss drop, fallback
     and stranded-byte counts, the data_loss drop, corruption, ARQ
     (max_backoff_reached included) and completion counts) must equal the
@@ -114,7 +116,8 @@ def row_context(r):
 # against the committed row alongside the fingerprint.
 COUNTERS = {
     "scaling": ("dispatches", "deliveries", "delivery_dispatches",
-                "predefined_visits"),
+                "predefined_visits", "total_matches", "drain_epochs",
+                "drain_clean_pairs", "drain_dirty_pairs"),
     "storm": ("blackholed_bytes", "exclusion_churn"),
     "control_loss": ("control_dropped", "degraded_slots", "fallback_bytes",
                      "stranded_bytes"),

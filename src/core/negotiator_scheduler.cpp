@@ -221,16 +221,9 @@ void NegotiatorScheduler::compute_accepts(const DemandView& /*demand*/,
     }
     // Rejection notices for unaccepted grants (consumed by the stateful
     // variant's matrix reconciliation; harmless otherwise). At most one
-    // notice per destination.
+    // notice per destination: an accepted grant, like any other grant from
+    // a destination accepted on some port, finds has_accept already set.
     for (const GrantMsg& g : grants) {
-      bool accepted = false;
-      for (const Match& m : result.matches) {
-        if (m.dst == g.dst && m.rx_port == g.rx_port) {
-          accepted = true;
-          break;
-        }
-      }
-      if (accepted) continue;
       PairOut& entry = outbox(s, g.dst);
       if (entry.has_accept) continue;  // an acceptance to g.dst dominates
       AcceptMsg a;

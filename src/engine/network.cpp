@@ -545,7 +545,19 @@ void NegotiatorFabric::drain_scheduled_phase() {
         if (it != drain_pairs_.end() && it->pair == pair) it->dirty = true;
       });
 
-  drain_slot_packets_.assign(static_cast<std::size_t>(slots), 0);
+  // Packets per slot as a difference array, summed once after the drain.
+  drain_slot_packets_.assign(static_cast<std::size_t>(slots) + 1, 0);
+  // Slots whose arrivals fall in one goodput bucket form a run;
+  // drain_bucket_end_[slot] is the first slot past slot's run.
+  drain_bucket_end_.resize(static_cast<std::size_t>(slots));
+  for (int slot = slots - 1; slot >= 0; --slot) {
+    const bool joins_next =
+        slot + 1 < slots && goodput_.bucket(scheduled_arrival(slot)) ==
+                                goodput_.bucket(scheduled_arrival(slot + 1));
+    drain_bucket_end_[static_cast<std::size_t>(slot)] =
+        joins_next ? drain_bucket_end_[static_cast<std::size_t>(slot) + 1]
+                   : slot + 1;
+  }
   drain_completions_.clear();
   std::size_t dirty = 0;
   for (const DrainPair& p : drain_pairs_) {
@@ -577,8 +589,10 @@ void NegotiatorFabric::drain_scheduled_phase() {
     plane_.flows().log_completion(
         c.flow, scheduled_arrival(static_cast<int>(c.order >> 32)));
   }
-  for (const std::uint32_t packets : drain_slot_packets_) {
-    plane_.count(packets);
+  std::int64_t packets = 0;
+  for (int slot = 0; slot < slots; ++slot) {
+    packets += drain_slot_packets_[static_cast<std::size_t>(slot)];
+    plane_.count(static_cast<std::uint64_t>(packets));
     match_slots_used_ += packets;
   }
 }
@@ -590,18 +604,27 @@ void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
   const auto dst = static_cast<TorId>(p.pair % n);
   const Bytes payload = timing_.scheduled_payload_bytes();
   TorSwitch& tor = tors_[static_cast<std::size_t>(src)];
-  // Packet j rides slot first_slot + j / m on member j % m.
+  // Packet j rides slot first_slot + j / m on member j % m. `booked` holds
+  // the bytes bound for the goodput bucket of `bucket_slot`, whose slots
+  // carry the packets before `edge`.
   const std::uint32_t m = p.members;
   const auto budget = static_cast<std::uint32_t>(end_slot - first_slot) * m;
+  const auto edge_of = [&](int slot) {
+    return static_cast<std::uint32_t>(
+               drain_bucket_end_[static_cast<std::size_t>(slot)] -
+               first_slot) * m;
+  };
+  int bucket_slot = first_slot;
+  std::uint32_t edge = edge_of(bucket_slot);
   std::uint32_t j = 0;
-  int booked_slot = first_slot;  // slot whose bytes `booked` accumulates
   Bytes booked = 0;
   while (j < budget) {
     const PacketRun run = tor.take_run(dst, payload, budget - j);
     if (run.packets == 0) break;
-    const std::uint32_t last = j + run.packets - 1;
+    const std::uint32_t end = j + run.packets;
     if (plane_.flows().credit_unlogged(static_cast<int>(run.flow),
                                        run.bytes)) {
+      const std::uint32_t last = end - 1;
       const int slot = first_slot + static_cast<int>(last / m);
       const auto match = static_cast<std::uint32_t>(
           drain_order_[p.first + last % m]);
@@ -609,24 +632,33 @@ void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
           static_cast<std::uint64_t>(slot) << 32 | match,
           static_cast<int>(run.flow)});
     }
-    // Goodput is booked per (pair, slot) at the slot's arrival time.
-    for (std::uint32_t left = run.packets; left > 0;) {
-      const int slot = first_slot + static_cast<int>(j / m);
-      if (slot != booked_slot) {
-        goodput_.record_delivery(dst, booked, scheduled_arrival(booked_slot));
-        booked_slot = slot;
-        booked = 0;
-      }
-      const std::uint32_t in_slot = std::min(left, m - j % m);
-      booked += static_cast<Bytes>(in_slot) * payload;
-      drain_slot_packets_[static_cast<std::size_t>(slot)] += in_slot;
-      j += in_slot;
-      left -= in_slot;
+    // A run that crosses the edge books its full packets before it in the
+    // current bucket; the rest, short last packet included, goes to the
+    // bucket of the run's last packet.
+    Bytes rest = run.bytes;
+    while (end > edge) {
+      const Bytes full = static_cast<Bytes>(edge - j) * payload;
+      goodput_.record_delivery(dst, booked + full,
+                               scheduled_arrival(bucket_slot));
+      rest -= full;
+      booked = 0;
+      j = edge;
+      bucket_slot = first_slot + static_cast<int>(edge / m);
+      edge = edge_of(bucket_slot);
     }
-    booked -= payload - run.last_bytes;
+    booked += rest;
+    j = end;
   }
   if (j == 0) return;
-  goodput_.record_delivery(dst, booked, scheduled_arrival(booked_slot));
+  goodput_.record_delivery(dst, booked, scheduled_arrival(bucket_slot));
+  // The first j / m slots carry m packets each, the next one j % m.
+  const auto full_end = static_cast<std::size_t>(first_slot) + j / m;
+  drain_slot_packets_[static_cast<std::size_t>(first_slot)] += m;
+  drain_slot_packets_[full_end] -= m;
+  if (j % m != 0) {
+    drain_slot_packets_[full_end] += j % m;
+    drain_slot_packets_[full_end + 1] -= j % m;
+  }
   sync_source_activity(src);
 }
 

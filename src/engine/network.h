@@ -410,10 +410,13 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   // slot: packet j rides slot j / m on member j % m (members in ascending
   // match index), exactly as the per-slot walk would send it. A pair one
   // of whose flows lands mid-phase is dirty and drains slot by slot after
-  // each advance_to instead. Completions are logged at the end of the
-  // phase in (slot, match index) order, goodput is booked per (pair,
-  // slot) at the slot's arrival time, and the delivery counters count one
-  // dispatch per slot that delivered — all as the per-slot walk does.
+  // each advance_to instead. A pair's drain costs O(runs), not O(slots):
+  // completions are logged at the end of the phase in (slot, match index)
+  // order; goodput is booked per (pair, goodput bucket), the run of slots
+  // whose arrivals GoodputMeter::bucket files alike, so a run splits only
+  // where it crosses a bucket edge; and the per-slot packet counts are a
+  // difference array summed once per phase, counting one dispatch per
+  // slot that delivered. All of it lands as the per-slot walk's would.
   struct DrainPair {
     std::uint32_t pair;     // src * N + dst
     std::uint32_t first;    // position of its first member in drain_order_
@@ -436,7 +439,8 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::vector<std::uint64_t> drain_order_;  // (pair << 32 | index), sorted
   std::vector<DrainPair> drain_pairs_;      // ascending pair
   std::vector<DrainCompletion> drain_completions_;
-  std::vector<std::uint32_t> drain_slot_packets_;  // [slot] -> packets
+  std::vector<std::int64_t> drain_slot_packets_;  // per-slot packet deltas
+  std::vector<int> drain_bucket_end_;  // [slot] -> end of its goodput bucket
   std::int64_t drain_epochs_{0};
   std::int64_t drain_clean_pairs_{0};
   std::int64_t drain_dirty_pairs_{0};

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.h"
@@ -17,7 +18,8 @@ class GoodputMeter {
   GoodputMeter(int num_tors, Nanos window_ns = 0);
 
   /// Final-destination delivery of `bytes` payload at `when` into `dst`.
-  /// Inline: the fabric calls this once per delivered packet.
+  /// Inline: the negotiator's per-segment drain calls this once per
+  /// (pair, goodput bucket) it serves.
   void record_delivery(TorId dst, Bytes bytes, Nanos when) {
     NEG_ASSERT(bytes >= 0, "negative delivery");
     if (when >= measure_from_ && when < measure_to_) delivered_ += bytes;
@@ -25,6 +27,14 @@ class GoodputMeter {
       bump_series(per_tor_windows_[static_cast<std::size_t>(dst)], bytes,
                   when);
     }
+  }
+
+  /// What record_delivery does with bytes arriving at `when` depends only
+  /// on this key: whether `when` lies in the measure interval, and its
+  /// window. Deliveries with equal keys may be booked in one call.
+  std::int64_t bucket(Nanos when) const {
+    const Nanos window = window_ns_ > 0 ? when / window_ns_ : 0;
+    return 2 * window + (when >= measure_from_ && when < measure_to_ ? 1 : 0);
   }
 
   /// First-hop (relay) reception at an intermediate ToR.

@@ -12,6 +12,7 @@
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "core/epoch.h"
 #include "engine/network.h"
 #include "workload/generator.h"
 #include "workload/incast.h"
@@ -43,11 +44,19 @@ struct LinkFlap {
   Nanos repair_at;
 };
 
+/// The goodput meter's window and measure interval; `to` == 0 keeps the
+/// default interval [duration / 4, duration).
+struct Meter {
+  Nanos window_ns{kWindowNs};
+  Nanos from{0};
+  Nanos to{0};
+};
+
 /// Runs `flows` for `duration` ns. `per_slot` installs the zero-probability
 /// data channel, which forces the per-slot walk on every epoch.
 Outcome run(NetworkConfig cfg, const std::vector<Flow>& flows,
             Nanos duration, bool per_slot,
-            const std::vector<LinkFlap>& flaps = {}) {
+            const std::vector<LinkFlap>& flaps = {}, const Meter& meter = {}) {
   if (per_slot) {
     cfg.data_fault.enabled = true;
     cfg.data_fault.first_hop_drop = 0.0;
@@ -56,8 +65,12 @@ Outcome run(NetworkConfig cfg, const std::vector<Flow>& flows,
     cfg.data_fault.corrupt_prob = 0.0;
     cfg.data_fault.arq = false;
   }
-  NegotiatorFabric fabric(cfg, kWindowNs);
-  fabric.goodput().set_measure_interval(duration / 4, duration);
+  NegotiatorFabric fabric(cfg, meter.window_ns);
+  if (meter.to > 0) {
+    fabric.goodput().set_measure_interval(meter.from, meter.to);
+  } else {
+    fabric.goodput().set_measure_interval(duration / 4, duration);
+  }
   for (const LinkFlap& f : flaps) {
     fabric.schedule_link_event(f.fail_at, 1, 0, LinkDirection::kEgress, true);
     fabric.schedule_link_event(f.repair_at, 1, 0, LinkDirection::kEgress,
@@ -242,6 +255,113 @@ TEST(ScheduledPaths, EpochsSwitchPathsAroundALinkFailure) {
   EXPECT_GT(drain.drain_epochs, 0);
   EXPECT_LT(drain.drain_epochs, drain.epochs);
   expect_same(drain, walk, "link failure");
+}
+
+// The drain books goodput once per run of slots whose arrivals share a
+// goodput bucket (measure-interval side and window), splitting a run only
+// where it crosses a bucket edge. The cases below put those edges inside a
+// scheduled phase on purpose. Scheduled slots are 90 ns, so a 1 us window
+// edge falls inside every 2.7 us phase.
+constexpr Nanos kShortWindowNs = 1'000;
+
+/// A parallel fabric with PIAS off, so each flow is one queue segment and
+/// one flow drains as one run per phase.
+NetworkConfig bucket_config() {
+  NetworkConfig cfg;
+  cfg.topology = TopologyKind::kParallel;
+  cfg.num_tors = 4;
+  cfg.ports_per_tor = 4;
+  cfg.pias.enabled = false;
+  return cfg;
+}
+
+/// Back-to-back flows from 0 to 1 at t = 0, sized k full payloads plus a
+/// short last packet of varying length, so runs end mid-slot all over the
+/// phase.
+std::vector<Flow> short_tail_flows(const NetworkConfig& cfg, int count) {
+  const Bytes payload = EpochTiming(cfg).scheduled_payload_bytes();
+  std::vector<Flow> flows;
+  for (int i = 0; i < count; ++i) {
+    const Bytes size = (2 + i % 9) * payload + 1 + (i * 389) % (payload - 1);
+    flows.push_back(make_flow(i, 0, 1, size, 0));
+  }
+  return flows;
+}
+
+TEST(ScheduledPaths, OneLongRunCrossesWindowEdgesOnSeveralMembers) {
+  // One flow keeps pair (0, 1) backlogged for the whole run: each phase
+  // drains it as a single run over every member, across two or three
+  // window edges.
+  const NetworkConfig cfg = bucket_config();
+  const std::vector<Flow> flows = {make_flow(0, 0, 1, 100'000'000, 0)};
+  const Nanos duration = 100'000;
+  const Meter meter{kShortWindowNs, 0, duration};
+  const Outcome drain = run(cfg, flows, duration, false, {}, meter);
+  const Outcome walk = run(cfg, flows, duration, true, {}, meter);
+  EXPECT_GT(drain.total_matches, drain.epochs)
+      << "the pair never held two matches in one epoch";
+  EXPECT_EQ(drain.drain_epochs, drain.epochs);
+  EXPECT_EQ(drain.samples.size(), 0u) << "the flow finished: no backlog";
+  expect_same(drain, walk, "one long run across window edges");
+}
+
+TEST(ScheduledPaths, MeasureIntervalEdgesInsideAPhase) {
+  // The measure interval opens, then closes, at the arrival of slot 13 of
+  // a phase in which the pair is still backlogged.
+  const NetworkConfig cfg = bucket_config();
+  const EpochTiming timing(cfg);
+  const std::vector<Flow> flows = short_tail_flows(cfg, 1'000);
+  const Nanos duration = timing.epoch_start(40);
+  const auto arrival = [&](std::int64_t epoch, int slot) {
+    return timing.scheduled_slot_end(epoch, slot) + cfg.propagation_delay_ns;
+  };
+  const Meter opens{kWindowNs, arrival(12, 13), duration};
+  Outcome drain = run(cfg, flows, duration, false, {}, opens);
+  Outcome walk = run(cfg, flows, duration, true, {}, opens);
+  EXPECT_EQ(drain.drain_epochs, drain.epochs);
+  expect_same(drain, walk, "measure_from inside a phase");
+
+  const Meter closes{kWindowNs, 0, arrival(25, 13)};
+  drain = run(cfg, flows, duration, false, {}, closes);
+  walk = run(cfg, flows, duration, true, {}, closes);
+  EXPECT_GT(drain.backlog, 0) << "the pair drained before the interval shut";
+  expect_same(drain, walk, "measure_to inside a phase");
+}
+
+TEST(ScheduledPaths, ShortLastPacketsAcrossWindowEdges) {
+  // Runs of several packets that end in a short one, on several members,
+  // with window edges inside every phase: a run that crosses an edge books
+  // its full packets before the edge and the rest after it.
+  const NetworkConfig cfg = bucket_config();
+  const std::vector<Flow> flows = short_tail_flows(cfg, 600);
+  const Nanos duration = 150'000;
+  const Meter meter{kShortWindowNs, duration / 4, duration};
+  const Outcome drain = run(cfg, flows, duration, false, {}, meter);
+  const Outcome walk = run(cfg, flows, duration, true, {}, meter);
+  EXPECT_GT(drain.total_matches, drain.epochs);
+  EXPECT_GT(drain.samples.size(), 0u);
+  expect_same(drain, walk, "short last packets across window edges");
+}
+
+TEST(ScheduledPaths, RunsEndingExactlyOnBucketEdges) {
+  // Every flow is one full packet, so every run ends on a packet boundary
+  // and every bucket edge a backlogged phase crosses has a run ending
+  // exactly on it; the measure interval adds one more edge mid-phase.
+  const NetworkConfig cfg = bucket_config();
+  const EpochTiming timing(cfg);
+  const Bytes payload = timing.scheduled_payload_bytes();
+  std::vector<Flow> flows;
+  for (int i = 0; i < 6'000; ++i) {
+    flows.push_back(make_flow(i, 0, 1, payload, 0));
+  }
+  const Nanos duration = timing.epoch_start(30);
+  const Meter meter{
+      kShortWindowNs,
+      timing.scheduled_slot_end(10, 7) + cfg.propagation_delay_ns, duration};
+  const Outcome drain = run(cfg, flows, duration, false, {}, meter);
+  const Outcome walk = run(cfg, flows, duration, true, {}, meter);
+  EXPECT_GT(drain.backlog, 0) << "the pair ran dry: no edge was crossed";
+  expect_same(drain, walk, "runs ending on bucket edges");
 }
 
 }  // namespace
