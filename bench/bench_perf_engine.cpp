@@ -253,7 +253,8 @@ Row scaling_run(const System& sys, int n, Nanos duration) {
   row.add("delivery_dispatches", fab.delivery_dispatches());
   row.add("deliveries_per_dispatch",
           ratio(fab.deliveries(), fab.delivery_dispatches()), 2);
-  row.add("predefined_visits", fab.predefined_visits());
+  row.add("predefined_visits",
+          neg != nullptr ? neg->predefined_visits() : 0);
   row.add("total_matches", neg != nullptr ? neg->total_matches() : 0);
   row.add("drain_epochs", neg != nullptr ? neg->drain_epochs() : 0);
   row.add("drain_clean_pairs", neg != nullptr ? neg->drain_clean_pairs() : 0);

@@ -107,8 +107,6 @@ NegotiatorFabric::NegotiatorFabric(const NetworkConfig& config,
                0),
       predef_marks_(static_cast<std::size_t>(schedule_.slots()),
                     ActiveSet(config.num_tors * config.ports_per_tor)),
-      dropped_heads_(static_cast<std::size_t>(config.num_tors), -1),
-      dropped_stamp_(static_cast<std::size_t>(config.num_tors), -1),
       active_sources_(config.num_tors),
       relay_active_(config.num_tors) {
   Rng rng(config_.seed);
@@ -156,26 +154,6 @@ void NegotiatorFabric::on_flow_arrival(const FlowArrivalEvent& e, Nanos now) {
   // scan would have picked it up.
   if (in_predefined_phase_ && config_.piggyback) {
     gather_predefined_pair(f.src, f.dst);
-  }
-  // A flow landing mid-scheduled-phase refills its pair's queue:
-  // reactivate any matches for (src, dst) that were dropped as drained.
-  // Sorted reinsertion keeps live_matches_ ascending. (A timer that queues
-  // a retransmission mid-phase has no such hook; see network.h.)
-  if (in_scheduled_phase_ &&
-      dropped_stamp_[static_cast<std::size_t>(f.src)] == epoch_) {
-    std::int32_t* link = &dropped_heads_[static_cast<std::size_t>(f.src)];
-    while (*link >= 0) {
-      const std::int32_t index = *link;
-      if (sched_matches_[static_cast<std::size_t>(index)].m.dst == f.dst) {
-        *link = dropped_next_[static_cast<std::size_t>(index)];
-        live_matches_.insert(
-            std::lower_bound(live_matches_.begin(), live_matches_.end(),
-                             index),
-            index);
-      } else {
-        link = &dropped_next_[static_cast<std::size_t>(index)];
-      }
-    }
   }
 }
 
@@ -475,12 +453,8 @@ void NegotiatorFabric::run_scheduled_phase() {
   sched_matches_.clear();
   sched_matches_.reserve(scheduler_->matches().size());
   for (const Match& m : scheduler_->matches()) {
-    sched_matches_.push_back(ActiveMatch{
-        m, m.relay ? m.relay_volume : 0,
-        static_cast<std::uint32_t>(
-            links_.raw_index(m.src, m.tx_port, LinkDirection::kEgress)),
-        static_cast<std::uint32_t>(
-            links_.raw_index(m.dst, m.rx_port, LinkDirection::kIngress))});
+    sched_matches_.push_back(
+        ActiveMatch{m, m.relay ? m.relay_volume : 0, /*drained_at=*/-1});
   }
   total_matches_ += static_cast<std::int64_t>(sched_matches_.size());
   match_slots_offered_ += static_cast<std::int64_t>(sched_matches_.size()) *
@@ -665,16 +639,7 @@ void NegotiatorFabric::drain_pair(const DrainPair& p, int first_slot,
 void NegotiatorFabric::run_scheduled_slots() {
   const Bytes payload = timing_.scheduled_payload_bytes();
   const Nanos prop = config_.propagation_delay_ns;
-  live_matches_.resize(sched_matches_.size());
-  for (std::size_t i = 0; i < live_matches_.size(); ++i) {
-    live_matches_[i] = static_cast<std::int32_t>(i);
-  }
-  dropped_next_.assign(sched_matches_.size(), -1);
-  // Relay matches (and relay-enabled fabrics generally) are never dropped:
-  // parked second-hop data refills without a flow arrival, so the
-  // reactivation hook would miss them.
-  const bool may_drop = !relay_enabled_;
-  in_scheduled_phase_ = true;
+  const auto n = static_cast<std::size_t>(config_.num_tors);
 
   const bool fallback =
       control_ != nullptr && config_.control_fault.fallback;
@@ -684,29 +649,31 @@ void NegotiatorFabric::run_scheduled_slots() {
     advance_to(timing_.scheduled_slot_start(epoch_, slot));
     const Nanos arrival = timing_.scheduled_slot_end(epoch_, slot) + prop;
     const bool healthy = links_.all_up();
-    std::size_t keep = 0;
-    for (std::size_t r = 0; r < live_matches_.size(); ++r) {
-      const std::int32_t index = live_matches_[r];
-      ActiveMatch& a = sched_matches_[static_cast<std::size_t>(index)];
+    for (ActiveMatch& a : sched_matches_) {
       const Match& m = a.m;
+      // A drained match sleeps until a flow for its pair arrives: arrived_
+      // only grows, so a mark it has outgrown never matches again.
+      const Bytes arrived =
+          arrived_[static_cast<std::size_t>(m.src) * n + m.dst];
+      if (a.drained_at == arrived) continue;
       TorSwitch& tor = tors_[static_cast<std::size_t>(m.src)];
       if (!healthy &&
-          !(links_.up_raw(a.tx_link) && links_.up_raw(a.rx_link))) {
-        live_matches_[keep++] = index;
+          !(links_.up_raw(links_.raw_index(m.src, m.tx_port,
+                                           LinkDirection::kEgress)) &&
+            links_.up_raw(links_.raw_index(m.dst, m.rx_port,
+                                           LinkDirection::kIngress)))) {
         continue;
       }
       // 0. A pending retransmission for the matched pair outranks fresh
       // data (selective repeat: the lost unit is the pair's oldest debt).
-      // The match stays live — its queue state is unchanged.
       if (plane_.try_retransmit(m.src, m.dst, now_)) {
         ++match_slots_used_;
-        live_matches_[keep++] = index;
         continue;
       }
       // 1. Direct data for the matched destination. The pending check is a
       // plain counter read — most slots of an over-scheduled match find a
-      // drained queue (§3.5); such matches are dropped from the live list
-      // until an arrival for their pair reactivates them.
+      // drained queue (§3.5), and such a match is marked until an arrival
+      // for its pair refills it.
       if (tor.active_destinations().contains(m.dst)) {
         auto pkt = tor.dequeue_packet(m.dst, payload);
         NEG_ASSERT(pkt.has_value(), "pending queue yielded no packet");
@@ -714,20 +681,12 @@ void NegotiatorFabric::run_scheduled_slots() {
         sync_source_activity(m.src);
         plane_.first_hop(static_cast<int>(pkt->flow), m.src, m.dst,
                          pkt->bytes, now_);
-        live_matches_[keep++] = index;
         continue;
       }
-      if (may_drop) {
-        // Park the match on its source's dropped chain; the arrival hook
-        // restores it (at its original position) if the pair refills.
-        auto& stamp = dropped_stamp_[static_cast<std::size_t>(m.src)];
-        auto& head = dropped_heads_[static_cast<std::size_t>(m.src)];
-        if (stamp != epoch_) {
-          stamp = epoch_;
-          head = -1;
-        }
-        dropped_next_[static_cast<std::size_t>(index)] = head;
-        head = index;
+      // Relay-enabled fabrics never mark a match drained: parked
+      // second-hop data refills a pair without a flow arrival.
+      if (!relay_enabled_) {
+        a.drained_at = arrived;
         continue;
       }
       // 2. Second-hop relayed data parked at this ToR for the destination.
@@ -738,7 +697,6 @@ void NegotiatorFabric::run_scheduled_slots() {
                   m.dst, payload)) {
         sync_relay_activity(m.src);
         plane_.second_hop(*chunk, m.dst);
-        live_matches_[keep++] = index;
         continue;
       }
       // 3. First-hop relay: push elephant bytes towards the intermediate.
@@ -759,9 +717,7 @@ void NegotiatorFabric::run_scheduled_slots() {
       }
       // Otherwise the link idles this slot: the cost of stateless
       // scheduling when the queue emptied before the accept (§3.5).
-      live_matches_[keep++] = index;
     }
-    live_matches_.resize(keep);
     // Graceful degradation: unmatched sources spread via the rotor rule
     // after the matched traffic of the slot, sharing its delivery span.
     if (fallback) {
@@ -773,7 +729,6 @@ void NegotiatorFabric::run_scheduled_slots() {
     plane_.flush(arrival);
     relay_line_.close_span(arrival);
   }
-  in_scheduled_phase_ = false;
 }
 
 // DemandView --------------------------------------------------------------

@@ -98,11 +98,6 @@ class FabricSim : private EventSink {
   /// fabric, which has no matching step.
   virtual std::vector<double> match_ratio_series() const { return {}; }
 
-  /// Predefined-phase connections visited so far, sparse and dense slots
-  /// alike (deterministic work count); 0 for the oblivious fabric, which
-  /// has no predefined phase.
-  virtual std::uint64_t predefined_visits() const { return 0; }
-
   /// Schedules a link failure (fail=true) or repair at absolute time
   /// `when`.
   void schedule_link_event(Nanos when, TorId tor, PortId port,
@@ -213,9 +208,9 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::vector<double> match_ratio_series() const override {
     return ratio_series_;
   }
-  std::uint64_t predefined_visits() const override {
-    return predefined_visits_;
-  }
+  /// Predefined-phase connections visited so far, sparse and dense slots
+  /// alike (deterministic work count).
+  std::uint64_t predefined_visits() const { return predefined_visits_; }
   void schedule_control_brownout(Nanos start, Nanos end,
                                  double drop_floor) override;
   int excluded_ports() const override { return faults_.excluded_count(); }
@@ -274,7 +269,7 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   /// Picks the scheduled phase's path for this epoch (see the drain block
   /// below) and runs it.
   void run_scheduled_phase();
-  /// The per-slot walk: every slot visits every live match once.
+  /// The per-slot walk: every slot visits every match not marked drained.
   void run_scheduled_slots();
 
   /// Graceful degradation under control-plane loss (config-gated by
@@ -315,7 +310,9 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   std::int64_t epoch_{0};
   std::size_t prev_epoch_grants_{0};
   std::vector<double> ratio_series_;
-  std::vector<Bytes> arrived_;  // [src * N + dst], cumulative (stateful)
+  /// [src * N + dst], cumulative bytes arrived: the stateful variant's
+  /// demand and the per-slot walk's drained mark read it.
+  std::vector<Bytes> arrived_;
   std::int64_t total_matches_{0};
   std::int64_t match_slots_offered_{0};
   std::int64_t match_slots_used_{0};
@@ -373,31 +370,25 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   int predef_cursor_{0};    // slot currently being processed
   bool in_predefined_phase_{false};
 
-  // --- Scheduled phase, per-slot walk: the live-match list ---
+  // --- Scheduled phase, per-slot walk: the drained mark ---
   //
   // An over-scheduled match spends most of its 30 slots with a drained
-  // queue (§3.5). Instead of re-checking every match every slot, the walk
-  // iterates a compact ascending index list of *live* matches; a match
-  // whose queue is found empty is dropped from the list and reactivated,
-  // at its original position, only when a flow for its (src, dst) pair
-  // arrives mid-phase. Only the plain-negotiator path drops (relay matches
-  // and relay-enabled fabrics keep full iteration: their other data
-  // sources refill invisibly). Under ARQ this is not the dense visit
-  // order: a retransmission that a timer queues for a dropped pair later
-  // in the phase does not reactivate it, so the pair's retransmit slot
-  // waits for the next epoch.
+  // queue (§3.5). When the walk finds a match's queue empty it marks the
+  // match with its pair's arrived_ count and skips it in later slots while
+  // that count is unchanged. arrived_ grows on every flow arrival and on
+  // nothing else, and arrivals fire only in the advance_to before a slot,
+  // so a flow landing mid-phase for the pair wakes the match for that very
+  // slot, at its own place in the walk. Relay-enabled fabrics never mark:
+  // parked second-hop data refills a pair without an arrival. Under ARQ
+  // the walk is not the dense visit order: a retransmission that a timer
+  // queues mid-phase for a marked pair moves no arrived_ count, so the
+  // pair's retransmit slot waits for the next epoch (ROADMAP item 11).
   struct ActiveMatch {
     Match m;
     Bytes relay_remaining;
-    std::uint32_t tx_link;  // LinkState raw index, egress
-    std::uint32_t rx_link;  // LinkState raw index, ingress
+    Bytes drained_at;  // pair's arrived_ when last found drained, else -1
   };
-  std::vector<ActiveMatch> sched_matches_;     // this epoch's matches
-  bool in_scheduled_phase_{false};
-  std::vector<std::int32_t> live_matches_;     // ascending indices, compacted
-  std::vector<std::int32_t> dropped_heads_;    // [src] -> chain head
-  std::vector<std::int64_t> dropped_stamp_;    // [src] -> epoch of that head
-  std::vector<std::int32_t> dropped_next_;     // [match index] -> next in chain
+  std::vector<ActiveMatch> sched_matches_;  // this epoch's matches
 
   // --- Scheduled phase, per-segment drain ---
   //

@@ -1,13 +1,13 @@
 #include "engine/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <thread>
 
 #include "common/env.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "workload/generator.h"
 
 namespace negotiator {
@@ -64,15 +64,22 @@ std::vector<SweepOutcome> SweepEngine::run(
     }
     return outcomes;
   }
-  // No point spawning workers that could never receive a task.
-  ThreadPool pool(static_cast<unsigned>(
-      std::min<std::size_t>(threads_, points.size())));
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    pool.submit([&points, &outcomes, i] {
+  // Each worker claims the next unrun point until none is left; no point
+  // spawning workers that could never claim one. execute_point catches
+  // every exception, so a worker never dies early.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next++; i < points.size(); i = next++) {
       outcomes[i] = execute_point(points[i]);
-    });
+    }
+  };
+  {
+    // jthreads join when the block ends, also if a later spawn throws.
+    std::vector<std::jthread> workers;
+    const std::size_t count = std::min<std::size_t>(threads_, points.size());
+    workers.reserve(count);
+    for (std::size_t w = 0; w < count; ++w) workers.emplace_back(worker);
   }
-  pool.drain();
   return outcomes;
 }
 

@@ -1,6 +1,6 @@
 // Multi-core sweep engine: runs a declared grid of independent simulation
-// points across a fixed thread pool and merges the results in submission
-// order.
+// points across a fixed set of worker threads and merges the results in
+// submission order.
 //
 // Determinism contract: a sweep's results are a pure function of its
 // points, never of the thread count or the OS schedule. Every point owns a
@@ -60,7 +60,7 @@ RunResult run_standard_point(const SweepPoint& point);
 class SweepEngine {
  public:
   /// `threads == 0` means default_threads(). One thread executes the grid
-  /// strictly sequentially on the calling thread (no pool).
+  /// strictly sequentially on the calling thread (no workers).
   explicit SweepEngine(unsigned threads = 0);
 
   unsigned threads() const { return threads_; }

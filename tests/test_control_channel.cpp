@@ -23,6 +23,8 @@
 #include "workload/generator.h"
 #include "workload/size_distribution.h"
 
+#include "all_pairs_demand.h"
+
 namespace negotiator {
 namespace {
 
@@ -111,37 +113,7 @@ TEST(ControlChannel, TotalLossStarvesTheMatching) {
   auto scheduler = make_negotiator_scheduler(cfg, topo, Rng(7));
   scheduler->set_control_channel(&channel);
 
-  struct FullDemand : DemandView {
-    explicit FullDemand(int n) : active(static_cast<std::size_t>(n)) {
-      for (TorId s = 0; s < n; ++s) {
-        sources.insert(s);
-        for (TorId d = 0; d < n; ++d) {
-          if (s != d) active[static_cast<std::size_t>(s)].insert(d);
-        }
-      }
-    }
-    Bytes pending_bytes(TorId, TorId) const override { return 1'000'000; }
-    Bytes elephant_bytes(TorId, TorId) const override { return 0; }
-    Nanos weighted_hol_delay(TorId, TorId, Nanos, double) const override {
-      return 0;
-    }
-    Nanos oldest_hol_enqueue(TorId, TorId) const override { return 0; }
-    Bytes cumulative_arrived(TorId, TorId) const override {
-      return 1'000'000;
-    }
-    Bytes relay_pending(TorId, TorId) const override { return 0; }
-    Bytes relay_queue_total(TorId) const override { return 0; }
-    const ActiveSet& relay_active_destinations(TorId) const override {
-      static const ActiveSet kEmpty;
-      return kEmpty;
-    }
-    const ActiveSet& active_destinations(TorId s) const override {
-      return active[static_cast<std::size_t>(s)];
-    }
-    const ActiveSet& active_sources() const override { return sources; }
-    std::vector<ActiveSet> active;
-    ActiveSet sources;
-  } demand(16);
+  const AllPairsDemand demand(16);
 
   std::size_t total_matches = 0;
   for (std::int64_t epoch = 0; epoch < 30; ++epoch) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -284,7 +285,7 @@ TEST(Engine, PredefinedPhaseVisitsNoStaleConnections) {
     ASSERT_GE(marked, 1u);
 
     for (const bool link_down : {false, true}) {
-      auto fab = make_fabric(cfg);
+      auto fab = std::make_unique<NegotiatorFabric>(cfg);
       const Nanos epoch_ns = cfg.epoch_length_ns();
       const Nanos phase_ns = static_cast<Nanos>(cfg.predefined_slots()) *
                              cfg.epoch.predefined_slot_ns();

@@ -11,42 +11,10 @@
 #include "core/negotiator_scheduler.h"
 #include "topo/topology.h"
 
+#include "all_pairs_demand.h"
+
 namespace negotiator {
 namespace {
-
-class LossyDemand : public DemandView {
- public:
-  explicit LossyDemand(int n) : n_(n), active_(static_cast<std::size_t>(n)) {
-    for (TorId s = 0; s < n; ++s) {
-      active_sources_.insert(s);
-      for (TorId d = 0; d < n; ++d) {
-        if (s != d) active_[static_cast<std::size_t>(s)].insert(d);
-      }
-    }
-  }
-  Bytes pending_bytes(TorId, TorId) const override { return 1'000'000; }
-  Bytes elephant_bytes(TorId, TorId) const override { return 0; }
-  Nanos weighted_hol_delay(TorId, TorId, Nanos, double) const override {
-    return 0;
-  }
-  Nanos oldest_hol_enqueue(TorId, TorId) const override { return 0; }
-  Bytes cumulative_arrived(TorId, TorId) const override { return 1'000'000; }
-  Bytes relay_pending(TorId, TorId) const override { return 0; }
-  Bytes relay_queue_total(TorId) const override { return 0; }
-  const ActiveSet& relay_active_destinations(TorId) const override {
-    static const ActiveSet kEmpty;
-    return kEmpty;
-  }
-  const ActiveSet& active_destinations(TorId s) const override {
-    return active_[static_cast<std::size_t>(s)];
-  }
-  const ActiveSet& active_sources() const override { return active_sources_; }
-
- private:
-  int n_;
-  std::vector<ActiveSet> active_;
-  ActiveSet active_sources_;
-};
 
 struct LossCase {
   TopologyKind kind;
@@ -64,7 +32,7 @@ TEST_P(LossyPipelineTest, ConflictFreeAndLive) {
   cfg.topology = c.kind;
   const FlatTopology topo(cfg);
   FaultPlane faults(16, 4);
-  LossyDemand demand(16);
+  AllPairsDemand demand(16);
   auto scheduler = make_negotiator_scheduler(cfg, topo, Rng(c.seed));
   Rng loss_rng(c.seed + 1);
 

@@ -4,6 +4,7 @@
 // output. A data channel whose every probability is 0 (ARQ off) never
 // drops a chunk, but it keeps every epoch on the per-slot walk, so the
 // same input run with and without it compares the two paths directly.
+// One case pins the walk's rule for a drained match under ARQ.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,8 +13,10 @@
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "core/data_channel.h"
 #include "core/epoch.h"
 #include "engine/network.h"
+#include "tor/host_transport.h"
 #include "workload/generator.h"
 #include "workload/incast.h"
 #include "workload/size_distribution.h"
@@ -202,6 +205,51 @@ TEST(ScheduledPaths, ArrivalRefillsADrainedMatchedPair) {
   const Outcome walk = run(cfg, flows, duration, true);
   EXPECT_GT(drain.dirty_pairs, 0) << "no pair refilled in mid-phase";
   expect_same(drain, walk, "mid-phase refill");
+}
+
+TEST(ScheduledPaths, DrainedMatchWaitsOutAMidPhaseRetransmission) {
+  // One packet from 0 to 1 on a fabric that drops every first-hop chunk,
+  // with an RTO of 10 scheduled slots. The packet leaves in the scheduled
+  // phase of epoch k and is lost; the next slot finds the pair's queue
+  // drained, so its matches are marked. The RTO fires mid-phase and queues
+  // a retransmission, but a retransmission is not an arrival: the marked
+  // matches stay asleep, and the unit waits for epoch k + 1, whose
+  // predefined phase serves pairs owed a retransmission. ROADMAP item 11
+  // plans to flip this on purpose: the retransmission would then ride a
+  // slot of epoch k.
+  NetworkConfig cfg;
+  cfg.topology = TopologyKind::kParallel;
+  cfg.num_tors = 4;
+  cfg.ports_per_tor = 4;
+  cfg.pias.enabled = false;  // one packet, one queue segment
+  cfg.piggyback = false;     // the packet can only leave on a match
+  cfg.data_fault.enabled = true;
+  cfg.data_fault.first_hop_drop = 1.0;
+  cfg.data_fault.arq = true;
+  const EpochTiming timing(cfg);
+  const Nanos rto = timing.scheduled_slot_start(0, 10) -
+                    timing.scheduled_slot_start(0, 0);
+  cfg.data_fault.rto_epochs = static_cast<double>(rto) /
+                              static_cast<double>(timing.epoch_length());
+  NegotiatorFabric fabric(cfg);
+  fabric.add_flow(make_flow(0, 0, 1, timing.scheduled_payload_bytes(), 0));
+  const HostTransport& arq = *fabric.host_transport();
+
+  std::int64_t k = -1;  // the epoch that sends, and loses, the packet
+  while (fabric.data_channel()->classified() == 0) {
+    ASSERT_LT(++k, 20) << "the packet never left";
+    fabric.run_until(timing.epoch_start(k + 1));
+  }
+  ASSERT_EQ(fabric.data_channel()->dropped(), 1);
+  ASSERT_EQ(fabric.match_slots_used(), 1) << "the packet rode no match";
+  EXPECT_EQ(arq.rto_fires(), 1) << "the RTO did not fire in epoch " << k;
+  EXPECT_GT(arq.retx_backlog_bytes(), 0) << "no retransmission queued";
+  EXPECT_EQ(arq.retransmitted_bytes(), 0)
+      << "a drained match served a mid-phase retransmission";
+
+  fabric.run_until(timing.epoch_start(k + 2));
+  EXPECT_EQ(arq.retransmitted_bytes(), timing.scheduled_payload_bytes())
+      << "epoch " << k + 1 << " did not serve the retransmission";
 }
 
 TEST(ScheduledPaths, SourceWithSeveralMatchesToOneDestination) {
