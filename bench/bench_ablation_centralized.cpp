@@ -13,41 +13,30 @@ int main() {
       "Ablation: distributed NegotiaToR Matching vs centralized maximal "
       "matching (99p mice FCT us / goodput)");
   const Nanos duration = bench_duration(4.0);
-  const auto sizes = SizeDistribution::hadoop();
 
-  const struct {
-    const char* name;
-    SchedulerKind kind;
-  } systems[] = {
-      {"negotiator (distributed)", SchedulerKind::kNegotiator},
-      {"centralized controller", SchedulerKind::kCentralized},
+  const auto systems = [](TopologyKind topo) {
+    return std::vector<SystemRow>{
+        {"negotiator (distributed)",
+         paper_config(topo, SchedulerKind::kNegotiator)},
+        {"centralized controller",
+         paper_config(topo, SchedulerKind::kCentralized)},
+    };
   };
+  const TopologyKind topos[] = {TopologyKind::kParallel,
+                                TopologyKind::kThinClos};
   std::vector<SweepPoint> points;
-  for (auto topo : {TopologyKind::kParallel, TopologyKind::kThinClos}) {
-    for (const auto& sys : systems) {
-      const NetworkConfig cfg = paper_config(topo, sys.kind);
-      for (double load : kLoads) {
-        points.push_back(standard_point(cfg, sizes, load, duration, 23,
-                                        std::string(sys.name) + " " +
-                                            to_string(topo) + " @" +
-                                            fmt(load, 2)));
-      }
-    }
+  for (TopologyKind topo : topos) {
+    add_grid(points, to_string(topo), systems(topo), duration, 23);
   }
   const auto outcomes = run_sweep(points);
 
-  std::size_t next = 0;
-  for (auto topo : {TopologyKind::kParallel, TopologyKind::kThinClos}) {
-    std::printf("\n-- %s --\n", to_string(topo));
+  for (std::size_t t = 0; t < std::size(topos); ++t) {
+    std::printf("\n-- %s --\n", to_string(topos[t]));
+    const std::vector<SystemRow> rows = systems(topos[t]);
     ConsoleTable table({"system", "10%", "25%", "50%", "75%", "100%"});
-    for (const auto& sys : systems) {
-      std::vector<std::string> row{sys.name};
-      for (double load : kLoads) {
-        (void)load;
-        const RunResult& r = outcomes[next++].result;
-        row.push_back(fmt(r.mice.p99_ns / 1e3, 1) + "/" + fmt(r.goodput, 3));
-      }
-      table.add_row(row);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      table.add_row(row_cells({rows[r].name}, outcomes, t * rows.size() + r,
+                              fct_us_goodput_cell));
     }
     table.print();
   }

@@ -5,17 +5,18 @@
 // paper uses 30 ms); the `NEG_DURATION_MS` environment variable scales them
 // up for higher-fidelity runs. Shapes are stable at the defaults.
 //
-// Execution model: a bench declares its whole grid as SweepPoints, hands
-// it to run_sweep() (multi-core; NEG_BENCH_THREADS workers, default
-// hardware concurrency), and formats the merged, submission-ordered
-// outcomes. Every point carries its own seeds, so output is byte-identical
-// at any thread count — all printing happens on the main thread after the
-// sweep.
+// Execution model: a bench declares its whole grid as SweepPoints (a
+// systems × load table through add_grid()), hands it to run_sweep()
+// (multi-core; NEG_BENCH_THREADS workers, default hardware concurrency),
+// and formats the merged, submission-ordered outcomes (row_cells()). Every
+// point carries its own seeds, so output is byte-identical at any thread
+// count — all printing happens on the main thread after the sweep.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,17 +108,9 @@ inline std::vector<Flow> load_workload(const NetworkConfig& cfg,
   return gen.generate(0, duration);
 }
 
-/// One standard measurement: run to `duration`, stats over the second half
-/// (skipping ramp-up, as the paper's long 30 ms horizon effectively does).
-inline RunResult measure(const NetworkConfig& cfg,
-                         const std::vector<Flow>& flows, Nanos duration) {
-  Runner runner(cfg);
-  runner.add_flows(flows);
-  return runner.run(duration, duration / 2);
-}
-
 /// Declares the standard measurement as a sweep point: `load_workload()`
-/// seeded with `seed`, then `measure()` over the second half of `duration`.
+/// seeded with `seed`, run to `duration`, stats over the second half
+/// (skipping ramp-up, as the paper's long 30 ms horizon effectively does).
 inline SweepPoint standard_point(const NetworkConfig& cfg,
                                  const SizeDistribution& sizes, double load,
                                  Nanos duration, std::uint64_t seed,
@@ -177,5 +170,54 @@ inline void print_header(const char* title) {
 }
 
 inline const double kLoads[] = {0.10, 0.25, 0.50, 0.75, 1.00};
+
+/// One row of a systems × load table: its printed name and its system.
+struct SystemRow {
+  std::string name;
+  NetworkConfig cfg;
+};
+
+/// Appends one standard point per (row, load) to `points`, row-major, each
+/// labelled "<grid> <row> @<load>". A sweep of such grids, all over
+/// `loads.size()` loads, holds row r's outcomes at [r, r + 1) × that count.
+inline void add_grid(
+    std::vector<SweepPoint>& points, const std::string& grid,
+    const std::vector<SystemRow>& rows, Nanos duration, std::uint64_t seed,
+    std::span<const double> loads = kLoads,
+    const SizeDistribution& sizes = SizeDistribution::hadoop()) {
+  for (const SystemRow& row : rows) {
+    for (double load : loads) {
+      points.push_back(standard_point(
+          row.cfg, sizes, load, duration, seed,
+          grid + " " + row.name + " @" + fmt(load, 2)));
+    }
+  }
+}
+
+/// Row `row`'s block of such a sweep as table cells: `lead`, then
+/// `cell(outcome)` for each of its `loads.size()` outcomes.
+template <typename Cell>
+std::vector<std::string> row_cells(std::vector<std::string> lead,
+                                   const std::vector<SweepOutcome>& outcomes,
+                                   std::size_t row, Cell cell,
+                                   std::span<const double> loads = kLoads) {
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    lead.push_back(cell(outcomes[row * loads.size() + i]));
+  }
+  return lead;
+}
+
+/// The cells most of the paper's tables print: 99p mice FCT in ms, goodput,
+/// and the "99p mice FCT in us/goodput" pair of Tables 3-6 and the
+/// centralized ablation.
+inline std::string fct_ms_cell(const SweepOutcome& o) {
+  return fct_ms(o.result.mice.p99_ns);
+}
+inline std::string goodput_cell(const SweepOutcome& o) {
+  return fmt(o.result.goodput, 3);
+}
+inline std::string fct_us_goodput_cell(const SweepOutcome& o) {
+  return fmt(o.result.mice.p99_ns / 1e3, 1) + "/" + fmt(o.result.goodput, 3);
+}
 
 }  // namespace negbench

@@ -9,13 +9,8 @@ using namespace negbench;
 int main() {
   print_header("Fig. 11: FCT and goodput vs load with no speedup (1x)");
   const Nanos duration = bench_duration(4.0);
-  const auto sizes = SizeDistribution::hadoop();
 
-  struct System {
-    const char* name;
-    NetworkConfig cfg;
-  };
-  std::vector<System> systems = {
+  std::vector<SystemRow> systems = {
       {"negotiator/parallel",
        paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator)},
       {"negotiator/thin-clos",
@@ -23,32 +18,17 @@ int main() {
       {"oblivious/thin-clos",
        paper_config(TopologyKind::kThinClos, SchedulerKind::kOblivious)},
   };
-  for (System& sys : systems) sys.cfg.speedup = 1.0;
+  for (SystemRow& sys : systems) sys.cfg.speedup = 1.0;
 
   std::vector<SweepPoint> points;
-  for (const System& sys : systems) {
-    for (double load : kLoads) {
-      points.push_back(standard_point(sys.cfg, sizes, load, duration, 11,
-                                      std::string(sys.name) + " @" +
-                                          fmt(load, 2)));
-    }
-  }
+  add_grid(points, "fig11", systems, duration, 11);
   const auto outcomes = run_sweep(points);
 
   ConsoleTable fct({"system", "10%", "25%", "50%", "75%", "100%"});
   ConsoleTable goodput({"system", "10%", "25%", "50%", "75%", "100%"});
-  std::size_t next = 0;
-  for (const System& sys : systems) {
-    std::vector<std::string> fct_row{sys.name};
-    std::vector<std::string> gp_row{sys.name};
-    for (double load : kLoads) {
-      (void)load;
-      const RunResult& r = outcomes[next++].result;
-      fct_row.push_back(fct_ms(r.mice.p99_ns));
-      gp_row.push_back(fmt(r.goodput, 3));
-    }
-    fct.add_row(fct_row);
-    goodput.add_row(gp_row);
+  for (std::size_t r = 0; r < systems.size(); ++r) {
+    fct.add_row(row_cells({systems[r].name}, outcomes, r, fct_ms_cell));
+    goodput.add_row(row_cells({systems[r].name}, outcomes, r, goodput_cell));
   }
   std::printf("\n(a) 99p mice FCT in ms\n");
   fct.print();

@@ -14,58 +14,47 @@ using namespace negbench;
 int main() {
   print_header("Fig. 12: parameter sensitivity (parallel network)");
   const Nanos duration = bench_duration(3.0);
-  const auto sizes = SizeDistribution::hadoop();
   const double loads[] = {0.10, 0.50, 1.00};
 
+  const NetworkConfig base =
+      paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator);
+  std::vector<SystemRow> slot_rows;
+  for (Nanos slot : {20, 30, 60, 90, 120}) {
+    NetworkConfig cfg = base;
+    cfg.epoch.predefined_data_ns = slot - cfg.epoch.guardband_ns;
+    slot_rows.push_back({std::to_string(slot) + (slot == 60 ? "*" : ""), cfg});
+  }
+  std::vector<SystemRow> len_rows;
+  for (int slots : {10, 30, 50, 100, 500}) {
+    NetworkConfig cfg = base;
+    cfg.epoch.scheduled_slots = slots;
+    len_rows.push_back({std::to_string(slots) + (slots == 30 ? "*" : ""), cfg});
+  }
   // Declare both sub-figures as one grid so the sweep fills every core.
   std::vector<SweepPoint> points;
-  for (Nanos slot : {20, 30, 60, 90, 120}) {
-    NetworkConfig cfg =
-        paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator);
-    cfg.epoch.predefined_data_ns = slot - cfg.epoch.guardband_ns;
-    for (double load : loads) {
-      points.push_back(standard_point(cfg, sizes, load, duration, 12,
-                                      "slot" + std::to_string(slot) + " @" +
-                                          fmt(load, 2)));
-    }
-  }
-  for (int slots : {10, 30, 50, 100, 500}) {
-    NetworkConfig cfg =
-        paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator);
-    cfg.epoch.scheduled_slots = slots;
-    for (double load : loads) {
-      points.push_back(standard_point(cfg, sizes, load, duration, 13,
-                                      "len" + std::to_string(slots) + " @" +
-                                          fmt(load, 2)));
-    }
-  }
+  add_grid(points, "slot ns", slot_rows, duration, 12, loads);
+  add_grid(points, "phase slots", len_rows, duration, 13, loads);
   const auto outcomes = run_sweep(points);
-  std::size_t next = 0;
 
   std::printf("\n(a) predefined timeslot duration: 99p mice FCT (us)\n");
   ConsoleTable slot_table({"slot (ns)", "10% load", "50% load", "100% load"});
-  for (Nanos slot : {20, 30, 60, 90, 120}) {
-    std::vector<std::string> row{std::to_string(slot) +
-                                 (slot == 60 ? "*" : "")};
-    for (double load : loads) {
-      (void)load;
-      row.push_back(fmt(outcomes[next++].result.mice.p99_ns / 1e3, 1));
-    }
-    slot_table.add_row(row);
+  const auto slot_cell = [](const SweepOutcome& o) {
+    return fmt(o.result.mice.p99_ns / 1e3, 1);
+  };
+  for (std::size_t r = 0; r < slot_rows.size(); ++r) {
+    slot_table.add_row(
+        row_cells({slot_rows[r].name}, outcomes, r, slot_cell, loads));
   }
   slot_table.print();
 
   std::printf("\n(b) scheduled phase length: 99p mice FCT (ms) / goodput\n");
   ConsoleTable len_table({"slots", "10% load", "50% load", "100% load"});
-  for (int slots : {10, 30, 50, 100, 500}) {
-    std::vector<std::string> row{std::to_string(slots) +
-                                 (slots == 30 ? "*" : "")};
-    for (double load : loads) {
-      (void)load;
-      const RunResult& r = outcomes[next++].result;
-      row.push_back(fct_ms(r.mice.p99_ns) + " / " + fmt(r.goodput, 2));
-    }
-    len_table.add_row(row);
+  const auto len_cell = [](const SweepOutcome& o) {
+    return fct_ms(o.result.mice.p99_ns) + " / " + fmt(o.result.goodput, 2);
+  };
+  for (std::size_t r = 0; r < len_rows.size(); ++r) {
+    len_table.add_row(row_cells({len_rows[r].name}, outcomes,
+                                slot_rows.size() + r, len_cell, loads));
   }
   len_table.print();
   std::printf("\n(* = the default evaluation setting)\n");

@@ -9,15 +9,11 @@
 
 using namespace negbench;
 
-namespace {
+int main() {
+  const Nanos duration = bench_duration(3.0);
+  print_header("Fig. 13: more workloads");
 
-struct System {
-  const char* name;
-  NetworkConfig cfg;
-};
-
-std::vector<System> systems() {
-  return {
+  const std::vector<SystemRow> systems = {
       {"negotiator/parallel",
        paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator)},
       {"negotiator/thin-clos",
@@ -25,57 +21,15 @@ std::vector<System> systems() {
       {"oblivious/thin-clos",
        paper_config(TopologyKind::kThinClos, SchedulerKind::kOblivious)},
   };
-}
-
-void declare_simple(std::vector<SweepPoint>& points,
-                    const SizeDistribution& sizes, Nanos duration) {
-  for (const System& sys : systems()) {
-    for (double load : kLoads) {
-      points.push_back(standard_point(sys.cfg, sizes, load, duration, 13,
-                                      std::string(sys.name) + "/" +
-                                          sizes.name() + " @" +
-                                          fmt(load, 2)));
-    }
-  }
-}
-
-void print_simple(const char* title,
-                  const std::vector<SweepOutcome>& outcomes,
-                  std::size_t& next) {
-  std::printf("\n%s\n", title);
-  ConsoleTable table({"system", "metric", "10%", "25%", "50%", "75%",
-                      "100%"});
-  for (const System& sys : systems()) {
-    std::vector<std::string> fct_row{sys.name, "99p FCT (ms)"};
-    std::vector<std::string> gp_row{sys.name, "goodput"};
-    for (double load : kLoads) {
-      (void)load;
-      const RunResult& r = outcomes[next++].result;
-      fct_row.push_back(fct_ms(r.mice.p99_ns));
-      gp_row.push_back(fmt(r.goodput, 3));
-    }
-    table.add_row(fct_row);
-    table.add_row(gp_row);
-  }
-  table.print();
-}
-
-}  // namespace
-
-int main() {
-  const Nanos duration = bench_duration(3.0);
-  print_header("Fig. 13: more workloads");
-
   // Declare the whole figure — the incast mix of (a) plus the plain
   // sweeps of (b) and (c) — as one grid, then print from the merged
   // outcomes. Mix bodies return [bg 99p FCT ns, incast mean ns].
   const auto hadoop = SizeDistribution::hadoop();
   std::vector<SweepPoint> points;
-  for (const System& sys : systems()) {
-    const NetworkConfig cfg = sys.cfg;
+  for (const SystemRow& sys : systems) {
     for (double load : kLoads) {
       points.push_back(custom_point(
-          [cfg, hadoop, load, duration](const SweepPoint&) {
+          [cfg = sys.cfg, hadoop, load, duration](const SweepPoint&) {
             Runner runner(cfg);
             auto bg = load_workload(cfg, hadoop, load, duration, 14);
             Rng rng(15);
@@ -92,36 +46,50 @@ int main() {
             };
             return out;
           },
-          std::string(sys.name) + "/mix @" + fmt(load, 2)));
+          "mix " + sys.name + " @" + fmt(load, 2)));
     }
   }
-  declare_simple(points, SizeDistribution::web_search(), duration);
-  declare_simple(points, SizeDistribution::google(), duration);
+  const struct {
+    const char* title;
+    SizeDistribution sizes;
+  } plain[] = {
+      {"(b) web-search workload (DCTCP)", SizeDistribution::web_search()},
+      {"(c) Google datacenter workload", SizeDistribution::google()},
+  };
+  for (const auto& w : plain) {
+    add_grid(points, w.sizes.name(), systems, duration, 13, kLoads, w.sizes);
+  }
   const auto outcomes = run_sweep(points);
 
-  // (a) Hadoop + incast mix.
   std::printf("\n(a) Hadoop + incast mix (degree 20, 1KB, 2%% of bw)\n");
   ConsoleTable mix({"system", "metric", "10%", "25%", "50%", "75%", "100%"});
-  std::size_t next = 0;
-  for (const System& sys : systems()) {
-    std::vector<std::string> bg_row{sys.name, "bg 99p FCT (ms)"};
-    std::vector<std::string> inc_row{sys.name, "incast finish (us)"};
-    std::vector<std::string> gp_row{sys.name, "goodput"};
-    for (double load : kLoads) {
-      (void)load;
-      const SweepOutcome& o = outcomes[next++];
-      bg_row.push_back(fct_ms(o.metrics[0]));
-      inc_row.push_back(fmt(o.metrics[1] / 1e3, 1));
-      gp_row.push_back(fmt(o.result.goodput, 3));
-    }
-    mix.add_row(bg_row);
-    mix.add_row(inc_row);
-    mix.add_row(gp_row);
+  for (std::size_t r = 0; r < systems.size(); ++r) {
+    const std::string& name = systems[r].name;
+    mix.add_row(row_cells({name, "bg 99p FCT (ms)"}, outcomes, r,
+                          [](const SweepOutcome& o) {
+                            return fct_ms(o.metrics[0]);
+                          }));
+    mix.add_row(row_cells({name, "incast finish (us)"}, outcomes, r,
+                          [](const SweepOutcome& o) {
+                            return fmt(o.metrics[1] / 1e3, 1);
+                          }));
+    mix.add_row(row_cells({name, "goodput"}, outcomes, r, goodput_cell));
   }
   mix.print();
 
-  print_simple("(b) web-search workload (DCTCP)", outcomes, next);
-  print_simple("(c) Google datacenter workload", outcomes, next);
+  for (std::size_t w = 0; w < std::size(plain); ++w) {
+    std::printf("\n%s\n", plain[w].title);
+    ConsoleTable table({"system", "metric", "10%", "25%", "50%", "75%",
+                        "100%"});
+    for (std::size_t r = 0; r < systems.size(); ++r) {
+      const std::string& name = systems[r].name;
+      const std::size_t row = (w + 1) * systems.size() + r;
+      table.add_row(
+          row_cells({name, "99p FCT (ms)"}, outcomes, row, fct_ms_cell));
+      table.add_row(row_cells({name, "goodput"}, outcomes, row, goodput_cell));
+    }
+    table.print();
+  }
   std::printf(
       "\npaper: consistent FCT and goodput advantages for NegotiaToR across "
       "all three workloads; incasts served with minor impact on background "

@@ -13,15 +13,10 @@ using namespace negbench;
 int main() {
   print_header("Fig. 15: iterative matching vs 2x speedup");
   const Nanos duration = bench_duration(4.0);
-  const auto sizes = SizeDistribution::hadoop();
 
-  struct System {
-    const char* name;
-    NetworkConfig cfg;
-  };
-  std::vector<System> systems;
-  systems.push_back({"speedup 2x", paper_config(TopologyKind::kParallel,
-                                                SchedulerKind::kNegotiator)});
+  std::vector<SystemRow> systems = {
+      {"speedup 2x",
+       paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator)}};
   for (int iters : {1, 3, 5}) {
     NetworkConfig cfg = paper_config(TopologyKind::kParallel,
                                      SchedulerKind::kNegotiatorIterative);
@@ -32,29 +27,14 @@ int main() {
   }
 
   std::vector<SweepPoint> points;
-  for (const System& sys : systems) {
-    for (double load : kLoads) {
-      points.push_back(standard_point(sys.cfg, sizes, load, duration, 15,
-                                      std::string(sys.name) + " @" +
-                                          fmt(load, 2)));
-    }
-  }
+  add_grid(points, "fig15", systems, duration, 15);
   const auto outcomes = run_sweep(points);
 
   ConsoleTable fct({"system", "10%", "25%", "50%", "75%", "100%"});
   ConsoleTable goodput({"system", "10%", "25%", "50%", "75%", "100%"});
-  std::size_t next = 0;
-  for (const System& sys : systems) {
-    std::vector<std::string> fct_row{sys.name};
-    std::vector<std::string> gp_row{sys.name};
-    for (double load : kLoads) {
-      (void)load;
-      const RunResult& r = outcomes[next++].result;
-      fct_row.push_back(fct_ms(r.mice.p99_ns));
-      gp_row.push_back(fmt(r.goodput, 3));
-    }
-    fct.add_row(fct_row);
-    goodput.add_row(gp_row);
+  for (std::size_t r = 0; r < systems.size(); ++r) {
+    fct.add_row(row_cells({systems[r].name}, outcomes, r, fct_ms_cell));
+    goodput.add_row(row_cells({systems[r].name}, outcomes, r, goodput_cell));
   }
   std::printf("\n(a) 99p mice FCT in ms\n");
   fct.print();

@@ -164,16 +164,12 @@ NetworkConfig system_config(const System& sys, int num_tors) {
 
 /// The fig9-style grid the sweep section executes: 3 systems x 5 loads.
 std::vector<SweepPoint> sweep_grid(Nanos duration) {
-  const auto sizes = SizeDistribution::hadoop();
-  std::vector<SweepPoint> points;
+  std::vector<SystemRow> rows;
   for (const System& sys : kSystems) {
-    const NetworkConfig cfg = system_config(sys, kSweepTors);
-    for (double load : kLoads) {
-      points.push_back(standard_point(cfg, sizes, load, duration, 9,
-                                      std::string(sys.name) + " @" +
-                                          fmt(load, 2)));
-    }
+    rows.push_back({sys.name, system_config(sys, kSweepTors)});
   }
+  std::vector<SweepPoint> points;
+  add_grid(points, "sweep", rows, duration, 9);
   return points;
 }
 

@@ -13,37 +13,21 @@ int main() {
   print_header(
       "Table 5: stateful scheduling (parallel), 99p mice FCT (us) / goodput");
   const Nanos duration = bench_duration(4.0);
-  const auto sizes = SizeDistribution::hadoop();
 
-  const struct {
-    const char* name;
-    NetworkConfig cfg;
-  } systems[] = {
+  const std::vector<SystemRow> systems = {
       {"Base",
        paper_config(TopologyKind::kParallel, SchedulerKind::kNegotiator)},
       {"Stateful", paper_config(TopologyKind::kParallel,
                                 SchedulerKind::kNegotiatorStateful)},
   };
   std::vector<SweepPoint> points;
-  for (const auto& sys : systems) {
-    for (double load : kLoads) {
-      points.push_back(standard_point(sys.cfg, sizes, load, duration, 18,
-                                      std::string(sys.name) + " @" +
-                                          fmt(load, 2)));
-    }
-  }
+  add_grid(points, "table5", systems, duration, 18);
   const auto outcomes = run_sweep(points);
 
   ConsoleTable table({"system", "10%", "25%", "50%", "75%", "100%"});
-  std::size_t next = 0;
-  for (const auto& sys : systems) {
-    std::vector<std::string> row{sys.name};
-    for (double load : kLoads) {
-      (void)load;
-      const RunResult& r = outcomes[next++].result;
-      row.push_back(fmt(r.mice.p99_ns / 1e3, 1) + "/" + fmt(r.goodput, 3));
-    }
-    table.add_row(row);
+  for (std::size_t r = 0; r < systems.size(); ++r) {
+    table.add_row(
+        row_cells({systems[r].name}, outcomes, r, fct_us_goodput_cell));
   }
   table.print();
   std::printf(

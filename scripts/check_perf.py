@@ -46,6 +46,10 @@ Gating:
     negotiator's scheduled phase on the per-slot walk while the scaling run
     drains it per queue segment, so a mismatch means the two paths
     disagree;
+  - a section must compare at least one row when the fresh file and the
+    committed baseline recorded it at a common sim_ns. Otherwise a row
+    identity drifted (or the baseline is some other file) and the gate
+    would pass without comparing anything;
   - a readable committed baseline must carry every fingerprinted section
     the fresh run produced. A missing baseline section means the committed
     BENCH_perf.json predates the section and was never regenerated, so the
@@ -190,6 +194,16 @@ def check_section(fresh, baseline, section, missing_hint, mismatch_hint):
                       f"[{row_context(r)}] regressed "
                       f"{(1.0 - ratio) * 100:.0f}% vs the committed "
                       "baseline (non-gating: runner hardware varies)")
+    base_sim_ns = {b.get("sim_ns") for b in baseline.get(section, [])}
+    if compared == 0 and any(r.get("sim_ns") in base_sim_ns for r in rows):
+        # Both files ran this section at the same duration, yet no row
+        # found its committed twin: a gate that compares nothing would
+        # pass any change.
+        print(f"::error::{section}: no row matches a committed row of the "
+              "same sim_ns, so nothing was compared — the row identities "
+              "(system, N, label) changed or the baseline is not this "
+              "bench's output")
+        failed = True
     skipped = len(rows) - compared
     note = (f" ({skipped} rows without a comparable baseline — different "
             "sim_ns or not in the committed file)" if skipped else "")

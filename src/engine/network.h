@@ -230,7 +230,6 @@ class NegotiatorFabric final : public FabricSim, public DemandView {
   const ActiveSet& active_sources() const override;
   bool rx_paused(TorId tor) const override;
 
-  const EpochTiming& timing() const { return timing_; }
   std::int64_t current_epoch() const { return epoch_; }
 
   /// Scheduled-phase utilization counters (diagnostics / ablations):
