@@ -3,6 +3,11 @@
 // centralized controller with a global view — when both pay the same
 // ~2-epoch information delay? The paper dismisses centralized scheduling
 // on scalability grounds; this quantifies the forfeited performance.
+//
+// Expected shape: the controller's maximal matchings buy a few points of
+// goodput at heavy load and a slightly tighter tail, the margin NegotiaToR
+// trades away for a scalable control plane. The paper runs no such
+// experiment, so this shape is the bench's own expectation, not a figure.
 #include "bench_common.h"
 #include "stats/table.h"
 

@@ -72,8 +72,6 @@ int main() {
     points.push_back(custom_point(
         [cfg, duration, kLoad](const SweepPoint&) {
           Runner runner(cfg);
-          ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-          runner.fabric().set_resilience(&rec);
           runner.add_flows(load_workload(cfg, SizeDistribution::hadoop(),
                                          kLoad, duration, cfg.seed));
           const RunResult r = runner.run(duration, duration / 2);
@@ -81,6 +79,7 @@ int main() {
           // read 0.
           const auto* neg =
               dynamic_cast<const NegotiatorFabric*>(&runner.fabric());
+          const ResilienceRecorder& rec = runner.fabric().resilience();
           SweepOutcome out;
           out.metrics = {rec.control_grants() > 0 ? rec.control_match_ratio()
                                                   : r.mean_match_ratio,
@@ -136,8 +135,6 @@ int main() {
         sat_points.push_back(custom_point(
             [cfg, duration](const SweepPoint&) {
               Runner runner(cfg);
-              ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-              runner.fabric().set_resilience(&rec);
               FlowId id = 0;
               for (TorId s = 0; s < cfg.num_tors; ++s) {
                 for (TorId d = 0; d < cfg.num_tors; ++d) {
@@ -158,7 +155,7 @@ int main() {
               out.metrics = {static_cast<double>(r.backlog),
                              static_cast<double>(neg.fallback_bytes()),
                              static_cast<double>(neg.degraded_slots()),
-                             rec.control_match_ratio()};
+                             neg.resilience().control_match_ratio()};
               return out;
             },
             std::string(sys.name) + " saturated drop " + fmt(drop, 2) +

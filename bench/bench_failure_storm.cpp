@@ -69,8 +69,6 @@ int main() {
       points.push_back(custom_point(
           [base, phase, zone](const SweepPoint&) {
             Runner runner(base, /*stats_window=*/100 * kMicro);
-            ResilienceRecorder rec(base.num_tors, base.ports_per_tor);
-            runner.fabric().set_resilience(&rec);
             // Saturating all-pairs backlog so goodput is limited by links,
             // not demand (the Fig. 10 setup).
             FlowId id = 0;
@@ -112,6 +110,7 @@ int main() {
                                              phase + phase / 3, 2 * phase);
             const double post = window_sum(g, base.num_tors,
                                            2 * phase + phase / 3, end);
+            const ResilienceRecorder& rec = runner.fabric().resilience();
             SweepOutcome out;
             out.metrics = {during / pre,
                            post / pre,

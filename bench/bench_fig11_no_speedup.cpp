@@ -1,6 +1,9 @@
 // Fig. 11: the Fig. 9 comparison with the 2x uplink speedup removed
-// (uplinks = downlinks). NegotiaToR must still exploit the constrained
-// bandwidth better than the baseline.
+// (uplinks = downlinks).
+//
+// Expected shape: the same ordering as Fig. 9. Without speedup the
+// baseline's relay halves its usable capacity, while NegotiaToR degrades
+// gracefully and still exploits the constrained bandwidth better.
 #include "bench_common.h"
 #include "stats/table.h"
 

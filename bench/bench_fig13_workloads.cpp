@@ -3,6 +3,10 @@
 //      background mice FCT, average incast finish time, overall goodput;
 //  (b) the heavier DCTCP web-search workload;
 //  (c) the lighter Google workload.
+//
+// Expected shape: NegotiaToR keeps its FCT and goodput advantage over the
+// baseline on all three workloads, and in (a) it serves the incasts with
+// minor impact on the background traffic's FCT.
 #include "bench_common.h"
 #include "stats/table.h"
 #include "workload/incast.h"

@@ -3,6 +3,10 @@
 // scheme, relay-in traffic (the grey dots of the figure) is shown
 // separately: it occupies receiver bandwidth without contributing to that
 // receiver's goodput.
+//
+// Expected shape: NegotiaToR's receiver sustains high useful bandwidth
+// until the all-to-all completes; the oblivious receiver splits its
+// bandwidth with relay-in traffic and finishes later.
 #include "bench_common.h"
 #include "workload/all_to_all.h"
 

@@ -1,9 +1,11 @@
 // Fig. 19 (A.4): bandwidth occupation at the receiver of one continuously
-// transmitting pair while links fail, on the parallel network. The paper's
-// micro-observation: occupancy drops to the level of the surviving links,
-// with some zero-bandwidth epochs when the pair's scheduling messages
-// happen to traverse a failed link — but never permanently zero, thanks to
-// the rotating predefined rule.
+// transmitting pair while links fail, on the parallel network.
+//
+// Expected shape: on-off epochs before the failure; during it, occupancy
+// drops to the level of the surviving links, with some zero-bandwidth
+// epochs when the pair's scheduling messages happen to traverse a failed
+// link, but never permanently zero, thanks to the rotating predefined
+// rule; full bandwidth again after the repair.
 #include "bench_common.h"
 #include "stats/table.h"
 

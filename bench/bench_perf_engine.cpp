@@ -286,8 +286,6 @@ Row measure_scaling(const System& sys, int n, Nanos duration) {
 Row measure_storm(const System& sys, int n, Nanos duration) {
   const NetworkConfig cfg = system_config(sys, n);
   Runner runner(cfg, /*stats_window=*/100 * kMicro);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
   const Nanos phase = duration / 3;
   Row row = timed_run(runner, sys.name, "", duration, [&] {
     // One ToR-group burst in the middle third; every victim repairs (with
@@ -310,6 +308,7 @@ Row measure_storm(const System& sys, int n, Nanos duration) {
   const double pre = window_sum(g, n, phase / 3, phase);
   const double during = window_sum(g, n, phase + phase / 3, 2 * phase);
   row.add("degradation_ratio", pre > 0 ? during / pre : 0.0, 4);
+  const ResilienceRecorder& rec = runner.fabric().resilience();
   row.add("exclusion_churn", rec.exclusion_churn());
   row.add("blackholed_bytes", rec.blackholed_bytes());
   return row;
@@ -334,12 +333,11 @@ Row measure_control_loss(const System& sys, int n, Nanos duration,
   NetworkConfig cfg = system_config(sys, n);
   if (c.drop > 0) enable_control_loss(cfg, c.drop, c.fallback);
   Runner runner(cfg);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
   RunResult r;
   Row row = timed_run(runner, sys.name, c.label, duration, {}, &r);
   const auto& fab = dynamic_cast<const NegotiatorFabric&>(runner.fabric());
   const ControlChannel* channel = fab.control_channel();
+  const ResilienceRecorder& rec = fab.resilience();
   row.add("match_ratio", rec.control_grants() > 0 ? rec.control_match_ratio()
                                                   : r.mean_match_ratio,
           4);

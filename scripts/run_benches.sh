@@ -10,7 +10,7 @@
 # (the paper's simulated duration, ~15x the smoke default) unless the
 # environment already pins a duration. Expect tens of minutes on one core;
 # the nightly CI job uses this mode and uploads the resulting
-# BENCH_perf.json.
+# <build-dir>/BENCH_perf.json.
 #
 # Environment:
 #   NEG_DURATION_MS    simulated milliseconds per run (default: each
@@ -19,8 +19,10 @@
 #                      concurrency; --threads overrides). Any value yields
 #                      byte-identical bench output — only wall time moves.
 #   NEG_PERF_JSON      where bench_perf_engine writes its machine-readable
-#                      results (default: <repo>/BENCH_perf.json), the
-#                      repo's perf trajectory.
+#                      results (default: <build-dir>/BENCH_perf.json). The
+#                      committed <repo>/BENCH_perf.json is the baseline
+#                      scripts/check_perf.py gates against; re-record it
+#                      only on purpose, with NEG_PERF_JSON=$PWD/BENCH_perf.json.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -71,9 +73,9 @@ mkdir -p "${out_dir}"
 echo "sweep threads: ${NEG_BENCH_THREADS}"
 
 # bench_perf_engine emits the machine-readable perf trajectory (including
-# the chosen thread count as "bench_threads"); keep it at the repo root so
-# every PR's numbers are easy to diff.
-export NEG_PERF_JSON="${NEG_PERF_JSON:-${repo_root}/BENCH_perf.json}"
+# the chosen thread count as "bench_threads"). It lands in the build dir,
+# so a local run never rewrites the committed baseline.
+export NEG_PERF_JSON="${NEG_PERF_JSON:-${build_dir}/BENCH_perf.json}"
 
 # Every bench/bench_*.cpp source must have produced a binary: a silent
 # glob over whatever happens to exist would let a bench dropped from the

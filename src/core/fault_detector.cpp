@@ -1,6 +1,7 @@
 #include "core/fault_detector.h"
 
 #include "common/assert.h"
+#include "stats/resilience_recorder.h"
 
 namespace negotiator {
 
@@ -49,7 +50,7 @@ void FaultPlane::observe_egress(TorId src, PortId tx, bool delivered) {
   observe(egress_, src, tx, delivered);
 }
 
-void FaultPlane::end_epoch(Listener* listener, Nanos now) {
+void FaultPlane::end_epoch(ResilienceRecorder& recorder, Nanos now) {
   if (quiescent()) return;  // nothing pending anywhere
   auto sweep = [&](std::vector<Dir>& v, LinkDirection dir_kind) {
     for (std::size_t i = 0; i < v.size(); ++i) {
@@ -58,20 +59,16 @@ void FaultPlane::end_epoch(Listener* listener, Nanos now) {
           d.excluded = true;
           d.pending_exclude = false;
           ++excluded_count_;
-          if (listener) {
-            listener->on_exclude(now, static_cast<TorId>(i / ports_),
-                                 static_cast<PortId>(i % ports_), dir_kind);
-          }
+          recorder.on_exclude(now, static_cast<TorId>(i / ports_),
+                              static_cast<PortId>(i % ports_), dir_kind);
         }
         if (d.pending_include) {
           NEG_ASSERT(d.excluded, "include without exclude");
           d.excluded = false;
           d.pending_include = false;
           --excluded_count_;
-          if (listener) {
-            listener->on_include(now, static_cast<TorId>(i / ports_),
-                                 static_cast<PortId>(i % ports_), dir_kind);
-          }
+          recorder.on_include(now, static_cast<TorId>(i / ports_),
+                              static_cast<PortId>(i % ports_), dir_kind);
         }
       });
     }

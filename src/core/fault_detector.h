@@ -16,20 +16,10 @@
 
 namespace negotiator {
 
+class ResilienceRecorder;  // stats/resilience_recorder.h
+
 class FaultPlane {
  public:
-  /// Receives confirmed exclusion / re-inclusion transitions as
-  /// end_epoch applies them. Resilience metrics implement this (see
-  /// stats/resilience_recorder.h); a null listener costs nothing.
-  class Listener {
-   public:
-    virtual ~Listener() = default;
-    virtual void on_exclude(Nanos now, TorId tor, PortId port,
-                            LinkDirection dir) = 0;
-    virtual void on_include(Nanos now, TorId tor, PortId port,
-                            LinkDirection dir) = 0;
-  };
-
   FaultPlane(int num_tors, int ports_per_tor, int threshold = 8);
 
   /// Receiver-side observation: did (dst, rx) see light this slot?
@@ -40,10 +30,10 @@ class FaultPlane {
   /// messages; we model it with the detection threshold absorbing the lag.)
   void observe_egress(TorId src, PortId tx, bool delivered);
 
-  /// Epoch boundary: applies newly confirmed detections/recoveries.
-  /// `listener` (optional) is told about each transition, stamped with
-  /// `now` — the epoch-end broadcast time.
-  void end_epoch(Listener* listener = nullptr, Nanos now = 0);
+  /// Epoch boundary: applies newly confirmed detections/recoveries and
+  /// hands each transition to `recorder`, stamped with `now` — the
+  /// epoch-end broadcast time.
+  void end_epoch(ResilienceRecorder& recorder, Nanos now);
 
   /// Exclusion state known network-wide (post-broadcast).
   bool tx_excluded(TorId tor, PortId port) const;

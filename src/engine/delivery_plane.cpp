@@ -7,8 +7,9 @@
 namespace negotiator {
 
 DeliveryPlane::DeliveryPlane(const NetworkConfig& config, EventQueue& events,
-                             GoodputMeter& goodput, const LinkState& links)
-    : goodput_(goodput), links_(links) {
+                             GoodputMeter& goodput, const LinkState& links,
+                             ResilienceRecorder& resilience)
+    : goodput_(goodput), links_(links), resilience_(resilience) {
   // The channel's stream derives from the run seed with a fixed salt, so
   // building it never shifts any other component's stream.
   if (config.data_fault.enabled) {
@@ -44,10 +45,10 @@ void DeliveryPlane::flush(Nanos arrival) {
     if (build_.empty()) return;
   }
   const std::size_t n = build_.size();
-  if (resilience_ && links_.failed_count() > 0) {
+  if (links_.failed_count() > 0) {
     Bytes degraded = 0;
     for (const DeliveryRecord& r : build_) degraded += r.bytes;
-    resilience_->on_degraded_delivery(degraded);
+    resilience_.on_degraded_delivery(degraded);
   }
   flows_.credit_span(build_.data(), n, arrival);
   goodput_.record_delivery_span(build_.data(), n, arrival);

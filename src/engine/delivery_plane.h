@@ -47,10 +47,12 @@ inline bool invariants_armed(const NetworkConfig& config) {
 
 class DeliveryPlane {
  public:
-  /// `goodput` and `links` belong to the owning fabric and must outlive
-  /// the plane; `events` carries the transport's retransmit timers.
+  /// `goodput`, `links` and `resilience` belong to the owning fabric and
+  /// must outlive the plane; `events` carries the transport's retransmit
+  /// timers.
   DeliveryPlane(const NetworkConfig& config, EventQueue& events,
-                GoodputMeter& goodput, const LinkState& links);
+                GoodputMeter& goodput, const LinkState& links,
+                ResilienceRecorder& resilience);
   DeliveryPlane(const DeliveryPlane&) = delete;
   DeliveryPlane& operator=(const DeliveryPlane&) = delete;
 
@@ -155,7 +157,6 @@ class DeliveryPlane {
   void add_loss_window(Nanos start, Nanos end, double drop_floor) {
     if (data_) data_->add_loss_window(start, end, drop_floor);
   }
-  void set_resilience(ResilienceRecorder* recorder) { resilience_ = recorder; }
 
   FlowTable& flows() { return flows_; }
   const FlowTable& flows() const { return flows_; }
@@ -182,7 +183,7 @@ class DeliveryPlane {
   std::unique_ptr<HostPlane> host_plane_;
   GoodputMeter& goodput_;
   const LinkState& links_;
-  ResilienceRecorder* resilience_{nullptr};
+  ResilienceRecorder& resilience_;
   Bytes injected_{0};
   Bytes transit_{0};  // relay chunks not yet landed
   std::uint64_t deliveries_{0};

@@ -4,7 +4,6 @@
 
 #include "common/assert.h"
 #include "oblivious/oblivious_scheduler.h"
-#include "stats/resilience_recorder.h"
 
 namespace negotiator {
 
@@ -24,8 +23,9 @@ FabricSim::FabricSim(const NetworkConfig& config, Nanos stats_window_ns,
     : config_(validated(config)),
       goodput_(config.num_tors, stats_window_ns),
       links_(config.num_tors, config.ports_per_tor),
-      plane_(config_, events_, goodput_, links_),
-      topo_(config_) {
+      plane_(config_, events_, goodput_, links_, resilience_),
+      topo_(config_),
+      resilience_(config_.num_tors, config_.ports_per_tor) {
   tors_.reserve(static_cast<std::size_t>(config_.num_tors));
   for (TorId t = 0; t < config_.num_tors; ++t) {
     tors_.emplace_back(t, config_.num_tors, config_.pias);
@@ -88,9 +88,7 @@ void FabricSim::on_link_toggle(const LinkToggleEvent& e, Nanos now) {
   } else {
     links_.repair(e.tor, e.port, e.dir);
   }
-  if (resilience_) {
-    resilience_->on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
-  }
+  resilience_.on_link_toggle(now, e.tor, e.port, e.dir, e.fail);
 }
 
 // --------------------------------------------------------- NegotiatorFabric
@@ -206,9 +204,9 @@ void NegotiatorFabric::run_epoch() {
     ratio_series_.push_back(static_cast<double>(scheduler_->epoch_accepts()) /
                             static_cast<double>(prev_epoch_grants_));
   }
-  if (control_ && resilience_) {
-    resilience_->on_control_match(prev_epoch_grants_,
-                                  scheduler_->epoch_accepts());
+  if (control_) {
+    resilience_.on_control_match(prev_epoch_grants_,
+                                 scheduler_->epoch_accepts());
   }
   prev_epoch_grants_ = scheduler_->epoch_grants();
 
@@ -275,7 +273,7 @@ void NegotiatorFabric::visit_predefined_conn(TorId src, PortId tx, TorId dst,
     auto pkt = tor.dequeue_packet(dst, timing_.piggyback_payload_bytes());
     if (pkt) {
       tor.requeue_front(dst, *pkt);
-      if (resilience_) resilience_->on_blackholed(pkt->bytes);
+      resilience_.on_blackholed(pkt->bytes);
     }
   }
 }

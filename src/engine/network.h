@@ -24,6 +24,7 @@
 #include "sim/relay_delay_line.h"
 #include "stats/fct_recorder.h"
 #include "stats/goodput_meter.h"
+#include "stats/resilience_recorder.h"
 #include "topo/link_state.h"
 #include "topo/predefined_schedule.h"
 #include "topo/topology.h"
@@ -32,8 +33,6 @@
 #include "workload/flow.h"
 
 namespace negotiator {
-
-class ResilienceRecorder;  // stats/resilience_recorder.h
 
 class FabricSim : private EventSink {
  public:
@@ -126,18 +125,14 @@ class FabricSim : private EventSink {
   /// baseline, and for an idle fault plane).
   virtual int excluded_ports() const { return 0; }
 
-  /// Attaches an optional resilience-metrics sink (see
-  /// stats/resilience_recorder.h). The recorder must outlive the fabric
-  /// or be detached with set_resilience(nullptr). Null — the default —
-  /// keeps every hot path byte-identical to a recorder-free build. The
-  /// drop, retransmission and fallback counters are kept by their owners
-  /// instead: data_channel(), host_transport(),
+  /// Fault-timeline metrics (stats/resilience_recorder.h): link failures
+  /// and repairs, exclusions and re-inclusions with their latencies,
+  /// blackholed and degraded-delivered bytes, and control-plane grants
+  /// and accepts. The drop, retransmission and fallback counters are read
+  /// from their owners instead: data_channel(), host_transport(),
   /// NegotiatorFabric::control_channel(), degraded_slots() and
   /// fallback_bytes().
-  void set_resilience(ResilienceRecorder* recorder) {
-    resilience_ = recorder;
-    plane_.set_resilience(recorder);
-  }
+  const ResilienceRecorder& resilience() const { return resilience_; }
 
   /// Lossy data channel (null when data_fault is disabled).
   const DataChannel* data_channel() const { return plane_.data_channel(); }
@@ -190,11 +185,14 @@ class FabricSim : private EventSink {
   GoodputMeter goodput_;
   LinkState links_;
   DeliveryPlane plane_;
-  ResilienceRecorder* resilience_{nullptr};
   /// Last, so the members the slot walks touch keep their places: declared
   /// right after config_, it slowed fig9_oblivious_thinclos by ~2 % (30
   /// interleaved negbench pairs on a 4-core VM).
   FlatTopology topo_;
+  /// Fed by the link toggles, the fault plane, plane_ (which holds a
+  /// reference to it but does not touch it during construction) and the
+  /// negotiator epoch; read through resilience().
+  ResilienceRecorder resilience_;
 };
 
 /// NegotiaToR fabric: predefined + scheduled phases per epoch.

@@ -1,12 +1,12 @@
 // Resilience-metrics plane: quantifies how the fabric rides out a fault
 // scenario (engine/fault_scenario.h).
 //
-// A recorder is attached to a fabric with FabricSim::set_resilience and
-// then fed from four places:
-//   - the fabric's link-toggle handler (injection / repair timestamps per
-//     directed link),
-//   - FaultPlane::end_epoch via the Listener interface (confirmed
-//     exclusion / re-inclusion transitions),
+// Every fabric owns one recorder, always on, and exposes it as
+// FabricSim::resilience(). The fabric feeds it from four places:
+//   - its link-toggle handler (injection / repair timestamps per directed
+//     link),
+//   - FaultPlane::end_epoch (confirmed exclusion / re-inclusion
+//     transitions),
 //   - the data plane (bytes transmitted into dark fibre before detection,
 //     bytes delivered while some link was down), and
 //   - the negotiator fabric's epoch start (grants and the accepts that
@@ -30,21 +30,18 @@
 //     traffic the fabric routed around the outage).
 //
 // Determinism: the recorder only aggregates integer event data already on
-// the simulation timeline, so its numbers are bit-identical for a fixed
-// seed. A null recorder (the default) leaves every fabric hot path
-// untouched — goldens and bench stdouts are byte-identical with no
-// recorder attached.
+// the simulation timeline and feeds nothing back, so its numbers are
+// bit-identical for a fixed seed and no simulated outcome depends on it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/types.h"
-#include "core/fault_detector.h"
 
 namespace negotiator {
 
-class ResilienceRecorder final : public FaultPlane::Listener {
+class ResilienceRecorder {
  public:
   ResilienceRecorder(int num_tors, int ports_per_tor);
 
@@ -52,11 +49,10 @@ class ResilienceRecorder final : public FaultPlane::Listener {
   void on_link_toggle(Nanos now, TorId tor, PortId port, LinkDirection dir,
                       bool fail);
 
-  // FaultPlane::Listener:
-  void on_exclude(Nanos now, TorId tor, PortId port,
-                  LinkDirection dir) override;
-  void on_include(Nanos now, TorId tor, PortId port,
-                  LinkDirection dir) override;
+  /// FaultPlane::end_epoch hooks: a confirmed exclusion / re-inclusion,
+  /// stamped with the epoch-end broadcast time.
+  void on_exclude(Nanos now, TorId tor, PortId port, LinkDirection dir);
+  void on_include(Nanos now, TorId tor, PortId port, LinkDirection dir);
 
   /// Bytes transmitted into a dark, not-yet-excluded link (wasted slot).
   void on_blackholed(Bytes bytes) { blackholed_bytes_ += bytes; }
@@ -72,7 +68,6 @@ class ResilienceRecorder final : public FaultPlane::Listener {
     control_grants_ += static_cast<std::int64_t>(grants);
     control_accepts_ += static_cast<std::int64_t>(accepts);
   }
-
 
   struct LatencyStats {
     std::int64_t count{0};

@@ -372,9 +372,9 @@ struct ChaosOutcome {
   Bytes backlog{0};
   std::uint64_t events{0};
   std::int64_t conservation_checks{0};
+  // Counters the fabric and its components own, copied out before the
+  // fabric is destroyed (0 where the component is absent).
   ResilienceRecorder rec;
-  // Counters the fabric's components own, copied out before the fabric
-  // is destroyed (0 where the component is absent).
   std::int64_t control_dropped{0};
   std::int64_t control_delayed{0};
   std::int64_t control_duplicated{0};
@@ -393,7 +393,6 @@ struct ChaosOutcome {
 ChaosOutcome run_case(const ChaosCase& cc, int index) {
   ChaosOutcome out(cc.cfg);
   Runner runner(cc.cfg);
-  runner.fabric().set_resilience(&out.rec);
   WorkloadGenerator gen(SizeDistribution::hadoop(), cc.cfg.num_tors,
                         cc.cfg.host_rate(), 0.5, Rng(cc.workload_seed));
   std::vector<Flow> flows = gen.generate(0, cc.duration);
@@ -422,6 +421,7 @@ ChaosOutcome run_case(const ChaosCase& cc, int index) {
   out.completed = fab.fct().completed();
   out.backlog = fab.total_backlog();
   out.events = fab.events_executed();
+  out.rec = fab.resilience();
   if (const auto* neg = dynamic_cast<const NegotiatorFabric*>(&fab)) {
     if (const ControlChannel* c = neg->control_channel()) {
       out.control_dropped = c->dropped();

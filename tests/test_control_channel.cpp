@@ -243,11 +243,10 @@ TEST(ControlChannel, FallbackStrictlyReducesStrandedBytes) {
   NetworkConfig fb = base_config(95);
   fb.control_fault = lossy(0.4, /*fallback=*/true);
   Runner runner(fb);
-  ResilienceRecorder rec(fb.num_tors, fb.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
   const RunResult with = run_workload(runner);
   const auto& fabric =
       dynamic_cast<const NegotiatorFabric&>(runner.fabric());
+  const ResilienceRecorder& rec = fabric.resilience();
 
   EXPECT_LT(with.backlog, without.backlog);
   EXPECT_GE(with.completed, without.completed);

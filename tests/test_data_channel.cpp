@@ -255,8 +255,8 @@ struct PlaneCase {
 /// own counters, and the drop, retransmission and fallback counters read
 /// from the components that own them (0 where a component is absent).
 /// Field order and formats are fixed, so the pinned hashes below hold.
-std::string resilience_json(const ResilienceRecorder& rec,
-                            const FabricSim& fab) {
+std::string resilience_json(const FabricSim& fab) {
+  const ResilienceRecorder& rec = fab.resilience();
   const auto* neg = dynamic_cast<const NegotiatorFabric*>(&fab);
   const ControlChannel* ctl = neg ? neg->control_channel() : nullptr;
   const DataChannel* data = fab.data_channel();
@@ -310,8 +310,6 @@ std::string delivery_observables(const PlaneCase& pc) {
   }
   Runner runner(cfg);
   FabricSim& fab = runner.fabric();
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  fab.set_resilience(&rec);
   if (pc.link_failures) {
     for (const TorId tor : {1, 6, 11}) {
       fab.schedule_link_event(kDuration / 4, tor, 2, LinkDirection::kEgress,
@@ -339,7 +337,7 @@ std::string delivery_observables(const PlaneCase& pc) {
   if (const ConservationAuditor* a = fab.conservation_auditor()) {
     os << " checks=" << a->checks();
   }
-  os << " resilience=" << resilience_json(rec, fab);
+  os << " resilience=" << resilience_json(fab);
   return os.str();
 }
 

@@ -496,11 +496,10 @@ TEST(ResilienceRecorder, LatencyAccountingFromRawCalls) {
   EXPECT_DOUBLE_EQ(rec.control_match_ratio(), 0.7);
 }
 
-TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
-  NetworkConfig cfg = cfg16();
-  Runner runner(cfg);
-  ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-  runner.fabric().set_resilience(&rec);
+/// Runs a 0.7-load Hadoop mix through a uniform burst of 10 % of the
+/// links (down from 0.2 ms to 1.2 ms) up to 2 ms; returns the victims.
+std::int64_t ride_burst(Runner& runner) {
+  const NetworkConfig& cfg = runner.fabric().config();
   WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
                         cfg.host_rate(), 0.7, Rng(31));
   runner.add_flows(gen.generate(0, 2'000'000));
@@ -509,9 +508,17 @@ TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
       uniform_burst(runner.fabric(), 0.1, 200'000, 1'200'000, rng)
           .failure_count();
   runner.fabric().run_until(2'000'000);
+  return static_cast<std::int64_t>(victims);
+}
+
+TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
+  NetworkConfig cfg = cfg16();
+  Runner runner(cfg);
+  const std::int64_t victims = ride_burst(runner);
   runner.fabric().run_until(2'000'000 + 1'000 * cfg.epoch_length_ns());
-  EXPECT_EQ(rec.failures(), static_cast<std::int64_t>(victims));
-  EXPECT_EQ(rec.repairs(), static_cast<std::int64_t>(victims));
+  const ResilienceRecorder& rec = runner.fabric().resilience();
+  EXPECT_EQ(rec.failures(), victims);
+  EXPECT_EQ(rec.repairs(), victims);
   EXPECT_GT(rec.exclusions(), 0) << "a 1 ms outage must be detected";
   EXPECT_EQ(rec.exclusions(), rec.inclusions())
       << "every exclusion recovered after repair";
@@ -523,68 +530,27 @@ TEST(ResilienceRecorder, FabricIntegrationMeasuresDetectionAndRecovery) {
   EXPECT_GT(rec.degraded_delivered_bytes(), 0)
       << "traffic delivered during the outage must be counted";
   EXPECT_EQ(runner.fabric().excluded_ports(), 0) << "fully recovered";
-  // Detaching the recorder must be safe and stop the accounting.
-  runner.fabric().set_resilience(nullptr);
-  const auto failures_before = rec.failures();
-  runner.fabric().schedule_link_event(runner.fabric().now() + 1'000, 0, 0,
-                                      LinkDirection::kEgress, true);
-  runner.fabric().run_until(runner.fabric().now() + 10'000);
-  EXPECT_EQ(rec.failures(), failures_before);
 }
 
-TEST(ResilienceRecorder, NullRecorderKeepsOutputIdentical) {
-  // The recorder is observational: attaching one must not change any
-  // simulated behaviour, nor any counter the fabric's components own —
-  // under a lossless storm, and with a lossy control plane (fallback on)
-  // or a lossy data plane (ARQ on) riding the same storm.
-  NetworkConfig storm = cfg16();
-  NetworkConfig lossy_control = cfg16();
-  lossy_control.control_fault.enabled = true;
-  lossy_control.control_fault.request_drop = 0.25;
-  lossy_control.control_fault.grant_drop = 0.25;
-  lossy_control.control_fault.accept_drop = 0.25;
-  lossy_control.control_fault.delay_prob = 0.1;
-  lossy_control.control_fault.max_delay_epochs = 2;
-  lossy_control.control_fault.duplicate_prob = 0.05;
-  lossy_control.control_fault.fallback = true;
-  NetworkConfig lossy_data = cfg16();
-  lossy_data.data_fault.enabled = true;
-  lossy_data.data_fault.first_hop_drop = 0.05;
-  lossy_data.data_fault.relay_drop = 0.05;
-  lossy_data.data_fault.second_hop_drop = 0.05;
-  lossy_data.data_fault.corrupt_prob = 0.01;
-  lossy_data.data_fault.arq = true;
-
-  auto run = [](const NetworkConfig& cfg, bool attach) {
-    Runner runner(cfg);
-    ResilienceRecorder rec(cfg.num_tors, cfg.ports_per_tor);
-    if (attach) runner.fabric().set_resilience(&rec);
-    WorkloadGenerator gen(SizeDistribution::hadoop(), cfg.num_tors,
-                          cfg.host_rate(), 0.6, Rng(41));
-    runner.add_flows(gen.generate(0, 500'000));
-    Rng rng(42);
-    uniform_burst(runner.fabric(), 0.15, 50'000, 300'000, rng);
-    runner.fabric().run_until(800'000);
-    const FabricSim& fab = runner.fabric();
-    const auto& neg = dynamic_cast<const NegotiatorFabric&>(fab);
-    const ControlChannel* ctl = neg.control_channel();
-    const DataChannel* data = fab.data_channel();
-    const HostTransport* arq = fab.host_transport();
-    return std::tuple(fab.flows().fct().completed(), fab.total_backlog(),
-                      fab.events_executed(), ctl ? ctl->dropped() : 0,
-                      data ? data->dropped() : 0,
-                      arq ? arq->retransmitted_bytes() : 0,
-                      neg.degraded_slots());
-  };
-  EXPECT_EQ(run(storm, false), run(storm, true));
-  const auto control = run(lossy_control, true);
-  EXPECT_EQ(run(lossy_control, false), control);
-  EXPECT_GT(std::get<3>(control), 0) << "the control plane dropped nothing";
-  EXPECT_GT(std::get<6>(control), 0) << "the fallback never engaged";
-  const auto data = run(lossy_data, true);
-  EXPECT_EQ(run(lossy_data, false), data);
-  EXPECT_GT(std::get<4>(data), 0) << "the data plane dropped nothing";
-  EXPECT_GT(std::get<5>(data), 0) << "ARQ retransmitted nothing";
+// The oblivious fabric shares the link-toggle handler and the delivery
+// plane, so its recorder counts the burst and the bytes delivered around
+// it; it has no FaultPlane, so nothing is ever excluded or blackholed.
+TEST(ResilienceRecorder, ObliviousFabricCountsTogglesWithoutExclusions) {
+  NetworkConfig cfg = cfg16();
+  cfg.scheduler = SchedulerKind::kOblivious;
+  Runner runner(cfg);
+  const std::int64_t victims = ride_burst(runner);
+  ASSERT_GT(victims, 0);
+  const ResilienceRecorder& rec = runner.fabric().resilience();
+  EXPECT_EQ(rec.failures(), victims);
+  EXPECT_EQ(rec.repairs(), victims);
+  EXPECT_GT(rec.degraded_delivered_bytes(), 0)
+      << "traffic delivered during the outage must be counted";
+  EXPECT_EQ(rec.exclusions(), 0);
+  EXPECT_EQ(rec.inclusions(), 0);
+  EXPECT_EQ(rec.detection().count, 0);
+  EXPECT_EQ(rec.blackholed_bytes(), 0);
+  EXPECT_EQ(runner.fabric().excluded_ports(), 0);
 }
 
 }  // namespace

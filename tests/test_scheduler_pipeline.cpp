@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/negotiator_scheduler.h"
+#include "stats/resilience_recorder.h"
 #include "topo/topology.h"
 
 namespace negotiator {
@@ -215,7 +216,9 @@ TEST(SchedulerPipeline, ExcludedPortsNeverMatched) {
     h.faults.observe_ingress(3, 1, false);
     h.faults.observe_egress(0, 2, false);
   }
-  h.faults.end_epoch();
+  ResilienceRecorder rec(h.cfg.num_tors, h.cfg.ports_per_tor);
+  h.faults.end_epoch(rec, 0);
+  EXPECT_EQ(rec.exclusions(), 2);
   for (TorId d = 1; d < 8; ++d) h.demand.set(0, d, 1'000'000);
   for (int e = 0; e < 6; ++e) {
     h.step();
